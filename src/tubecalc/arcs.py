@@ -222,12 +222,15 @@ def format_obj(obj: IndObj) -> str:
     return f"M[{s},{e}]"
 
 
-def parse_obj(tube: Tube, text: str) -> IndObj:
-    """Parse ``M[start,end]`` and normalize; inverse of :func:`format_obj`."""
+def parse_endpoints(text: str) -> Tuple[Optional[int], Optional[int]]:
+    """The raw endpoints of ``M[start,end]``, with None for an infinite end."""
     m = _OBJ_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse object {text!r}, expected M[start,end]")
     raw_s, raw_e = m.group(1), m.group(2)
-    s = None if raw_s == "-inf" else int(raw_s)
-    e = None if raw_e == "inf" else int(raw_e)
-    return tube.normalize(s, e)
+    return (None if raw_s == "-inf" else int(raw_s), None if raw_e == "inf" else int(raw_e))
+
+
+def parse_obj(tube: Tube, text: str) -> IndObj:
+    """Parse ``M[start,end]`` and normalize; inverse of :func:`format_obj`."""
+    return tube.normalize(*parse_endpoints(text))

@@ -13,7 +13,7 @@ import re
 import sys
 from typing import List, Optional
 
-from .arcs import Tube, format_obj, parse_obj, sort_key
+from .arcs import Tube, format_obj, parse_endpoints, parse_obj, sort_key
 from .homs import ALEPH0, InfinitePairError, ext_dim, hom_dim
 from .render import RenderSpec, ar_quiver_lines, render_svg, write_svg
 from .serialize import (
@@ -48,25 +48,18 @@ def _dim_str(value) -> str:
     return "aleph0" if value is ALEPH0 else str(value)
 
 
-def _parse_obj_or_usage(tube: Tube, text: str):
-    try:
-        return parse_obj(tube, text)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def cmd_ext(args) -> int:
     tube = Tube(args.rank)
-    x = _parse_obj_or_usage(tube, args.x)
-    y = _parse_obj_or_usage(tube, args.y)
+    x = parse_obj(tube, args.x)
+    y = parse_obj(tube, args.y)
     print(_dim_str(ext_dim(tube, x, y)))
     return 0
 
 
 def cmd_hom(args) -> int:
     tube = Tube(args.rank)
-    x = _parse_obj_or_usage(tube, args.x)
-    y = _parse_obj_or_usage(tube, args.y)
+    x = parse_obj(tube, args.x)
+    y = parse_obj(tube, args.y)
     print(_dim_str(hom_dim(tube, x, y)))
     return 0
 
@@ -140,7 +133,7 @@ def _split_summands(text: str) -> List[str]:
 def cmd_pair_of_rigid(args) -> int:
     tube = Tube(args.rank)
     summands = frozenset(
-        _parse_obj_or_usage(tube, part) for part in _split_summands(args.summands)
+        parse_obj(tube, part) for part in _split_summands(args.summands)
     )
     if len(summands) != tube.n:
         raise ValidationError(f"expected {tube.n} distinct summands, got {len(summands)}")
@@ -164,13 +157,13 @@ def _parse_render_arc(tube: Optional[Tube], m: Optional[int], text: str):
         name, style = text.split(":", 1)
     else:
         name, style = text, "summand"
-    if m is not None:
-        # parse without index wrapping; the renderer checks segment bounds
-        obj = _parse_obj_or_usage(Tube(10 ** 9), name)
-        if not obj.is_finite:
-            raise UsageError("segment mode takes finite arcs only")
-        return (AArc(obj.start, obj.end), style)
-    return (_parse_obj_or_usage(tube, name), style)
+    if m is None:
+        return (parse_obj(tube, name), style)
+    # segment arcs are not normalized; the renderer checks segment bounds
+    start, end = parse_endpoints(name)
+    if start is None or end is None:
+        raise UsageError("segment mode takes finite arcs only")
+    return (AArc(start, end), style)
 
 
 def cmd_render(args) -> int:
@@ -193,6 +186,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_ar_quiver(args) -> int:
+    if args.max_length < 1:
+        raise UsageError("--max-length must be at least 1")
     tube = Tube(args.rank)
     for line in ar_quiver_lines(tube, args.max_length):
         print(line)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple, Union
 
 from .arcs import IndObj, Tube, format_obj, sort_key
-from .type_a import AArc
+from .type_a import AArc, check_arc
 
 STYLE_COLOR = {
     "summand": "#000000",
@@ -219,8 +219,7 @@ def render_svg(spec: RenderSpec) -> str:
         for obj, _ in arcs:
             if not isinstance(obj, AArc):
                 raise ValueError("segment mode draws segment arcs only")
-            if not (0 <= obj.i and obj.j <= m + 1 and obj.j >= obj.i + 2):
-                raise ValueError(f"arc {obj} does not fit on the segment 0..{m + 1}")
+            check_arc(m, obj)
         body, width = _line_body(0, m + 1, arcs)
         return _svg(width, 280, body)
     raise ValueError(f"unknown render mode {spec.mode!r}")

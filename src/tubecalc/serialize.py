@@ -41,24 +41,47 @@ def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:
     }
 
 
-def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
+_JSON_TYPES = {int: "integer", str: "string", dict: "object"}
+
+
+def _field(doc: dict, key: str, kind: type, many: bool = False, where: str = ""):
+    """doc[key], which must be a ``kind`` (a list of them if ``many``);
+    otherwise a ValidationError naming the key.  JSON true/false is no integer."""
+    if key not in doc:
+        raise ValidationError(f"document is missing key {where + key!r}")
+    items = doc[key] if many else [doc[key]]
+    if not isinstance(items, list) or not all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in items
+    ):
+        wanted = f"a list of {_JSON_TYPES[kind]}s" if many else f"of type {_JSON_TYPES[kind]}"
+        raise ValidationError(f"key {where + key!r} must be {wanted}")
+    return doc[key]
+
+
+def _doc_header(doc, what: str, kinds) -> Tuple[Tube, str]:
+    """Rank and kind of a schema-1 document whose kind is one of kinds."""
+    if not isinstance(doc, dict):
+        raise ValidationError("document must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
-    tube = Tube(int(doc["rank"]))
-    kind = doc["kind"]
-    if kind not in (RAY, CORAY):
-        raise ValidationError(f"unknown pair kind {kind!r}")
-    t_doc, f_doc = doc["torsion"], doc["free"]
-    t_part = make_desc(
-        tube,
-        (parse_obj(tube, s) for s in t_doc["finite"]),
-        corays=t_doc["corays"],
-    )
-    f_part = make_desc(
-        tube,
-        (parse_obj(tube, s) for s in f_doc["finite"]),
-        rays=f_doc["rays"],
-    )
+    tube = Tube(_field(doc, "rank", int))
+    kind = _field(doc, "kind", str)
+    if kind not in kinds:
+        raise ValidationError(f"unknown {what} kind {kind!r}")
+    return tube, kind
+
+
+def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
+    part = _field(doc, side, dict)
+    finite = _field(part, "finite", str, many=True, where=side + ".")
+    indices = _field(part, family, int, many=True, where=side + ".")
+    return make_desc(tube, [parse_obj(tube, s) for s in finite], **{family: indices})
+
+
+def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
+    tube, kind = _doc_header(doc, "pair", (RAY, CORAY))
+    t_part = _desc_from_doc(tube, doc, "torsion", "corays")
+    f_part = _desc_from_doc(tube, doc, "free", "rays")
     return tube, TorsionPair(t_part, f_part, kind)
 
 
@@ -74,14 +97,9 @@ def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
 
 
 def rigid_from_doc(doc: dict) -> Tuple[Tube, MaxRigid]:
-    if doc.get("schema") != SCHEMA:
-        raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
-    tube = Tube(int(doc["rank"]))
-    kind = doc["kind"]
-    if kind not in (PRUFER, ADIC):
-        raise ValidationError(f"unknown rigid kind {kind!r}")
-    summands = frozenset(parse_obj(tube, s) for s in doc["summands"])
-    return tube, MaxRigid(summands, kind)
+    tube, kind = _doc_header(doc, "rigid", (PRUFER, ADIC))
+    summands = _field(doc, "summands", str, many=True)
+    return tube, MaxRigid(frozenset(parse_obj(tube, s) for s in summands), kind)
 
 
 def format_desc(desc: SubcatDesc) -> str:

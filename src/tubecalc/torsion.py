@@ -11,6 +11,21 @@ The bijection: a Prufer-type maximal rigid object U yields the pair
 -shortening closure of the finite part together with the rays at its
 Prufer indices); adic-type is the reflected dual.  The inverse filters
 the Ext-orthogonal arcs out of the infinite part of the pair.
+
+The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
+and it swaps rays with corays, quotients with subobjects.  So the mirror
+-side predicates are derived rather than written out: ``left_perp`` is the
+reflected ``right_perp`` of the reflected descriptor, and ``is_sub_closed``
+is ``is_quotient_closed`` of the reflection.
+
+``torsion_pair_of``, ``max_rigid_of`` and ``is_torsion_pair`` keep their
+hand-written coray/adic branches and the early-exit Hom(T, F) loops, for
+speed (perfbench on a 2-vCPU Intel Xeon host, medians of three 16 s runs):
+reflecting the adic branch of ``torsion_pair_of`` lowered census throughput
+by 13% (4157 -> 3610 ops/s); reflecting the coray branch of ``max_rigid_of``
+raised the median reject latency from 1.66 to 2.71 ms, dropping the Hom
+loops raised it to 3.31 ms, and validating by the bijection round trip
+instead of ``is_torsion_pair`` raised it to 8.06 ms.
 """
 
 from __future__ import annotations
@@ -74,17 +89,15 @@ def make_desc(tube: Tube, finite_objs=(), rays=(), corays=()) -> SubcatDesc:
     n = tube.n
     rayset = frozenset(int(i) % n for i in rays)
     corayset = frozenset(int(j) % n for j in corays)
+    fins = []
+    for x in finite_objs:  # checked before a full family makes the list moot
+        if not x.is_finite:
+            raise ValidationError(f"descriptors list finite arcs only, got {x}")
+        fins.append(tube.normalize(x.start, x.end))
     if len(rayset) == n or len(corayset) == n:
         full = frozenset(range(n))
         return SubcatDesc(frozenset(), full, full)
-    kept = []
-    for x in finite_objs:
-        if not x.is_finite:
-            raise ValidationError(f"descriptors list finite arcs only, got {x}")
-        x = tube.normalize(x.start, x.end)
-        if x.start in rayset or x.end % n in corayset:
-            continue
-        kept.append(x)
+    kept = [x for x in fins if x.start not in rayset and x.end % n not in corayset]
     return SubcatDesc(frozenset(kept), rayset, corayset)
 
 
@@ -162,29 +175,22 @@ def is_quotient_closed(tube: Tube, desc: SubcatDesc, cutoff: Optional[int] = Non
 
 
 def is_sub_closed(tube: Tube, desc: SubcatDesc, cutoff: Optional[int] = None) -> bool:
-    limit = cutoff or default_cutoff(tube, desc)
-    for x in members(tube, desc, limit):
-        for s in tube.right_shortenings(x):
-            if not contains(tube, desc, s):
-                return False
-    return True
+    """Reflection turns subobjects into quotients."""
+    return is_quotient_closed(tube, reflect_desc(tube, desc), cutoff)
 
 
 def is_ext_closed(tube: Tube, desc: SubcatDesc, cutoff: Optional[int] = None) -> bool:
     """Oriented Ptolemy condition: for every negative crossing between
-    members, the one or two resolution arcs are again members."""
+    members, the resolution arcs of the crossing lift are again members."""
     limit = cutoff or default_cutoff(tube, desc)
     n = tube.n
     mem = members(tube, desc, limit)
     for x in mem:
         for y in mem:
             for k in neg_crossing_shifts(tube, x, y):
-                mid = tube.normalize(y.start + k * n, x.end)
-                if not contains(tube, desc, mid):
-                    return False
-                if y.end + k * n > x.start + 1:
-                    mid2 = tube.normalize(x.start, y.end + k * n)
-                    if not contains(tube, desc, mid2):
+                lifted = type_a.AArc(y.start + k * n, y.end + k * n)
+                for mid in type_a.ses_middle(type_a.AArc(x.start, x.end), lifted):
+                    if not contains(tube, desc, tube.normalize(mid.i, mid.j)):
                         return False
     return True
 
@@ -210,22 +216,8 @@ def _receives_nonzero(tube: Tube, desc: SubcatDesc, y: IndObj) -> bool:
     return False
 
 
-def _maps_nonzero_into(tube: Tube, y: IndObj, desc: SubcatDesc) -> bool:
-    """Does y admit a nonzero map into some member of desc?  (Dual rules:
-    every arc embeds into deep coray members; deep ray members receive
-    exactly what the Prufer arc with the same start receives.)"""
-    if desc.corays:
-        return True
-    for i in desc.rays:
-        if hom_dim(tube, y, tube.prufer(i)):
-            return True
-    for x in desc.finite_objs:
-        if hom_dim(tube, y, x):
-            return True
-    return False
-
-
-def _perp(tube: Tube, desc: SubcatDesc, cutoff: Optional[int], killed) -> SubcatDesc:
+def right_perp(tube: Tube, desc: SubcatDesc, cutoff: Optional[int] = None) -> SubcatDesc:
+    """Descriptor of {y : Hom(x, y) = 0 for every member x of desc}."""
     if desc.is_empty:
         return everything(tube)
     limit = cutoff or default_cutoff(tube, desc)
@@ -234,7 +226,7 @@ def _perp(tube: Tube, desc: SubcatDesc, cutoff: Optional[int], killed) -> Subcat
     for l in range(1, limit + 1):
         for s in range(n):
             y = tube.normalize(s, s + l + 1)
-            if not killed(y):
+            if not _receives_nonzero(tube, desc, y):
                 surv.add(y)
     rays_out = [
         s
@@ -257,14 +249,10 @@ def _perp(tube: Tube, desc: SubcatDesc, cutoff: Optional[int], killed) -> Subcat
     return make_desc(tube, fin, rays_out, corays_out)
 
 
-def right_perp(tube: Tube, desc: SubcatDesc, cutoff: Optional[int] = None) -> SubcatDesc:
-    """Descriptor of {y : Hom(x, y) = 0 for every member x of desc}."""
-    return _perp(tube, desc, cutoff, lambda y: _receives_nonzero(tube, desc, y))
-
-
 def left_perp(tube: Tube, desc: SubcatDesc, cutoff: Optional[int] = None) -> SubcatDesc:
-    """Descriptor of {y : Hom(y, x) = 0 for every member x of desc}."""
-    return _perp(tube, desc, cutoff, lambda y: _maps_nonzero_into(tube, y, desc))
+    """Descriptor of {y : Hom(y, x) = 0 for every member x of desc}, the
+    mirror of the right perp since Hom(y, x) = Hom(x^v, y^v)."""
+    return reflect_desc(tube, right_perp(tube, reflect_desc(tube, desc), cutoff))
 
 
 # -- torsion pairs ---------------------------------------------------------------
@@ -337,23 +325,18 @@ def prufer_type_rigids(tube: Tube, indices: Iterable[int]) -> List[MaxRigid]:
     cyclically consecutive Prufer indices, embedded by shifting segment
     arcs to the wing base.
     """
-    idx = sorted(set(indices))
-    if not idx:
-        raise ValidationError("need at least one Prufer index")
-    if any(i < 0 or i >= tube.n for i in idx):
-        raise ValidationError(f"indices must lie in 0..{tube.n - 1}")
-    gaps = []
-    for r, i in enumerate(idx):
-        nxt = idx[r + 1] if r + 1 < len(idx) else idx[0] + tube.n
-        gaps.append((i, nxt - i))
-    choice_lists = [_tilting_sets(gap - 1) for (_, gap) in gaps]
-    prufers = frozenset(tube.prufer(i) for i in idx)
+    try:
+        wings = tube.wing_intersection(indices)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    choice_lists = [_tilting_sets(w.end - w.start - 1) for w in wings]
+    prufers = frozenset(tube.prufer(w.start) for w in wings)
     out = []
     for combo in itertools.product(*choice_lists):
         summands = set(prufers)
-        for (base, _), tilting in zip(gaps, combo):
+        for w, tilting in zip(wings, combo):
             for arc in tilting:
-                summands.add(tube.normalize(base + arc.i, base + arc.j))
+                summands.add(tube.normalize(w.start + arc.i, w.start + arc.j))
         out.append(MaxRigid(frozenset(summands), PRUFER))
     return out
 

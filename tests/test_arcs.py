@@ -1,6 +1,6 @@
 import pytest
 
-from tubecalc.arcs import IndObj, Tube, format_obj, parse_obj, sort_key
+from tubecalc.arcs import IndObj, Tube, format_obj, parse_endpoints, parse_obj, sort_key
 
 
 def all_objects(tube, max_len):
@@ -210,6 +210,13 @@ class TestGrammar:
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_obj(Tube(3), bad)
+
+    def test_parse_endpoints_keeps_raw_indices(self):
+        assert parse_endpoints("M[-1,2]") == (-1, 2)
+        assert parse_endpoints(" M[7,inf] ") == (7, None)
+        assert parse_endpoints("M[-inf,-4]") == (None, -4)
+        with pytest.raises(ValueError):
+            parse_endpoints("M[a,b]")
 
     def test_lift_produces_raw_pairs(self):
         tube = Tube(3)

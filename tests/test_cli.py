@@ -16,6 +16,14 @@ def run(argv):
     return code, out.getvalue()
 
 
+def run_err(argv):
+    """Exit code and standard error of one in-process CLI call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestExtHom:
     def test_ext_aleph0(self):
         assert run(["ext", "--rank", "2", "M[0,inf]", "M[-inf,0]"]) == (0, "aleph0\n")
@@ -91,6 +99,47 @@ class TestRigid:
         assert run(["rigid", "of-pair", "--pair", str(path)])[0] == 1
 
 
+class TestMalformedPairDocuments:
+    """Malformed pair documents exit 2 with a one-line error naming the key."""
+
+    @staticmethod
+    def doc(**fields):
+        doc = {"schema": 1, "rank": 2, "kind": "ray",
+               "torsion": {"finite": [], "corays": []}, "free": {"finite": [], "rays": [0]}}
+        return {**doc, **fields}
+
+    @staticmethod
+    def run_doc(tmp_path, doc):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        return run_err(["rigid", "of-pair", "--pair", str(path)])
+
+    def test_not_an_object(self, tmp_path):
+        code, err = self.run_doc(tmp_path, [1, 2])
+        assert code == 2 and err == "error: document must be a JSON object\n"
+
+    def test_missing_rank(self, tmp_path):
+        code, err = self.run_doc(tmp_path, {"schema": 1})
+        assert code == 2 and "'rank'" in err
+
+    def test_missing_nested_key(self, tmp_path):
+        code, err = self.run_doc(tmp_path, self.doc(free={"finite": []}))
+        assert code == 2 and "'free.rays'" in err
+
+    def test_finite_not_list_of_strings(self, tmp_path):
+        doc = self.doc(torsion={"finite": "M[1,3]", "corays": []})
+        code, err = self.run_doc(tmp_path, doc)
+        assert code == 2 and "'torsion.finite'" in err
+
+    def test_rays_not_list_of_integers(self, tmp_path):
+        code, err = self.run_doc(tmp_path, self.doc(free={"finite": [], "rays": [0.5]}))
+        assert code == 2 and "'free.rays'" in err
+
+    def test_one_sided_arc_in_full_ray_family(self, tmp_path):
+        code, err = self.run_doc(tmp_path, self.doc(free={"finite": ["M[0,inf]"], "rays": [0, 1]}))
+        assert code == 2 and "M[0,inf]" in err
+
+
 class TestPairOfRigid:
     def test_text_output(self):
         code, out = run(["pair-of-rigid", "--rank", "2", "--summands", "M[0,inf],M[0,2]"])
@@ -127,6 +176,18 @@ class TestRenderAndQuiver:
 
     def test_segment_needs_m(self):
         assert run(["render", "--mode", "segment", "--arc", "M[0,2]"])[0] == 1
+
+    def test_segment_negative_start_reported_unwrapped(self):
+        code, err = run_err(["render", "--mode", "segment", "--m", "3", "--arc", "M[-1,2]"])
+        assert code == 1 and "arc [-1,2] does not fit" in err
+
+    def test_segment_rejects_one_sided_arcs(self):
+        assert run(["render", "--mode", "segment", "--m", "3", "--arc", "M[0,inf]"])[0] == 1
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_ar_quiver_max_length_below_one(self, value):
+        code, err = run_err(["ar-quiver", "--rank", "2", "--max-length", value])
+        assert code == 1 and "--max-length" in err
 
     def test_ar_quiver(self):
         code, out = run(["ar-quiver", "--rank", "2", "--max-length", "2"])

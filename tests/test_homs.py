@@ -127,7 +127,14 @@ class TestDualities:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_reflection_preserves_hom_dim(self, n):
         tube = Tube(n)
-        for x, y in finite_pairs(tube, 8):
+        finite = tube.finite_objects(8)
+        one_sided = [tube.prufer(i) for i in range(n)] + [tube.adic(j) for j in range(n)]
+        pairs = itertools.chain(
+            finite_pairs(tube, 8),
+            itertools.product(finite, one_sided),
+            itertools.product(one_sided, finite),
+        )
+        for x, y in pairs:
             assert hom_dim(tube, x, y) == hom_dim(tube, tube.reflect(y), tube.reflect(x))
 
     @pytest.mark.parametrize("n", range(1, 5))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -69,3 +70,36 @@ def test_format_desc():
     t2 = Tube(2)
     assert format_desc(empty_desc(t2)) == "0"
     assert "rays[0,1]" in format_desc(everything(t2))
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({"schema": 1, "rank": "2"}, "rank"),
+        ({"schema": 1, "rank": 2, "kind": ["ray"]}, "kind"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [], "corays": []}}, "free"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": [],
+          "free": {"finite": [], "rays": [0]}}, "torsion"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [3], "corays": []},
+          "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [], "corays": []},
+          "free": {"finite": [], "rays": [True]}}, "free.rays"),
+    ],
+)
+def test_malformed_pair_doc(doc, key):
+    with pytest.raises(ValidationError, match=re.escape(repr(key))):
+        pair_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "prufer",
+        {"schema": 1, "rank": 2, "kind": "prufer"},
+        {"schema": 1, "rank": 2, "kind": "prufer", "summands": "M[0,inf]"},
+        {"schema": 1, "rank": 2, "kind": "prufer", "summands": [["M[0,inf]"]]},
+    ],
+)
+def test_malformed_rigid_doc(doc):
+    with pytest.raises(ValidationError):
+        rigid_from_doc(doc)

@@ -1,10 +1,12 @@
 import itertools
+import random
 from math import comb
 
 import pytest
 
 from tubecalc import oracle
 from tubecalc.arcs import Tube, sort_key
+from tubecalc.homs import hom_dim
 from tubecalc.torsion import (
     CORAY,
     PRUFER,
@@ -69,6 +71,13 @@ class TestDescriptors:
         t3 = Tube(3)
         d = make_desc(t3, [t3.finite(0, 4), t3.finite(1, 3)], rays=[0])
         assert d.finite_objs == {t3.finite(1, 3)}
+
+    def test_one_sided_arc_rejected_before_full_family_collapse(self):
+        t2 = Tube(2)
+        with pytest.raises(ValidationError):
+            make_desc(t2, [t2.prufer(0)], rays=[0, 1])
+        with pytest.raises(ValidationError):
+            make_desc(t2, [t2.adic(1)], corays=[0, 1])
 
     def test_full_family_collapses_to_everything(self):
         t3 = Tube(3)
@@ -158,6 +167,35 @@ class TestPerps:
                 base = default_cutoff(tube, d)
                 assert right_perp(tube, d, base) == right_perp(tube, d, 2 * base)
                 assert left_perp(tube, d, base) == left_perp(tube, d, 2 * base)
+
+
+def random_desc(rng, tube):
+    """An arbitrary descriptor: a few finite arcs, rays and corays."""
+    n = tube.n
+    pool = tube.finite_objects(n + 1)
+    arcs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+    rays = [i for i in range(n) if rng.random() < 0.15]
+    corays = [j for j in range(n) if rng.random() < 0.15]
+    return make_desc(tube, arcs, rays, corays)
+
+
+class TestPerpDefinition:
+    """Both perps agree with their definition on arbitrary descriptors,
+    evaluated by hom_dim against members truncated at three times the
+    cutoff, for arcs up to twice the cutoff (past the perp's own cutoff)."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_perps_match_hom_definition(self, n):
+        rng = random.Random(2011 + n)
+        tube = Tube(n)
+        for _ in range(150):
+            d = random_desc(rng, tube)
+            cutoff = default_cutoff(tube, d)
+            mem = members(tube, d, 3 * cutoff)
+            right, left = right_perp(tube, d), left_perp(tube, d)
+            for y in tube.finite_objects(2 * cutoff):
+                assert contains(tube, right, y) == all(hom_dim(tube, x, y) == 0 for x in mem), (d, y)
+                assert contains(tube, left, y) == all(hom_dim(tube, y, x) == 0 for x in mem), (d, y)
 
 
 class TestEnumeration:
