@@ -139,22 +139,6 @@ class Tube:
         e = None if obj.start is None else -obj.start
         return self.normalize(s, e)
 
-    # -- shortenings (quotients and subobjects) -----------------------------
-
-    def left_shortenings(self, obj: IndObj) -> frozenset:
-        """Arcs with the same end and start moved weakly right: the quotients."""
-        self._require_finite(obj)
-        return frozenset(
-            self.normalize(i, obj.end) for i in range(obj.start, obj.end - 1)
-        )
-
-    def right_shortenings(self, obj: IndObj) -> frozenset:
-        """Arcs with the same start and end moved weakly left: the subobjects."""
-        self._require_finite(obj)
-        return frozenset(
-            self.normalize(obj.start, j) for j in range(obj.start + 2, obj.end + 1)
-        )
-
     # -- distinguished families ---------------------------------------------
 
     def ray_members(self, i: int, max_len: int) -> frozenset:
@@ -204,11 +188,6 @@ class Tube:
             for l in range(1, max_len + 1)
             for s in range(self.n)
         ]
-
-    @staticmethod
-    def _require_finite(obj: IndObj) -> None:
-        if not obj.is_finite:
-            raise ValueError(f"operation needs a finite arc, got {obj}")
 
 
 # -- textual grammar ----------------------------------------------------------

@@ -110,7 +110,7 @@ def cmd_rigid(args) -> int:
     try:
         with open(args.pair, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read pair file: {exc}")
     tube, pair = pair_from_doc(doc)
     rigid = max_rigid_of(tube, pair)

@@ -181,7 +181,7 @@ def brute_force_max_rigid(tube: Tube, p: int = DEFAULT_PRIME) -> List[frozenset]
     have no finite matrix model).
     """
     n = tube.n
-    nodes = [tube.normalize(s, s + l + 1) for l in range(1, n) for s in range(n)]
+    nodes = tube.finite_objects(n - 1)
     nodes += [tube.prufer(i) for i in range(n)]
     nodes += [tube.adic(j) for j in range(n)]
     nodes.sort(key=sort_key)

@@ -195,6 +195,9 @@ def _line_body(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
 
 
 def render_svg(spec: RenderSpec) -> str:
+    for _, style in spec.arcs:
+        if style not in STYLE_COLOR:
+            raise ValueError(f"unknown style {style!r}")
     arcs = sorted(spec.arcs, key=lambda a: (a[1], _arc_key(a[0])))
     if spec.mode == "annulus":
         n = spec.rank
@@ -233,11 +236,9 @@ def _arc_key(obj) -> Tuple:
 
 def _check_tube_arcs(n: int, arcs) -> None:
     tube = Tube(n)
-    for obj, style in arcs:
+    for obj, _ in arcs:
         if isinstance(obj, AArc):
             raise ValueError("annulus and cover modes draw tube arcs only")
-        if style not in STYLE_COLOR:
-            raise ValueError(f"unknown style {style!r}")
         normal = tube.normalize(obj.start, obj.end)
         if normal != obj:
             raise ValueError(f"arc {obj} is not normalized for rank {n}")
@@ -254,11 +255,7 @@ def write_svg(spec: RenderSpec, path: str) -> None:
 
 def ar_quiver_grid(tube: Tube, max_length: int) -> dict:
     """Labels of the AR-quiver nodes, keyed by (length, start index)."""
-    return {
-        (l, s): format_obj(tube.normalize(s, s + l + 1))
-        for l in range(1, max_length + 1)
-        for s in range(tube.n)
-    }
+    return {(x.length, x.start): format_obj(x) for x in tube.finite_objects(max_length)}
 
 
 def ar_quiver_lines(tube: Tube, max_length: int) -> List[str]:

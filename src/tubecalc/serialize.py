@@ -64,7 +64,10 @@ def _doc_header(doc, what: str, kinds) -> Tuple[Tube, str]:
         raise ValidationError("document must be a JSON object")
     if doc.get("schema") != SCHEMA:
         raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
-    tube = Tube(_field(doc, "rank", int))
+    rank = _field(doc, "rank", int)
+    if rank < 1:
+        raise ValidationError(f"key 'rank' must be a positive integer, got {rank}")
+    tube = Tube(rank)
     kind = _field(doc, "kind", str)
     if kind not in kinds:
         raise ValidationError(f"unknown {what} kind {kind!r}")
@@ -75,7 +78,19 @@ def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
     part = _field(doc, side, dict)
     finite = _field(part, "finite", str, many=True, where=side + ".")
     indices = _field(part, family, int, many=True, where=side + ".")
-    return make_desc(tube, [parse_obj(tube, s) for s in finite], **{family: indices})
+    if len(set(indices)) != len(indices) or not all(0 <= i < tube.n for i in indices):
+        raise ValidationError(
+            f"key {side + '.' + family!r} must list distinct indices in 0..{tube.n - 1}"
+        )
+    return make_desc(tube, _parse_arcs(tube, finite, side + ".finite"), **{family: indices})
+
+
+def _parse_arcs(tube: Tube, strings, key: str):
+    """The arcs the strings name; a ValidationError naming the key if one fails to parse."""
+    try:
+        return [parse_obj(tube, s) for s in strings]
+    except ValueError as exc:
+        raise ValidationError(f"key {key!r}: {exc}") from None
 
 
 def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
@@ -99,7 +114,7 @@ def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
 def rigid_from_doc(doc: dict) -> Tuple[Tube, MaxRigid]:
     tube, kind = _doc_header(doc, "rigid", (PRUFER, ADIC))
     summands = _field(doc, "summands", str, many=True)
-    return tube, MaxRigid(frozenset(parse_obj(tube, s) for s in summands), kind)
+    return tube, MaxRigid(frozenset(_parse_arcs(tube, summands, "summands")), kind)
 
 
 def format_desc(desc: SubcatDesc) -> str:

@@ -1,6 +1,7 @@
 import pytest
 
 from tubecalc.arcs import IndObj, Tube, format_obj, parse_endpoints, parse_obj, sort_key
+from tubecalc.torsion import left_closure, right_closure
 
 
 def all_objects(tube, max_len):
@@ -76,28 +77,33 @@ class TestSymmetries:
 
 
 class TestShortenings:
+    """The closures of a single arc are its quotients (left) and subobjects (right)."""
+
     def test_left_right_examples(self):
         t4 = Tube(4)
         x = t4.finite(0, 4)
-        assert t4.left_shortenings(x) == {t4.finite(0, 4), t4.finite(1, 4), t4.finite(2, 4)}
-        assert t4.right_shortenings(x) == {t4.finite(0, 4), t4.finite(0, 3), t4.finite(0, 2)}
+        assert left_closure(t4, [x]) == {t4.finite(0, 4), t4.finite(1, 4), t4.finite(2, 4)}
+        assert right_closure(t4, [x]) == {t4.finite(0, 4), t4.finite(0, 3), t4.finite(0, 2)}
 
     def test_simple_has_no_proper_quotients(self):
         t4 = Tube(4)
         s = t4.finite(0, 2)
-        assert t4.left_shortenings(s) == {s}
+        assert left_closure(t4, [s]) == {s}
+        assert right_closure(t4, [s]) == {s}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_counts_equal_length(self, n):
         tube = Tube(n)
         for x in tube.finite_objects(3 * n):
-            assert len(tube.left_shortenings(x)) == x.length
-            assert len(tube.right_shortenings(x)) == x.length
+            assert len(left_closure(tube, [x])) == x.length
+            assert len(right_closure(tube, [x])) == x.length
 
     def test_infinite_objects_rejected(self):
         tube = Tube(2)
-        with pytest.raises(ValueError):
-            tube.left_shortenings(tube.prufer(0))
+        for closure in (left_closure, right_closure):
+            for x in (tube.prufer(0), tube.adic(1)):
+                with pytest.raises(ValueError):
+                    closure(tube, [x])
 
 
 class TestWings:

@@ -139,6 +139,12 @@ class TestMalformedPairDocuments:
         code, err = self.run_doc(tmp_path, self.doc(free={"finite": ["M[0,inf]"], "rays": [0, 1]}))
         assert code == 2 and "M[0,inf]" in err
 
+    def test_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "pair.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        code, err = run_err(["rigid", "of-pair", "--pair", str(path)])
+        assert code == 1 and err.startswith("error: cannot read pair file")
+
 
 class TestPairOfRigid:
     def test_text_output(self):
@@ -183,6 +189,14 @@ class TestRenderAndQuiver:
 
     def test_segment_rejects_one_sided_arcs(self):
         assert run(["render", "--mode", "segment", "--m", "3", "--arc", "M[0,inf]"])[0] == 1
+
+    @pytest.mark.parametrize(
+        "mode", [["annulus", "--rank", "3"], ["cover", "--rank", "3"], ["segment", "--m", "3"]],
+        ids=["annulus", "cover", "segment"],
+    )
+    def test_unknown_style_reported(self, mode):
+        code, err = run_err(["render", "--mode", *mode, "--arc", "M[0,2]:bogus"])
+        assert (code, err) == (1, "error: unknown style 'bogus'\n")
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_ar_quiver_max_length_below_one(self, value):

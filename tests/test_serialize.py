@@ -84,6 +84,17 @@ def test_format_desc():
           "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
         ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [], "corays": []},
           "free": {"finite": [], "rays": [True]}}, "free.rays"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [], "corays": []},
+          "free": {"finite": [], "rays": [7]}}, "free.rays"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [], "corays": []},
+          "free": {"finite": [], "rays": [-1]}}, "free.rays"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": [], "corays": []},
+          "free": {"finite": [], "rays": [0, 0]}}, "free.rays"),
+        ({"schema": 1, "rank": 2, "kind": "coray", "torsion": {"finite": [], "corays": [2]},
+          "free": {"finite": [], "rays": []}}, "torsion.corays"),
+        ({"schema": 1, "rank": 0, "kind": "ray"}, "rank"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[0,1]"], "corays": []},
+          "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
     ],
 )
 def test_malformed_pair_doc(doc, key):
@@ -98,6 +109,7 @@ def test_malformed_pair_doc(doc, key):
         {"schema": 1, "rank": 2, "kind": "prufer"},
         {"schema": 1, "rank": 2, "kind": "prufer", "summands": "M[0,inf]"},
         {"schema": 1, "rank": 2, "kind": "prufer", "summands": [["M[0,inf]"]]},
+        {"schema": 1, "rank": 2, "kind": "prufer", "summands": ["M[0,inf]", "M[zero,2]"]},
     ],
 )
 def test_malformed_rigid_doc(doc):
