@@ -2,43 +2,50 @@
 
 The subcategories appearing in torsion pairs admit a finite description:
 an explicit set of finite arcs plus the indices of fully contained rays
-(fixed start) and corays (fixed end).  Membership of a long arc depends
-only on its anchor index once the length clears a cutoff, so every
-predicate here reduces to finitely many O(1) crossing checks.
+(fixed start) and corays (fixed end).  The closure predicates truncate the
+families at ``default_cutoff``; the perps and the bijection need no cutoff.
+
+Finite objects are uniserial, so the image of a nonzero map x -> y is a
+quotient of x and a subobject of y: Hom(x, y) != 0 iff some quotient of x
+is a subobject of y.  ``right_perp`` is read off from that fact alone.
 
 The bijection: a Prufer-type maximal rigid object U yields the pair
 (tau^{-1} of the left-shortening closure of its finite part, right
 -shortening closure of the finite part together with the rays at its
-Prufer indices); adic-type is the reflected dual.  The inverse filters
-the Ext-orthogonal arcs out of the infinite part of the pair.
+Prufer indices); adic-type is the reflected dual.  The inverse takes the
+Ext-projectives of the torsion-free part F of a ray-type pair, which is
+closed under subobjects, by two lemmas:
+
+A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
+   finite summand lies in a wing between cyclically consecutive rays of F.
+B. An arc a of F has Ext(b, a) != 0 for some b in F iff F contains
+   [c, a.end+1] for some a.start < c < a.end: the crossing lift of b
+   starts strictly inside a and ends past a.end, so that arc is a
+   subobject of it; and that arc crosses a.
 
 The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So the mirror
--side predicates are derived rather than written out: ``left_perp`` is the
-reflected ``right_perp`` of the reflected descriptor, and ``is_sub_closed``
-is ``is_quotient_closed`` of the reflection.
+-side constructions are derived rather than written out: ``left_perp`` is
+the reflected ``right_perp`` of the reflected descriptor, ``is_sub_closed``
+is ``is_quotient_closed`` of the reflection, and the coray-type inverse is
+the reflected ray-type one.
 
-``torsion_pair_of``, ``max_rigid_of`` and ``is_torsion_pair`` keep their
-hand-written coray/adic branches and the early-exit Hom(T, F) loops, for
-speed (perfbench on a 2-vCPU Intel Xeon host, medians of three 16 s runs):
-reflecting the adic branch of ``torsion_pair_of`` lowered census throughput
-by 13% (4157 -> 3610 ops/s); reflecting the coray branch of ``max_rigid_of``
-raised the median reject latency from 1.66 to 2.71 ms, dropping the Hom
-loops raised it to 3.31 ms, and validating by the bijection round trip
-instead of ``is_torsion_pair`` raised it to 8.06 ms.
+``torsion_pair_of`` keeps its hand-written adic branch for speed: reflecting
+it lowered census throughput by 13% (4157 -> 3610 ops/s; perfbench on a
+2-vCPU Intel Xeon host, medians of three 16 s runs).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import FrozenSet, Iterable, List, Tuple
 
 from . import type_a
 from .arcs import IndObj, Tube, sort_key
-from .homs import ext_dim, hom_dim, neg_crossing_shifts
+from .homs import neg_crossing_shifts
 
 RAY = "ray"
 CORAY = "coray"
@@ -61,10 +68,6 @@ class SubcatDesc:
     @property
     def is_finite_type(self) -> bool:
         return not self.rays and not self.corays
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.finite_objs and self.is_finite_type
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,16 @@ def contains(tube: Tube, desc: SubcatDesc, x: IndObj) -> bool:
 
 
 def default_cutoff(tube: Tube, *descs: SubcatDesc) -> int:
-    """The length at which every predicate truncates ray and coray families.
+    """The length at which ``is_quotient_closed``, ``is_ext_closed`` and
+    (through the reflection) ``is_sub_closed`` truncate ray and coray
+    families; nothing else truncates.
 
     Lengths beyond one sigma-period past every explicit arc behave
     periodically; one more period is added on top.  No derivation backs the
-    margin: ``tests/test_torsion.py::TestPerpDefinition`` checks that both
-    perps computed at this length agree with the Hom definition, against
-    members truncated at three times it, for every arc up to twice it, on
-    seeded random descriptors at ranks 1-6 and on both parts of every
-    torsion pair at ranks 1-4."""
+    margin: ``tests/test_torsion.py::TestClosureCutoff`` checks that the
+    three predicates give the same answer when evaluated by hand on members
+    truncated at three times it, on seeded random descriptors with arcs up
+    to three periods long."""
     maxlen = max(
         (x.length for d in descs for x in d.finite_objs), default=0
     )
@@ -200,43 +204,33 @@ def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
 # -- perpendicular subcategories ---------------------------------------------------
 
 
-def _receives_nonzero(tube: Tube, desc: SubcatDesc, y: IndObj) -> bool:
-    """Does some member of desc admit a nonzero map INTO y?
-
-    A full ray reaches every arc through a quotient, so rays kill all of
-    the perpendicular; deep coray members act on targets exactly like the
-    adic arc with the same end.
-    """
-    if desc.rays:
-        return True
-    for j in desc.corays:
-        if hom_dim(tube, tube.adic(j), y):
-            return True
-    for x in desc.finite_objs:
-        if hom_dim(tube, x, y):
-            return True
-    return False
-
-
 def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     """Descriptor of {y : Hom(x, y) = 0 for every member x of desc}.
 
-    A ray (coray) family belongs to the perp iff all ``limit`` of its
-    truncated members survive, which a count per start (end) tells.
+    y is in the perp iff none of its subobjects (the arcs at its start, no
+    longer than it) is a quotient of a member, so per start the perp is every
+    length below the shortest such quotient.  The quotients of [a, b] are
+    [i, b] for a <= i <= b-2, those of coray j every arc ending at j, and
+    those of a ray every simple, so a ray leaves nothing.
     """
-    if desc.is_empty:
-        return everything(tube)
-    limit = default_cutoff(tube, desc)
+    if desc.rays:
+        return empty_desc(tube)
     n = tube.n
-    surv = [y for y in tube.finite_objects(limit) if not _receives_nonzero(tube, desc, y)]
-    by_start = Counter(y.start for y in surv)
-    by_end = Counter(y.end % n for y in surv)
-    rays_out = [s for s in range(n) if by_start[s] == limit]
-    corays_out = [e for e in range(n) if by_end[e] == limit]
-    fin = [y for y in surv if by_start[y.start] < limit and by_end[y.end % n] < limit]
-    if any(y.length > limit - n for y in fin):
-        raise RuntimeError("perp cutoff too small; descriptor would be lossy")
-    return make_desc(tube, fin, rays_out, corays_out)
+    shortest = [math.inf] * n
+    for j in desc.corays:
+        for s in range(n):
+            shortest[s] = min(shortest[s], (j - s - 2) % n + 1)
+    for x in desc.finite_objs:
+        # a quotient is never the shortest at its start if one n shorter exists
+        for i in range(max(x.start, x.end - 1 - n), x.end - 1):
+            shortest[i % n] = min(shortest[i % n], x.end - i - 1)
+    rays_out = [s for s in range(n) if shortest[s] == math.inf]
+    fin = [
+        tube.normalize(s, s + l + 1)
+        for s in range(n) if shortest[s] < math.inf
+        for l in range(1, shortest[s])
+    ]
+    return make_desc(tube, fin, rays_out)
 
 
 def left_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
@@ -258,27 +252,13 @@ def classify_kind(tube: Tube, pair: TorsionPair) -> str:
 
 
 def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
-    """Hom(t_part, f_part) = 0 plus both mutual-perp identities."""
+    """Both mutual-perp identities (which imply Hom(t_part, f_part) = 0)."""
     t, f = pair.t_part, pair.f_part
     try:
         if classify_kind(tube, pair) != pair.kind:
             return False
     except ValidationError:
         return False
-    limit = default_cutoff(tube, t, f)
-    f_mem = members(tube, f, limit)
-    if t.rays and f_mem:
-        # a full ray maps onto every arc, so nothing can sit on the right
-        return False
-    for x in members(tube, t, limit):
-        if any(hom_dim(tube, x, y) for y in f_mem):
-            return False
-        if any(hom_dim(tube, x, tube.prufer(i)) for i in f.rays):
-            return False
-    for j in t.corays:
-        adic = tube.adic(j)
-        if any(hom_dim(tube, adic, y) for y in f_mem):
-            return False
     return right_perp(tube, t) == f and left_perp(tube, f) == t
 
 
@@ -366,25 +346,41 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     raise ValidationError(f"unknown kind {rigid.kind!r}")
 
 
+def _ext_projectives(tube: Tube, f_part: SubcatDesc) -> MaxRigid:
+    """The Prufer-type object of a torsion-free class with rays: the Prufers
+    at its rays plus every in-wing arc a of it with no [c, a.end+1] in it for
+    a.start < c < a.end (lemmas A and B of the module docstring).
+
+    ``reach[s]`` is the end of the longest arc of f_part at start s; f_part
+    is closed under subobjects, so the arcs at s are those ending up to it.
+    """
+    n = tube.n
+    reach = [math.inf if s in f_part.rays else s + 1 for s in range(n)]
+    for x in f_part.finite_objs:
+        reach[x.start] = max(reach[x.start], x.end)
+
+    def reach_at(c: int) -> float:
+        return reach[c % n] + c - c % n
+
+    keep = [tube.prufer(i) for i in f_part.rays]
+    for w in tube.wing_intersection(f_part.rays):
+        for s in range(w.start, w.end - 1):
+            inner = s + 1  # max reach over the starts strictly inside [s, e]
+            for e in range(s + 2, w.end + 1):
+                if e > reach_at(s):
+                    break
+                inner = max(inner, reach_at(e - 1))
+                if inner <= e:
+                    keep.append(tube.normalize(s, e))
+    return MaxRigid(frozenset(keep), PRUFER)
+
+
 def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
-    """Inverse of the bijection: candidates are the arcs of the infinite
-    part plus its limit arcs; keep those with no negative crossing from
-    (ray type) or into (coray type) any candidate."""
+    """Inverse of the bijection: the Ext-projectives of the torsion-free
+    class (ray type), or the reflection of those of the reflected pair
+    (coray type)."""
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
-    limit = default_cutoff(tube, pair.t_part, pair.f_part)
     if pair.kind == RAY:
-        cands = list(members(tube, pair.f_part, limit))
-        cands += [tube.prufer(i) for i in sorted(pair.f_part.rays)]
-        keep = [a for a in cands if all(ext_dim(tube, b, a) == 0 for b in cands)]
-        kind = PRUFER
-    else:
-        cands = list(members(tube, pair.t_part, limit))
-        cands += [tube.adic(j) for j in sorted(pair.t_part.corays)]
-        keep = [a for a in cands if all(ext_dim(tube, a, b) == 0 for b in cands)]
-        kind = ADIC
-    if len(keep) != tube.n:
-        raise RuntimeError(
-            f"expected {tube.n} summands, found {len(keep)}; cutoff too small?"
-        )
-    return MaxRigid(frozenset(keep), kind)
+        return _ext_projectives(tube, pair.f_part)
+    return reflect_rigid(tube, _ext_projectives(tube, reflect_desc(tube, pair.t_part)))

@@ -1,6 +1,7 @@
 import io
 import json
 import contextlib
+import signal
 import subprocess
 import sys
 
@@ -22,6 +23,33 @@ def run_err(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
+
+
+def pair_doc(rank, kind, torsion_finite=(), free_rays=()):
+    return {
+        "schema": 1, "rank": rank, "kind": kind,
+        "torsion": {"finite": list(torsion_finite), "corays": []},
+        "free": {"finite": [], "rays": list(free_rays)},
+    }
+
+
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail the test if the block runs longer than ``seconds``."""
+
+    def over_budget(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExtHom:
@@ -92,6 +120,30 @@ class TestRigid:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["rigid", "of-pair", "--pair", str(path)])[0] == 2
+
+    @needs_alarm
+    def test_all_rays_document_at_rank_200(self, tmp_path):
+        # F = everything: the inverse is the 200 Prufers; the time limit
+        # catches a scan whose work grows with rank x cutoff
+        n = 200
+        path = tmp_path / "all_rays.json"
+        path.write_text(json.dumps(pair_doc(n, "ray", free_rays=list(range(n)))))
+        with time_limit(10):
+            code, out = run(["rigid", "of-pair", "--pair", str(path)])
+        assert code == 0
+        kind, summands = out.split(": ")
+        assert kind == "prufer"
+        assert summands.split() == [f"M[{i},inf]" for i in range(n)]
+
+    @needs_alarm
+    def test_huge_arc_rejected_promptly(self, tmp_path):
+        # only the last n quotients of an arc can be the shortest at their
+        # start, so the work must not grow with the length of an arc
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(pair_doc(3, "ray", torsion_finite=["M[0,1000000000]"], free_rays=[1])))
+        with time_limit(10):
+            code, err = run_err(["rigid", "of-pair", "--pair", str(path)])
+        assert (code, err) == (2, "error: input does not validate as a torsion pair\n")
 
     def test_unreadable_pair_file_exits_1(self, tmp_path):
         path = tmp_path / "junk.json"

@@ -6,11 +6,13 @@ import pytest
 
 from tubecalc import oracle
 from tubecalc.arcs import Tube, sort_key
-from tubecalc.homs import hom_dim
+from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
 from tubecalc.torsion import (
+    ADIC,
     CORAY,
     PRUFER,
     RAY,
+    MaxRigid,
     TorsionPair,
     ValidationError,
     classify_kind,
@@ -160,21 +162,29 @@ class TestPerps:
 
 
 def random_desc(rng, tube):
-    """An arbitrary descriptor: a few finite arcs, rays and corays."""
+    """An arbitrary descriptor: a few finite arcs up to three periods long,
+    rays and corays."""
     n = tube.n
-    pool = tube.finite_objects(n + 1)
+    pool = tube.finite_objects(3 * n)
     arcs = rng.sample(pool, rng.randint(0, min(3, len(pool))))
     rays = [i for i in range(n) if rng.random() < 0.15]
     corays = [j for j in range(n) if rng.random() < 0.15]
     return make_desc(tube, arcs, rays, corays)
 
 
+def hom_free(tube, xs, ys):
+    return all(hom_dim(tube, x, y) == 0 for x in xs for y in ys)
+
+
 class TestPerpDefinition:
     """Both perps agree with their definition on arbitrary descriptors (and,
-    up to rank 4, on both parts of every torsion pair), evaluated by hom_dim
-    against members truncated at three times the cutoff, for arcs up to
-    twice the cutoff (past the perp's own cutoff).  This is the check that
-    backs ``default_cutoff``."""
+    up to rank 4, on both parts of every torsion pair).  The definition is
+    evaluated by hom_dim against members truncated at three times
+    ``default_cutoff``, for every arc up to twice it.  The descriptors' arcs
+    reach three periods, so members whose quotients wind around the annulus
+    more than once are covered.  The perps themselves use no cutoff; their
+    per-start prefixes stay below one period, since a quotient longer than n
+    has one n shorter at the same start."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_perps_match_hom_definition(self, n):
@@ -190,8 +200,110 @@ class TestPerpDefinition:
             mem = members(tube, d, 3 * cutoff)
             right, left = right_perp(tube, d), left_perp(tube, d)
             for y in tube.finite_objects(2 * cutoff):
-                assert contains(tube, right, y) == all(hom_dim(tube, x, y) == 0 for x in mem), (d, y)
-                assert contains(tube, left, y) == all(hom_dim(tube, y, x) == 0 for x in mem), (d, y)
+                assert contains(tube, right, y) == hom_free(tube, mem, [y]), (d, y)
+                assert contains(tube, left, y) == hom_free(tube, [y], mem), (d, y)
+
+
+class TestClosureCutoff:
+    """The closure predicates truncate ray and coray families at
+    ``default_cutoff``; evaluated by hand on members truncated at three times
+    it, they give the same answers.  Inputs: random descriptors with arcs up
+    to three periods long, their quotient and subobject closures, and both
+    parts of every torsion pair up to rank 3."""
+
+    @staticmethod
+    def by_hand(tube, desc):
+        mem = members(tube, desc, 3 * default_cutoff(tube, desc))
+        quotient_closed = all(
+            contains(tube, desc, tube.normalize(i, x.end))
+            for x in mem for i in range(x.start + 1, x.end - 1)
+        )
+        sub_closed = all(
+            contains(tube, desc, tube.normalize(x.start, j))
+            for x in mem for j in range(x.start + 2, x.end)
+        )
+
+        def resolutions(x, y):
+            # the k-th lift of y starts before x and ends inside it
+            for k in neg_crossing_shifts(tube, x, y):
+                ys, ye = y.start + k * tube.n, y.end + k * tube.n
+                yield ys, x.end
+                if ye >= x.start + 2:
+                    yield x.start, ye
+
+        ext_closed = all(
+            contains(tube, desc, tube.normalize(i, j))
+            for x in mem for y in mem for i, j in resolutions(x, y)
+        )
+        return quotient_closed, sub_closed, ext_closed
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_cutoff_matches_hand_evaluation(self, n):
+        rng = random.Random(3011 + n)
+        tube = Tube(n)
+        descs = []
+        for _ in range(40):
+            d = random_desc(rng, tube)
+            descs += [
+                d,
+                make_desc(tube, left_closure(tube, d.finite_objs), corays=d.corays),
+                make_desc(tube, right_closure(tube, d.finite_objs), rays=d.rays),
+            ]
+        if n <= 3:
+            for u in enumerate_max_rigid(tube):
+                pair = torsion_pair_of(tube, u)
+                descs += [pair.t_part, pair.f_part]
+        verdicts = set()
+        for d in descs:
+            got = (is_quotient_closed(tube, d), is_sub_closed(tube, d), is_ext_closed(tube, d))
+            assert got == self.by_hand(tube, d), d
+            verdicts.update(got)
+        assert verdicts == {True, False}
+
+
+class TestIsTorsionPairDefinition:
+    """``is_torsion_pair`` agrees with its definition: Hom(T, F) = 0, F is
+    the right perp of T and T the left perp of F, each evaluated by hom_dim
+    over members truncated at three times ``default_cutoff``, for every arc
+    up to twice it.  The kind tag is the one ``classify_kind`` reads off."""
+
+    @staticmethod
+    def by_definition(tube, t, f):
+        cutoff = default_cutoff(tube, t, f)
+        t_mem, f_mem = members(tube, t, 3 * cutoff), members(tube, f, 3 * cutoff)
+        arcs = tube.finite_objects(2 * cutoff)
+        return (
+            hom_free(tube, t_mem, f_mem)
+            and all(contains(tube, f, y) == hom_free(tube, t_mem, [y]) for y in arcs)
+            and all(contains(tube, t, y) == hom_free(tube, [y], f_mem) for y in arcs)
+        )
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_agrees_with_definition(self, n):
+        rng = random.Random(4011 + n)
+        tube = Tube(n)
+        sides = []
+        for _ in range(60):
+            t = random_desc(rng, tube)
+            sides += [(t, random_desc(rng, tube)), (t, right_perp(tube, t))]
+        for u in enumerate_max_rigid(tube):
+            pair = torsion_pair_of(tube, u)
+            sides.append((pair.t_part, pair.f_part))
+            d_t, d_f = perturb(tube, pair.t_part), perturb(tube, pair.f_part)
+            if d_t is not None:
+                sides.append((d_t, pair.f_part))
+            if d_f is not None:
+                sides.append((pair.t_part, d_f))
+        verdicts = set()
+        for t, f in sides:
+            try:
+                kind = classify_kind(tube, TorsionPair(t, f, RAY))
+            except ValidationError:
+                kind = RAY
+            want = self.by_definition(tube, t, f)
+            assert is_torsion_pair(tube, TorsionPair(t, f, kind)) == want, (t, f)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestEnumeration:
@@ -307,6 +419,40 @@ class TestBijection:
         bad = TorsionPair(make_desc(t2, [t2.finite(0, 2)]), make_desc(t2, rays=[0]), RAY)
         with pytest.raises(ValidationError):
             max_rigid_of(t2, bad)
+
+
+def random_max_rigid(rng, tube, kind):
+    """A maximal rigid object with random anchors (the Prufer starts) and a
+    random triangulation of each wing between cyclically consecutive ones;
+    the adic kind is its reflection."""
+    n = tube.n
+    anchors = sorted(rng.sample(range(n), rng.randint(1, n)))
+    summands = {tube.prufer(i) for i in anchors}
+    todo = list(zip(anchors, anchors[1:] + [anchors[0] + n]))
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo >= 2:
+            summands.add(tube.normalize(lo, hi))
+            apex = rng.randint(lo + 1, hi - 1)
+            todo += [(lo, apex), (apex, hi)]
+    if kind == ADIC:
+        summands = {tube.reflect(x) for x in summands}
+    assert len(summands) == n and is_rigid(tube, summands)
+    return MaxRigid(frozenset(summands), kind)
+
+
+class TestRandomRoundTrips:
+    """Round trips past the exhaustive ranks, where wings are wide enough for
+    the in-wing Ext-projective test to matter."""
+
+    @pytest.mark.parametrize("n", range(8, 33, 4))
+    def test_round_trips(self, n):
+        rng = random.Random(1112 + n)
+        tube = Tube(n)
+        for kind in (PRUFER, ADIC):
+            for _ in range(25):
+                u = random_max_rigid(rng, tube, kind)
+                assert max_rigid_of(tube, torsion_pair_of(tube, u)) == u
 
 
 class TestIsTorsionPair:
