@@ -139,19 +139,7 @@ class Tube:
         e = None if obj.start is None else -obj.start
         return self.normalize(s, e)
 
-    # -- distinguished families ---------------------------------------------
-
-    def ray_members(self, i: int, max_len: int) -> frozenset:
-        """Arcs starting at i with length 1..max_len (the ray, truncated)."""
-        if max_len < 1:
-            raise ValueError("max_len must be at least 1")
-        return frozenset(self.normalize(i, i + l + 1) for l in range(1, max_len + 1))
-
-    def coray_members(self, j: int, max_len: int) -> frozenset:
-        """Arcs ending at j with length 1..max_len (the coray, truncated)."""
-        if max_len < 1:
-            raise ValueError("max_len must be at least 1")
-        return frozenset(self.normalize(j - l - 1, j) for l in range(1, max_len + 1))
+    # -- wings ----------------------------------------------------------------
 
     def wing_members(self, i: int, t: int) -> frozenset:
         """All arcs [a,b] with i <= a and b <= i+t; empty for t <= 1."""

@@ -48,6 +48,14 @@ def _dim_str(value) -> str:
     return "aleph0" if value is ALEPH0 else str(value)
 
 
+def _print_json(doc) -> None:
+    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+
+
+def _pair_line(pair) -> str:
+    return f"{pair.kind}: T = {format_desc(pair.t_part)} ; F = {format_desc(pair.f_part)}"
+
+
 def cmd_ext(args) -> int:
     tube = Tube(args.rank)
     x = parse_obj(tube, args.x)
@@ -72,17 +80,14 @@ def cmd_pairs(args) -> int:
         return 0
     pairs = [torsion_pair_of(tube, u) for u in rigids]
     if args.json:
-        doc = {
+        _print_json({
             "schema": 1,
             "rank": tube.n,
             "pairs": [pair_to_doc(tube, p) for p in pairs],
-        }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        })
     else:
         for p in pairs:
-            print(
-                f"{p.kind}: T = {format_desc(p.t_part)} ; F = {format_desc(p.f_part)}"
-            )
+            print(_pair_line(p))
     return 0
 
 
@@ -96,12 +101,11 @@ def cmd_rigid(args) -> int:
         tube = Tube(args.rank)
         rigids = enumerate_max_rigid(tube)
         if args.json:
-            doc = {
+            _print_json({
                 "schema": 1,
                 "rank": tube.n,
                 "objects": [rigid_to_doc(tube, u) for u in rigids],
-            }
-            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+            })
         else:
             for u in rigids:
                 print(_rigid_line(u))
@@ -115,7 +119,7 @@ def cmd_rigid(args) -> int:
     tube, pair = pair_from_doc(doc)
     rigid = max_rigid_of(tube, pair)
     if args.json:
-        print(json.dumps(rigid_to_doc(tube, rigid), sort_keys=True, separators=(",", ":")))
+        _print_json(rigid_to_doc(tube, rigid))
     else:
         print(_rigid_line(rigid))
     return 0
@@ -146,9 +150,9 @@ def cmd_pair_of_rigid(args) -> int:
     rigid = MaxRigid(summands, PRUFER if has_prufer else ADIC)
     pair = torsion_pair_of(tube, rigid)
     if args.json:
-        print(json.dumps(pair_to_doc(tube, pair), sort_keys=True, separators=(",", ":")))
+        _print_json(pair_to_doc(tube, pair))
     else:
-        print(f"{pair.kind}: T = {format_desc(pair.t_part)} ; F = {format_desc(pair.f_part)}")
+        print(_pair_line(pair))
     return 0
 
 

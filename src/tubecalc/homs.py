@@ -9,7 +9,7 @@ multiples of n inside an integer interval, so all functions here are O(1).
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Union
 
 from .arcs import IndObj, Tube
 
@@ -77,16 +77,14 @@ def pos_crossings(tube: Tube, a: IndObj, b: IndObj) -> ExtDim:
     return neg_crossings(tube, b, a)
 
 
-def neg_crossing_shifts(tube: Tube, a: IndObj, b: IndObj) -> List[int]:
-    """The shifts k for which the k-th lift of b crosses a negatively (finite arcs)."""
+def neg_crossing_shifts(tube: Tube, a: IndObj, b: IndObj) -> range:
+    """The shifts k for which the k-th lift of b crosses a negatively (finite arcs), lazily."""
     if not (a.is_finite and b.is_finite):
         raise ValueError("crossing shifts are only enumerated for finite arcs")
     n = tube.n
     lo = a.start - b.end
     hi = min(a.start - b.start, a.end - b.end)
-    if hi - lo < 2:
-        return []
-    return list(range(lo // n + 1, (hi - 1) // n + 1))
+    return range(lo // n + 1, (hi - 1) // n + 1)  # the k with lo < k*n < hi
 
 
 def ext_dim(tube: Tube, x: IndObj, y: IndObj) -> ExtDim:

@@ -2,8 +2,23 @@
 
 The subcategories appearing in torsion pairs admit a finite description:
 an explicit set of finite arcs plus the indices of fully contained rays
-(fixed start) and corays (fixed end).  The closure predicates truncate the
-families at ``default_cutoff``; the perps and the bijection need no cutoff.
+(fixed start) and corays (fixed end).  Every function here reads that
+data exactly; only ``members`` truncates a family, at its caller's length.
+
+The closure predicates take canonical descriptors (``make_desc``); an arc
+that starts at a ray or ends at a coray is a member automatically.  Quotients
+keep the end, so corays are quotient-closed, and every arc is a quotient of
+a ray member.  Extensions follow the Ptolemy rule: x = [a, b] and a lift
+[c, d] of y with c < a < d < b resolve into [c, b] and, if d >= a + 2,
+[a, d].  So with both families only everything is extension-closed (take a
+ray member at a, a coray member ending at d, c far left off the rays and b
+far right off the corays).  With rays only, a ray strictly inside a listed
+arc y makes [y.start, b] arbitrarily long (lemma A below), and ray members
+end inside every listed arc, whose proper subobjects must then be members.
+The rest is the Ptolemy check over pairs of listed arcs.  The loops walk
+lazily, and the candidates of one loop that are not automatic members must
+be distinct listed arcs, so it stops after at most |listed arcs| + 1
+lookups, however long the arcs are.
 
 Finite objects are uniserial, so the image of a nonzero map x -> y is a
 quotient of x and a subobject of y: Hom(x, y) != 0 iff some quotient of x
@@ -123,31 +138,10 @@ def contains(tube: Tube, desc: SubcatDesc, x: IndObj) -> bool:
     )
 
 
-def default_cutoff(tube: Tube, *descs: SubcatDesc) -> int:
-    """The length at which ``is_quotient_closed``, ``is_ext_closed`` and
-    (through the reflection) ``is_sub_closed`` truncate ray and coray
-    families; nothing else truncates.
-
-    Lengths beyond one sigma-period past every explicit arc behave
-    periodically; one more period is added on top.  No derivation backs the
-    margin: ``tests/test_torsion.py::TestClosureCutoff`` checks that the
-    three predicates give the same answer when evaluated by hand on members
-    truncated at three times it, on seeded random descriptors with arcs up
-    to three periods long."""
-    maxlen = max(
-        (x.length for d in descs for x in d.finite_objs), default=0
-    )
-    return 2 * tube.n + maxlen + 2
-
-
 def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:
-    """Finite arcs of the subcategory, ray/coray families truncated at max_len."""
-    out = set(desc.finite_objs)
-    for i in desc.rays:
-        out |= tube.ray_members(i, max_len)
-    for j in desc.corays:
-        out |= tube.coray_members(j, max_len)
-    return sorted(out, key=sort_key)
+    """Finite arcs of the subcategory: the listed ones and every member up to max_len."""
+    short = (x for x in tube.finite_objects(max_len) if contains(tube, desc, x))
+    return sorted(desc.finite_objs.union(short), key=sort_key)
 
 
 def left_closure(tube: Tube, objs) -> frozenset:
@@ -178,8 +172,12 @@ def reflect_desc(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
 
 
 def is_quotient_closed(tube: Tube, desc: SubcatDesc) -> bool:
-    mem = members(tube, desc, default_cutoff(tube, desc))
-    return all(contains(tube, desc, q) for q in left_closure(tube, mem))
+    if desc.rays:
+        return desc == everything(tube)
+    return all(
+        contains(tube, desc, tube.normalize(i, x.end))
+        for x in desc.finite_objs for i in range(x.start + 1, x.end - 1)
+    )
 
 
 def is_sub_closed(tube: Tube, desc: SubcatDesc) -> bool:
@@ -190,9 +188,19 @@ def is_sub_closed(tube: Tube, desc: SubcatDesc) -> bool:
 def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
     """Oriented Ptolemy condition: for every negative crossing between
     members, the resolution arcs of the crossing lift are again members."""
-    mem = members(tube, desc, default_cutoff(tube, desc))
-    for x in mem:
-        for y in mem:
+    if desc.rays and desc.corays:
+        return desc == everything(tube)
+    if desc.corays:
+        return is_ext_closed(tube, reflect_desc(tube, desc))
+    fins = desc.finite_objs
+    if desc.rays and (
+        # the first lift of r past x.start lies strictly inside x
+        any((r - x.start - 1) % tube.n < x.length for x in fins for r in desc.rays)
+        or not is_sub_closed(tube, desc)
+    ):
+        return False
+    for x in fins:
+        for y in fins:
             for k in neg_crossing_shifts(tube, x, y):
                 lifted = type_a.AArc(*tube.lift(y, k))
                 for mid in type_a.ses_middle(type_a.AArc(x.start, x.end), lifted):

@@ -1,7 +1,7 @@
 import pytest
 
 from tubecalc.arcs import IndObj, Tube, format_obj, parse_endpoints, parse_obj, sort_key
-from tubecalc.torsion import left_closure, right_closure
+from tubecalc.torsion import left_closure, make_desc, members, right_closure
 
 
 def all_objects(tube, max_len):
@@ -182,24 +182,28 @@ class TestWings:
 
 
 class TestRaysCorays:
+    """One-ray and one-coray descriptors, truncated by ``members``."""
+
     def test_ray_enumeration(self):
         t2 = Tube(2)
-        assert t2.ray_members(0, 3) == {t2.finite(0, 2), t2.finite(0, 3), t2.finite(0, 4)}
+        got = members(t2, make_desc(t2, rays=[0]), 3)
+        assert set(got) == {t2.finite(0, 2), t2.finite(0, 3), t2.finite(0, 4)}
 
     def test_coray_enumeration(self):
         t2 = Tube(2)
-        assert t2.coray_members(0, 2) == {t2.finite(0, 2), t2.finite(1, 4)}
+        got = members(t2, make_desc(t2, corays=[0]), 2)
+        assert set(got) == {t2.finite(0, 2), t2.finite(1, 4)}
 
     def test_truncation_bound_one(self):
         t3 = Tube(3)
-        assert t3.ray_members(1, 1) == {t3.finite(1, 3)}
-        assert t3.coray_members(1, 1) == {t3.normalize(-1, 1)}
+        assert set(members(t3, make_desc(t3, rays=[1]), 1)) == {t3.finite(1, 3)}
+        assert set(members(t3, make_desc(t3, corays=[1]), 1)) == {t3.normalize(-1, 1)}
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_coray_members_share_end(self, n):
         tube = Tube(n)
         for j in range(n):
-            for x in tube.coray_members(j, 3 * n):
+            for x in members(tube, make_desc(tube, corays=[j]), 3 * n):
                 assert x.end % n == j
 
 

@@ -1,12 +1,12 @@
 import io
 import json
 import contextlib
-import signal
 import subprocess
 import sys
 
 import pytest
 
+from limits import needs_alarm, time_limit
 from tubecalc.cli import main
 
 
@@ -31,25 +31,6 @@ def pair_doc(rank, kind, torsion_finite=(), free_rays=()):
         "torsion": {"finite": list(torsion_finite), "corays": []},
         "free": {"finite": [], "rays": list(free_rays)},
     }
-
-
-needs_alarm = pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Fail the test if the block runs longer than ``seconds``."""
-
-    def over_budget(signum, frame):
-        pytest.fail(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, over_budget)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExtHom:

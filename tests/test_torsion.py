@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from limits import needs_alarm, time_limit
 from tubecalc import oracle
 from tubecalc.arcs import Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
@@ -17,7 +18,6 @@ from tubecalc.torsion import (
     ValidationError,
     classify_kind,
     contains,
-    default_cutoff,
     empty_desc,
     enumerate_max_rigid,
     everything,
@@ -128,6 +128,22 @@ class TestClosurePredicates:
         t2 = Tube(2)
         assert is_sub_closed(t2, make_desc(t2, rays=[0]))
 
+    @needs_alarm
+    def test_long_arcs_answer_in_bounded_time(self):
+        # the work is bounded by the number of listed arcs, not their length
+        t3 = Tube(3)
+        long_arc, shifted = t3.finite(0, 10**9), t3.finite(1, 10**9)
+        descs = [
+            make_desc(t3, [long_arc]),
+            make_desc(t3, [long_arc], corays=[0]),
+            make_desc(t3, [shifted], rays=[0]),
+        ]
+        with time_limit(10):
+            for d in descs:
+                assert not is_quotient_closed(t3, d), d
+                assert not is_sub_closed(t3, d), d
+                assert not is_ext_closed(t3, d), d
+
     def test_empty_closed_under_everything(self):
         t3 = Tube(3)
         d = empty_desc(t3)
@@ -172,6 +188,14 @@ def random_desc(rng, tube):
     return make_desc(tube, arcs, rays, corays)
 
 
+def reference_cutoff(tube, *descs):
+    """The reference truncation unit: two periods past the longest listed
+    arc.  The definitions below read members up to three times it and arcs
+    up to twice it."""
+    maxlen = max((x.length for d in descs for x in d.finite_objs), default=0)
+    return 2 * tube.n + maxlen + 2
+
+
 def hom_free(tube, xs, ys):
     return all(hom_dim(tube, x, y) == 0 for x in xs for y in ys)
 
@@ -180,7 +204,7 @@ class TestPerpDefinition:
     """Both perps agree with their definition on arbitrary descriptors (and,
     up to rank 4, on both parts of every torsion pair).  The definition is
     evaluated by hom_dim against members truncated at three times
-    ``default_cutoff``, for every arc up to twice it.  The descriptors' arcs
+    ``reference_cutoff``, for every arc up to twice it.  The descriptors' arcs
     reach three periods, so members whose quotients wind around the annulus
     more than once are covered.  The perps themselves use no cutoff; their
     per-start prefixes stay below one period, since a quotient longer than n
@@ -196,7 +220,7 @@ class TestPerpDefinition:
                 pair = torsion_pair_of(tube, u)
                 descs += [pair.t_part, pair.f_part]
         for d in descs:
-            cutoff = default_cutoff(tube, d)
+            cutoff = reference_cutoff(tube, d)
             mem = members(tube, d, 3 * cutoff)
             right, left = right_perp(tube, d), left_perp(tube, d)
             for y in tube.finite_objects(2 * cutoff):
@@ -204,16 +228,16 @@ class TestPerpDefinition:
                 assert contains(tube, left, y) == hom_free(tube, [y], mem), (d, y)
 
 
-class TestClosureCutoff:
-    """The closure predicates truncate ray and coray families at
-    ``default_cutoff``; evaluated by hand on members truncated at three times
-    it, they give the same answers.  Inputs: random descriptors with arcs up
-    to three periods long, their quotient and subobject closures, and both
-    parts of every torsion pair up to rank 3."""
+class TestClosureDefinition:
+    """The closure predicates read the descriptor exactly; evaluated by hand
+    on members truncated at three times ``reference_cutoff``, they give the
+    same answers.  Inputs: random descriptors with arcs up to three periods
+    long, their quotient and subobject closures, and both parts of every
+    torsion pair up to rank 3."""
 
     @staticmethod
     def by_hand(tube, desc):
-        mem = members(tube, desc, 3 * default_cutoff(tube, desc))
+        mem = members(tube, desc, 3 * reference_cutoff(tube, desc))
         quotient_closed = all(
             contains(tube, desc, tube.normalize(i, x.end))
             for x in mem for i in range(x.start + 1, x.end - 1)
@@ -238,7 +262,7 @@ class TestClosureCutoff:
         return quotient_closed, sub_closed, ext_closed
 
     @pytest.mark.parametrize("n", range(1, 5))
-    def test_cutoff_matches_hand_evaluation(self, n):
+    def test_matches_hand_evaluation(self, n):
         rng = random.Random(3011 + n)
         tube = Tube(n)
         descs = []
@@ -254,22 +278,27 @@ class TestClosureCutoff:
                 pair = torsion_pair_of(tube, u)
                 descs += [pair.t_part, pair.f_part]
         verdicts = set()
+        ext_by_family = {}  # (has rays, has corays) -> is_ext_closed verdicts
         for d in descs:
             got = (is_quotient_closed(tube, d), is_sub_closed(tube, d), is_ext_closed(tube, d))
             assert got == self.by_hand(tube, d), d
             verdicts.update(got)
+            ext_by_family.setdefault((bool(d.rays), bool(d.corays)), set()).add(got[2])
         assert verdicts == {True, False}
+        if n > 1:  # at rank 1 a ray or a coray is already the whole tube
+            assert ext_by_family[True, False] == {True, False}
+            assert ext_by_family[False, True] == {True, False}
 
 
 class TestIsTorsionPairDefinition:
     """``is_torsion_pair`` agrees with its definition: Hom(T, F) = 0, F is
     the right perp of T and T the left perp of F, each evaluated by hom_dim
-    over members truncated at three times ``default_cutoff``, for every arc
+    over members truncated at three times ``reference_cutoff``, for every arc
     up to twice it.  The kind tag is the one ``classify_kind`` reads off."""
 
     @staticmethod
     def by_definition(tube, t, f):
-        cutoff = default_cutoff(tube, t, f)
+        cutoff = reference_cutoff(tube, t, f)
         t_mem, f_mem = members(tube, t, 3 * cutoff), members(tube, f, 3 * cutoff)
         arcs = tube.finite_objects(2 * cutoff)
         return (
