@@ -79,6 +79,7 @@ class Tube:
         if n < 1:
             raise ValueError(f"rank must be a positive integer, got {n}")
         self.n = n
+        self._fans = {}  # (anchor, at_end) -> arcs by span, see fan()
 
     def __repr__(self) -> str:
         return f"Tube({self.n})"
@@ -120,6 +121,23 @@ class Tube:
             None if obj.end is None else obj.end + kn,
         )
 
+    def fan(self, anchor: int, longest: int, at_end: bool = False) -> List[IndObj]:
+        """The canonical arcs that start at ``anchor`` (or end at residue
+        ``anchor`` if at_end) with span end - start from 2 to longest, in
+        that order.  Each arc is built once per tube and shared by later
+        calls; a grown row replaces the old one, which is never changed, so
+        concurrent callers each see a consistent row."""
+        n = self.n
+        anchor %= n
+        row = self._fans.get((anchor, at_end), [])
+        if len(row) < longest - 1:
+            row = list(row)
+            for span in range(len(row) + 2, longest + 1):
+                s = (anchor - span) % n if at_end else anchor
+                row.append(IndObj(s, s + span))
+            self._fans[anchor, at_end] = row
+        return row[:longest - 1]
+
     # -- elementary symmetries ----------------------------------------------
 
     def tau(self, obj: IndObj) -> IndObj:
@@ -134,10 +152,20 @@ class Tube:
         return self.normalize(s, e)
 
     def reflect(self, obj: IndObj) -> IndObj:
-        """The involution [i,j] -> [-j,-i]; swaps Prufer with adic arcs."""
-        s = None if obj.end is None else -obj.end
-        e = None if obj.start is None else -obj.start
-        return self.normalize(s, e)
+        """The involution [i,j] -> [-j,-i]; swaps Prufer with adic arcs.
+
+        Index arithmetic only: the image starts at -j mod n and keeps the
+        length, so no lift needs normalizing.
+        """
+        n = self.n
+        if obj.start is None:
+            return IndObj(-obj.end % n, None)
+        if obj.end is None:
+            return IndObj(None, -obj.start % n)
+        if obj.end < obj.start + 2:
+            raise ValueError(f"finite arc needs end >= start+2, got [{obj.start},{obj.end}]")
+        s = -obj.end % n
+        return IndObj(s, s + obj.end - obj.start)
 
     # -- wings ----------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from .torsion import (
     PRUFER,
     MaxRigid,
     ValidationError,
+    count_max_rigid,
     enumerate_max_rigid,
     max_rigid_of,
     torsion_pair_of,
@@ -74,11 +75,10 @@ def cmd_hom(args) -> int:
 
 def cmd_pairs(args) -> int:
     tube = Tube(args.rank)
-    rigids = enumerate_max_rigid(tube)
     if args.action == "count":
-        print(len(rigids))
+        print(count_max_rigid(tube))
         return 0
-    pairs = [torsion_pair_of(tube, u) for u in rigids]
+    pairs = [torsion_pair_of(tube, u) for u in enumerate_max_rigid(tube)]
     if args.json:
         _print_json({
             "schema": 1,
@@ -267,6 +267,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: recursion limit reached", file=sys.stderr)
         return 1
 
 

@@ -30,10 +30,25 @@ class TestNormalize:
                 for k in (-3, -1, 1, 4):
                     assert tube.normalize(i + k * n, i + l + 1 + k * n) == x
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_fan_matches_normalize(self, n):
+        tube = Tube(n)
+        for anchor in range(-n, 2 * n):
+            for longest in (1, n + 1, 3 * n + 2, 2):  # grown rows, then prefixes
+                spans = range(2, longest + 1)
+                assert tube.fan(anchor, longest) == [
+                    tube.normalize(anchor, anchor + d) for d in spans
+                ]
+                assert tube.fan(anchor, longest, at_end=True) == [
+                    tube.normalize(anchor - d, anchor) for d in spans
+                ]
+
     def test_invalid_shapes(self):
         tube = Tube(3)
         with pytest.raises(ValueError):
             tube.normalize(0, 1)
+        with pytest.raises(ValueError):
+            tube.reflect(IndObj(0, 1))
         with pytest.raises(ValueError):
             tube.normalize(None, None)
         with pytest.raises(ValueError):

@@ -1,12 +1,15 @@
+import contextlib
+import hashlib
 import io
 import json
-import contextlib
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
 from limits import needs_alarm, time_limit
+from tubecalc import cli
 from tubecalc.cli import main
 
 
@@ -69,6 +72,39 @@ class TestPairs:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == 1 and len(doc["pairs"]) == 6
+
+    @needs_alarm
+    def test_count_at_rank_200(self):
+        with time_limit(5):
+            code, out = run(["pairs", "count", "--rank", "200"])
+        assert (code, int(out)) == (0, 2 * comb(399, 199))
+
+
+class TestOutputBytes:
+    """SHA-256 of whole outputs, so a byte change in enumeration, the
+    bijection or serialization fails here and not only in the benchmark."""
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["pairs", "enumerate", "--rank", "6", "--json"],
+                "48791761b39506f0399db47ef1f720947559d20e8d18b8f68f9e10137cdd0a78",
+            ),
+            (
+                ["rigid", "enumerate", "--rank", "5", "--json"],
+                "d13da55cef8d50907c969f92b28da574cfbd7c62477b88cb336ca299ddfc561e",
+            ),
+            (
+                ["pairs", "enumerate", "--rank", "4"],
+                "5bde0e596b302d5ef13fbb094dfb446223e2e178179cfd34e5e82abeef6f5db3",
+            ),
+        ],
+    )
+    def test_pinned_digest(self, argv, digest):
+        code, out = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestRigid:
@@ -245,6 +281,19 @@ class TestRenderAndQuiver:
 
     def test_usage_error_on_unknown_command(self):
         assert run(["frobnicate"])[0] == 1
+
+
+class TestExitPolicy:
+    @pytest.mark.parametrize(
+        "error,message",
+        [(MemoryError, "error: out of memory\n"), (RecursionError, "error: recursion limit reached\n")],
+    )
+    def test_resource_errors_exit_cleanly(self, monkeypatch, error, message):
+        def exhausted(args):
+            raise error()
+
+        monkeypatch.setattr(cli, "cmd_hom", exhausted)
+        assert run_err(["hom", "--rank", "2", "M[0,2]", "M[1,3]"]) == (1, message)
 
 
 class TestCrossProcessDeterminism:

@@ -6,7 +6,7 @@ import pytest
 
 from limits import needs_alarm, time_limit
 from tubecalc import oracle
-from tubecalc.arcs import Tube, sort_key
+from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
 from tubecalc.torsion import (
     ADIC,
@@ -18,6 +18,7 @@ from tubecalc.torsion import (
     ValidationError,
     classify_kind,
     contains,
+    count_max_rigid,
     empty_desc,
     enumerate_max_rigid,
     everything,
@@ -393,6 +394,16 @@ class TestEnumeration:
                     ]
                     assert len(hits) == 1
 
+    @needs_alarm
+    def test_count_without_objects(self):
+        # a DP over the cyclic gaps, checked against the closed formula
+        # and against the objects themselves
+        with time_limit(10):
+            for n in range(1, 61):
+                assert count_max_rigid(Tube(n)) == 2 * comb(2 * n - 1, n - 1), n
+            for n in range(1, 8):
+                assert count_max_rigid(Tube(n)) == len(enumerate_max_rigid(Tube(n))), n
+
     def test_deterministic(self):
         assert enumerate_max_rigid(Tube(4)) == enumerate_max_rigid(Tube(4))
 
@@ -482,6 +493,73 @@ class TestRandomRoundTrips:
             for _ in range(25):
                 u = random_max_rigid(rng, tube, kind)
                 assert max_rigid_of(tube, torsion_pair_of(tube, u)) == u
+
+
+def shortenings(tube, objs):
+    """The quotients and the subobjects of finite arcs, arc by arc."""
+    quotients = [tube.normalize(i, x.end) for x in objs for i in range(x.start, x.end - 1)]
+    subobjects = [tube.normalize(x.start, j) for x in objs for j in range(x.start + 2, x.end + 1)]
+    return quotients, subobjects
+
+
+def pair_by_definition(tube, rigid):
+    """The pair of the bijection from the per-arc shortenings of every finite
+    summand, moved by tau or tau^{-1}, through make_desc."""
+    quotients, subobjects = shortenings(tube, [x for x in rigid.summands if x.is_finite])
+    if rigid.kind == PRUFER:
+        rays = [x.start for x in rigid.summands if x.is_prufer]
+        t_part = make_desc(tube, [tube.tau_inv(x) for x in quotients])
+        return TorsionPair(t_part, make_desc(tube, subobjects, rays=rays), RAY)
+    corays = [x.end for x in rigid.summands if x.is_adic]
+    f_part = make_desc(tube, [tube.tau(x) for x in subobjects])
+    return TorsionPair(make_desc(tube, quotients, corays=corays), f_part, CORAY)
+
+
+class TestPairByDefinition:
+    """``torsion_pair_of`` reads both closures off per-start and per-end
+    arrays; it agrees with the closures built arc by arc."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_max_rigid(self, n):
+        tube = Tube(n)
+        for u in enumerate_max_rigid(tube):
+            assert torsion_pair_of(tube, u) == pair_by_definition(tube, u), u
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 24, 32])
+    def test_random_max_rigid(self, n):
+        rng = random.Random(6132 + n)
+        tube = Tube(n)
+        for kind in (PRUFER, ADIC):
+            for _ in range(25):
+                u = random_max_rigid(rng, tube, kind)
+                assert torsion_pair_of(tube, u) == pair_by_definition(tube, u), u
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_closures_of_long_arcs(self, n):
+        # arcs up to three periods long, in any lift, overlapping at a start
+        # or an end
+        rng = random.Random(1112 + n)
+        tube = Tube(n)
+        for _ in range(50):
+            objs = []
+            for _ in range(rng.randint(0, 4)):
+                start = rng.randint(-2 * n, 2 * n)
+                objs.append(IndObj(start, start + rng.randint(2, 3 * n + 2)))
+            quotients, subobjects = shortenings(tube, objs)
+            assert left_closure(tube, objs) == set(quotients)
+            assert right_closure(tube, objs) == set(subobjects)
+
+    def test_rejects_missing_family_and_unknown_kind(self):
+        t2 = Tube(2)
+        fin = t2.finite(0, 2)
+        cases = [
+            (MaxRigid(frozenset({fin, t2.adic(0)}), PRUFER), "no Prufer summand"),
+            (MaxRigid(frozenset({fin, t2.prufer(0)}), ADIC), "no adic summand"),
+            (MaxRigid(frozenset({fin, t2.prufer(0)}), "ray"), "unknown kind 'ray'"),
+        ]
+        for rigid, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                torsion_pair_of(t2, rigid)
 
 
 class TestIsTorsionPair:
