@@ -1,14 +1,23 @@
 """Static diagrams: annulus / universal cover / segment SVG, text AR quiver.
 
-Every coordinate is quantized to 10^-3 before emission and all element
-orders are fixed, so a given input produces identical bytes on every run
-and platform.
+Element orders are fixed and every coordinate is printed to 10^-3, so a
+given input produces identical bytes on every run and platform.  A path is
+built list by list (parameters, radii, angles, then x and y), and its points
+fill one ``"%.3f,%.3f"`` template.  That prints what rounding each point with
+``round(x, 3)`` and then ``.3f`` printed: each coordinate is the same float
+expression, in the same order, as in a point-by-point loop; ``%.3f`` is
+correctly rounded, as ``round`` is; and ``-0.000`` is rewritten to ``0.000``.
+
+Bounds, checked before any work (``ValueError``): ``MAX_POINTS`` marked and
+sampled points per drawing; ``MAX_CELLS`` nodes and ``MAX_CHARS`` characters
+per AR quiver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence, Tuple, Union
 
 from .arcs import IndObj, Tube, format_obj, sort_key
@@ -24,6 +33,9 @@ STYLE_COLOR = {
 DASHED_STYLES = {"prufer", "adic"}
 
 SPIRAL_TURNS = 2.5  # one-sided arcs are truncated after this many turns
+MAX_POINTS = 10**6  # marked points plus sampled arc points of one drawing
+MAX_CELLS = 10**5  # nodes of one AR quiver: rank x max_length
+MAX_CHARS = 10**7  # characters of one AR quiver display; rows are indented
 
 CX = 240.0
 CY = 240.0
@@ -39,36 +51,52 @@ class RenderSpec:
 
 
 def _fmt(x: float) -> str:
-    q = round(x, 3)
-    if abs(q) < 5e-4:
-        q = 0.0
-    return f"{q:.3f}"
+    return ("%.3f" % x).replace("-0.000", "0.000")
 
 
-def _pt(x: float, y: float) -> str:
-    return f"{_fmt(x)},{_fmt(y)}"
+def _coords(xs: Sequence[float], ys: Sequence[float], sep: str) -> str:
+    """The points as "x,y" joined by sep, each number as _fmt prints it."""
+    flat = [0.0] * (2 * len(xs))
+    flat[::2], flat[1::2] = xs, ys
+    return (sep.join(["%.3f,%.3f"] * len(xs)) % tuple(flat)).replace("-0.000", "0.000")
 
 
-def _path(points: Sequence[Tuple[float, float]], style: str) -> str:
-    d = "M " + " L ".join(_pt(x, y) for x, y in points)
+@lru_cache(maxsize=64)
+def _steps(samples: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The parameters u = t / samples, t = 0..samples, and the bulge sin(pi u)."""
+    us = tuple(t / samples for t in range(samples + 1))
+    return us, tuple(math.sin(math.pi * u) for u in us)
+
+
+def _ends(obj) -> Tuple:
+    """(start, end) of a tube or segment arc; None at an open end."""
+    return (obj.i, obj.j) if isinstance(obj, AArc) else (obj.start, obj.end)
+
+
+def _samples(annulus: bool, obj) -> int:
+    """How many steps an arc's path takes; the path has one point more."""
+    i, j = _ends(obj)
+    if i is None or j is None:
+        return 160 if annulus else 24
+    return 16 + 8 * (j - i) if annulus else 12 + 4 * (j - i)
+
+
+def _draw(body: List[str], xs, ys, style: str, arrow: bool) -> None:
+    """Append the path through the points and, if asked, its arrowhead."""
+    color = STYLE_COLOR[style]
     dash = ' stroke-dasharray="6 3"' if style in DASHED_STYLES else ""
-    return (
-        f'<path class="arc {style}" d="{d}" fill="none" '
-        f'stroke="{STYLE_COLOR[style]}" stroke-width="1.5"{dash}/>'
+    body.append(
+        f'<path class="arc {style}" d="M {_coords(xs, ys, " L ")}" fill="none" '
+        f'stroke="{color}" stroke-width="1.5"{dash}/>'
     )
-
-
-def _arrowhead(points: Sequence[Tuple[float, float]], style: str) -> str:
-    (x0, y0), (x1, y1) = points[-2], points[-1]
-    dx, dy = x1 - x0, y1 - y0
-    norm = math.hypot(dx, dy) or 1.0
-    ux, uy = dx / norm, dy / norm
-    px, py = -uy, ux
-    tip = (x1, y1)
-    left = (x1 - 9 * ux + 4 * px, y1 - 9 * uy + 4 * py)
-    right = (x1 - 9 * ux - 4 * px, y1 - 9 * uy - 4 * py)
-    pts = " ".join(_pt(x, y) for x, y in (tip, left, right))
-    return f'<polygon class="arrow {style}" points="{pts}" fill="{STYLE_COLOR[style]}"/>'
+    if arrow:
+        x0, y0, x1, y1 = xs[-2], ys[-2], xs[-1], ys[-1]
+        dx, dy = x1 - x0, y1 - y0
+        norm = math.hypot(dx, dy) or 1.0
+        ux, uy = dx / norm, dy / norm
+        bx, by = x1 - 9 * ux, y1 - 9 * uy  # the base, 9 back from the tip; half width 4
+        pts = _coords((x1, bx - 4 * uy, bx + 4 * uy), (y1, by + 4 * ux, by - 4 * ux), " ")
+        body.append(f'<polygon class="arrow {style}" points="{pts}" fill="{color}"/>')
 
 
 def _svg(width: float, height: float, body: List[str]) -> str:
@@ -84,63 +112,43 @@ def _svg(width: float, height: float, body: List[str]) -> str:
 # -- annulus mode ---------------------------------------------------------------
 
 
-def _angle(n: int, index: float) -> float:
-    # point 0 at the bottom, indices increasing anticlockwise
-    return -math.pi / 2 + 2 * math.pi * index / n
-
-
-def _apos(n: int, index: float, radius: float) -> Tuple[float, float]:
-    th = _angle(n, index)
-    return (CX + radius * math.cos(th), CY - radius * math.sin(th))
+def _ring(n: int, idxs, rs) -> Tuple[List[float], List[float]]:
+    """Points at the given indices and radii: index 0 at the bottom, anticlockwise."""
+    a, b = -math.pi / 2, 2 * math.pi
+    ths = [a + b * i / n for i in idxs]
+    xs = [CX + r * c for r, c in zip(rs, map(math.cos, ths))]
+    ys = [CY - r * s for r, s in zip(rs, map(math.sin, ths))]
+    return xs, ys
 
 
 def _annulus_body(n: int, arcs) -> List[str]:
     body = [
-        f'<circle cx="{_fmt(CX)}" cy="{_fmt(CY)}" r="{_fmt(R_OUT)}" '
-        'fill="none" stroke="#888888" stroke-width="1"/>',
-        f'<circle cx="{_fmt(CX)}" cy="{_fmt(CY)}" r="{_fmt(R_IN)}" '
-        'fill="none" stroke="#888888" stroke-width="1"/>',
+        f'<circle cx="{_fmt(CX)}" cy="{_fmt(CY)}" r="{_fmt(r)}" '
+        'fill="none" stroke="#888888" stroke-width="1"/>'
+        for r in (R_OUT, R_IN)
     ]
-    for k in range(n):
-        x, y = _apos(n, k, R_OUT)
-        lx, ly = _apos(n, k, R_OUT + 14)
-        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#000000"/>')
-        body.append(
+    marks = zip(*_ring(n, range(n), [R_OUT] * n), *_ring(n, range(n), [R_OUT + 14] * n))
+    for k, (x, y, lx, ly) in enumerate(marks):
+        body += [
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#000000"/>',
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
-            f'text-anchor="middle" dominant-baseline="middle">{k}</text>'
-        )
+            f'text-anchor="middle" dominant-baseline="middle">{k}</text>',
+        ]
+    turns, width = SPIRAL_TURNS * n, R_OUT - R_IN - 6
     for obj, style in arcs:
+        us, bulge = _steps(_samples(True, obj))
         if obj.is_finite:
-            span = obj.end - obj.start
+            start, span = obj.start, obj.end - obj.start
             depth = min(R_OUT - R_IN - 12, 22.0 + 11.0 * span)
-            samples = 16 + 8 * span
-            pts = []
-            for t in range(samples + 1):
-                u = t / samples
-                idx = obj.start + span * u
-                r = R_OUT - depth * math.sin(math.pi * u)
-                pts.append(_apos(n, idx, r))
-            body.append(_path(pts, style))
+            idxs = [start + span * u for u in us]
+            rs = [R_OUT - depth * v for v in bulge]
         elif obj.is_prufer:
-            samples = 160
-            pts = []
-            for t in range(samples + 1):
-                u = t / samples
-                idx = obj.start + SPIRAL_TURNS * n * u
-                r = R_OUT - (R_OUT - R_IN - 6) * u
-                pts.append(_apos(n, idx, r))
-            body.append(_path(pts, style))
-            body.append(_arrowhead(pts, style))
+            idxs = [obj.start + turns * u for u in us]
+            rs = [R_OUT - width * u for u in us]
         else:
-            samples = 160
-            pts = []
-            for t in range(samples + 1):
-                u = t / samples
-                idx = obj.end - SPIRAL_TURNS * n * (1 - u)
-                r = R_IN + 6 + (R_OUT - R_IN - 6) * u
-                pts.append(_apos(n, idx, r))
-            body.append(_path(pts, style))
-            body.append(_arrowhead(pts, style))
+            idxs = [obj.end - turns * (1 - u) for u in us]
+            rs = [R_IN + 6 + width * u for u in us]
+        _draw(body, *_ring(n, idxs, rs), style, not obj.is_finite)
     return body
 
 
@@ -150,14 +158,6 @@ def _annulus_body(n: int, arcs) -> List[str]:
 _UNIT = 40.0
 _BASE = 200.0
 _MARGIN = 30.0
-
-
-def _bump(x0: float, x1: float, height: float, samples: int) -> List[Tuple[float, float]]:
-    pts = []
-    for t in range(samples + 1):
-        u = t / samples
-        pts.append((x0 + (x1 - x0) * u, _BASE - height * math.sin(math.pi * u)))
-    return pts
 
 
 def _line_body(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
@@ -170,27 +170,23 @@ def _line_body(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
         f'x2="{_fmt(xpos(hi))}" y2="{_fmt(_BASE)}" stroke="#888888" stroke-width="1"/>'
     ]
     for k in range(lo, hi + 1):
-        x = xpos(k)
-        body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(_BASE)}" r="3" fill="#000000"/>')
-        body.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(_BASE + 18)}" font-size="12" '
-            f'text-anchor="middle">{k}</text>'
-        )
+        x = _fmt(xpos(k))
+        body += [
+            f'<circle cx="{x}" cy="{_fmt(_BASE)}" r="3" fill="#000000"/>',
+            f'<text x="{x}" y="{_fmt(_BASE + 18)}" font-size="12" text-anchor="middle">{k}</text>',
+        ]
     for obj, style in arcs:
-        if isinstance(obj, AArc) or obj.is_finite:
-            i = obj.i if isinstance(obj, AArc) else obj.start
-            j = obj.j if isinstance(obj, AArc) else obj.end
-            span = j - i
-            pts = _bump(xpos(i), xpos(j), 16.0 + 9.0 * span, 12 + 4 * span)
-            body.append(_path(pts, style))
-        elif obj.is_prufer:
-            pts = _bump(xpos(obj.start), xpos(hi), 24.0, 24)
-            body.append(_path(pts, style))
-            body.append(_arrowhead(pts, style))
+        i, j = _ends(obj)
+        if i is None:  # adic
+            x0, x1, height = xpos(lo), xpos(j), 24.0
+        elif j is None:  # Prufer
+            x0, x1, height = xpos(i), xpos(hi), 24.0
         else:
-            pts = _bump(xpos(lo), xpos(obj.end), 24.0, 24)
-            body.append(_path(pts, style))
-            body.append(_arrowhead(pts, style))
+            x0, x1, height = xpos(i), xpos(j), 16.0 + 9.0 * (j - i)
+        us, bulge = _steps(_samples(False, obj))
+        xs = [x0 + (x1 - x0) * u for u in us]
+        ys = [_BASE - height * v for v in bulge]
+        _draw(body, xs, ys, style, i is None or j is None)
     return body, width
 
 
@@ -199,39 +195,38 @@ def render_svg(spec: RenderSpec) -> str:
         if style not in STYLE_COLOR:
             raise ValueError(f"unknown style {style!r}")
     arcs = sorted(spec.arcs, key=lambda a: (a[1], _arc_key(a[0])))
-    if spec.mode == "annulus":
-        n = spec.rank
-        _check_tube_arcs(n, arcs)
-        return _svg(480, 480, _annulus_body(n, arcs))
-    if spec.mode == "cover":
-        n = spec.rank
-        _check_tube_arcs(n, arcs)
-        ends = [0, n]
-        for obj, _ in arcs:
-            if obj.is_finite:
-                ends += [obj.start, obj.end]
-            elif obj.is_prufer:
-                ends += [obj.start, obj.start + 2 * n]
-            else:
-                ends += [obj.end - 2 * n, obj.end]
-        lo, hi = min(ends) - 1, max(ends) + 1
-        body, width = _line_body(lo, hi, arcs)
-        return _svg(width, 280, body)
-    if spec.mode == "segment":
-        m = spec.rank
+    mode, n = spec.mode, spec.rank
+    if mode == "segment":
+        if n < 0:
+            raise ValueError(f"a segment needs m >= 0, got {n}")
         for obj, _ in arcs:
             if not isinstance(obj, AArc):
                 raise ValueError("segment mode draws segment arcs only")
-            check_arc(m, obj)
-        body, width = _line_body(0, m + 1, arcs)
-        return _svg(width, 280, body)
-    raise ValueError(f"unknown render mode {spec.mode!r}")
+            check_arc(n, obj)
+        lo, hi = 0, n + 1
+    elif mode == "cover":
+        _check_tube_arcs(n, arcs)
+        ends = [0, n]
+        for i, j in (_ends(obj) for obj, _ in arcs):
+            ends += [j - 2 * n if i is None else i, i + 2 * n if j is None else j]
+        lo, hi = min(ends) - 1, max(ends) + 1
+    elif mode == "annulus":
+        _check_tube_arcs(n, arcs)
+        lo, hi = 0, n - 1
+    else:
+        raise ValueError(f"unknown render mode {spec.mode!r}")
+    points = hi - lo + 1 + sum(_samples(mode == "annulus", obj) + 1 for obj, _ in arcs)
+    if points > MAX_POINTS:
+        raise ValueError(
+            f"the drawing needs {points} points, above the bound MAX_POINTS = {MAX_POINTS}")
+    if mode == "annulus":
+        return _svg(480, 480, _annulus_body(n, arcs))
+    body, width = _line_body(lo, hi, arcs)
+    return _svg(width, 280, body)
 
 
 def _arc_key(obj) -> Tuple:
-    if isinstance(obj, AArc):
-        return (0, obj.i, obj.j)
-    return sort_key(obj)
+    return (0, obj.i, obj.j) if isinstance(obj, AArc) else sort_key(obj)
 
 
 def _check_tube_arcs(n: int, arcs) -> None:
@@ -239,8 +234,7 @@ def _check_tube_arcs(n: int, arcs) -> None:
     for obj, _ in arcs:
         if isinstance(obj, AArc):
             raise ValueError("annulus and cover modes draw tube arcs only")
-        normal = tube.normalize(obj.start, obj.end)
-        if normal != obj:
+        if tube.normalize(obj.start, obj.end) != obj:
             raise ValueError(f"arc {obj} is not normalized for rank {n}")
 
 
@@ -255,6 +249,9 @@ def write_svg(spec: RenderSpec, path: str) -> None:
 
 def ar_quiver_grid(tube: Tube, max_length: int) -> dict:
     """Labels of the AR-quiver nodes, keyed by (length, start index)."""
+    if (cells := tube.n * max_length) > MAX_CELLS:
+        raise ValueError(
+            f"the AR quiver has {cells} nodes, above the bound MAX_CELLS = {MAX_CELLS}")
     return {(x.length, x.start): format_obj(x) for x in tube.finite_objects(max_length)}
 
 
@@ -265,6 +262,9 @@ def ar_quiver_lines(tube: Tube, max_length: int) -> List[str]:
     column left and the mesh arrows point up-right and down-right."""
     grid = ar_quiver_grid(tube, max_length)
     width = max(len(v) for v in grid.values()) + 2
+    if (chars := max_length * ((max_length + 2 * tube.n + 1) * width // 2 + 2)) > MAX_CHARS:
+        raise ValueError(
+            f"the AR quiver takes {chars} characters, above the bound MAX_CHARS = {MAX_CHARS}")
     lines = []
     for l in range(max_length, 0, -1):
         indent = ((l - 1) * width) // 2

@@ -1,4 +1,4 @@
-"""The three fixed render specs pinned by the golden SVG files."""
+"""The fixed render specs pinned by the golden SVG files."""
 
 from tubecalc.arcs import Tube
 from tubecalc.render import RenderSpec
@@ -24,4 +24,23 @@ def golden_specs():
         4,
         ((AArc(0, 5), "summand"), (AArc(0, 2), "torsion"), (AArc(2, 4), "free")),
     )
-    return {"annulus_n14.svg": annulus, "cover_n3.svg": cover, "segment_m4.svg": segment}
+    # adic spirals and a finite arc that winds past n in annulus mode
+    t5 = Tube(5)
+    winding = RenderSpec(
+        "annulus",
+        5,
+        ((t5.adic(0), "adic"), (t5.adic(3), "adic"), (t5.finite(1, 12), "summand")),
+    )
+    # spans >= 21: the bump rises above the base line and y crosses 0
+    tall = RenderSpec(
+        "cover",
+        3,
+        ((t3.finite(0, 22), "summand"), (t3.finite(2, 26), "free")),
+    )
+    return {
+        "annulus_n14.svg": annulus,
+        "annulus_n5_winding.svg": winding,
+        "cover_n3.svg": cover,
+        "cover_n3_tall.svg": tall,
+        "segment_m4.svg": segment,
+    }

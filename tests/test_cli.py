@@ -282,6 +282,30 @@ class TestRenderAndQuiver:
     def test_usage_error_on_unknown_command(self):
         assert run(["frobnicate"])[0] == 1
 
+    @needs_alarm
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["render", "--mode", "annulus", "--rank", "3", "--arc", "M[0,100000000]"], "MAX_POINTS"),
+            (["render", "--mode", "cover", "--rank", "3", "--arc", "M[0,100000000]"], "MAX_POINTS"),
+            (["render", "--mode", "annulus", "--rank", "100000000"], "MAX_POINTS"),
+            (["render", "--mode", "segment", "--m", "100000000", "--arc", "M[0,100000001]"], "MAX_POINTS"),
+            (["ar-quiver", "--rank", "100000", "--max-length", "100000"], "MAX_CELLS"),
+            # 10^5 nodes, but row l is indented by about 5 l characters
+            (["ar-quiver", "--rank", "1", "--max-length", "100000"], "MAX_CHARS"),
+        ],
+        ids=["annulus-span", "cover-span", "annulus-rank", "segment-m", "ar-quiver", "ar-quiver-tall"],
+    )
+    def test_drawing_above_its_bound_exits_1(self, argv, bound):
+        with time_limit(10):
+            code, err = run_err(argv)
+        assert code == 1 and err.startswith("error: ") and f"bound {bound} = " in err
+
+    def test_segment_with_negative_m_exits_1(self):
+        # it used to print an SVG of width -100
+        code, err = run_err(["render", "--mode", "segment", "--m", "-5"])
+        assert (code, err) == (1, "error: a segment needs m >= 0, got -5\n")
+
 
 class TestExitPolicy:
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from golden_specs import golden_specs
+from tubecalc import render
 from tubecalc.arcs import Tube
 from tubecalc.render import (
     RenderSpec,
@@ -90,3 +91,13 @@ class TestArQuiver:
             if l >= 2:
                 down = tube.normalize(s + 1, s + l + 1)
                 assert grid[(l - 1, down.start)] == str(down)
+
+
+class TestDrawingBound:
+    """The point count is taken before anything is sampled; the CLI tests
+    run each unbounded input of the contract against it."""
+
+    def test_point_count_names_the_bound(self):
+        # rank n with no arcs draws n marked points and nothing else
+        with pytest.raises(ValueError, match="needs 1000001 points, above the bound MAX_POINTS"):
+            render_svg(RenderSpec("annulus", render.MAX_POINTS + 1, ()))
