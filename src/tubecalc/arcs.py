@@ -9,29 +9,39 @@ limit objects) are parametrized by arcs: a finite arc ``M[i,j]`` with
 
 The finite arc ``M[i,j]`` corresponds to the uniserial object with socle
 the simple at ``i`` and length ``j - i - 1``.
+
+An arc is a tuple ``(start, end)``, so ``IndObj(0, 3) == (0, 3)`` and its
+hash, equality and the ordering of finite arcs run in C: on finite arcs
+``sorted(objs)`` is the order of :func:`sort_key`.  One-sided arcs hold a
+None and do not compare with finite ones, so mixed lists sort by
+:func:`sort_key`.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class IndObj:
+class IndObj(namedtuple("IndObj", "start end")):
     """A single arc; ``start=None`` encodes -inf (adic), ``end=None`` +inf (Prufer)."""
 
-    start: Optional[int]
-    end: Optional[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start is None and self.end is None:
+    def __new__(cls, start: Optional[int], end: Optional[int]):
+        if start is None and end is None:
             raise ValueError("an arc needs at least one finite endpoint")
+        return tuple.__new__(cls, (start, end))
+
+    @classmethod
+    def _make(cls, iterable):  # also behind _replace; keeps the check above
+        return cls(*iterable)
 
     @property
     def is_finite(self) -> bool:
-        return self.start is not None and self.end is not None
+        return None not in self
 
     @property
     def is_prufer(self) -> bool:
@@ -209,12 +219,20 @@ class Tube:
 # -- textual grammar ----------------------------------------------------------
 
 _OBJ_RE = re.compile(r"^M\[(-inf|-?\d+),(inf|-?\d+)\]$")
+FINITE_ARC = "M[%d,%d]"  # a finite arc is its own argument tuple
 
 
 def format_obj(obj: IndObj) -> str:
+    if None not in obj:
+        return FINITE_ARC % obj
     s = "-inf" if obj.start is None else str(obj.start)
     e = "inf" if obj.end is None else str(obj.end)
     return f"M[{s},{e}]"
+
+
+def format_finite(objs: Iterable[IndObj]) -> List[str]:
+    """The finite arcs, in :func:`sort_key` order, each as :func:`format_obj` prints it."""
+    return list(map(FINITE_ARC.__mod__, sorted(objs)))
 
 
 def parse_endpoints(text: str) -> Tuple[Optional[int], Optional[int]]:

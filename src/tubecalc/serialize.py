@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .arcs import Tube, format_obj, parse_obj, sort_key
+from .arcs import Tube, format_finite, format_obj, parse_obj, sort_key
 from .torsion import (
     ADIC,
     CORAY,
@@ -21,7 +21,7 @@ SCHEMA = 1
 
 
 def _finite_strings(desc: SubcatDesc):
-    return [format_obj(x) for x in sorted(desc.finite_objs, key=sort_key)]
+    return format_finite(desc.finite_objs)
 
 
 def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:

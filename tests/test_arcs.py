@@ -1,7 +1,25 @@
+import copy
+import pickle
+
 import pytest
 
-from tubecalc.arcs import IndObj, Tube, format_obj, parse_endpoints, parse_obj, sort_key
+from tubecalc.arcs import (
+    IndObj,
+    Tube,
+    format_finite,
+    format_obj,
+    parse_endpoints,
+    parse_obj,
+    sort_key,
+)
 from tubecalc.torsion import left_closure, make_desc, members, right_closure
+from tubecalc.type_a import AArc
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:  # the property tests below skip without hypothesis
+    given = st = None
+needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
 
 
 def all_objects(tube, max_len):
@@ -256,3 +274,72 @@ class TestGrammar:
         objs = [tube.adic(0), tube.prufer(1), tube.finite(2, 4), tube.finite(0, 2)]
         ordered = sorted(objs, key=sort_key)
         assert [format_obj(x) for x in ordered] == ["M[0,2]", "M[2,4]", "M[1,inf]", "M[-inf,0]"]
+
+
+class TestTupleArcs:
+    """An arc is the tuple (start, end); hash, equality and the order of
+    finite arcs are the tuple's."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: IndObj(None, None),
+            lambda: IndObj(start=None, end=None),
+            lambda: IndObj._make([None, None]),
+            lambda: IndObj(0, None)._replace(start=None),
+            lambda: IndObj(None, 3)._replace(end=None),
+        ],
+        ids=["positional", "keywords", "_make", "_replace-start", "_replace-end"],
+    )
+    def test_no_arc_without_a_finite_endpoint(self, build):
+        with pytest.raises(ValueError, match="at least one finite endpoint"):
+            build()
+
+    def test_equal_to_its_tuple_not_to_a_segment_arc(self):
+        x = IndObj(0, 3)
+        assert x == (0, 3) and hash(x) == hash((0, 3))
+        assert x != AArc(0, 3) and AArc(0, 3) != x
+        assert {x, (0, 3), AArc(0, 3)} == {x, AArc(0, 3)}
+
+    def test_immutable(self):
+        x = IndObj(0, 3)
+        with pytest.raises(AttributeError):
+            x.start = 1
+        assert not hasattr(x, "__dict__")
+
+    @pytest.mark.parametrize("x", [IndObj(0, 3), IndObj(-4, 9), IndObj(2, None), IndObj(None, 1)])
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clones_round_trip(self, x, clone):
+        y = clone(x)
+        assert type(y) is IndObj and y == x and (y.start, y.end) == (x.start, x.end)
+
+    def test_repr_and_str(self):
+        assert repr(IndObj(0, 3)) == "IndObj(start=0, end=3)"
+        assert repr(IndObj(None, 2)) == "IndObj(start=None, end=2)"
+        assert str(IndObj(-1, 4)) == "M[-1,4]" and str(IndObj(5, None)) == "M[5,inf]"
+
+    @needs_hypothesis
+    def test_tuple_order_is_sort_key_order_on_finite_arcs(self):
+        @given(st.lists(finite_arcs(), max_size=40))
+        def check(objs):
+            assert sorted(objs) == sorted(objs, key=sort_key)
+
+        check()
+
+    @needs_hypothesis
+    def test_bulk_formatter_agrees_with_format_obj(self):
+        @given(st.frozensets(finite_arcs(), max_size=40))
+        def check(objs):
+            assert format_finite(objs) == [format_obj(x) for x in sorted(objs, key=sort_key)]
+
+        check()
+
+
+def finite_arcs():
+    """Arbitrary finite arcs, negative and very large endpoints included."""
+    starts = st.integers(-(10**6), 10**6) | st.integers(-(10**30), 10**30)
+    return st.builds(lambda s, d: IndObj(s, s + d), starts, st.integers(2, 10**30))

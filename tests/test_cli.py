@@ -4,28 +4,49 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 
 import pytest
 
 from limits import needs_alarm, time_limit
 from tubecalc import cli
+from tubecalc.arcs import Tube
 from tubecalc.cli import main
+from tubecalc.serialize import pair_to_doc, rigid_to_doc
+from tubecalc.torsion import MAX_COUNT_RANK, enumerate_max_rigid, torsion_pair_of
+
+
+def run_both(argv):
+    """Exit code, standard output and standard error of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    return code, out.getvalue()
+    code, out, _ = run_both(argv)
+    return code, out
 
 
 def run_err(argv):
-    """Exit code and standard error of one in-process CLI call."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
+    code, _, err = run_both(argv)
+    return code, err
+
+
+class HashSink:
+    """A stdout that hashes what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
 
 
 def pair_doc(rank, kind, torsion_finite=(), free_rays=()):
@@ -105,6 +126,91 @@ class TestOutputBytes:
         code, out = run(argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    # the census pin (CENSUS_SHA256 of perfbench/workloads.py, copied) and the
+    # other three rank-8 enumerations, taken before their output was streamed
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["pairs", "enumerate", "--rank", "8", "--json"],
+                "a528d6fc621ede178d6829b2d976bf3e5b2975fd492820b804456d2a1930e016",
+            ),
+            (
+                ["pairs", "enumerate", "--rank", "8"],
+                "546cc3dc5b6c646ceb168a5164359a09fbaab5118bc00aab632d602dbed4d047",
+            ),
+            (
+                ["rigid", "enumerate", "--rank", "8", "--json"],
+                "a0157d5a014e6500c9dcbcdb9f7c64db5a2cdecc4acf73b0036a66736cb8ca0a",
+            ),
+            (
+                ["rigid", "enumerate", "--rank", "8"],
+                "eb4b8d05a5d7dbb8d3b012e682ed99d7dff57c0a52eaac657a939eba6c94ba13",
+            ),
+        ],
+        ids=["pairs-json", "pairs-text", "rigid-json", "rigid-text"],
+    )
+    def test_rank_8_digest(self, argv, digest):
+        sink = HashSink()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        assert sink.sha256.hexdigest() == digest
+
+    @pytest.mark.parametrize("rank", range(1, 8))
+    def test_streamed_json_is_the_whole_document(self, rank):
+        tube = Tube(rank)
+        rigids = enumerate_max_rigid(tube)
+        whole = {
+            "pairs": {"schema": 1, "rank": rank, "pairs": [
+                pair_to_doc(tube, torsion_pair_of(tube, u)) for u in rigids
+            ]},
+            "rigid": {"schema": 1, "rank": rank, "objects": [rigid_to_doc(tube, u) for u in rigids]},
+        }
+        for command, doc in whole.items():
+            code, out = run([command, "enumerate", "--rank", str(rank), "--json"])
+            assert code == 0
+            assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestEnumerationBounds:
+    @needs_alarm
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["pairs", "enumerate", "--rank", "12"], "MAX_OBJECTS"),
+            (["rigid", "enumerate", "--rank", "12", "--json"], "MAX_OBJECTS"),
+            (["pairs", "enumerate", "--rank", "100000000"], "MAX_OBJECTS"),
+            (["pairs", "count", "--rank", "100000000"], "MAX_COUNT_RANK"),
+        ],
+        ids=["pairs-12", "rigid-12-json", "pairs-huge", "count-huge"],
+    )
+    def test_above_the_bound_exits_1_before_writing(self, argv, bound):
+        with time_limit(5):
+            code, out, err = run_both(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"the bound {bound} = " in err
+
+    def test_objects_bound_sits_between_ranks_11_and_12(self):
+        assert 2 * comb(21, 10) <= cli.MAX_OBJECTS < 2 * comb(23, 11)
+
+    @needs_alarm
+    def test_count_answers_at_its_bound(self):
+        with time_limit(10):
+            code, out = run(["pairs", "count", "--rank", str(MAX_COUNT_RANK)])
+        assert (code, int(out)) == (0, 2 * comb(2 * MAX_COUNT_RANK - 1, MAX_COUNT_RANK - 1))
+
+    @pytest.mark.parametrize("command", ["pairs", "rigid"])
+    def test_memory_stays_flat(self, command):
+        # whole documents took 15.8 MB (pairs) and 10.8 MB (rigid) at rank 7
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(HashSink()):
+                assert main([command, "enumerate", "--rank", "7", "--json"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestRigid:

@@ -1,10 +1,15 @@
 """Byte equivalence of render_svg with the point-by-point renderer it replaced.
 
 The reference below is the old per-point code, copied unchanged; hypothesis
-draws specs in all three modes and every byte must agree.
+draws specs in all three modes and every byte must agree.  The same specs are
+compared once more with every number printed in full, where rounding to
+10^-3 would hide a coordinate that is off by one ulp.
 """
 
+import contextlib
 import math
+import re
+import sys
 from typing import List, Sequence, Tuple
 
 import pytest
@@ -298,3 +303,74 @@ class TestMatchesReference:
         # land in (-0.0005, 0)), so the emitter is pinned on its own
         assert render._fmt(x) == _fmt(x)
         assert render._coords([x, 1.0], [2.0, x], " L ") == f"{_pt(x, 2.0)} L {_pt(1.0, x)}"
+
+
+# -- the same at full precision ------------------------------------------------------
+
+
+def _full(x) -> str:
+    return repr(float(x))
+
+
+def _full_coords(xs, ys, sep: str) -> str:
+    return sep.join(f"{_full(x)},{_full(y)}" for x, y in zip(xs, ys))
+
+
+@contextlib.contextmanager
+def full_precision():
+    """Both renderers print every number as repr(float)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(render, "_fmt", _full)
+        mp.setattr(render, "_coords", _full_coords)
+        mp.setattr(sys.modules[__name__], "_fmt", _full)
+        yield
+
+
+def assert_same_at_full_precision(spec: RenderSpec) -> None:
+    with full_precision():
+        ours, theirs = render_svg(spec), reference_svg(spec)
+    assert ours == theirs
+
+
+class TestMatchesReferenceAtFullPrecision:
+    """Every coordinate must be the same float as in the reference, so the
+    bulk code must keep each float expression and its order of operations."""
+
+    def test_mode_prints_in_full(self):
+        spec = RenderSpec("annulus", 3, ((Tube(3).finite(0, 2), "summand"),))
+        with full_precision():
+            svg = render_svg(spec)
+        decimals = [len(x) for x in re.findall(r"\.(\d+)", svg)]
+        assert 'cx="240.0"' in svg and max(decimals) > 3
+
+    @needs_alarm
+    @settings(max_examples=150, deadline=None)
+    @given(tube_specs("annulus", st.integers(1, 40), lambda n: st.integers(2, 3 * n + 2)))
+    def test_annulus(self, spec):
+        with time_limit(20):
+            assert_same_at_full_precision(spec)
+
+    @needs_alarm
+    @settings(max_examples=100, deadline=None)
+    @given(tall_cover_specs())
+    def test_cover_with_tall_arcs(self, spec):
+        with time_limit(20):
+            assert_same_at_full_precision(spec)
+
+    @needs_alarm
+    @settings(max_examples=100, deadline=None)
+    @given(segment_specs())
+    def test_segment(self, spec):
+        with time_limit(20):
+            assert_same_at_full_precision(spec)
+
+    @needs_alarm
+    def test_every_spiral_at_every_rank(self):
+        with time_limit(60):
+            for n in range(1, 41):
+                t = Tube(n)
+                for kind in ("prufer", "adic"):
+                    make = t.prufer if kind == "prufer" else t.adic
+                    assert_same_at_full_precision(
+                        RenderSpec("annulus", n, tuple((make(i), kind) for i in range(n)))
+                    )
