@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 from typing import Iterable, List, Optional
@@ -296,7 +297,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RecursionError:
         print("error: recursion limit reached", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # a closed stdout is how `| head` says it has read enough
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:
-    sys.exit(main())
+    """The process entry: main, then a flush of what stdout still buffers.
+
+    Once a write to stdout has failed, stdout is pointed at the null device,
+    so that the interpreter's own flush at exit cannot fail again and print
+    a traceback."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0 and not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        code = code or 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -6,12 +6,34 @@ detected by a single negative crossing; tilting sets are triangulations of
 the (m+2)-gon; torsion pairs come from shortening closures.  These
 functions also power wing-level computations inside a tube, since every
 wing of width at most n+1 is equivalent to such a module category.
+
+The closures and validators read each fact off one integer array per side,
+as ``torsion`` does for the tube, so no loop runs over pairs of arcs:
+
+- ``low[j]``, the smallest start of an arc ending at j, fixes the quotient
+  closure (starts low[j]..j-2 at end j); ``reach[i]``, the largest end of
+  an arc starting at i, fixes the subobject closure (ends i+2..reach[i]);
+- ``minend[s] = min{t.j : t.i <= s <= t.j-2}`` and ``maxstart[e] =
+  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; ``minend`` is the
+  ``shortest`` array of the tube's ``right_perp`` with n = infinity.
+
+Three rules follow, each exact:
+
+- Perp bound: a nonzero map x -> y has image [y.i, x.j], a quotient of x
+  and a subobject of y, so y is in T^perp iff y.j < minend[y.i], and x is
+  in perp-F iff x.i > maxstart[x.j]; perps are then counted per start or
+  per end.
+- Ptolemy rule on ``low``: in a quotient-closed T, [a, d] crossing [c, b]
+  (a < c < d < b) resolves into [c, d], a quotient of [a, d], and [a, b],
+  so T is extension-closed iff no ends d < b have low[d] < low[b] < d.
+- Ext-projective rule: [a, b] in a torsion class is Ext-projective iff
+  low[d] >= a for every end d with a < d < b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -80,20 +102,36 @@ def projective_arcs(m: int) -> List[AArc]:
     return [AArc(0, j) for j in range(2, m + 2)]
 
 
+def _low(pairs) -> Dict[int, int]:
+    """``low[j]`` of (start, end) pairs, over the ends that have an arc;
+    pairs shorter than [j-2, j] are skipped."""
+    low: Dict[int, int] = {}
+    for i, j in pairs:
+        if low.get(j, j - 1) > i:
+            low[j] = i
+    return low
+
+
+def _reach(pairs) -> Dict[int, int]:
+    """``reach[i]`` of (start, end) pairs, over the starts that have an arc;
+    pairs shorter than [i, i+2] are skipped."""
+    reach: Dict[int, int] = {}
+    for i, j in pairs:
+        if reach.get(i, i + 1) < j:
+            reach[i] = j
+    return reach
+
+
 def left_closure(arcs) -> frozenset:
-    out = set()
-    for x in arcs:
-        for i in range(x.i, x.j - 1):
-            out.add(AArc(i, x.j))
-    return frozenset(out)
+    """The quotients of the arcs: same end, start moved weakly right."""
+    low = _low((x.i, x.j) for x in arcs)
+    return frozenset([AArc(i, j) for j, a in low.items() for i in range(a, j - 1)])
 
 
 def right_closure(arcs) -> frozenset:
-    out = set()
-    for x in arcs:
-        for j in range(x.i + 2, x.j + 1):
-            out.add(AArc(x.i, j))
-    return frozenset(out)
+    """The subobjects of the arcs: same start, end moved weakly left."""
+    reach = _reach((x.i, x.j) for x in arcs)
+    return frozenset([AArc(i, j) for i, b in reach.items() for j in range(i + 2, b + 1)])
 
 
 def enumerate_tilting(m: int) -> List[frozenset]:
@@ -115,20 +153,19 @@ def enumerate_tilting(m: int) -> List[frozenset]:
         masks.append(mask)
     base = arcs.index(AArc(0, m + 1))
     results: List[frozenset] = []
-
-    def extend(chosen: List[int], cand: int) -> None:
+    stack = [([base], masks[base])]
+    while stack:
+        chosen, cand = stack.pop()
         if len(chosen) == m:
-            results.append(frozenset(arcs[t] for t in chosen))
-            return
+            results.append(frozenset(map(arcs.__getitem__, chosen)))
+            continue
         if len(chosen) + cand.bit_count() < m:
-            return
+            continue
         c = cand
         while c:
             t = (c & -c).bit_length() - 1
             c &= c - 1
-            extend(chosen + [t], c & masks[t])
-
-    extend([base], masks[base])
+            stack.append((chosen + [t], c & masks[t]))
     results.sort(key=lambda s: sorted((x.i, x.j) for x in s))
     return results
 
@@ -162,17 +199,47 @@ def second_torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozense
     return t_part, f_part
 
 
+def _segment_pairs(m: int, arcs) -> List[Tuple[int, int]]:
+    """The arcs as (start, end) pairs; ``check_arc``'s ValueError for an arc
+    that does not fit the segment."""
+    pairs = [(x.i, x.j) for x in arcs]
+    for (i, j), x in zip(pairs, arcs):
+        if i < 0 or j > m + 1 or j < i + 2:
+            check_arc(m, x)
+    return pairs
+
+
+def _is_torsion_low(low: Dict[int, int], size: int) -> bool:
+    """Whether ``size`` distinct arcs with this ``low`` form a torsion class:
+    quotient-closed iff they number sum(j - 1 - low[j]), every start from
+    low[j] to j-2 at each end j; then extension-closed by the Ptolemy rule."""
+    if size != sum(j - 1 - a for j, a in low.items()):
+        return False
+    for b, a in low.items():
+        for d in range(a + 1, b):
+            if low.get(d, a) < a:
+                return False
+    return True
+
+
 def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
-    """Ext-projective arcs of a torsion class containing every injective arc."""
-    t_part = frozenset(t_part)
-    if not is_torsion_class(t_part):
+    """Ext-projective arcs of a torsion class containing every injective arc:
+    scanning the starts a of each end b downward, the running minimum of
+    low over the ends in (a, b) decides [a, b]."""
+    pairs = _segment_pairs(m, frozenset(t_part))
+    low = _low(pairs)
+    if not _is_torsion_low(low, len(pairs)):
         raise ValueError("input is not a torsion class")
-    if not set(injective_arcs(m)) <= t_part:
+    if m and low.get(m + 1) != 0:
         raise ValueError("torsion class must contain every injective arc")
-    items = sorted(t_part, key=lambda a: (a.i, a.j))
-    return frozenset(
-        x for x in items if all(ext_dim(x, y) == 0 for y in items)
-    )
+    keep = []
+    for b, lo in low.items():
+        run = b  # the least low[d] over the ends a < d < b
+        for a in range(b - 2, lo - 1, -1):
+            run = min(run, low.get(a + 1, run))
+            if run >= a:
+                keep.append(AArc(a, b))
+    return frozenset(keep)
 
 
 def is_oriented_ptolemy(arcs) -> bool:
@@ -186,23 +253,33 @@ def is_oriented_ptolemy(arcs) -> bool:
 
 
 def is_torsion_class(arcs) -> bool:
-    arcs = frozenset(arcs)
-    return is_oriented_ptolemy(arcs) and left_closure(arcs) <= arcs
+    pairs = [(x.i, x.j) for x in frozenset(arcs) if x.j >= x.i + 2]
+    return _is_torsion_low(_low(pairs), len(pairs))
 
 
 def is_torsionfree_class(arcs) -> bool:
-    arcs = frozenset(arcs)
-    return is_oriented_ptolemy(arcs) and right_closure(arcs) <= arcs
+    """The reflection [i, j] -> [-j, -i] swaps subobjects and quotients."""
+    pairs = [(-x.j, -x.i) for x in frozenset(arcs) if x.j >= x.i + 2]
+    return _is_torsion_low(_low(pairs), len(pairs))
 
 
 def is_torsion_pair(m: int, t_part, f_part) -> bool:
-    """Exact mutual-perp test over the whole (finite) arc set."""
-    t_part, f_part = frozenset(t_part), frozenset(f_part)
-    universe = all_arcs(m)
-    right = frozenset(
-        y for y in universe if all(not hom_nonzero(t, y) for t in t_part)
+    """Hom(T, F) = 0, read off ``minend``; given that, F = T^perp and
+    T = perp-F iff each side numbers as many arcs as the other's perp, which
+    lie below ``minend`` and above ``maxstart``."""
+    t_pairs = _segment_pairs(m, frozenset(t_part))
+    f_pairs = _segment_pairs(m, frozenset(f_part))
+    low, reach = _low(t_pairs), _reach(f_pairs)
+    minend = [m + 2] * m
+    for j in sorted(low, reverse=True):
+        for s in range(low[j], j - 1):
+            minend[s] = j
+    maxstart = [-1] * (m + 2)
+    for i in sorted(reach):
+        for e in range(i + 2, reach[i] + 1):
+            maxstart[e] = i
+    return (
+        all(j < minend[i] for i, j in f_pairs)
+        and len(f_pairs) == sum(e - s - 2 for s, e in enumerate(minend))
+        and len(t_pairs) == sum(e - 2 - maxstart[e] for e in range(2, m + 2))
     )
-    left = frozenset(
-        x for x in universe if all(not hom_nonzero(x, f) for f in f_part)
-    )
-    return right == f_part and left == t_part

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -424,6 +426,55 @@ class TestExitPolicy:
 
         monkeypatch.setattr(cli, "cmd_hom", exhausted)
         assert run_err(["hom", "--rank", "2", "M[0,2]", "M[1,3]"]) == (1, message)
+
+    def test_full_stdout_exits_1(self):
+        class FullDevice(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(FullDevice()), contextlib.redirect_stderr(err):
+            code = main(["pairs", "enumerate", "--rank", "4"])
+        assert (code, err.getvalue()) == (1, f"error: [Errno 28] {os.strerror(errno.ENOSPC)}\n")
+
+    @needs_alarm
+    def test_reader_that_closes_early(self):
+        # rank 9 writes about 12 MB, far more than a pipe holds, so the
+        # writer is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tubecalc", "pairs", "enumerate", "--rank", "9"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        with time_limit(60):
+            head = proc.stdout.read(50)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait()
+        proc.stderr.close()
+        assert len(head) == 50
+        assert code == 1
+        assert all(line.startswith(b"error: ") for line in err.splitlines()), err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a few bytes: stdout is buffered, so the failure comes at the exit flush
+            ["pairs", "count", "--rank", "3"],
+            # about 110 kB: the failure comes at a write inside main
+            ["pairs", "enumerate", "--rank", "6"],
+        ],
+        ids=["exit-flush", "write"],
+    )
+    def test_full_device_exits_1_from_the_process_entry(self, argv):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "tubecalc"] + argv,
+                stdout=full, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.decode().splitlines() == [f"error: [Errno 28] {os.strerror(errno.ENOSPC)}"]
 
 
 class TestCrossProcessDeterminism:

@@ -1,0 +1,214 @@
+"""The array rules of ``type_a`` against the brute-force code they replaced.
+
+The reference below is the old all-pairs code, copied unchanged: the perps
+compare every segment arc with every member, the class predicates run the
+oriented Ptolemy check over all pairs, and the Ext-projectives test Ext on
+all pairs.  Hypothesis draws arbitrary arc sets, not only valid pairs: any
+subsets of the segment, torsion pairs with a few arcs toggled, quotient
+closures with their perps, and arcs anywhere on the integer line.
+
+An arc that does not fit the segment is a caller error for the functions
+that take m (``is_torsion_pair``, ``tilting_of_torsion_pair``): they raise
+``check_arc``'s ValueError, where the old code answered False or read the
+arc on the integer line.  The closures and class predicates take no m and
+keep the old answers on any arcs, short ones included.
+"""
+
+import pytest
+
+from tubecalc import type_a as ta
+from tubecalc.type_a import AArc, all_arcs, ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# -- reference ---------------------------------------------------------------------
+
+
+def left_closure(arcs) -> frozenset:
+    out = set()
+    for x in arcs:
+        for i in range(x.i, x.j - 1):
+            out.add(AArc(i, x.j))
+    return frozenset(out)
+
+
+def right_closure(arcs) -> frozenset:
+    out = set()
+    for x in arcs:
+        for j in range(x.i + 2, x.j + 1):
+            out.add(AArc(x.i, j))
+    return frozenset(out)
+
+
+def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
+    """Ext-projective arcs of a torsion class containing every injective arc."""
+    t_part = frozenset(t_part)
+    if not is_torsion_class(t_part):
+        raise ValueError("input is not a torsion class")
+    if not set(injective_arcs(m)) <= t_part:
+        raise ValueError("torsion class must contain every injective arc")
+    items = sorted(t_part, key=lambda a: (a.i, a.j))
+    return frozenset(
+        x for x in items if all(ext_dim(x, y) == 0 for y in items)
+    )
+
+
+def is_torsion_class(arcs) -> bool:
+    arcs = frozenset(arcs)
+    return is_oriented_ptolemy(arcs) and left_closure(arcs) <= arcs
+
+
+def is_torsionfree_class(arcs) -> bool:
+    arcs = frozenset(arcs)
+    return is_oriented_ptolemy(arcs) and right_closure(arcs) <= arcs
+
+
+def is_torsion_pair(m: int, t_part, f_part) -> bool:
+    """Exact mutual-perp test over the whole (finite) arc set."""
+    t_part, f_part = frozenset(t_part), frozenset(f_part)
+    universe = all_arcs(m)
+    right = frozenset(
+        y for y in universe if all(not hom_nonzero(t, y) for t in t_part)
+    )
+    left = frozenset(
+        x for x in universe if all(not hom_nonzero(x, f) for f in f_part)
+    )
+    return right == f_part and left == t_part
+
+
+# -- comparison ----------------------------------------------------------------------
+
+M_MAX = 7
+ARCS = {m: all_arcs(m) for m in range(M_MAX + 1)}
+
+
+def outcome(fn, *args):
+    """The value, or the ValueError's message."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_matches(m: int, t_part, f_part) -> None:
+    assert ta.is_torsion_pair(m, t_part, f_part) == is_torsion_pair(m, t_part, f_part)
+    for side in (t_part, f_part):
+        assert ta.left_closure(side) == left_closure(side)
+        assert ta.right_closure(side) == right_closure(side)
+        assert ta.is_torsion_class(side) == is_torsion_class(side)
+        assert ta.is_torsionfree_class(side) == is_torsionfree_class(side)
+        assert outcome(ta.tilting_of_torsion_pair, m, side) == outcome(tilting_of_torsion_pair, m, side)
+
+
+def subsets(m: int):
+    return st.sets(st.sampled_from(ARCS[m])) if ARCS[m] else st.just(set())
+
+
+@st.composite
+def arbitrary_sides(draw):
+    m = draw(st.integers(0, M_MAX))
+    return m, draw(subsets(m)), draw(subsets(m))
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """A torsion pair of a tilting set with up to three arcs toggled on
+    either side, or on both sides swapped."""
+    m = draw(st.integers(1, M_MAX))
+    tiltings = ta.enumerate_tilting(m)
+    u = tiltings[draw(st.integers(0, len(tiltings) - 1))]
+    first = draw(st.booleans())
+    pair = ta.torsion_pair_of_tilting(m, u) if first else ta.second_torsion_pair_of_tilting(m, u)
+    t_part, f_part = set(pair[0]), set(pair[1])
+    for _ in range(draw(st.integers(0, 3))):
+        side = t_part if draw(st.booleans()) else f_part
+        side ^= {draw(st.sampled_from(ARCS[m]))}
+    if draw(st.booleans()):
+        t_part, f_part = f_part, t_part
+    return m, t_part, f_part
+
+
+@st.composite
+def closures_with_perps(draw):
+    """A quotient closure T of random arcs and its reference right perp F:
+    F = T^perp always holds, T = perp-F and the torsion class test hold or
+    fail with the Ptolemy rule."""
+    m = draw(st.integers(1, M_MAX))
+    t_part = left_closure(draw(subsets(m)))
+    f_part = frozenset(y for y in ARCS[m] if all(not hom_nonzero(t, y) for t in t_part))
+    return m, t_part, f_part
+
+
+line_arcs = st.builds(AArc, st.integers(-4, 9), st.integers(-4, 9))
+
+
+class TestMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(arbitrary_sides())
+    def test_arbitrary_subsets(self, case):
+        assert_matches(*case)
+
+    @settings(max_examples=400, deadline=None)
+    @given(perturbed_pairs())
+    def test_perturbed_torsion_pairs(self, case):
+        assert_matches(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(closures_with_perps())
+    def test_quotient_closures_and_their_perps(self, case):
+        assert_matches(*case)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_tilting_pair(self, m):
+        for u in ta.enumerate_tilting(m):
+            assert_matches(m, *ta.torsion_pair_of_tilting(m, u))
+            assert_matches(m, *ta.second_torsion_pair_of_tilting(m, u))
+
+    def test_strategies_reach_both_answers(self):
+        # without a torsion pair among the drawn cases the comparison above
+        # would only ever see False
+        m = 3
+        t_part, f_part = ta.torsion_pair_of_tilting(m, ta.enumerate_tilting(m)[1])
+        assert is_torsion_pair(m, t_part, f_part)
+        assert not is_torsion_pair(m, t_part | f_part, f_part)
+
+
+class TestArcsOffTheSegment:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(line_arcs, max_size=8))
+    def test_closures_and_class_predicates_read_the_integer_line(self, arcs):
+        assert ta.left_closure(arcs) == left_closure(arcs)
+        assert ta.right_closure(arcs) == right_closure(arcs)
+        assert ta.is_torsion_class(arcs) == is_torsion_class(arcs)
+        assert ta.is_torsionfree_class(arcs) == is_torsionfree_class(arcs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), line_arcs, st.booleans())
+    def test_segment_functions_raise_check_arc_error(self, m, x, on_t_side):
+        fits = 0 <= x.i and x.j <= m + 1 and x.j >= x.i + 2
+        t_part = set(injective_arcs(m))
+        if on_t_side:
+            t_part.add(x)
+        f_part = set() if on_t_side else {x}
+        if fits:
+            ta.is_torsion_pair(m, t_part, f_part)
+            return
+        with pytest.raises(ValueError, match="does not fit on a segment"):
+            ta.is_torsion_pair(m, t_part, f_part)
+        if on_t_side:
+            with pytest.raises(ValueError, match="does not fit on a segment"):
+                ta.tilting_of_torsion_pair(m, t_part)
+
+    def test_examples(self):
+        # the old code answered False here, and read the short arc [1,2] as
+        # an Ext-projective member
+        with pytest.raises(ValueError, match=r"arc \[0,5\] does not fit"):
+            ta.is_torsion_pair(3, {AArc(0, 5)}, set())
+        with pytest.raises(ValueError, match=r"arc \[1,2\] does not fit"):
+            ta.tilting_of_torsion_pair(2, {AArc(0, 3), AArc(1, 3), AArc(1, 2)})
+        assert tilting_of_torsion_pair(2, {AArc(0, 3), AArc(1, 3), AArc(1, 2)}) == {
+            AArc(0, 3), AArc(1, 3), AArc(1, 2)
+        }
+        # the class predicates ignore a short arc, as before
+        assert ta.is_torsion_class({AArc(1, 2)}) and ta.is_torsionfree_class({AArc(4, 3)})
