@@ -2,15 +2,20 @@
 
 Tube objects become nilpotent representations of the cyclic quiver with
 arrows v -> v-1 (and segment arcs become representations of the linear
-quiver with the same arrow direction).  Hom dimensions come from the
-nullspace of the intertwiner equations; Ext^1 follows from Hom and the
-Euler form, since both quiver categories are hereditary.  All matrices
-are 0/1, so dimensions do not depend on the prime.
+quiver with the same arrow direction).  Hom(a, b) is the kernel of the map
+(+)_v Hom(a_v, b_v) -> (+)_{arrows k: v -> w} Hom(a_v, b_w) that sends (f_v)
+to (f_w A_k - B_k f_v)_k, so its dimension is the number of unknowns minus
+the rank of that system mod p.  The elimination is general (any integer
+maps, no uniserial or 0/1 shortcut), and p must be a prime.  Ext^1 follows
+from Hom and the Euler form, since both quiver categories are hereditary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
+from math import isqrt
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -45,16 +50,21 @@ class QuivRep:
     p: int
 
 
+@lru_cache(maxsize=64, typed=True)
+def _check_prime(p: int) -> None:
+    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got p={p!r}")
+
+
 def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cyclic: bool) -> QuivRep:
     """Basis b_0..b_{length-1}; b_t sits at vertex socle+t, arrows send b_t -> b_{t-1}."""
+    _check_prime(p)
     nv = shape.num_vertices
-    vert_of = []
-    for t in range(length):
-        v = socle_vertex + t
-        vert_of.append(v % nv if cyclic else v)
     dims = [0] * nv
-    local: List[int] = []
-    for v in vert_of:
+    vert_of, local = [], []  # vertex of b_t, and its index among that vertex's basis
+    for t in range(length):
+        v = (socle_vertex + t) % nv if cyclic else socle_vertex + t
+        vert_of.append(v)
         local.append(dims[v])
         dims[v] += 1
     maps = []
@@ -84,70 +94,60 @@ def euler_form(shape: QuiverShape, d, e) -> int:
     """<d, e> = sum d_v e_v - sum over arrows v->w of d_v e_w."""
     if len(d) != shape.num_vertices or len(e) != shape.num_vertices:
         raise ValueError("dimension vector does not match the quiver")
-    total = sum(dv * ev for dv, ev in zip(d, e))
-    for (v, w) in shape.arrows:
-        total -= d[v] * e[w]
-    return total
+    return sum(dv * ev for dv, ev in zip(d, e)) - sum(d[v] * e[w] for (v, w) in shape.arrows)
 
 
-def _rank_mod(mat: np.ndarray, p: int) -> int:
-    m = np.array(mat, dtype=np.int64) % p
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if m[rr, c]:
-                piv = rr
-                break
-        if piv is None:
+def _intertwiner_rows(a: QuivRep, b: QuivRep, offs: List[int]) -> List[Dict[int, int]]:
+    """The system as sparse rows: one {column: value} per entry (i, j) of f_w A_k - B_k f_v,
+    arrow by arrow.  Unknown f_v[r, c] is column offs[v] + c * b.dims[v] + r (column-major)."""
+    rows: List[Dict[int, int]] = []
+    for k, (v, w) in enumerate(a.shape.arrows):
+        bv, bw, av = b.dims[v], b.dims[w], a.dims[v]
+        if a.maps[k].shape != (a.dims[w], av) or b.maps[k].shape != (bw, bv):
+            raise ValueError(f"the maps of arrow {k} do not match the dimension vectors")
+        if not bw * av:
             continue
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        below = m[r + 1:, c]
-        if below.size:
-            m[r + 1:] = (m[r + 1:] - np.outer(below, m[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+        eqs: List[Dict[int, int]] = [{} for _ in range(bw * av)]  # entry (i, j) is row j * bw + i
+        for l, line in enumerate(a.maps[k].tolist()):  # + f_w[i, l] A_k[l, j]
+            for j, x in enumerate(line):
+                for i in range(bw if x else 0):
+                    eq, col = eqs[j * bw + i], offs[w] + l * bw + i
+                    eq[col] = eq.get(col, 0) + x
+        for i, line in enumerate(b.maps[k].tolist()):  # - B_k[i, l] f_v[l, j]
+            for l, x in enumerate(line):
+                for j in range(av if x else 0):
+                    eq, col = eqs[j * bw + i], offs[v] + j * bv + l
+                    eq[col] = eq.get(col, 0) - x
+        rows += eqs
+    return rows
+
+
+def _rank_mod(rows: List[Dict[int, int]], p: int) -> int:
+    """Rank mod a prime p of sparse integer rows: one pivot row per column,
+    normalized to 1 at its lowest column, reduces each incoming row there."""
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        row = {c: x % p for c, x in row.items() if x % p}
+        while row:
+            c = min(row)
+            if c not in pivots:
+                inv = pow(row[c], p - 2, p)
+                pivots[c] = {d: x * inv % p for d, x in row.items()}
+                break
+            f = row[c]
+            for d, x in pivots[c].items():
+                row[d] = (row.get(d, 0) - f * x) % p
+            row = {d: x for d, x in row.items() if x}
+    return len(pivots)
 
 
 def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
-    """Dimension of the space of intertwiners a -> b, by nullspace count."""
+    """Dimension of the space of intertwiners a -> b: unknowns minus rank."""
     if a.shape != b.shape or a.p != b.p:
         raise ValueError("representations live over different quivers or primes")
-    shape, p = a.shape, a.p
-    unk = [b.dims[v] * a.dims[v] for v in range(shape.num_vertices)]
-    offs = [0]
-    for u in unk:
-        offs.append(offs[-1] + u)
-    total = offs[-1]
-    if total == 0:
-        return 0
-    blocks = []
-    for k, (v, w) in enumerate(shape.arrows):
-        rows = b.dims[w] * a.dims[v]
-        if rows == 0:
-            continue
-        block = np.zeros((rows, total), dtype=np.int64)
-        # column-major vec of f_v; vec(f_w @ A_k) = kron(A_k^T, I) x_w,
-        # vec(B_k @ f_v) = kron(I, B_k) x_v
-        if unk[w]:
-            block[:, offs[w]:offs[w] + unk[w]] += np.kron(
-                a.maps[k].T, np.eye(b.dims[w], dtype=np.int64)
-            )
-        if unk[v]:
-            block[:, offs[v]:offs[v] + unk[v]] -= np.kron(
-                np.eye(a.dims[v], dtype=np.int64), b.maps[k]
-            )
-        blocks.append(block)
-    if not blocks:
-        return total
-    system = np.vstack(blocks)
-    return total - _rank_mod(system, p)
+    _check_prime(a.p)
+    offs = list(accumulate((b.dims[v] * a.dims[v] for v in range(a.shape.num_vertices)), initial=0))
+    return offs[-1] - _rank_mod(_intertwiner_rows(a, b, offs), a.p)
 
 
 def ext_dim_oracle(a: QuivRep, b: QuivRep) -> int:

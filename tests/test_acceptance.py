@@ -101,14 +101,14 @@ def test_criterion_4_bijection_round_trips():
 
 def test_criterion_5_brute_force_agreement():
     started = time.monotonic()
-    for n in range(1, 6):
+    for n in range(1, 7):
         tube = Tube(n)
         cliques = oracle.brute_force_max_rigid(tube)
         for c in cliques:
             assert len(c) == n
             assert any(x.is_prufer for x in c) != any(x.is_adic for x in c)
         assert set(cliques) == {u.summands for u in enumerate_max_rigid(tube)}, n
-    report(5, "structured enumeration = maximal cliques (n<=5)", started)
+    report(5, "structured enumeration = maximal cliques (n<=6)", started)
 
 
 def _perturb(tube, desc):

@@ -64,7 +64,7 @@ class TestHomOracle:
             b = oracle.build_rep(t1, t1.finite(0, m + 1))
             assert oracle.hom_dim_oracle(a, b) == min(l, m)
 
-    @pytest.mark.parametrize("n", range(1, 4))
+    @pytest.mark.parametrize("n", range(1, 6))
     def test_matches_crossing_formulas(self, n):
         tube = Tube(n)
         objs = tube.finite_objects(7)
@@ -82,6 +82,33 @@ class TestHomOracle:
                 ab = oracle.build_rep(tube, x)
                 bb = oracle.build_rep(tube, y)
                 assert oracle.hom_dim_oracle(a2, b2) == oracle.hom_dim_oracle(ab, bb)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, -5])
+    def test_non_prime_p_rejected(self, p):
+        tube = Tube(3)
+        with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
+            oracle.build_rep(tube, tube.finite(0, 4), p=p)
+        with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
+            oracle.build_rep_a(3, AArc(0, 3), p=p)
+        # a representation built by hand is checked where the field is used
+        rep = oracle.build_rep(tube, tube.finite(0, 4))
+        rep = oracle.QuivRep(rep.shape, rep.dims, rep.maps, p)
+        with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
+            oracle.hom_dim_oracle(rep, rep)
+
+    def test_prime_check_reads_the_type(self):
+        tube = Tube(2)
+        oracle.build_rep(tube, tube.finite(0, 3), p=5)
+        # 5.0 == 5 must not reuse the answer memoized for 5
+        for p in (5.0, True, "5"):
+            with pytest.raises(ValueError, match="p must be a prime"):
+                oracle.build_rep(tube, tube.finite(0, 3), p=p)
+
+    def test_maps_must_match_the_dimension_vector(self):
+        import numpy as np
+        rep = oracle.QuivRep(oracle.cyclic_quiver(1), (1,), (np.zeros((2, 2), dtype=np.int64),), 3)
+        with pytest.raises(ValueError, match="arrow 0 do not match the dimension vectors"):
+            oracle.hom_dim_oracle(rep, rep)
 
     def test_mismatched_quivers_rejected(self):
         a = oracle.build_rep(Tube(2), Tube(2).finite(0, 3))

@@ -201,7 +201,7 @@ class TestClosurePredicates:
 
 
 class TestHomRule:
-    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 8))
     def test_hom_rule_matches_linear_quiver_oracle(self, m):
         arcs = ta.all_arcs(m)
         reps = {a: oracle.build_rep_a(m, a) for a in arcs}
@@ -211,7 +211,7 @@ class TestHomRule:
                 assert dim in (0, 1)
                 assert (dim == 1) == ta.hom_nonzero(x, y)
 
-    @pytest.mark.parametrize("m", range(1, 6))
+    @pytest.mark.parametrize("m", range(1, 8))
     def test_ext_rule_matches_linear_quiver_oracle(self, m):
         arcs = ta.all_arcs(m)
         reps = {a: oracle.build_rep_a(m, a) for a in arcs}
