@@ -8,6 +8,10 @@ to (f_w A_k - B_k f_v)_k, so its dimension is the number of unknowns minus
 the rank of that system mod p.  The elimination is general (any integer
 maps, no uniserial or 0/1 shortcut), and p must be a prime.  Ext^1 follows
 from Hom and the Euler form, since both quiver categories are hereditary.
+
+The map of arrow k: v -> w is held as a plain tuple ``(rows, cols, entries)``
+with ``(rows, cols) == (dims[w], dims[v])`` and ``entries`` a tuple of its
+nonzero cells ``(row, col, value)`` as Python integers.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import isqrt
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from . import homs
 from .arcs import IndObj, Tube, sort_key
@@ -42,18 +43,61 @@ def linear_quiver(m: int) -> QuiverShape:
     return QuiverShape(m, tuple((v, v - 1) for v in range(1, m)))
 
 
+Map = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]  # (rows, cols, nonzero entries)
+
+
 @dataclass
 class QuivRep:
     shape: QuiverShape
     dims: Tuple[int, ...]
-    maps: Tuple[np.ndarray, ...]
+    maps: Tuple[Map, ...]
     p: int
+
+
+# Miller-Rabin with the first twelve primes as bases decides every n below
+# 3.18 * 10**23 exactly (Sorenson and Webster, 2015), so every n < 2**64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n in _WITNESSES:
+        return True
+    if any(n % q == 0 for q in _WITNESSES):
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @lru_cache(maxsize=64, typed=True)
 def _check_prime(p: int) -> None:
-    if type(p) is not int or p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if type(p) is not int or not 2 <= p < 2**64 or not _is_prime(p):
         raise ValueError(f"p must be a prime, got p={p!r}")
+
+
+def _check_rep(rep: QuivRep) -> None:
+    """The dimension vector and the maps must fit the quiver."""
+    shape, dims, maps = rep.shape, rep.dims, rep.maps
+    if len(dims) != shape.num_vertices or any(type(d) is not int or d < 0 for d in dims):
+        raise ValueError(f"dims {dims!r} is not a dimension vector on {shape.num_vertices} vertices")
+    if len(maps) != len(shape.arrows):
+        raise ValueError(f"{len(maps)} maps for {len(shape.arrows)} arrows")
+    for k, ((v, w), (rows, cols, entries)) in enumerate(zip(shape.arrows, maps)):
+        if rows != dims[w] or cols != dims[v]:
+            raise ValueError(f"the maps of arrow {k} do not match the dimension vectors")
+        for i, j, _ in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
 
 
 def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cyclic: bool) -> QuivRep:
@@ -61,20 +105,17 @@ def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cycli
     _check_prime(p)
     nv = shape.num_vertices
     dims = [0] * nv
-    vert_of, local = [], []  # vertex of b_t, and its index among that vertex's basis
+    arrow_of = {arrow: k for k, arrow in enumerate(shape.arrows)}
+    entries = [[] for _ in shape.arrows]  # nonzero cells, arrow by arrow
+    prev = None  # the vertex of b_{t-1}, where it is the last basis vector so far
     for t in range(length):
         v = (socle_vertex + t) % nv if cyclic else socle_vertex + t
-        vert_of.append(v)
-        local.append(dims[v])
+        if t:  # b_t -> b_{t-1} along the arrow v -> prev
+            entries[arrow_of[v, prev]].append((dims[prev] - 1, dims[v], 1))
         dims[v] += 1
-    maps = []
-    for (src, dst) in shape.arrows:
-        mat = np.zeros((dims[dst], dims[src]), dtype=np.int64)
-        for t in range(1, length):
-            if vert_of[t] == src and vert_of[t - 1] == dst:
-                mat[local[t - 1], local[t]] = 1
-        maps.append(mat)
-    return QuivRep(shape, tuple(dims), tuple(maps), p)
+        prev = v
+    maps = tuple((dims[w], dims[v], tuple(e)) for (v, w), e in zip(shape.arrows, entries))
+    return QuivRep(shape, tuple(dims), maps, p)
 
 
 def build_rep(tube: Tube, obj: IndObj, p: int = DEFAULT_PRIME) -> QuivRep:
@@ -103,21 +144,15 @@ def _intertwiner_rows(a: QuivRep, b: QuivRep, offs: List[int]) -> List[Dict[int,
     rows: List[Dict[int, int]] = []
     for k, (v, w) in enumerate(a.shape.arrows):
         bv, bw, av = b.dims[v], b.dims[w], a.dims[v]
-        if a.maps[k].shape != (a.dims[w], av) or b.maps[k].shape != (bw, bv):
-            raise ValueError(f"the maps of arrow {k} do not match the dimension vectors")
-        if not bw * av:
-            continue
         eqs: List[Dict[int, int]] = [{} for _ in range(bw * av)]  # entry (i, j) is row j * bw + i
-        for l, line in enumerate(a.maps[k].tolist()):  # + f_w[i, l] A_k[l, j]
-            for j, x in enumerate(line):
-                for i in range(bw if x else 0):
-                    eq, col = eqs[j * bw + i], offs[w] + l * bw + i
-                    eq[col] = eq.get(col, 0) + x
-        for i, line in enumerate(b.maps[k].tolist()):  # - B_k[i, l] f_v[l, j]
-            for l, x in enumerate(line):
-                for j in range(av if x else 0):
-                    eq, col = eqs[j * bw + i], offs[v] + j * bv + l
-                    eq[col] = eq.get(col, 0) - x
+        for l, j, x in a.maps[k][2]:  # + f_w[i, l] A_k[l, j]
+            for i in range(bw):
+                eq, col = eqs[j * bw + i], offs[w] + l * bw + i
+                eq[col] = eq.get(col, 0) + x
+        for i, l, x in b.maps[k][2]:  # - B_k[i, l] f_v[l, j]
+            for j in range(av):
+                eq, col = eqs[j * bw + i], offs[v] + j * bv + l
+                eq[col] = eq.get(col, 0) - x
         rows += eqs
     return rows
 
@@ -146,6 +181,8 @@ def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     if a.shape != b.shape or a.p != b.p:
         raise ValueError("representations live over different quivers or primes")
     _check_prime(a.p)
+    _check_rep(a)
+    _check_rep(b)
     offs = list(accumulate((b.dims[v] * a.dims[v] for v in range(a.shape.num_vertices)), initial=0))
     return offs[-1] - _rank_mod(_intertwiner_rows(a, b, offs), a.p)
 

@@ -2,9 +2,23 @@ import itertools
 
 import pytest
 
+from limits import needs_alarm, time_limit
 from tubecalc import homs, oracle
 from tubecalc.arcs import Tube
 from tubecalc.type_a import AArc
+
+
+def compose(mat, cur):
+    """The product mat @ cur of two maps held as (rows, cols, entries)."""
+    rows, inner, entries = mat
+    cur_rows, cols, cur_entries = cur
+    assert inner == cur_rows
+    out = {}
+    for i, l, x in entries:
+        for l2, j, y in cur_entries:
+            if l == l2:
+                out[i, j] = out.get((i, j), 0) + x * y
+    return rows, cols, tuple((i, j, x) for (i, j), x in sorted(out.items()) if x)
 
 
 class TestBuildRep:
@@ -26,23 +40,21 @@ class TestBuildRep:
         t1 = Tube(1)
         rep = oracle.build_rep(t1, t1.finite(0, 3))
         assert rep.dims == (2,)
-        mat = rep.maps[0]
-        assert mat.tolist() == [[0, 1], [0, 0]]
+        assert rep.maps[0] == (2, 2, ((0, 1, 1),))
 
     def test_cycle_composite_is_nilpotent(self):
-        import numpy as np
         t3 = Tube(3)
         rep = oracle.build_rep(t3, t3.finite(1, 8))
         # walk the cycle n times starting at each vertex; must kill everything
         for v in range(3):
-            vec = np.eye(rep.dims[v], dtype=int)
-            cur = vec
+            d = rep.dims[v]
+            cur = (d, d, tuple((r, r, 1) for r in range(d)))
             w = v
             for _ in range(3 * 3):
                 arrow = rep.shape.arrows[w]
-                cur = rep.maps[w] @ cur
+                cur = compose(rep.maps[w], cur)
                 w = arrow[1]
-            assert not cur.any()
+            assert cur[2] == ()
 
     def test_infinite_objects_have_no_matrices(self):
         t2 = Tube(2)
@@ -104,11 +116,56 @@ class TestHomOracle:
             with pytest.raises(ValueError, match="p must be a prime"):
                 oracle.build_rep(tube, tube.finite(0, 3), p=p)
 
+    @needs_alarm
+    def test_prime_check_is_bounded(self):
+        tube = Tube(3)
+        with time_limit(5):
+            oracle.build_rep(tube, tube.finite(0, 4), p=2**61 - 1)
+            # a Carmichael number, 3 * 768614336404564651, and a prime past
+            # the range where the Miller-Rabin witnesses are proven exact
+            for p in (561, 2**61 + 1, 2**89 - 1):
+                with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
+                    oracle.build_rep(tube, tube.finite(0, 4), p=p)
+
+    def test_prime_check_matches_trial_division(self):
+        for p in range(2, 5000):
+            assert oracle._is_prime(p) == all(p % d for d in range(2, p))
+        # strong pseudoprimes to the first four and to the first nine primes
+        assert not oracle._is_prime(3215031751)
+        assert not oracle._is_prime(3825123056546413051)
+        assert oracle._is_prime(2**31 - 1)
+
     def test_maps_must_match_the_dimension_vector(self):
-        import numpy as np
-        rep = oracle.QuivRep(oracle.cyclic_quiver(1), (1,), (np.zeros((2, 2), dtype=np.int64),), 3)
+        rep = oracle.QuivRep(oracle.cyclic_quiver(1), (1,), ((2, 2, ()),), 3)
         with pytest.raises(ValueError, match="arrow 0 do not match the dimension vectors"):
             oracle.hom_dim_oracle(rep, rep)
+
+    @pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (1, -1), (1, 1.0), (True, 1)])
+    def test_dims_must_fit_the_quiver(self, dims):
+        shape = oracle.cyclic_quiver(2)
+        rep = oracle.QuivRep(shape, dims, ((0, 1, ()), (1, 0, ())), 3)
+        with pytest.raises(ValueError, match="is not a dimension vector on 2 vertices"):
+            oracle.hom_dim_oracle(rep, rep)
+        with pytest.raises(ValueError, match="is not a dimension vector on 2 vertices"):
+            oracle.ext_dim_oracle(rep, rep)
+
+    def test_one_map_per_arrow(self):
+        rep = oracle.QuivRep(oracle.cyclic_quiver(2), (1, 1), ((1, 1, ((0, 0, 1),)),), 3)
+        with pytest.raises(ValueError, match="1 maps for 2 arrows"):
+            oracle.hom_dim_oracle(rep, rep)
+
+    @pytest.mark.parametrize("cell", [(1, 0), (0, 2), (-1, 0), (0, -1)])
+    def test_entries_must_lie_inside_the_map(self, cell):
+        # dims (1, 2) on the cyclic quiver with two vertices: the map of
+        # arrow 1 (vertex 1 -> vertex 0) is 1 x 2
+        shape = oracle.cyclic_quiver(2)
+        good = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, ())), 3)
+        bad = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, (cell + (1,),))), 3)
+        assert oracle.hom_dim_oracle(good, good) == 5
+        outside = "an entry of the map of arrow 1 lies outside its 1 x 2 shape"
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=outside):
+                oracle.hom_dim_oracle(a, b)
 
     def test_mismatched_quivers_rejected(self):
         a = oracle.build_rep(Tube(2), Tube(2).finite(0, 3))

@@ -2,21 +2,26 @@
 
 The reference below is the old implementation, copied unchanged: the
 intertwiner system is assembled from Kronecker products with identity
-blocks, stacked, and reduced mod p row by row over numpy.  Hypothesis draws
-arbitrary representations, not only the 0/1 uniserials the tube and the
-segment use: cyclic quivers with 1-5 vertices and linear quivers with 1-5
-vertices, 0-3 basis vectors per vertex, and maps with integer entries in
-[-5, 5] at one of three densities (so not necessarily nilpotent), over
-p = 2, 3 or 32003.  It also compares the rank of random integer matrices.
+blocks, stacked, and reduced mod p row by row over numpy, on maps held as
+dense arrays.  Hypothesis draws arbitrary representations, not only the 0/1
+uniserials the tube and the segment use: cyclic quivers with 1-5 vertices
+and linear quivers with 1-5 vertices, 0-3 basis vectors per vertex, and maps
+with integer entries in [-5, 5] at one of three densities (so not
+necessarily nilpotent), over p = 2, 3 or 32003.  Each map is drawn once,
+handed to the reference as a dense array and to ``oracle`` as its nonzero
+entries.  It also compares the rank of random integer matrices, and the
+uniserials ``build_rep`` and ``build_rep_a`` make with the old dense ones.
 """
 
-import numpy as np
 import pytest
 
 from limits import needs_alarm, time_limit
 from tubecalc import oracle
-from tubecalc.oracle import QuivRep
+from tubecalc.arcs import Tube
+from tubecalc.oracle import QuiverShape, QuivRep
+from tubecalc.type_a import all_arcs
 
+np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -83,6 +88,27 @@ def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     return total - _rank_mod(system, p)
 
 
+def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cyclic: bool) -> QuivRep:
+    """Basis b_0..b_{length-1}; b_t sits at vertex socle+t, arrows send b_t -> b_{t-1}."""
+    oracle._check_prime(p)
+    nv = shape.num_vertices
+    dims = [0] * nv
+    vert_of, local = [], []  # vertex of b_t, and its index among that vertex's basis
+    for t in range(length):
+        v = (socle_vertex + t) % nv if cyclic else socle_vertex + t
+        vert_of.append(v)
+        local.append(dims[v])
+        dims[v] += 1
+    maps = []
+    for (src, dst) in shape.arrows:
+        mat = np.zeros((dims[dst], dims[src]), dtype=np.int64)
+        for t in range(1, length):
+            if vert_of[t] == src and vert_of[t - 1] == dst:
+                mat[local[t - 1], local[t]] = 1
+        maps.append(mat)
+    return QuivRep(shape, tuple(dims), tuple(maps), p)
+
+
 # -- comparison ----------------------------------------------------------------------
 
 PRIMES = (2, 3, 32003)
@@ -108,7 +134,7 @@ def representation_pairs(draw):
         nv = shape.num_vertices
         dims = tuple(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)))
         maps = tuple(integer_matrix(rng, dims[w], dims[v], density) for (v, w) in shape.arrows)
-        pair.append(QuivRep(shape, dims, maps, p))
+        pair.append(both_forms(shape, dims, maps, p))
     return pair
 
 
@@ -128,14 +154,26 @@ def sparse_rows(mat: np.ndarray):
     return [{c: x for c, x in enumerate(line) if x} for line in mat.tolist()]
 
 
+def entry_form(mat: np.ndarray):
+    """A dense array as the (rows, cols, entries) that ``oracle`` reads."""
+    rows, cols = mat.shape
+    lines = enumerate(mat.tolist())
+    return rows, cols, tuple((i, j, x) for i, line in lines for j, x in enumerate(line) if x)
+
+
+def both_forms(shape, dims, dense_maps, p):
+    """The same representation for the reference and for ``oracle``."""
+    return QuivRep(shape, dims, dense_maps, p), QuivRep(shape, dims, tuple(map(entry_form, dense_maps)), p)
+
+
 @needs_alarm
 class TestMatchesReference:
     @settings(max_examples=250, deadline=None)
     @given(representation_pairs())
     def test_arbitrary_representations(self, pair):
-        a, b = pair
+        (dense_a, a), (dense_b, b) = pair
         with time_limit(10):
-            assert oracle.hom_dim_oracle(a, b) == hom_dim_oracle(a, b)
+            assert oracle.hom_dim_oracle(a, b) == hom_dim_oracle(dense_a, dense_b)
             # Hom - Ext is the Euler form for any representation of a quiver
             assert oracle.ext_dim_oracle(a, b) >= 0
 
@@ -149,7 +187,28 @@ class TestMatchesReference:
         # x -> 2x and x -> x over F_3: only scalars commute with the first,
         # and nothing but 0 intertwines the two; no uniserial is like this
         shape = oracle.cyclic_quiver(1)
-        a = QuivRep(shape, (1,), (np.array([[2]], dtype=np.int64),), 3)
-        b = QuivRep(shape, (1,), (np.array([[1]], dtype=np.int64),), 3)
-        assert oracle.hom_dim_oracle(a, a) == hom_dim_oracle(a, a) == 1
-        assert oracle.hom_dim_oracle(a, b) == hom_dim_oracle(a, b) == 0
+        dense_a, a = both_forms(shape, (1,), (np.array([[2]], dtype=np.int64),), 3)
+        dense_b, b = both_forms(shape, (1,), (np.array([[1]], dtype=np.int64),), 3)
+        assert a.maps == ((1, 1, ((0, 0, 2),)),)
+        assert oracle.hom_dim_oracle(a, a) == hom_dim_oracle(dense_a, dense_a) == 1
+        assert oracle.hom_dim_oracle(a, b) == hom_dim_oracle(dense_a, dense_b) == 0
+
+
+class TestUniserialsMatchReference:
+    @staticmethod
+    def assert_same(rep: QuivRep, dense: QuivRep):
+        assert (rep.shape, rep.dims, rep.p) == (dense.shape, dense.dims, dense.p)
+        assert rep.maps == tuple(map(entry_form, dense.maps))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_tube_arcs(self, n):
+        tube = Tube(n)
+        for x in tube.finite_objects(2 * n):
+            dense = _uniserial(oracle.cyclic_quiver(n), x.start % n, x.length, 3, cyclic=True)
+            self.assert_same(oracle.build_rep(tube, x, p=3), dense)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_segment_arcs(self, m):
+        for arc in all_arcs(m):
+            dense = _uniserial(oracle.linear_quiver(m), arc.i, arc.j - arc.i - 1, 3, cyclic=False)
+            self.assert_same(oracle.build_rep_a(m, arc, p=3), dense)
