@@ -218,7 +218,7 @@ class Tube:
 
 # -- textual grammar ----------------------------------------------------------
 
-_OBJ_RE = re.compile(r"^M\[(-inf|-?\d+),(inf|-?\d+)\]$")
+_OBJ_RE = re.compile(r"^M\[(-inf|-?[0-9]+),(inf|-?[0-9]+)\]$")
 FINITE_ARC = "M[%d,%d]"  # a finite arc is its own argument tuple
 
 

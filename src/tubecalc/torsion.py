@@ -7,37 +7,36 @@ data exactly; only ``members`` truncates a family, at its caller's length.
 
 The closure predicates take canonical descriptors (``make_desc``); an arc
 that starts at a ray or ends at a coray is a member automatically.  Quotients
-keep the end, so corays are quotient-closed, and every arc is a quotient of
-a ray member.  Extensions follow the Ptolemy rule: x = [a, b] and a lift
-[c, d] of y with c < a < d < b resolve into [c, b] and, if d >= a + 2,
-[a, d].  So with both families only everything is extension-closed (take a
-ray member at a, a coray member ending at d, c far left off the rays and b
-far right off the corays).  With rays only, a ray strictly inside a listed
-arc y makes [y.start, b] arbitrarily long (lemma A below), and ray members
-end inside every listed arc, whose proper subobjects must then be members.
-The rest is the Ptolemy check over pairs of listed arcs.  The loops walk
-lazily, and the candidates of one loop that are not automatic members must
-be distinct listed arcs, so it stops after at most |listed arcs| + 1
-lookups, however long the arcs are.
+keep the end, so corays are quotient-closed, every arc is a quotient of a
+ray member, and the listed arcs off the corays are closed iff they number
+what their ``low`` fixes.  Extensions follow the Ptolemy rule: x = [a, b]
+and a lift [c, d] of y with c < a < d < b resolve into [c, b] and, if
+d >= a + 2, [a, d].  So with both families only everything is
+extension-closed (take a ray member at a, a coray member ending at d, c far
+left off the rays and b far right off the corays).  With rays only, a ray
+strictly inside a listed arc y makes [y.start, b] arbitrarily long (lemma A
+below), and ray members end inside every listed arc, whose proper
+subobjects must then be members.
+The rest of ``is_ext_closed`` is the Ptolemy check over pairs of listed
+arcs.  Its loops walk lazily, and the candidates of one loop that are not
+automatic members must be distinct listed arcs, so it stops after at most
+|listed arcs| + 1 lookups, however long the arcs are.
 
 Finite objects are uniserial, so the image of a nonzero map x -> y is a
 quotient of x and a subobject of y: Hom(x, y) != 0 iff some quotient of x
-is a subobject of y.  ``right_perp`` is read off from that fact alone.
+is a subobject of y.  ``right_perp`` reads that fact off ``low``.
 
 The bijection: a Prufer-type maximal rigid object U yields the pair
 (tau^{-1} of the left-shortening closure of its finite part, right
 -shortening closure of the finite part together with the rays at its
 Prufer indices); adic-type is the reflected dual.
 
-Both closures of a set of finite arcs are fixed by 2n integers read in one
-pass: the subobjects of [a, b] are the arcs at start a that end by b, and
-its quotients the arcs ending at b that start from a on.  So ``reach[s]``,
-the end of the longest arc at start s, gives the subobject closure, and
-``low[r]``, the start of the longest arc ending at residue r, the quotient
-closure.  ``torsion_pair_of`` reads both sides of the pair off these two
-arrays (tau and tau^{-1} shift the anchor by one) and takes the arcs from
-the tube's table (``Tube.fan``), so it neither normalizes nor builds an arc
-per member.
+The closures, the perps and the quotient check read the ``reach`` and
+``low`` arrays that ``type_a`` builds (see there), with each arc on its
+anchored lift.  ``torsion_pair_of`` reads both sides of the pair off these
+two arrays (tau and tau^{-1} shift the anchor by one), and ``right_perp``
+its result off ``shortest``; both take the arcs from the tube's table
+(``Tube.fan``), so they neither normalize nor build an arc per member.
 
 The inverse takes the Ext-projectives of the torsion-free part F of a
 ray-type pair, which is closed under subobjects, by two lemmas:
@@ -63,7 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from . import type_a
 from .arcs import IndObj, Tube, sort_key
@@ -152,29 +151,22 @@ def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:
     return sorted(desc.finite_objs.union(short), key=sort_key)
 
 
-def _reach_low(n: int, objs) -> Tuple[List[int], List[int]]:
-    """Two arrays that fix both closures of a set of finite arcs, read in one
-    pass: ``reach[s]`` is the end of the longest arc at start s (s + 1 if
-    none), ``low[r]`` the start of the longest arc ending at residue r, on
-    the lift that ends at r (r - 1 if none)."""
-    reach = list(range(1, n + 1))
-    low = list(range(-1, n - 1))
+def _reach_low(n: int, objs) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """``type_a``'s ``reach`` and ``low`` of finite arcs, each arc read on
+    its anchored lift: the one that starts at residue s for ``reach[s]``,
+    the one that ends at residue r for ``low[r]``."""
     try:
-        for start, end in objs:
-            span = end - start
-            s = start % n
-            r = (s + span) % n
-            if reach[s] < s + span:
-                reach[s] = s + span
-            if low[r] > r - span:
-                low[r] = r - span
+        spans = [(s % n, e % n, e - s) for s, e in objs]
     except TypeError:  # a None endpoint
         raise ValueError("one-sided arcs have no finite length") from None
-    return reach, low
+    return (
+        type_a._reach([(s, s + d) for s, _, d in spans]),
+        type_a._low([(r - d, r) for _, r, d in spans]),
+    )
 
 
 def _closure_arcs(
-    tube: Tube, bound: List[int], quotients: bool, shift: int = 0, skip=()
+    tube: Tube, bound: Dict[int, int], quotients: bool, shift: int = 0, skip=()
 ) -> List[IndObj]:
     """The arcs of a closure, read off one array: the subobjects [a, e] with
     e <= reach[a] (bound = reach), or the quotients [i, a] with i >= low[a]
@@ -182,10 +174,9 @@ def _closure_arcs(
     whose fixed end a lies in skip."""
     n = tube.n
     out = []
-    for a in range(n):
-        longest = a - bound[a] if quotients else bound[a] - a
-        if longest > 1 and a not in skip:
-            out += tube.fan((a + shift) % n, longest, at_end=quotients)
+    for a, b in bound.items():
+        if a not in skip:
+            out += tube.fan((a + shift) % n, a - b if quotients else b - a, at_end=quotients)
     return out
 
 
@@ -219,10 +210,10 @@ def reflect_desc(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
 def is_quotient_closed(tube: Tube, desc: SubcatDesc) -> bool:
     if desc.rays:
         return desc == everything(tube)
-    return all(
-        contains(tube, desc, tube.normalize(i, x.end))
-        for x in desc.finite_objs for i in range(x.start + 1, x.end - 1)
-    )
+    n = tube.n
+    arcs = [x for x in desc.finite_objs if x.end % n not in desc.corays]
+    _, low = _reach_low(n, arcs)
+    return len(arcs) == type_a._quotient_count(low)
 
 
 def is_sub_closed(tube: Tube, desc: SubcatDesc) -> bool:
@@ -261,29 +252,26 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     """Descriptor of {y : Hom(x, y) = 0 for every member x of desc}.
 
     y is in the perp iff none of its subobjects (the arcs at its start, no
-    longer than it) is a quotient of a member, so per start the perp is every
-    length below the shortest such quotient.  The quotients of [a, b] are
-    [i, b] for a <= i <= b-2, those of coray j every arc ending at j, and
-    those of a ray every simple, so a ray leaves nothing.
+    longer than it) is a quotient of a member, so per start s the perp is
+    every length below ``shortest[s]``, that of the shortest such quotient.
+    The quotients of the members ending at residue j are [i, j] for
+    low[j] <= i <= j-2, every arc ending at j for a coray j (low[j] = -inf),
+    and every simple for a ray, so a ray leaves nothing.
     """
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    shortest = [math.inf] * n
-    for j in desc.corays:
-        for s in range(n):
-            shortest[s] = min(shortest[s], (j - s - 2) % n + 1)
-    for x in desc.finite_objs:
+    _, low = _reach_low(n, desc.finite_objs)
+    low.update(dict.fromkeys(desc.corays, -math.inf))
+    shortest: Dict[int, int] = {}
+    for j, a in low.items():
         # a quotient is never the shortest at its start if one n shorter exists
-        for i in range(max(x.start, x.end - 1 - n), x.end - 1):
-            shortest[i % n] = min(shortest[i % n], x.end - i - 1)
-    rays_out = [s for s in range(n) if shortest[s] == math.inf]
-    fin = [
-        tube.normalize(s, s + l + 1)
-        for s in range(n) if shortest[s] < math.inf
-        for l in range(1, shortest[s])
-    ]
-    return make_desc(tube, fin, rays_out)
+        for i in range(max(a, j - 1 - n), j - 1):
+            if shortest.get(i % n, math.inf) > j - i - 1:
+                shortest[i % n] = j - i - 1
+    reach = {s: s + l for s, l in shortest.items()}
+    rays = frozenset(range(n)).difference(reach)
+    return _closure_side(tube, reach, quotients=False, rays=rays)
 
 
 def left_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
@@ -305,8 +293,12 @@ def classify_kind(tube: Tube, pair: TorsionPair) -> str:
 
 
 def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
-    """Both mutual-perp identities (which imply Hom(t_part, f_part) = 0)."""
+    """Both mutual-perp identities (which imply Hom(t_part, f_part) = 0).
+    The pair of an object with k Prufers (or adics) lists k rays (or
+    corays) and an arc per finite summand, so it lists n items at least."""
     t, f = pair.t_part, pair.f_part
+    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < tube.n:
+        return False
     try:
         if classify_kind(tube, pair) != pair.kind:
             return False
@@ -423,7 +415,7 @@ def count_max_rigid(tube: Tube) -> int:
 
 
 def _closure_side(
-    tube: Tube, bound: List[int], quotients: bool, shift: int = 0,
+    tube: Tube, bound: Dict[int, int], quotients: bool, shift: int = 0,
     rays=frozenset(), corays=frozenset(),
 ) -> SubcatDesc:
     """One side of the pair of a maximal rigid object: the closure that
@@ -475,11 +467,10 @@ def _ext_projectives(tube: Tube, f_part: SubcatDesc) -> MaxRigid:
     """
     n = tube.n
     reach, _ = _reach_low(n, f_part.finite_objs)
-    for i in f_part.rays:
-        reach[i] = math.inf
+    reach.update(dict.fromkeys(f_part.rays, math.inf))
 
     def reach_at(c: int) -> float:
-        return reach[c % n] + c - c % n
+        return reach.get(c % n, c % n + 1) + c - c % n
 
     keep = [tube.prufer(i) for i in f_part.rays]
     for w in tube.wing_intersection(f_part.rays):

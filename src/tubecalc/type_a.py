@@ -8,7 +8,9 @@ functions also power wing-level computations inside a tube, since every
 wing of width at most n+1 is equivalent to such a module category.
 
 The closures and validators read each fact off one integer array per side,
-as ``torsion`` does for the tube, so no loop runs over pairs of arcs:
+so no loop runs over pairs of arcs.  ``_low`` and ``_reach`` build them for
+both models: ``torsion`` feeds them each tube arc on its anchored lift (the
+one starting at residue s for ``reach[s]``, ending at r for ``low[r]``).
 
 - ``low[j]``, the smallest start of an arc ending at j, fixes the quotient
   closure (starts low[j]..j-2 at end j); ``reach[i]``, the largest end of
@@ -209,11 +211,16 @@ def _segment_pairs(m: int, arcs) -> List[Tuple[int, int]]:
     return pairs
 
 
+def _quotient_count(low: Dict[int, int]) -> int:
+    """The size of the quotient closure that ``low`` fixes."""
+    return sum(j - 1 - a for j, a in low.items())
+
+
 def _is_torsion_low(low: Dict[int, int], size: int) -> bool:
     """Whether ``size`` distinct arcs with this ``low`` form a torsion class:
     quotient-closed iff they number sum(j - 1 - low[j]), every start from
     low[j] to j-2 at each end j; then extension-closed by the Ptolemy rule."""
-    if size != sum(j - 1 - a for j, a in low.items()):
+    if size != _quotient_count(low):
         return False
     for b, a in low.items():
         for d in range(a + 1, b):

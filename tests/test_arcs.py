@@ -249,7 +249,11 @@ class TestGrammar:
     def test_parse_normalizes(self):
         assert format_obj(parse_obj(Tube(3), "M[4,7]")) == "M[1,4]"
 
-    @pytest.mark.parametrize("bad", ["M[0,1]", "M[inf,3]", "M[-inf,inf]", "M(0,3)", "0,3", "M[a,b]"])
+    # int() reads Arabic-Indic, Devanagari and fullwidth digits; the grammar must not
+    @pytest.mark.parametrize("bad", [
+        "M[0,1]", "M[inf,3]", "M[-inf,inf]", "M(0,3)", "0,3", "M[a,b]",
+        "M[\u0660,\u0663]", "M[0,\u0663]", "M[\u0966,3]", "M[\uff10,inf]", "M[-inf,\uff13]",
+    ])
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
             parse_obj(Tube(3), bad)
@@ -258,8 +262,9 @@ class TestGrammar:
         assert parse_endpoints("M[-1,2]") == (-1, 2)
         assert parse_endpoints(" M[7,inf] ") == (7, None)
         assert parse_endpoints("M[-inf,-4]") == (None, -4)
-        with pytest.raises(ValueError):
-            parse_endpoints("M[a,b]")
+        for bad in ("M[a,b]", "M[\u0660,\u0663]"):
+            with pytest.raises(ValueError):
+                parse_endpoints(bad)
 
     def test_lift_produces_raw_pairs(self):
         tube = Tube(3)

@@ -15,8 +15,10 @@ from limits import needs_alarm, time_limit
 from tubecalc import cli
 from tubecalc.arcs import Tube
 from tubecalc.cli import main
-from tubecalc.serialize import pair_to_doc, rigid_to_doc
-from tubecalc.torsion import MAX_COUNT_RANK, enumerate_max_rigid, torsion_pair_of
+from tubecalc.serialize import pair_from_doc, pair_to_doc, rigid_to_doc
+from tubecalc.torsion import (
+    MAX_COUNT_RANK, ValidationError, enumerate_max_rigid, max_rigid_of, torsion_pair_of,
+)
 
 
 def run_both(argv):
@@ -72,6 +74,8 @@ class TestExtHom:
     def test_parse_error_exits_1(self):
         assert run(["ext", "--rank", "2", "M[zero,2]", "M[1,3]"])[0] == 1
         assert run(["ext", "--rank", "2", "M[0,1]", "M[1,3]"])[0] == 1
+        # int() reads Arabic-Indic digits; the grammar must not
+        assert run(["hom", "--rank", "3", "M[\u0660,\u0663]", "M[0,3]"])[0] == 1
 
     def test_unsupported_hom_exits_2(self):
         assert run(["hom", "--rank", "2", "M[0,inf]", "M[1,inf]"])[0] == 2
@@ -270,6 +274,28 @@ class TestRigid:
             code, err = run_err(["rigid", "of-pair", "--pair", str(path)])
         assert (code, err) == (2, "error: input does not validate as a torsion pair\n")
 
+    @needs_alarm
+    def test_few_items_at_huge_rank_rejected_promptly(self, tmp_path):
+        # a pair lists at least rank items, so a one-ray document is refused
+        # before any perp walks the rank
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(pair_doc(10**12, "ray", free_rays=[0])))
+        with time_limit(10):
+            code, err = run_err(["rigid", "of-pair", "--pair", str(path)])
+        assert (code, err) == (2, "error: input does not validate as a torsion pair\n")
+
+    def test_few_items_at_large_rank_take_no_memory(self):
+        doc = pair_doc(10**6, "ray", free_rays=[0])
+        tracemalloc.start()
+        try:
+            tube, pair = pair_from_doc(doc)
+            with pytest.raises(ValidationError):
+                max_rigid_of(tube, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_unreadable_pair_file_exits_1(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{")
@@ -337,6 +363,7 @@ class TestPairOfRigid:
 
     def test_bad_list_exits_1(self):
         assert run(["pair-of-rigid", "--rank", "2", "--summands", "M[0,inf],zzz"])[0] == 1
+        assert run(["pair-of-rigid", "--rank", "2", "--summands", "M[0,inf],M[\u0660,2]"])[0] == 1
 
 
 class TestRenderAndQuiver:

@@ -95,6 +95,8 @@ def test_format_desc():
         ({"schema": 1, "rank": 0, "kind": "ray"}, "rank"),
         ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[0,1]"], "corays": []},
           "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,\u0663]"], "corays": []},
+          "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
     ],
 )
 def test_malformed_pair_doc(doc, key):
