@@ -65,19 +65,20 @@ def _pair_line(pair) -> str:
     return f"{pair.kind}: T = {format_desc(pair.t_part)} ; F = {format_desc(pair.f_part)}"
 
 
-def cmd_ext(args) -> int:
+def _integer(text: str) -> int:
+    """An integer option: an optional minus and ASCII digits, the digit
+    class of the arc grammar."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def cmd_dim(args) -> int:
+    """``ext`` and ``hom``: the dimension function bound as ``args.dim``."""
     tube = Tube(args.rank)
     x = parse_obj(tube, args.x)
     y = parse_obj(tube, args.y)
-    print(_dim_str(ext_dim(tube, x, y)))
-    return 0
-
-
-def cmd_hom(args) -> int:
-    tube = Tube(args.rank)
-    x = parse_obj(tube, args.x)
-    y = parse_obj(tube, args.y)
-    print(_dim_str(hom_dim(tube, x, y)))
+    print(_dim_str(args.dim(tube, x, y)))
     return 0
 
 
@@ -225,48 +226,43 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tubecalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ext", help="Ext^1 dimension between two arcs")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_ext)
-
-    p = sub.add_parser("hom", help="Hom dimension between two arcs")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(func=cmd_hom)
+    for name, what, dim in (("ext", "Ext^1", ext_dim), ("hom", "Hom", hom_dim)):
+        p = sub.add_parser(name, help=f"{what} dimension between two arcs")
+        p.add_argument("--rank", type=_integer, required=True)
+        p.add_argument("x")
+        p.add_argument("y")
+        p.set_defaults(func=cmd_dim, dim=dim)
 
     p = sub.add_parser("pairs", help="torsion pairs of the tube")
     p.add_argument("action", choices=["count", "enumerate"])
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pairs)
 
     p = sub.add_parser("rigid", help="maximal rigid objects")
     p.add_argument("action", choices=["enumerate", "of-pair"])
-    p.add_argument("--rank", type=int)
+    p.add_argument("--rank", type=_integer)
     p.add_argument("--pair", help="JSON pair document (for of-pair)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_rigid)
 
     p = sub.add_parser("pair-of-rigid", help="torsion pair of a maximal rigid object")
-    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--rank", type=_integer, required=True)
     p.add_argument("--summands", required=True, help="comma separated arcs")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_pair_of_rigid)
 
     p = sub.add_parser("render", help="SVG arc diagram")
     p.add_argument("--mode", choices=["annulus", "cover", "segment"], required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--rank", type=_integer)
+    p.add_argument("--m", type=_integer)
     p.add_argument("--out")
     p.add_argument("--arc", action="append", default=[], help="M[i,j][:style], repeatable")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("ar-quiver", help="text AR-quiver grid")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-length", type=int, default=4)
+    p.add_argument("--rank", type=_integer, required=True)
+    p.add_argument("--max-length", type=_integer, default=4)
     p.set_defaults(func=cmd_ar_quiver)
 
     return parser

@@ -20,10 +20,6 @@ from .torsion import (
 SCHEMA = 1
 
 
-def _finite_strings(desc: SubcatDesc):
-    return format_finite(desc.finite_objs)
-
-
 def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:
     """The torsion side lists its corays, the free side its rays; the
     whole-tube descriptor is recovered on parse from either full family."""
@@ -36,8 +32,8 @@ def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:
         "schema": SCHEMA,
         "rank": tube.n,
         "kind": pair.kind,
-        "torsion": {"finite": _finite_strings(t), "corays": sorted(t.corays)},
-        "free": {"finite": _finite_strings(f), "rays": sorted(f.rays)},
+        "torsion": {"finite": format_finite(t.finite_objs), "corays": sorted(t.corays)},
+        "free": {"finite": format_finite(f.finite_objs), "rays": sorted(f.rays)},
     }
 
 
@@ -119,7 +115,7 @@ def rigid_from_doc(doc: dict) -> Tuple[Tube, MaxRigid]:
 
 def format_desc(desc: SubcatDesc) -> str:
     """Compact one-line rendering of a descriptor; '0' for the zero subcategory."""
-    parts = _finite_strings(desc)
+    parts = format_finite(desc.finite_objs)
     if desc.rays:
         parts.append("rays[" + ",".join(str(i) for i in sorted(desc.rays)) + "]")
     if desc.corays:

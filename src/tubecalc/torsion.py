@@ -38,15 +38,15 @@ two arrays (tau and tau^{-1} shift the anchor by one), and ``right_perp``
 its result off ``shortest``; both take the arcs from the tube's table
 (``Tube.fan``), so they neither normalize nor build an arc per member.
 
-The inverse takes the Ext-projectives of the torsion-free part F of a
-ray-type pair, which is closed under subobjects, by two lemmas:
+The inverse reads the finite part of a Prufer-type U off T = tau^{-1}
+Gen(U_fin): it is the set of Ext-projectives of tau T, which ``type_a``'s
+Ext-projective rule reads off the anchored ``low`` of tau T with period n
+(arcs of different wings never cross, and an end strictly inside an arc
+lies in that arc's wing).  The Prufers sit at the rays of F, and by
+lemma A, which ``is_ext_closed`` uses too, the wings lie between them:
 
 A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
    finite summand lies in a wing between cyclically consecutive rays of F.
-B. An arc a of F has Ext(b, a) != 0 for some b in F iff F contains
-   [c, a.end+1] for some a.start < c < a.end: the crossing lift of b
-   starts strictly inside a and ends past a.end, so that arc is a
-   subobject of it; and that arc crosses a.
 
 The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So the mirror
@@ -457,40 +457,24 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     raise ValidationError(f"unknown kind {rigid.kind!r}")
 
 
-def _ext_projectives(tube: Tube, f_part: SubcatDesc) -> MaxRigid:
-    """The Prufer-type object of a torsion-free class with rays: the Prufers
-    at its rays plus every in-wing arc a of it with no [c, a.end+1] in it for
-    a.start < c < a.end (lemmas A and B of the module docstring).
-
-    f_part is closed under subobjects, so its arcs at start s are those
-    ending up to ``reach[s]``, which is unbounded at a ray.
-    """
-    n = tube.n
-    reach, _ = _reach_low(n, f_part.finite_objs)
-    reach.update(dict.fromkeys(f_part.rays, math.inf))
-
-    def reach_at(c: int) -> float:
-        return reach.get(c % n, c % n + 1) + c - c % n
-
-    keep = [tube.prufer(i) for i in f_part.rays]
-    for w in tube.wing_intersection(f_part.rays):
-        for s in range(w.start, w.end - 1):
-            inner = s + 1  # max reach over the starts strictly inside [s, e]
-            for e in range(s + 2, w.end + 1):
-                if e > reach_at(s):
-                    break
-                inner = max(inner, reach_at(e - 1))
-                if inner <= e:
-                    keep.append(tube.normalize(s, e))
-    return MaxRigid(frozenset(keep), PRUFER)
+def _ext_projectives(tube: Tube, tau_t, rays) -> MaxRigid:
+    """The Prufer-type object of a ray-type pair: the Prufers at the rays of
+    F and the Ext-projectives of tau T, given as raw (start, end) pairs, by
+    ``type_a``'s rule read with period n."""
+    _, low = _reach_low(tube.n, tau_t)
+    fins = [tube.normalize(a, b) for a, b in type_a._ext_projective_pairs(low, tube.n)]
+    return MaxRigid(frozenset(fins + [tube.prufer(i) for i in rays]), PRUFER)
 
 
 def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
-    """Inverse of the bijection: the Ext-projectives of the torsion-free
-    class (ray type), or the reflection of those of the reflected pair
-    (coray type)."""
+    """Inverse of the bijection: the Ext-projectives of tau T with the
+    Prufers at the rays of F (ray type), or the reflection of those of the
+    reflected pair (coray type), whose tau T is tau of F reflected."""
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
     if pair.kind == RAY:
-        return _ext_projectives(tube, pair.f_part)
-    return reflect_rigid(tube, _ext_projectives(tube, reflect_desc(tube, pair.t_part)))
+        tau_t = [(s - 1, e - 1) for s, e in pair.t_part.finite_objs]
+        return _ext_projectives(tube, tau_t, pair.f_part.rays)
+    tau_t = [(-e - 1, -s - 1) for s, e in pair.f_part.finite_objs]
+    rays = [-j % tube.n for j in pair.t_part.corays]
+    return reflect_rigid(tube, _ext_projectives(tube, tau_t, rays))

@@ -29,7 +29,9 @@ Three rules follow, each exact:
   (a < c < d < b) resolves into [c, d], a quotient of [a, d], and [a, b],
   so T is extension-closed iff no ends d < b have low[d] < low[b] < d.
 - Ext-projective rule: [a, b] in a torsion class is Ext-projective iff
-  low[d] >= a for every end d with a < d < b.
+  low[d] >= a for every end d with a < d < b.  Both models use it: the
+  segment reads ``low`` as it is (period m+2), and the tube's inverse
+  bijection reads the anchored ``low`` of tau T with period n.
 """
 
 from __future__ import annotations
@@ -229,24 +231,33 @@ def _is_torsion_low(low: Dict[int, int], size: int) -> bool:
     return True
 
 
+def _ext_projective_pairs(low: Dict[int, int], period: int) -> List[Tuple[int, int]]:
+    """The Ext-projective (start, end) pairs of the torsion class that
+    ``low`` fixes, read with the given period: at end d it reads
+    ``low[d % period] + d - d % period``.  Scanning the starts a of each end
+    b downward, the running minimum of low over the ends in (a, b) decides
+    [a, b]."""
+    keep = []
+    for b, lo in low.items():
+        run = b  # the least low[d] over the ends a < d < b
+        for a in range(b - 2, lo - 1, -1):
+            r = (a + 1) % period
+            if r in low:
+                run = min(run, low[r] + a + 1 - r)
+            if run >= a:
+                keep.append((a, b))
+    return keep
+
+
 def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
-    """Ext-projective arcs of a torsion class containing every injective arc:
-    scanning the starts a of each end b downward, the running minimum of
-    low over the ends in (a, b) decides [a, b]."""
+    """Ext-projective arcs of a torsion class containing every injective arc."""
     pairs = _segment_pairs(m, frozenset(t_part))
     low = _low(pairs)
     if not _is_torsion_low(low, len(pairs)):
         raise ValueError("input is not a torsion class")
     if m and low.get(m + 1) != 0:
         raise ValueError("torsion class must contain every injective arc")
-    keep = []
-    for b, lo in low.items():
-        run = b  # the least low[d] over the ends a < d < b
-        for a in range(b - 2, lo - 1, -1):
-            run = min(run, low.get(a + 1, run))
-            if run >= a:
-                keep.append(AArc(a, b))
-    return frozenset(keep)
+    return frozenset(AArc(a, b) for a, b in _ext_projective_pairs(low, m + 2))
 
 
 def is_oriented_ptolemy(arcs) -> bool:

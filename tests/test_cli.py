@@ -451,7 +451,7 @@ class TestExitPolicy:
         def exhausted(args):
             raise error()
 
-        monkeypatch.setattr(cli, "cmd_hom", exhausted)
+        monkeypatch.setattr(cli, "cmd_dim", exhausted)
         assert run_err(["hom", "--rank", "2", "M[0,2]", "M[1,3]"]) == (1, message)
 
     def test_full_stdout_exits_1(self):

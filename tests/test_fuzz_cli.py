@@ -145,6 +145,10 @@ def test_argv_exits_cleanly(workdir, argv):
         (["rigid", "of-pair", "--pair", "deep.json"], 1),
         (["render", "--mode", "annulus", "--rank", "2", "--out", "no/such/dir/out.svg"], 1),
         (["pair-of-rigid", "--rank", "2", "--summands", "M[0,2],M[0,2]"], 2),
+        # integer options take the arc grammar's digits: ASCII, no blanks, no "_"
+        (["pairs", "count", "--rank", "\u0663"], 1),
+        (["ar-quiver", "--rank", "2", "--max-length", "\uff12"], 1),
+        (["pairs", "count", "--rank", " 3_0"], 1),
     ],
 )
 def test_fixed_files_reach_each_exit_code(workdir, argv, code):

@@ -1,11 +1,13 @@
-"""The tube's closures, perps and quotient check against the code they replaced.
+"""The tube's closures, perps, quotient check and inverse bijection against
+the code they replaced.
 
 The reference below is the old code, copied unchanged: ``_reach_low`` fills
 one list per array, indexed by residue; ``right_perp`` walks every quotient
 of every listed arc and every start per coray, and normalizes each arc of
 its result; ``is_quotient_closed`` looks up every quotient of every listed
-arc.  The new code reads the same facts off ``type_a``'s ``low`` and
-``reach``.  Hypothesis draws arcs in any lift, arbitrary descriptors (also
+arc; ``_ext_projectives`` walks every wing of F and reads ``reach`` there.
+The new code reads the same facts off ``type_a``'s ``low`` and ``reach``,
+the inverse by ``type_a``'s Ext-projective rule on the ``low`` of tau T.  Hypothesis draws arcs in any lift, arbitrary descriptors (also
 ones that list arcs ending at their corays, which ``make_desc`` would
 drop), closures, and torsion pairs with a few items toggled.
 """
@@ -325,7 +327,7 @@ class TestDescriptors:
 
 
 class TestBijection:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_every_object(self, n):
         tube = Tube(n)
         for u in rigid_objects(n):
