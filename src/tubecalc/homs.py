@@ -2,9 +2,18 @@
 
 Two arcs cross negatively in the configuration i' < i < j' < j (reading the
 second arc's lift inside the first); the number of such lifts is the
-dimension of Ext^1.  Hom dimensions count the epi-mono factorizations
-through a common shortening.  Every count reduces to the number of
-multiples of n inside an integer interval, so all functions here are O(1).
+dimension of Ext^1.  Every dimension here is the length of one range of
+multiples of n (``_multiples``), so all functions are O(1).
+
+Hom needs no count of its own: by the Auslander-Reiten formula
+Ext^1(X, Y) = D Hom(Y, tau X), so dim Hom(x, y) = dim Ext^1(tau^{-1} y, x).
+For x = [a, b] and y = [c, d], Hom counts the k with
+max(a - c, b - d) <= kn <= b - c - 2 (epi-mono factorizations through a
+common shortening), and Ext(tau^{-1} y, x) the k with
+c - b + 2 <= kn <= min(c - a, d - b): k -> -k maps one set onto the other.
+``tests/test_oracle.py`` and the benchmark's ``crosscheck_oracle`` workload
+check both dimensions independently, against the rank of the intertwiner
+system of the quiver representations.
 """
 
 from __future__ import annotations
@@ -37,35 +46,19 @@ class InfinitePairError(ValueError):
     """Hom between two one-sided arcs is outside this calculus."""
 
 
-def _count_open(n: int, lo: int, hi: int) -> int:
-    """Number of integers m with lo < m*n < hi."""
-    if hi - lo < 2:
-        return 0
-    first = lo // n + 1
-    last = (hi - 1) // n
-    return max(0, last - first + 1)
-
-
-def _count_closed(n: int, lo: int, hi: int) -> int:
-    """Number of integers m with lo <= m*n <= hi."""
-    if hi < lo:
-        return 0
-    first = -((-lo) // n)
-    last = hi // n
-    return max(0, last - first + 1)
+def _multiples(n: int, lo: int, hi: int) -> range:
+    """The integers k with lo <= k*n <= hi."""
+    return range(-(-lo // n), hi // n + 1)
 
 
 def neg_crossings(tube: Tube, a: IndObj, b: IndObj) -> ExtDim:
     """Negative crossing count I^-(a, b) of the two arcs on the annulus."""
-    n = tube.n
     if a.is_finite and b.is_finite:
-        lo = a.start - b.end
-        hi = min(a.start - b.start, a.end - b.end)
-        return _count_open(n, lo, hi)
+        return len(neg_crossing_shifts(tube, a, b))
     if a.is_prufer and b.is_finite:
-        return _count_open(n, b.start - a.start, b.end - a.start)
+        return len(_multiples(tube.n, b.start - a.start + 1, b.end - a.start - 1))
     if a.is_finite and b.is_adic:
-        return _count_open(n, a.start - b.end, a.end - b.end)
+        return len(_multiples(tube.n, a.start - b.end + 1, a.end - b.end - 1))
     if a.is_prufer and b.is_adic:
         return ALEPH0
     # finite/Prufer, adic/anything, Prufer/Prufer: never cross negatively
@@ -78,13 +71,13 @@ def pos_crossings(tube: Tube, a: IndObj, b: IndObj) -> ExtDim:
 
 
 def neg_crossing_shifts(tube: Tube, a: IndObj, b: IndObj) -> range:
-    """The shifts k for which the k-th lift of b crosses a negatively (finite arcs), lazily."""
+    """The shifts k for which the k-th lift of b crosses a negatively (finite
+    arcs), lazily: the k with a.start - b.end < k*n < min(a.start - b.start,
+    a.end - b.end)."""
     if not (a.is_finite and b.is_finite):
         raise ValueError("crossing shifts are only enumerated for finite arcs")
-    n = tube.n
-    lo = a.start - b.end
     hi = min(a.start - b.start, a.end - b.end)
-    return range(lo // n + 1, (hi - 1) // n + 1)  # the k with lo < k*n < hi
+    return _multiples(tube.n, a.start - b.end + 1, hi - 1)
 
 
 def ext_dim(tube: Tube, x: IndObj, y: IndObj) -> ExtDim:
@@ -93,20 +86,11 @@ def ext_dim(tube: Tube, x: IndObj, y: IndObj) -> ExtDim:
 
 
 def hom_dim(tube: Tube, x: IndObj, y: IndObj) -> int:
-    """dim Hom(x, y); undefined (raises) when both arcs are one-sided."""
-    n = tube.n
-    if x.is_finite and y.is_finite:
-        a, b, c, d = x.start, x.end, y.start, y.end
-        return _count_closed(n, max(a - c, b - d), b - 2 - c)
-    if x.is_finite and y.is_prufer:
-        return _count_closed(n, x.start - y.start, x.end - 2 - y.start)
-    if x.is_adic and y.is_finite:
-        return _count_closed(n, y.start + 2 - x.end, y.end - x.end)
-    if x.is_prufer and y.is_finite:
-        return 0
-    if x.is_finite and y.is_adic:
-        return 0
-    raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
+    """dim Hom(x, y) = dim Ext^1(tau^{-1} y, x); undefined (raises) when both
+    arcs are one-sided."""
+    if not (x.is_finite or y.is_finite):
+        raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
+    return neg_crossings(tube, tube.tau_inv(y), x)
 
 
 def is_rigid(tube: Tube, objs) -> bool:

@@ -100,8 +100,10 @@ def _check_rep(rep: QuivRep) -> None:
                 raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
 
 
-def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cyclic: bool) -> QuivRep:
-    """Basis b_0..b_{length-1}; b_t sits at vertex socle+t, arrows send b_t -> b_{t-1}."""
+def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int) -> QuivRep:
+    """Basis b_0..b_{length-1}; b_t sits at vertex socle+t mod the vertex
+    count (on the linear quiver socle+t stays below it), arrows send
+    b_t -> b_{t-1}."""
     _check_prime(p)
     nv = shape.num_vertices
     dims = [0] * nv
@@ -109,7 +111,7 @@ def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cycli
     entries = [[] for _ in shape.arrows]  # nonzero cells, arrow by arrow
     prev = None  # the vertex of b_{t-1}, where it is the last basis vector so far
     for t in range(length):
-        v = (socle_vertex + t) % nv if cyclic else socle_vertex + t
+        v = (socle_vertex + t) % nv
         if t:  # b_t -> b_{t-1} along the arrow v -> prev
             entries[arrow_of[v, prev]].append((dims[prev] - 1, dims[v], 1))
         dims[v] += 1
@@ -122,13 +124,13 @@ def build_rep(tube: Tube, obj: IndObj, p: int = DEFAULT_PRIME) -> QuivRep:
     """Nilpotent cyclic-quiver representation of a finite arc."""
     if not obj.is_finite:
         raise ValueError("only finite arcs have matrix representations")
-    return _uniserial(cyclic_quiver(tube.n), obj.start % tube.n, obj.length, p, cyclic=True)
+    return _uniserial(cyclic_quiver(tube.n), obj.start % tube.n, obj.length, p)
 
 
 def build_rep_a(m: int, arc: AArc, p: int = DEFAULT_PRIME) -> QuivRep:
     """Linear-quiver representation of a segment arc (socle S_{i+1})."""
     check_arc(m, arc)
-    return _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1, p, cyclic=False)
+    return _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1, p)
 
 
 def euler_form(shape: QuiverShape, d, e) -> int:

@@ -165,33 +165,38 @@ def _reach_low(n: int, objs) -> Tuple[Dict[int, int], Dict[int, int]]:
     )
 
 
-def _closure_arcs(
-    tube: Tube, bound: Dict[int, int], quotients: bool, shift: int = 0, skip=()
-) -> List[IndObj]:
-    """The arcs of a closure, read off one array: the subobjects [a, e] with
-    e <= reach[a] (bound = reach), or the quotients [i, a] with i >= low[a]
-    (bound = low, ``quotients``); moved by tau^{-shift}, and without the arcs
-    whose fixed end a lies in skip."""
+def _closure_side(
+    tube: Tube, bound: Dict[int, int], quotients: bool, shift: int = 0,
+    rays=frozenset(), corays=frozenset(),
+) -> SubcatDesc:
+    """A closure read off one array, with a family: the subobjects [a, e]
+    with e <= reach[a] (bound = reach), or the quotients [i, a] with
+    i >= low[a] (bound = low, ``quotients``); moved by tau^{-shift}.  The
+    arcs the family implies are those anchored at it, so they are skipped
+    rather than built, and the result is canonical."""
     n = tube.n
-    out = []
+    if len(rays) == n or len(corays) == n:
+        return everything(tube)
+    skip = rays | corays
+    arcs = []
     for a, b in bound.items():
         if a not in skip:
-            out += tube.fan((a + shift) % n, a - b if quotients else b - a, at_end=quotients)
-    return out
+            arcs += tube.fan((a + shift) % n, a - b if quotients else b - a, at_end=quotients)
+    return SubcatDesc(frozenset(arcs), rays, corays)
 
 
 def left_closure(tube: Tube, objs) -> frozenset:
     """The quotients of finite arcs: same end, start moved weakly right
     (from ``low`` on)."""
     _, low = _reach_low(tube.n, objs)
-    return frozenset(_closure_arcs(tube, low, quotients=True))
+    return _closure_side(tube, low, quotients=True).finite_objs
 
 
 def right_closure(tube: Tube, objs) -> frozenset:
     """The subobjects of finite arcs: same start, end moved weakly left
     (down from ``reach``)."""
     reach, _ = _reach_low(tube.n, objs)
-    return frozenset(_closure_arcs(tube, reach, quotients=False))
+    return _closure_side(tube, reach, quotients=False).finite_objs
 
 
 def reflect_desc(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
@@ -414,20 +419,6 @@ def count_max_rigid(tube: Tube) -> int:
 # -- the bijection -----------------------------------------------------------------
 
 
-def _closure_side(
-    tube: Tube, bound: Dict[int, int], quotients: bool, shift: int = 0,
-    rays=frozenset(), corays=frozenset(),
-) -> SubcatDesc:
-    """One side of the pair of a maximal rigid object: the closure that
-    ``bound`` fixes, moved by tau^{-shift} (see ``_closure_arcs``), with its
-    family.  The arcs the family implies are those anchored at it, so they
-    are skipped rather than built, and the result is canonical."""
-    if len(rays) == tube.n or len(corays) == tube.n:
-        return everything(tube)
-    arcs = _closure_arcs(tube, bound, quotients, shift, skip=rays | corays)
-    return SubcatDesc(frozenset(arcs), rays, corays)
-
-
 def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     """The torsion pair of a maximal rigid object, read off the reach and low
     arrays of its finite part.  Prufer type: T is tau^{-1} of the quotient
@@ -436,6 +427,9 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     subobject closure."""
     n = tube.n
     reach, low = _reach_low(n, [x for x in rigid.summands if None not in x])
+    for s, e in reach.items():
+        if e - s > n:  # an arc spanning more than n crosses its own lift
+            raise ValidationError(f"summand {IndObj(s, e)} spans more than {n}, so it is not rigid")
     if rigid.kind == PRUFER:
         rays = frozenset(s % n for s, e in rigid.summands if e is None)
         if not rays:

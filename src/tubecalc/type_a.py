@@ -175,13 +175,14 @@ def enumerate_tilting(m: int) -> List[frozenset]:
 
 
 def is_tilting(m: int, arcs) -> bool:
-    arcs = set(arcs)
-    if len(arcs) != m or (m > 0 and AArc(0, m + 1) not in arcs):
+    """m pairwise noncrossing arcs, [0, m+1] among them; ``check_arc``'s
+    ValueError for an arc that does not fit the segment."""
+    pairs = sorted(_segment_pairs(m, frozenset(arcs)))
+    if len(pairs) != m or (m > 0 and (0, m + 1) not in pairs):
         return False
-    items = sorted(arcs, key=lambda a: (a.i, a.j))
-    for p, x in enumerate(items):
-        for y in items[p + 1:]:
-            if crossing(x, y):
+    for p, (i, j) in enumerate(pairs):
+        for k, l in pairs[p + 1:]:
+            if i < k < j < l:  # k >= i in sorted order
                 return False
     return True
 

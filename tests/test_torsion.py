@@ -561,6 +561,17 @@ class TestPairByDefinition:
             with pytest.raises(ValidationError, match=message):
                 torsion_pair_of(t2, rigid)
 
+    @needs_alarm
+    def test_rejects_a_summand_longer_than_the_rank(self):
+        # an arc spanning more than n is not self-rigid; its closure would
+        # list every arc up to its length
+        t3 = Tube(3)
+        long = IndObj(0, 10**12)
+        for kind, one_sided in ((PRUFER, t3.prufer(0)), (ADIC, t3.adic(0))):
+            with time_limit(5):
+                with pytest.raises(ValidationError, match=r"M\[0,1000000000000\] spans more than 3"):
+                    torsion_pair_of(t3, MaxRigid(frozenset({one_sided, long}), kind))
+
 
 class TestIsTorsionPair:
     def test_rank_one_has_exactly_two(self):

@@ -82,6 +82,18 @@ class TestTilting:
         for u in ta.enumerate_tilting(m):
             assert ta.is_tilting(m, u)
 
+    def test_is_tilting_refuses_arcs_off_the_segment(self):
+        # a boundary edge and an arc past the last point are no arcs of the segment
+        with pytest.raises(ValueError, match=r"arc \[1,2\] does not fit"):
+            ta.is_tilting(2, [AArc(0, 3), AArc(1, 2)])
+        with pytest.raises(ValueError, match=r"arc \[5,9\] does not fit"):
+            ta.is_tilting(3, [AArc(0, 4), AArc(0, 2), AArc(5, 9)])
+
+    def test_is_tilting_negative_cases(self):
+        assert not ta.is_tilting(3, [AArc(0, 4), AArc(0, 2), AArc(1, 3)])  # crossing
+        assert not ta.is_tilting(3, [AArc(0, 4), AArc(0, 2)])  # too few
+        assert not ta.is_tilting(2, [AArc(0, 2), AArc(1, 3)])  # no [0, m+1]
+
     def test_enumeration_is_deterministic(self):
         assert ta.enumerate_tilting(5) == ta.enumerate_tilting(5)
 
