@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class IndObj(namedtuple("IndObj", "start end")):
@@ -68,10 +68,6 @@ class Wing:
     start: int
     end: int
 
-    @property
-    def is_zero(self) -> bool:
-        return self.end - self.start <= 1
-
 
 def sort_key(obj: IndObj) -> Tuple[int, int, int]:
     """Deterministic ordering: finite arcs first, then Prufer, then adic."""
@@ -89,7 +85,7 @@ class Tube:
         if n < 1:
             raise ValueError(f"rank must be a positive integer, got {n}")
         self.n = n
-        self._fans = {}  # (anchor, at_end) -> arcs by span, see fan()
+        self._fans = ({}, {})  # [at_end][anchor] -> arcs by span, see fans()
 
     def __repr__(self) -> str:
         return f"Tube({self.n})"
@@ -134,19 +130,31 @@ class Tube:
     def fan(self, anchor: int, longest: int, at_end: bool = False) -> List[IndObj]:
         """The canonical arcs that start at ``anchor`` (or end at residue
         ``anchor`` if at_end) with span end - start from 2 to longest, in
-        that order.  Each arc is built once per tube and shared by later
-        calls; a grown row replaces the old one, which is never changed, so
-        concurrent callers each see a consistent row."""
+        that order."""
+        return self.fans({anchor: longest}, at_end)
+
+    def fans(self, spans: Dict[int, int], at_end: bool = False) -> List[IndObj]:
+        """``fan(anchor, longest, at_end)`` for every ``anchor: longest`` of
+        ``spans``, in its order, as one list: a closure's arcs in one call.
+        Each arc is built once per tube, in a row per anchor that later
+        calls share; a grown row replaces the old one, which is never
+        changed, so concurrent callers each see a consistent row."""
         n = self.n
-        anchor %= n
-        row = self._fans.get((anchor, at_end), [])
-        if len(row) < longest - 1:
-            row = list(row)
-            for span in range(len(row) + 2, longest + 1):
-                s = (anchor - span) % n if at_end else anchor
-                row.append(IndObj(s, s + span))
-            self._fans[anchor, at_end] = row
-        return row[:longest - 1]
+        rows = self._fans[at_end]
+        out: List[IndObj] = []
+        for anchor, longest in spans.items():
+            if longest < 2:
+                continue
+            anchor %= n
+            row = rows.get(anchor, ())
+            if len(row) < longest - 1:
+                row = list(row)
+                for span in range(len(row) + 2, longest + 1):
+                    s = (anchor - span) % n if at_end else anchor
+                    row.append(IndObj(s, s + span))
+                rows[anchor] = row
+            out += row[:longest - 1]
+        return out
 
     # -- elementary symmetries ----------------------------------------------
 
@@ -178,14 +186,6 @@ class Tube:
         return IndObj(s, s + obj.end - obj.start)
 
     # -- wings ----------------------------------------------------------------
-
-    def wing_members(self, i: int, t: int) -> frozenset:
-        """All arcs [a,b] with i <= a and b <= i+t; empty for t <= 1."""
-        out = set()
-        for a in range(i, i + t - 1):
-            for b in range(a + 2, i + t + 1):
-                out.add(self.normalize(a, b))
-        return frozenset(out)
 
     def wing_intersection(self, indices: Iterable[int]) -> List[Wing]:
         """Cyclically consecutive wings cut out by a set of marked points.
@@ -230,9 +230,27 @@ def format_obj(obj: IndObj) -> str:
     return f"M[{s},{e}]"
 
 
+# The names of the finite arcs format_finite has printed.  The rank-8 census
+# names 56 distinct arcs 238,288 times in all; past MAX_NAMES entries the
+# memo starts again, so its size stays bounded whatever is named.  A name
+# depends on its arc alone, so callers (and threads) can share the memo: a
+# race costs a miss, never a wrong name.
+MAX_NAMES = 1 << 12
+_NAMES: Dict[IndObj, str] = {}
+
+
 def format_finite(objs: Iterable[IndObj]) -> List[str]:
     """The finite arcs, in :func:`sort_key` order, each as :func:`format_obj` prints it."""
-    return list(map(FINITE_ARC.__mod__, sorted(objs)))
+    arcs = sorted(objs)
+    try:
+        return list(map(_NAMES.__getitem__, arcs))
+    except KeyError:
+        names = list(map(FINITE_ARC.__mod__, arcs))
+        if len(_NAMES) + len(names) > MAX_NAMES:
+            _NAMES.clear()
+        if len(names) <= MAX_NAMES:
+            _NAMES.update(zip(arcs, names))
+        return names
 
 
 def parse_endpoints(text: str) -> Tuple[Optional[int], Optional[int]]:

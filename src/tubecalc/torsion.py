@@ -35,8 +35,10 @@ The closures, the perps and the quotient check read the ``reach`` and
 ``low`` arrays that ``type_a`` builds (see there), with each arc on its
 anchored lift.  ``torsion_pair_of`` reads both sides of the pair off these
 two arrays (tau and tau^{-1} shift the anchor by one), and ``right_perp``
-its result off ``shortest``; both take the arcs from the tube's table
-(``Tube.fan``), so they neither normalize nor build an arc per member.
+its result off ``shortest``.  Every closure takes its arcs from the tube's
+fan table: ``_closure_side`` turns its array into one ``{anchor: span}``
+map and reads all its rows in one ``Tube.fans`` call, so a closure neither
+normalizes nor builds an arc per member.
 
 The inverse reads the finite part of a Prufer-type U off T = tau^{-1}
 Gen(U_fin): it is the set of Ext-projectives of tau T, which ``type_a``'s
@@ -73,6 +75,7 @@ CORAY = "coray"
 PRUFER = "prufer"
 ADIC = "adic"
 MAX_COUNT_RANK = 1000  # the largest rank count_max_rigid answers
+_arc = tuple.__new__  # an IndObj without the check that one end is finite
 
 
 class ValidationError(ValueError):
@@ -173,16 +176,15 @@ def _closure_side(
     with e <= reach[a] (bound = reach), or the quotients [i, a] with
     i >= low[a] (bound = low, ``quotients``); moved by tau^{-shift}.  The
     arcs the family implies are those anchored at it, so they are skipped
-    rather than built, and the result is canonical."""
+    rather than built, and the result is canonical.  The arcs are the rows
+    of the tube's fan table, read in one ``Tube.fans`` call."""
     n = tube.n
     if len(rays) == n or len(corays) == n:
         return everything(tube)
     skip = rays | corays
-    arcs = []
-    for a, b in bound.items():
-        if a not in skip:
-            arcs += tube.fan((a + shift) % n, a - b if quotients else b - a, at_end=quotients)
-    return SubcatDesc(frozenset(arcs), rays, corays)
+    sign = -1 if quotients else 1
+    spans = {a + shift: sign * (b - a) for a, b in bound.items() if a not in skip}
+    return SubcatDesc(frozenset(tube.fans(spans, at_end=quotients)), rays, corays)
 
 
 def left_closure(tube: Tube, objs) -> frozenset:
@@ -332,8 +334,13 @@ def reflect_rigid(tube: Tube, rigid: MaxRigid) -> MaxRigid:
 
 
 @lru_cache(maxsize=None)
-def _tilting_sets(m: int) -> Tuple[frozenset, ...]:
-    return tuple(type_a.enumerate_tilting(m))
+def _tilting_offsets(m: int, mirror: bool) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """The tilting sets of A_m, each arc [i, j] as (offset, span): placed in
+    a wing at base c it starts at c + i, or mirrored at -c - j (see
+    :func:`_iter_prufer_type`), and spans j - i; the sets share these
+    pairs, one per arc of the segment."""
+    pair = {a: (-a.j if mirror else a.i, a.j - a.i) for a in type_a.all_arcs(m)}
+    return tuple(tuple(map(pair.__getitem__, t)) for t in type_a.enumerate_tilting(m))
 
 
 def prufer_type_rigids(tube: Tube, indices: Iterable[int]) -> List[MaxRigid]:
@@ -341,46 +348,48 @@ def prufer_type_rigids(tube: Tube, indices: Iterable[int]) -> List[MaxRigid]:
     return list(_iter_prufer_type(tube, indices))
 
 
-def _iter_prufer_type(tube: Tube, indices: Iterable[int]) -> Iterator[MaxRigid]:
-    """The objects of :func:`prufer_type_rigids`, one at a time.
+def _iter_prufer_type(tube: Tube, indices: Iterable[int], mirror: bool = False) -> Iterator[MaxRigid]:
+    """The objects of :func:`prufer_type_rigids`, one at a time, or with
+    ``mirror`` their reflections, in the same order.
 
     The finite summands form a tilting set inside each wing between
     cyclically consecutive Prufer indices, embedded by shifting segment
-    arcs to the wing base; each tilting set is placed once per wing.
+    arcs to the wing base; each tilting set is placed once per wing.  The
+    reflection [i, j] -> [-j, -i] maps a wing to a wing, so a mirrored wing
+    is placed the same way: the arc [base + i, base + j] lands at start
+    -(base + j) mod n with its span j - i, and the Prufer at the base
+    becomes the adic at -base.
     """
     try:
         wings = tube.wing_intersection(indices)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     n = tube.n
-
-    def place(base: int, arc: type_a.AArc) -> IndObj:
-        start = (base + arc.i) % n
-        return IndObj(start, start + arc.j - arc.i)
-
-    prufers = [IndObj(w.start, None) for w in wings]
-    placed = [
-        [[place(w.start, a) for a in tilting] for tilting in _tilting_sets(w.end - w.start - 1)]
-        for w in wings
-    ]
+    if mirror:
+        family, kind, sign = [IndObj(None, -w.start % n) for w in wings], ADIC, -1
+    else:
+        family, kind, sign = [IndObj(w.start, None) for w in wings], PRUFER, 1
+    placed = []
+    for w in wings:
+        c = sign * w.start
+        placed.append([
+            [_arc(IndObj, ((c + i) % n, (c + i) % n + d)) for i, d in tilting]
+            for tilting in _tilting_offsets(w.end - w.start - 1, mirror)
+        ])
     for combo in itertools.product(*placed):
-        yield MaxRigid(frozenset(itertools.chain(prufers, *combo)), PRUFER)
-
-
-def _prufer_side(tube: Tube) -> Iterator[MaxRigid]:
-    for size in range(1, tube.n + 1):
-        for idx in itertools.combinations(range(tube.n), size):
-            yield from _iter_prufer_type(tube, idx)
+        yield MaxRigid(frozenset(itertools.chain(family, *combo)), kind)
 
 
 def iter_max_rigid(tube: Tube) -> Iterator[MaxRigid]:
     """Prufer-type objects first (subsets by size then lexicographically,
-    then the tilting choices per wing), followed by their reflections.
-    Lazy: the adic side walks the Prufer side a second time rather than
-    keep it."""
-    yield from _prufer_side(tube)
-    for u in _prufer_side(tube):
-        yield reflect_rigid(tube, u)
+    then the tilting choices per wing), followed by their reflections in
+    the same order.  Lazy, and the adic side costs what the Prufer side
+    does: it is placed wing by wing already mirrored (see
+    :func:`_iter_prufer_type`), not reflected object by object."""
+    for mirror in (False, True):
+        for size in range(1, tube.n + 1):
+            for idx in itertools.combinations(range(tube.n), size):
+                yield from _iter_prufer_type(tube, idx, mirror)
 
 
 def enumerate_max_rigid(tube: Tube) -> List[MaxRigid]:
@@ -424,31 +433,56 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     arrays of its finite part.  Prufer type: T is tau^{-1} of the quotient
     closure, F the subobject closure with the rays.  Adic type is the
     mirror: T is the quotient closure with the corays, F tau of the
-    subobject closure."""
+    subobject closure.
+
+    ``ValidationError`` refuses an object with a summand that spans more
+    than n, without a Prufer (adic) summand, of an unknown kind, with other
+    than n summands, or whose kind is Prufer (adic) while it holds an adic
+    (Prufer) summand; each check is O(1) per summand.  Two crossing finite
+    summands are trusted, not refused: the pair is then wrong, and
+    ``is_torsion_pair`` rejects it.
+    """
     n = tube.n
-    reach, low = _reach_low(n, [x for x in rigid.summands if None not in x])
+    prufers, adics, subs, quots = [], [], [], []
+    for x in rigid.summands:  # one pass: the anchored lifts of _reach_low
+        s, e = x
+        if e is None:
+            prufers.append(x)
+        elif s is None:
+            adics.append(x)
+        else:
+            a, r = s % n, e % n
+            subs.append((a, a + e - s))
+            quots.append((r - e + s, r))
+    reach, low = type_a._reach(subs), type_a._low(quots)
     for s, e in reach.items():
         if e - s > n:  # an arc spanning more than n crosses its own lift
             raise ValidationError(f"summand {IndObj(s, e)} spans more than {n}, so it is not rigid")
     if rigid.kind == PRUFER:
-        rays = frozenset(s % n for s, e in rigid.summands if e is None)
-        if not rays:
-            raise ValidationError("Prufer-type object has no Prufer summand")
+        family, stray, name, other = prufers, adics, "Prufer", "adic"
+    elif rigid.kind == ADIC:
+        family, stray, name, other = adics, prufers, "adic", "Prufer"
+    else:
+        raise ValidationError(f"unknown kind {rigid.kind!r}")
+    if not family:
+        raise ValidationError(f"{name}-type object has no {name} summand")
+    if len(rigid.summands) != n:
+        raise ValidationError(
+            f"a maximal rigid object in rank {n} has {n} summands, got {len(rigid.summands)}"
+        )
+    if stray:
+        raise ValidationError(f"{name}-type object holds the {other} summand {stray[0]}")
+    if rigid.kind == PRUFER:
         return TorsionPair(
             _closure_side(tube, low, quotients=True, shift=1),
-            _closure_side(tube, reach, quotients=False, rays=rays),
+            _closure_side(tube, reach, quotients=False, rays=frozenset(s % n for s, _ in family)),
             RAY,
         )
-    if rigid.kind == ADIC:
-        corays = frozenset(e % n for s, e in rigid.summands if s is None)
-        if not corays:
-            raise ValidationError("adic-type object has no adic summand")
-        return TorsionPair(
-            _closure_side(tube, low, quotients=True, corays=corays),
-            _closure_side(tube, reach, quotients=False, shift=-1),
-            CORAY,
-        )
-    raise ValidationError(f"unknown kind {rigid.kind!r}")
+    return TorsionPair(
+        _closure_side(tube, low, quotients=True, corays=frozenset(e % n for _, e in family)),
+        _closure_side(tube, reach, quotients=False, shift=-1),
+        CORAY,
+    )
 
 
 def _ext_projectives(tube: Tube, tau_t, rays) -> MaxRigid:

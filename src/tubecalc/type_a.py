@@ -177,13 +177,19 @@ def enumerate_tilting(m: int) -> List[frozenset]:
 def is_tilting(m: int, arcs) -> bool:
     """m pairwise noncrossing arcs, [0, m+1] among them; ``check_arc``'s
     ValueError for an arc that does not fit the segment."""
-    pairs = sorted(_segment_pairs(m, frozenset(arcs)))
+    pairs = _segment_pairs(m, frozenset(arcs))
     if len(pairs) != m or (m > 0 and (0, m + 1) not in pairs):
         return False
-    for p, (i, j) in enumerate(pairs):
-        for k, l in pairs[p + 1:]:
-            if i < k < j < l:  # k >= i in sorted order
-                return False
+    # By start, then longest first: the arcs that still cover a start are
+    # nested, innermost on top, and [k, l] crosses one of them iff it
+    # crosses the top one, [i, j] with i < k < j < l.
+    stack: List[Tuple[int, int]] = []
+    for k, l in sorted(pairs, key=lambda p: (p[0], -p[1])):
+        while stack and stack[-1][1] <= k:
+            stack.pop()
+        if stack and stack[-1][0] < k and stack[-1][1] < l:
+            return False
+        stack.append((k, l))
     return True
 
 

@@ -34,6 +34,7 @@ from tubecalc.torsion import (
     reflect_rigid,
     torsion_pair_of,
 )
+from wings import wing_members
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 
@@ -193,7 +194,7 @@ def test_criterion_9_worked_example():
     tube = Tube(14)
     idx = [0, 6, 10, 13]
     wings = [(0, 7), (6, 11), (10, 14), (13, 15)]
-    wing_sets = [tube.wing_members(a, b - a) for (a, b) in wings]
+    wing_sets = [wing_members(tube, a, b - a) for (a, b) in wings]
     rigids = prufer_type_rigids(tube, idx)
     assert rigids
     for u in rigids:
@@ -204,7 +205,7 @@ def test_criterion_9_worked_example():
             assert sum(1 for w in wing_sets if x in w) == 1, (u, x)
     decomposition = Tube(10).wing_intersection([0, 4, 7, 8])
     assert [(w.start, w.end) for w in decomposition] == [(0, 4), (4, 7), (7, 8), (8, 10)]
-    assert [w.is_zero for w in decomposition] == [False, False, True, False]
+    assert [w.end - w.start <= 1 for w in decomposition] == [False, False, True, False]
     report(9, "rank-14 worked example and wing decomposition", started)
 
 

@@ -1,0 +1,322 @@
+"""The census path (enumeration, ``torsion_pair_of``, arc names) against the
+code it replaced.
+
+The reference below is the old code, copied unchanged: the adic half of
+``iter_max_rigid`` reflects every Prufer-type object summand by summand,
+``torsion_pair_of`` filters the finite summands and the family in separate
+passes and takes one ``Tube.fan`` call per array entry, and
+``format_finite`` formats every arc it is given.  The new code places the
+adic half wing by wing already mirrored, reads the summands in one pass,
+takes each closure from one ``Tube.fans`` call, and reads names from a
+bounded memo.  Hypothesis draws arbitrary ``MaxRigid`` values, invalid ones
+included: the new refusals (a summand count other than n, a summand of the
+other family) are asserted on their own, every other outcome must be the
+old one.
+"""
+
+import contextlib
+import io
+import itertools
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Tuple
+
+import pytest
+
+from tubecalc import arcs as arcs_mod
+from tubecalc import cli
+from tubecalc import torsion as tor
+from tubecalc import type_a
+from tubecalc.arcs import FINITE_ARC, IndObj, Tube, format_finite
+from tubecalc.torsion import (
+    ADIC,
+    CORAY,
+    PRUFER,
+    RAY,
+    MaxRigid,
+    SubcatDesc,
+    TorsionPair,
+    ValidationError,
+    everything,
+    reflect_rigid,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# -- reference ---------------------------------------------------------------------
+
+
+def _iter_prufer_type(tube: Tube, indices: Iterable[int]) -> Iterator[MaxRigid]:
+    try:
+        wings = tube.wing_intersection(indices)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+    n = tube.n
+
+    def place(base: int, arc: type_a.AArc) -> IndObj:
+        start = (base + arc.i) % n
+        return IndObj(start, start + arc.j - arc.i)
+
+    prufers = [IndObj(w.start, None) for w in wings]
+    placed = [
+        [[place(w.start, a) for a in tilting] for tilting in type_a.enumerate_tilting(w.end - w.start - 1)]
+        for w in wings
+    ]
+    for combo in itertools.product(*placed):
+        yield MaxRigid(frozenset(itertools.chain(prufers, *combo)), PRUFER)
+
+
+def _prufer_side(tube: Tube) -> Iterator[MaxRigid]:
+    for size in range(1, tube.n + 1):
+        for idx in itertools.combinations(range(tube.n), size):
+            yield from _iter_prufer_type(tube, idx)
+
+
+def iter_max_rigid(tube: Tube) -> Iterator[MaxRigid]:
+    yield from _prufer_side(tube)
+    for u in _prufer_side(tube):
+        yield reflect_rigid(tube, u)
+
+
+def _reach_low(n: int, objs) -> Tuple[Dict[int, int], Dict[int, int]]:
+    try:
+        spans = [(s % n, e % n, e - s) for s, e in objs]
+    except TypeError:  # a None endpoint
+        raise ValueError("one-sided arcs have no finite length") from None
+    return (
+        type_a._reach([(s, s + d) for s, _, d in spans]),
+        type_a._low([(r - d, r) for _, r, d in spans]),
+    )
+
+
+def _closure_side(
+    tube: Tube, bound: Dict[int, int], quotients: bool, shift: int = 0,
+    rays=frozenset(), corays=frozenset(),
+) -> SubcatDesc:
+    n = tube.n
+    if len(rays) == n or len(corays) == n:
+        return everything(tube)
+    skip = rays | corays
+    arcs = []
+    for a, b in bound.items():
+        if a not in skip:
+            arcs += tube.fan((a + shift) % n, a - b if quotients else b - a, at_end=quotients)
+    return SubcatDesc(frozenset(arcs), rays, corays)
+
+
+def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
+    n = tube.n
+    reach, low = _reach_low(n, [x for x in rigid.summands if None not in x])
+    for s, e in reach.items():
+        if e - s > n:  # an arc spanning more than n crosses its own lift
+            raise ValidationError(f"summand {IndObj(s, e)} spans more than {n}, so it is not rigid")
+    if rigid.kind == PRUFER:
+        rays = frozenset(s % n for s, e in rigid.summands if e is None)
+        if not rays:
+            raise ValidationError("Prufer-type object has no Prufer summand")
+        return TorsionPair(
+            _closure_side(tube, low, quotients=True, shift=1),
+            _closure_side(tube, reach, quotients=False, rays=rays),
+            RAY,
+        )
+    if rigid.kind == ADIC:
+        corays = frozenset(e % n for s, e in rigid.summands if s is None)
+        if not corays:
+            raise ValidationError("adic-type object has no adic summand")
+        return TorsionPair(
+            _closure_side(tube, low, quotients=True, corays=corays),
+            _closure_side(tube, reach, quotients=False, shift=-1),
+            CORAY,
+        )
+    raise ValidationError(f"unknown kind {rigid.kind!r}")
+
+
+def old_format_finite(objs) -> List[str]:
+    return list(map(FINITE_ARC.__mod__, sorted(objs)))
+
+
+# -- comparison ----------------------------------------------------------------------
+
+N_MAX = 6
+
+
+def outcome(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def new_refusal(tube: Tube, rigid: MaxRigid):
+    """The refusal the old code did not make, as ``outcome`` reports it, or None."""
+    n = tube.n
+    if len(rigid.summands) != n:
+        message = f"a maximal rigid object in rank {n} has {n} summands, got {len(rigid.summands)}"
+        return ("ValidationError", message)
+    name, other, is_stray = {
+        PRUFER: ("Prufer", "adic", lambda x: x.start is None),
+        ADIC: ("adic", "Prufer", lambda x: x.end is None),
+    }[rigid.kind]
+    strays = [x for x in rigid.summands if is_stray(x)]
+    if strays:
+        return ("ValidationError", f"{name}-type object holds the {other} summand {strays[0]}")
+    return None
+
+
+@lru_cache(maxsize=None)
+def rigid_objects(n: int):
+    return tor.enumerate_max_rigid(Tube(n))
+
+
+@st.composite
+def rigid_values(draw):
+    """Arbitrary ``MaxRigid`` values: arcs in any lift (short, long and
+    one-sided ones too), any number of them, any kind; sometimes a real
+    maximal rigid object with a summand swapped, dropped or added."""
+    n = draw(st.integers(1, N_MAX))
+    tube = Tube(n)
+    finite = st.builds(
+        lambda s, d: IndObj(s, s + d), st.integers(-2 * n, 2 * n), st.integers(0, 2 * n + 2)
+    )
+    one_sided = st.one_of(
+        st.builds(lambda s: IndObj(s, None), st.integers(-n, 2 * n)),
+        st.builds(lambda e: IndObj(None, e), st.integers(-n, 2 * n)),
+    )
+    arc = st.one_of(finite, one_sided)
+    kind = draw(st.sampled_from([PRUFER, ADIC, PRUFER, ADIC, "ray"]))
+    if draw(st.booleans()):
+        objects = rigid_objects(n)
+        summands = set(objects[draw(st.integers(0, len(objects) - 1))].summands)
+        for _ in range(draw(st.integers(0, 2))):
+            if summands and draw(st.booleans()):
+                summands.discard(draw(st.sampled_from(sorted(summands, key=arcs_mod.sort_key))))
+            if draw(st.booleans()):
+                summands.add(draw(arc))
+    else:
+        summands = draw(st.sets(arc, max_size=n + 2))
+    return tube, MaxRigid(frozenset(summands), kind)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_objects_in_the_same_order(self, n):
+        tube = Tube(n)
+        new = tor.iter_max_rigid(tube)
+        for old_u, new_u in itertools.zip_longest(iter_max_rigid(tube), new):
+            assert new_u == old_u
+
+    def test_census_reflects_no_object(self, monkeypatch):
+        calls = {"reflect_rigid": 0, "Tube.reflect": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(tor, "reflect_rigid", counted("reflect_rigid", tor.reflect_rigid))
+        monkeypatch.setattr(Tube, "reflect", counted("Tube.reflect", Tube.reflect))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["pairs", "enumerate", "--rank", "6"]) == 0
+        assert out.getvalue().count("\n") == tor.count_max_rigid(Tube(6))
+        assert calls == {"reflect_rigid": 0, "Tube.reflect": 0}
+        # the counters see calls when there are some
+        tor.reflect_rigid(Tube(2), MaxRigid(frozenset({IndObj(0, None)}), PRUFER))
+        assert calls["reflect_rigid"] == 1 and calls["Tube.reflect"] == 1
+
+
+class TestTorsionPairOf:
+    @settings(max_examples=600, deadline=None)
+    @given(rigid_values())
+    def test_arbitrary_objects(self, case):
+        tube, rigid = case
+        old = outcome(torsion_pair_of, tube, rigid)
+        new = outcome(tor.torsion_pair_of, tube, rigid)
+        if isinstance(old, TorsionPair) and rigid.kind in (PRUFER, ADIC):
+            refusal = new_refusal(tube, rigid)
+            if refusal is not None:
+                assert new == refusal
+                return
+        assert new == old
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_maximal_rigid_object(self, n):
+        tube = Tube(n)
+        for u in tor.iter_max_rigid(tube):
+            assert tor.torsion_pair_of(tube, u) == torsion_pair_of(tube, u)
+
+    def test_new_refusals(self):
+        t3 = Tube(3)
+        fin = [t3.finite(0, 2), t3.finite(0, 3)]
+        cases = [
+            (MaxRigid(frozenset({t3.prufer(0), *fin[:1]}), PRUFER), "rank 3 has 3 summands, got 2"),
+            (
+                MaxRigid(frozenset({t3.prufer(0), t3.adic(0), *fin}), PRUFER),
+                r"rank 3 has 3 summands, got 4",
+            ),
+            (
+                MaxRigid(frozenset({t3.prufer(0), t3.adic(2), fin[0]}), PRUFER),
+                r"Prufer-type object holds the adic summand M\[-inf,2\]",
+            ),
+            (
+                MaxRigid(frozenset({t3.adic(1), t3.prufer(2), fin[0]}), ADIC),
+                r"adic-type object holds the Prufer summand M\[2,inf\]",
+            ),
+        ]
+        for rigid, message in cases:
+            assert isinstance(torsion_pair_of(t3, rigid), TorsionPair)  # the old code answered
+            with pytest.raises(ValidationError, match=message):
+                tor.torsion_pair_of(t3, rigid)
+
+    def test_crossing_summands_are_trusted(self):
+        # not refused: the pair is wrong, and is_torsion_pair says so
+        t3 = Tube(3)
+        rigid = MaxRigid(frozenset({t3.prufer(0), t3.finite(0, 2), t3.finite(1, 3)}), PRUFER)
+        assert not tor.is_torsion_pair(t3, tor.torsion_pair_of(t3, rigid))
+
+
+class TestFans:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, N_MAX).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(st.integers(-n, 2 * n), st.integers(0, 3 * n + 2), max_size=n),
+                st.booleans(),
+            )
+        )
+    )
+    def test_fans_is_fan_per_entry(self, case):
+        n, spans, at_end = case
+        tube, fresh = Tube(n), Tube(n)
+        want = [x for a, longest in spans.items() for x in fresh.fan(a, longest, at_end)]
+        assert tube.fans(spans, at_end) == want
+        assert tube.fans(spans, at_end) == want  # read from the grown rows
+
+
+    def test_a_span_below_two_lists_nothing(self):
+        tube = Tube(1)
+        tube.fan(0, 4)
+        assert tube.fan(0, 0) == [] and tube.fan(0, 1) == []
+        assert tube.fans({0: 0, 1: 1, 2: -3}) == []
+
+
+class TestNames:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sets(st.builds(lambda s, d: IndObj(s, s + d), st.integers(-50, 50), st.integers(2, 60))))
+    def test_names_are_the_formatted_arcs(self, objs):
+        assert format_finite(objs) == old_format_finite(objs)
+        assert format_finite(frozenset(objs)) == old_format_finite(objs)
+
+    def test_memo_stays_bounded(self):
+        bound = arcs_mod.MAX_NAMES
+        for start in range(0, 3 * bound, 500):
+            batch = [IndObj(s, s + 2) for s in range(start, start + 500)]
+            assert format_finite(batch) == old_format_finite(batch)
+            assert len(arcs_mod._NAMES) <= bound
+        too_many = [IndObj(s, s + 3) for s in range(bound + 1)]
+        assert format_finite(too_many) == old_format_finite(too_many)
+        assert len(arcs_mod._NAMES) <= bound

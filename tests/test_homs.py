@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from wings import wing_members
 from tubecalc import oracle
 from tubecalc.arcs import Tube
 from tubecalc.homs import (
@@ -184,7 +185,7 @@ class TestPerpsAndStabilization:
         tube = Tube(n)
         max_len = 3 * n
         for i in range(n):
-            wing = tube.wing_members(i, n)
+            wing = wing_members(tube, i, n)
             perp = {x for x in tube.finite_objects(max_len)
                     if ext_dim(tube, tube.prufer(i), x) == 0}
             assert perp == {w for w in wing if w.length <= max_len}

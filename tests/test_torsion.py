@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from limits import needs_alarm, time_limit
+from wings import wing_members
 from tubecalc import oracle
 from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
@@ -390,7 +391,7 @@ class TestEnumeration:
                     hits = [
                         w
                         for w in wings
-                        if x in tube.wing_members(w.start, w.end - w.start)
+                        if x in wing_members(tube, w.start, w.end - w.start)
                     ]
                     assert len(hits) == 1
 
@@ -443,7 +444,7 @@ class TestBijection:
         tube = Tube(14)
         idx = [0, 6, 10, 13]
         wing_sets = [
-            tube.wing_members(a, b - a) for (a, b) in [(0, 7), (6, 11), (10, 14), (13, 15)]
+            wing_members(tube, a, b - a) for (a, b) in [(0, 7), (6, 11), (10, 14), (13, 15)]
         ]
         us = prufer_type_rigids(tube, idx)
         assert len(us) == 420  # catalan(5) * catalan(3) * catalan(2) * catalan(0)

@@ -2,8 +2,9 @@
 
 The reference below is the old all-pairs code, copied unchanged: the perps
 compare every segment arc with every member, the class predicates run the
-oriented Ptolemy check over all pairs, and the Ext-projectives test Ext on
-all pairs.  Hypothesis draws arbitrary arc sets, not only valid pairs: any
+oriented Ptolemy check over all pairs, the Ext-projectives test Ext on
+all pairs, and ``is_tilting`` compares every pair of sorted arcs where the
+new code keeps a stack of nested arcs.  Hypothesis draws arbitrary arc sets, not only valid pairs: any
 subsets of the segment, torsion pairs with a few arcs toggled, quotient
 closures with their perps, and arcs anywhere on the integer line.
 
@@ -13,6 +14,8 @@ that take m (``is_torsion_pair``, ``tilting_of_torsion_pair``): they raise
 arc on the integer line.  The closures and class predicates take no m and
 keep the old answers on any arcs, short ones included.
 """
+
+import itertools
 
 import pytest
 
@@ -75,6 +78,17 @@ def is_torsion_pair(m: int, t_part, f_part) -> bool:
         x for x in universe if all(not hom_nonzero(x, f) for f in f_part)
     )
     return right == f_part and left == t_part
+
+
+def is_tilting(m: int, arcs) -> bool:
+    pairs = sorted(ta._segment_pairs(m, frozenset(arcs)))
+    if len(pairs) != m or (m > 0 and (0, m + 1) not in pairs):
+        return False
+    for p, (i, j) in enumerate(pairs):
+        for k, l in pairs[p + 1:]:
+            if i < k < j < l:  # k >= i in sorted order
+                return False
+    return True
 
 
 # -- comparison ----------------------------------------------------------------------
@@ -172,6 +186,45 @@ class TestMatchesReference:
         t_part, f_part = ta.torsion_pair_of_tilting(m, ta.enumerate_tilting(m)[1])
         assert is_torsion_pair(m, t_part, f_part)
         assert not is_torsion_pair(m, t_part | f_part, f_part)
+
+
+@st.composite
+def near_tiltings(draw):
+    """A tilting set with up to two arcs swapped for arbitrary segment arcs."""
+    m = draw(st.integers(1, M_MAX))
+    tiltings = ta.enumerate_tilting(m)
+    arcs = set(tiltings[draw(st.integers(0, len(tiltings) - 1))])
+    for _ in range(draw(st.integers(0, 2))):
+        arcs.discard(draw(st.sampled_from(sorted(arcs, key=lambda a: (a.i, a.j)))))
+        arcs.add(draw(st.sampled_from(ARCS[m])))
+    return m, arcs
+
+
+class TestIsTilting:
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_sides())
+    def test_arbitrary_subsets(self, case):
+        m, arcs, _ = case
+        assert ta.is_tilting(m, arcs) == is_tilting(m, arcs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tiltings())
+    def test_tilting_sets_with_arcs_swapped(self, case):
+        assert ta.is_tilting(*case) == is_tilting(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5), st.sets(line_arcs, max_size=7))
+    def test_arcs_off_the_segment(self, m, arcs):
+        assert outcome(ta.is_tilting, m, arcs) == outcome(is_tilting, m, arcs)
+
+    @pytest.mark.parametrize("m", range(0, 6))
+    def test_every_subset_of_the_right_size(self, m):
+        # both answers occur: the tilting sets, and the crossing sets of m arcs
+        answers = set()
+        for arcs in itertools.combinations(ARCS[m], m):
+            answers.add(ta.is_tilting(m, arcs))
+            assert ta.is_tilting(m, arcs) == is_tilting(m, arcs)
+        assert answers == ({True, False} if m >= 2 else {True})
 
 
 class TestArcsOffTheSegment:
