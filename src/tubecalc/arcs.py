@@ -78,6 +78,15 @@ def sort_key(obj: IndObj) -> Tuple[int, int, int]:
     return (2, obj.end, 0)
 
 
+def _canonical(n: int, start: int, end: int) -> IndObj:
+    """The finite arc [start, end] on the lift that starts in 0..n-1; the
+    one place a finite pair is normalized."""
+    if end < start + 2:
+        raise ValueError(f"finite arc needs end >= start+2, got [{start},{end}]")
+    s = start % n
+    return tuple.__new__(IndObj, (s, end - start + s))
+
+
 class Tube:
     """A tube of rank n; owns every index computation that depends on n."""
 
@@ -105,10 +114,7 @@ class Tube:
             return IndObj(None, end % n)
         if end is None:
             return IndObj(start % n, None)
-        if end < start + 2:
-            raise ValueError(f"finite arc needs end >= start+2, got [{start},{end}]")
-        shift = start % n - start
-        return IndObj(start % n, end + shift)
+        return _canonical(n, start, end)
 
     def finite(self, i: int, j: int) -> IndObj:
         return self.normalize(i, j)
@@ -127,15 +133,11 @@ class Tube:
             None if obj.end is None else obj.end + kn,
         )
 
-    def fan(self, anchor: int, longest: int, at_end: bool = False) -> List[IndObj]:
-        """The canonical arcs that start at ``anchor`` (or end at residue
-        ``anchor`` if at_end) with span end - start from 2 to longest, in
-        that order."""
-        return self.fans({anchor: longest}, at_end)
-
     def fans(self, spans: Dict[int, int], at_end: bool = False) -> List[IndObj]:
-        """``fan(anchor, longest, at_end)`` for every ``anchor: longest`` of
-        ``spans``, in its order, as one list: a closure's arcs in one call.
+        """For every ``anchor: longest`` of ``spans``, in its order, the
+        canonical arcs that start at ``anchor`` (or end at residue ``anchor``
+        if at_end) with span end - start from 2 to longest, in that order,
+        as one list: a closure's arcs in one call.
         Each arc is built once per tube, in a row per anchor that later
         calls share; a grown row replaces the old one, which is never
         changed, so concurrent callers each see a consistent row."""
@@ -220,6 +222,7 @@ class Tube:
 
 _OBJ_RE = re.compile(r"^M\[(-inf|-?[0-9]+),(inf|-?[0-9]+)\]$")
 FINITE_ARC = "M[%d,%d]"  # a finite arc is its own argument tuple
+_FINITE_RE = re.compile(r"M\[(-?[0-9]+),(-?[0-9]+)\]")  # what FINITE_ARC prints
 
 
 def format_obj(obj: IndObj) -> str:
@@ -265,3 +268,26 @@ def parse_endpoints(text: str) -> Tuple[Optional[int], Optional[int]]:
 def parse_obj(tube: Tube, text: str) -> IndObj:
     """Parse ``M[start,end]`` and normalize; inverse of :func:`format_obj`."""
     return tube.normalize(*parse_endpoints(text))
+
+
+def _parse_finite(tube: Tube, strings: Iterable[str]) -> Tuple[List[IndObj], Optional[IndObj]]:
+    """The finite arcs that :func:`parse_obj` reads off the strings, in
+    their order, and the first one-sided arc among them (None if there is
+    none).  Each string is fullmatched once against the grammar that
+    ``FINITE_ARC`` prints, and a match becomes its canonical arc at once;
+    only a string that does not match goes through ``parse_obj``, so the
+    first string that fails raises the ValueError ``parse_obj`` raises."""
+    n, match = tube.n, _FINITE_RE.fullmatch
+    arcs: List[IndObj] = []
+    one_sided = None
+    for text in strings:
+        m = match(text)
+        if m is not None:
+            arcs.append(_canonical(n, int(m[1]), int(m[2])))
+            continue
+        x = parse_obj(tube, text)
+        if x.is_finite:
+            arcs.append(x)
+        elif one_sided is None:
+            one_sided = x
+    return arcs, one_sided

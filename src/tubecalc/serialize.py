@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .arcs import Tube, format_finite, format_obj, parse_obj, sort_key
+from .arcs import Tube, _parse_finite, format_finite, format_obj, parse_obj, sort_key
 from .torsion import (
     ADIC,
     CORAY,
@@ -14,7 +14,7 @@ from .torsion import (
     SubcatDesc,
     TorsionPair,
     ValidationError,
-    make_desc,
+    _desc,
 )
 
 SCHEMA = 1
@@ -46,8 +46,10 @@ def _field(doc: dict, key: str, kind: type, many: bool = False, where: str = "")
     if key not in doc:
         raise ValidationError(f"document is missing key {where + key!r}")
     items = doc[key] if many else [doc[key]]
-    if not isinstance(items, list) or not all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in items
+    if (
+        not isinstance(items, list)
+        or not all(map(kind.__instancecheck__, items))
+        or kind is int and any(map(bool.__instancecheck__, items))
     ):
         wanted = f"a list of {_JSON_TYPES[kind]}s" if many else f"of type {_JSON_TYPES[kind]}"
         raise ValidationError(f"key {where + key!r} must be {wanted}")
@@ -74,11 +76,19 @@ def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
     part = _field(doc, side, dict)
     finite = _field(part, "finite", str, many=True, where=side + ".")
     indices = _field(part, family, int, many=True, where=side + ".")
-    if len(set(indices)) != len(indices) or not all(0 <= i < tube.n for i in indices):
+    found = frozenset(indices)
+    if len(found) != len(indices) or not all(0 <= i < tube.n for i in indices):
         raise ValidationError(
             f"key {side + '.' + family!r} must list distinct indices in 0..{tube.n - 1}"
         )
-    return make_desc(tube, _parse_arcs(tube, finite, side + ".finite"), **{family: indices})
+    key = side + ".finite"
+    try:
+        arcs, one_sided = _parse_finite(tube, finite)
+    except ValueError as exc:
+        raise ValidationError(f"key {key!r}: {exc}") from None
+    if one_sided is not None:
+        raise ValidationError(f"key {key!r}: descriptors list finite arcs only, got {one_sided}")
+    return _desc(tube.n, arcs, **{family: found})
 
 
 def _parse_arcs(tube: Tube, strings, key: str):

@@ -24,7 +24,14 @@ automatic members must be distinct listed arcs, so it stops after at most
 
 Finite objects are uniserial, so the image of a nonzero map x -> y is a
 quotient of x and a subobject of y: Hom(x, y) != 0 iff some quotient of x
-is a subobject of y.  ``right_perp`` reads that fact off ``low``.
+is a subobject of y.  So the right perp of a subcategory holds, per start
+s, every span below its cyclic ``minend[s]`` (the least span of a member's
+quotient starting at s), and the left perp, per end e, every span below
+its cyclic ``maxstart[e]`` (the least gap from a member's start to e);
+``_least_spans`` reads both off ``low`` and ``reach`` in one O(n) sweep.
+``is_torsion_pair`` is the segment's rule read with period n: Hom(T, F) = 0
+off T's ``minend``, then two count identities, F numbering what T^perp
+does and T what perp-F does.  It builds no perp descriptor.
 
 The bijection: a Prufer-type maximal rigid object U yields the pair
 (tau^{-1} of the left-shortening closure of its finite part, right
@@ -34,40 +41,42 @@ Prufer indices); adic-type is the reflected dual.
 The closures, the perps and the quotient check read the ``reach`` and
 ``low`` arrays that ``type_a`` builds (see there), with each arc on its
 anchored lift.  ``torsion_pair_of`` reads both sides of the pair off these
-two arrays (tau and tau^{-1} shift the anchor by one), and ``right_perp``
-its result off ``shortest``.  Every closure takes its arcs from the tube's
-fan table: ``_closure_side`` turns its array into one ``{anchor: span}``
-map and reads all its rows in one ``Tube.fans`` call, so a closure neither
-normalizes nor builds an arc per member.
+two arrays (tau and tau^{-1} shift the anchor by one).  Every closure takes
+its arcs from the tube's fan table: ``_closure_side`` turns its array into
+one ``{anchor: span}`` map and reads all its rows in one ``Tube.fans``
+call, so a closure neither normalizes nor builds an arc per member.
 
 The inverse reads the finite part of a Prufer-type U off T = tau^{-1}
 Gen(U_fin): it is the set of Ext-projectives of tau T, which ``type_a``'s
 Ext-projective rule reads off the anchored ``low`` of tau T with period n
 (arcs of different wings never cross, and an end strictly inside an arc
-lies in that arc's wing).  The Prufers sit at the rays of F, and by
-lemma A, which ``is_ext_closed`` uses too, the wings lie between them:
+lies in that arc's wing).  Since T = perp-F, that ``low`` is read off F's
+``maxstart``, so the inverse reads no arc of T.  The Prufers sit at the
+rays of F, and by lemma A, which ``is_ext_closed`` uses too, the wings lie
+between them:
 
 A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
    finite summand lies in a wing between cyclically consecutive rays of F.
 
 The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
-and it swaps rays with corays, quotients with subobjects.  So the mirror
--side constructions are derived rather than written out: ``left_perp`` is
-the reflected ``right_perp`` of the reflected descriptor, ``is_sub_closed``
+and it swaps rays with corays, quotients with subobjects.  So some mirror
+-side constructions are derived rather than written out: ``is_sub_closed``
 is ``is_quotient_closed`` of the reflection, and the coray-type inverse is
-the reflected ray-type one.
+the reflected ray-type one (read off T's ``minend``, since F = T^perp).
+``left_perp`` is written out: it reads ``maxstart`` off ``reach`` with no
+reflected descriptor, which ``_least_spans`` gets by reading quotients
+mirrored.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from . import type_a
-from .arcs import IndObj, Tube, sort_key
+from .arcs import IndObj, Tube, _canonical, sort_key
 from .homs import neg_crossing_shifts
 
 RAY = "ray"
@@ -122,12 +131,21 @@ def make_desc(tube: Tube, finite_objs=(), rays=(), corays=()) -> SubcatDesc:
     for x in finite_objs:  # checked before a full family makes the list moot
         if not x.is_finite:
             raise ValidationError(f"descriptors list finite arcs only, got {x}")
-        fins.append(tube.normalize(x.start, x.end))
-    if len(rayset) == n or len(corayset) == n:
+        fins.append(_canonical(n, *x))
+    return _desc(n, fins, rayset, corayset)
+
+
+def _desc(
+    n: int, fins, rays: FrozenSet[int] = frozenset(), corays: FrozenSet[int] = frozenset()
+) -> SubcatDesc:
+    """``make_desc`` of canonical finite arcs and of families given as
+    residues: the one place a descriptor is made canonical."""
+    if len(rays) == n or len(corays) == n:
         full = frozenset(range(n))
         return SubcatDesc(frozenset(), full, full)
-    kept = [x for x in fins if x.start not in rayset and x.end % n not in corayset]
-    return SubcatDesc(frozenset(kept), rayset, corayset)
+    if rays or corays:
+        fins = [x for x in fins if x[0] not in rays and x[1] % n not in corays]
+    return SubcatDesc(frozenset(fins), rays, corays)
 
 
 def everything(tube: Tube) -> SubcatDesc:
@@ -154,18 +172,53 @@ def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:
     return sorted(desc.finite_objs.union(short), key=sort_key)
 
 
-def _reach_low(n: int, objs) -> Tuple[Dict[int, int], Dict[int, int]]:
-    """``type_a``'s ``reach`` and ``low`` of finite arcs, each arc read on
-    its anchored lift: the one that starts at residue s for ``reach[s]``,
-    the one that ends at residue r for ``low[r]``."""
+def _bound(n: int, objs, quotients: bool) -> Dict[int, int]:
+    """``type_a``'s ``low`` (``quotients``) or ``reach`` of finite arcs,
+    each arc read on its anchored lift: the one that ends at residue r for
+    ``low[r]``, the one that starts at residue s for ``reach[s]``."""
     try:
-        spans = [(s % n, e % n, e - s) for s, e in objs]
+        if quotients:
+            return type_a._low([(e % n - e + s, e % n) for s, e in objs])
+        return type_a._reach([(s % n, e - s + s % n) for s, e in objs])
     except TypeError:  # a None endpoint
         raise ValueError("one-sided arcs have no finite length") from None
-    return (
-        type_a._reach([(s, s + d) for s, _, d in spans]),
-        type_a._low([(r - d, r) for _, r, d in spans]),
-    )
+
+
+def _least_spans(n: int, bound, family, quotients: bool) -> Dict[int, int]:
+    """Per residue k, the least span d of an arc of the closure that
+    ``bound`` fixes (see ``_closure_side``) whose free end lies at k: the
+    end of a subobject [a, a + d] (bound = reach), or the start of a
+    quotient [a - d, a] (bound = low, ``quotients``), read with period n.
+    An anchor of the family (a ray, or a coray) has every span.  These are
+    the cyclic ``k - maxstart[k]`` and ``minend[k] - k`` of ``type_a``.
+
+    Quotients are read mirrored, a -> -a, as subobjects.  One sweep over the
+    lifted anchors a = k - 2, k increasing, keeps a stack of those that may
+    still reach a later k: the anchor on top is the latest, and one that a
+    later anchor outreaches is dropped.  A span above n + 1 is never the
+    least (the lift one period nearer is n shorter), so 2n steps cover
+    every residue.
+    """
+    sign = -1 if quotients else 1
+    longest = [0] * n  # per residue of an anchor
+    for a, b in bound.items():
+        longest[sign * a % n] = sign * (b - a)
+    for a in family:
+        longest[sign * a % n] = n + 1
+    least: Dict[int, int] = {}
+    stack: List[Tuple[int, int]] = []  # (anchor, its reach), reach decreasing upward
+    # the anchors a = k - 2 for k = 1 - n, ..., n - 1 have residues n - 1, 0, 1, ...
+    for k, m in zip(range(1 - n, n), longest[-1:] + longest + longest[:n - 2]):
+        if m >= 2:
+            a = k - 2
+            while stack and stack[-1][1] <= a + m:
+                stack.pop()
+            stack.append((a, a + m))
+        while stack and stack[-1][1] < k:
+            stack.pop()
+        if stack and k >= 0:
+            least[sign * k % n] = k - stack[-1][0]
+    return least
 
 
 def _closure_side(
@@ -190,14 +243,14 @@ def _closure_side(
 def left_closure(tube: Tube, objs) -> frozenset:
     """The quotients of finite arcs: same end, start moved weakly right
     (from ``low`` on)."""
-    _, low = _reach_low(tube.n, objs)
+    low = _bound(tube.n, objs, quotients=True)
     return _closure_side(tube, low, quotients=True).finite_objs
 
 
 def right_closure(tube: Tube, objs) -> frozenset:
     """The subobjects of finite arcs: same start, end moved weakly left
     (down from ``reach``)."""
-    reach, _ = _reach_low(tube.n, objs)
+    reach = _bound(tube.n, objs, quotients=False)
     return _closure_side(tube, reach, quotients=False).finite_objs
 
 
@@ -219,8 +272,7 @@ def is_quotient_closed(tube: Tube, desc: SubcatDesc) -> bool:
         return desc == everything(tube)
     n = tube.n
     arcs = [x for x in desc.finite_objs if x.end % n not in desc.corays]
-    _, low = _reach_low(n, arcs)
-    return len(arcs) == type_a._quotient_count(low)
+    return len(arcs) == type_a._quotient_count(_bound(n, arcs, quotients=True))
 
 
 def is_sub_closed(tube: Tube, desc: SubcatDesc) -> bool:
@@ -260,31 +312,43 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
 
     y is in the perp iff none of its subobjects (the arcs at its start, no
     longer than it) is a quotient of a member, so per start s the perp is
-    every length below ``shortest[s]``, that of the shortest such quotient.
-    The quotients of the members ending at residue j are [i, j] for
-    low[j] <= i <= j-2, every arc ending at j for a coray j (low[j] = -inf),
-    and every simple for a ray, so a ray leaves nothing.
+    every span below ``minend[s]``, the least span of such a quotient.  The
+    quotients of the members ending at residue j are [i, j] for
+    low[j] <= i <= j-2, every arc ending at j for a coray j, and every
+    simple for a ray, so a ray leaves nothing.
     """
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    _, low = _reach_low(n, desc.finite_objs)
-    low.update(dict.fromkeys(desc.corays, -math.inf))
-    shortest: Dict[int, int] = {}
-    for j, a in low.items():
-        # a quotient is never the shortest at its start if one n shorter exists
-        for i in range(max(a, j - 1 - n), j - 1):
-            if shortest.get(i % n, math.inf) > j - i - 1:
-                shortest[i % n] = j - i - 1
-    reach = {s: s + l for s, l in shortest.items()}
-    rays = frozenset(range(n)).difference(reach)
-    return _closure_side(tube, reach, quotients=False, rays=rays)
+    low = _bound(n, desc.finite_objs, quotients=True)
+    minend = _least_spans(n, low, desc.corays, quotients=True)
+    reach = {s: s + d - 1 for s, d in minend.items()}
+    return _closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
 
 
 def left_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
-    """Descriptor of {y : Hom(y, x) = 0 for every member x of desc}, the
-    mirror of the right perp since Hom(y, x) = Hom(x^v, y^v)."""
-    return reflect_desc(tube, right_perp(tube, reflect_desc(tube, desc)))
+    """Descriptor of {y : Hom(y, x) = 0 for every member x of desc}.
+
+    The mirror of the right perp: a nonzero map y -> x has image
+    [x.start, y.end], a quotient of y and a subobject of x, so per end e the
+    perp is every span below ``maxstart[e]``, the least gap e - x.start of a
+    member x that reaches e, read off ``reach``.  A ray reaches every end,
+    and a coray leaves nothing.  A listed one-sided arc, or a span below 2,
+    raises what the reflected descriptor raises.
+    """
+    n = tube.n
+    try:
+        finite = all(e - s >= 2 for s, e in desc.finite_objs)
+    except TypeError:  # a None endpoint
+        finite = False
+    if not finite:
+        reflect_desc(tube, desc)  # raises the error of the offending arc
+    if desc.corays or len({i % n for i in desc.rays}) == n:
+        return empty_desc(tube)
+    reach = _bound(n, desc.finite_objs, quotients=False)
+    maxstart = _least_spans(n, reach, desc.rays, quotients=False)
+    low = {e: e - d + 1 for e, d in maxstart.items()}
+    return _closure_side(tube, low, quotients=True, corays=frozenset(range(n)).difference(low))
 
 
 # -- torsion pairs ---------------------------------------------------------------
@@ -299,19 +363,61 @@ def classify_kind(tube: Tube, pair: TorsionPair) -> str:
     return CORAY if t_inf else RAY
 
 
+def _is_canonical(n: int, objs) -> bool:
+    """Whether each finite arc starts in 0..n-1 and spans 2 or more."""
+    return all(0 <= s < n and s + 2 <= e for s, e in objs)
+
+
 def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
-    """Both mutual-perp identities (which imply Hom(t_part, f_part) = 0).
+    """Whether F is the right perp of T and T the left perp of F, as
+    canonical descriptors, read off the arrays with no perp built.
+
+    The segment's rule read with period n.  Hom(T, F) = 0 iff each arc of
+    F spans less than T's cyclic ``minend`` at its start, and each ray of
+    F starts where T has no ``minend`` (see ``right_perp``).  Given that,
+    F lies in T^perp and T in perp-F, so with both sides listing canonical
+    arcs only, none at their own family, F = T^perp iff F has a ray at
+    every start without ``minend`` and numbers as many arcs as T^perp, and
+    then T = perp-F iff T has a coray at every end without F's
+    ``maxstart`` and numbers as many arcs as perp-F (see ``left_perp``).
     The pair of an object with k Prufers (or adics) lists k rays (or
-    corays) and an arc per finite summand, so it lists n items at least."""
+    corays) and an arc per finite summand, so it lists n items at least.
+    """
     t, f = pair.t_part, pair.f_part
-    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < tube.n:
+    n = tube.n
+    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < n:
         return False
     try:
         if classify_kind(tube, pair) != pair.kind:
             return False
     except ValidationError:
         return False
-    return right_perp(tube, t) == f and left_perp(tube, f) == t
+    if t.rays:  # T^perp is 0, whose left perp is everything
+        return f == empty_desc(tube) and t == everything(tube)
+    low = _bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    minend = _least_spans(n, low, t.corays, quotients=True)
+    if not minend:  # T^perp is everything, whose left perp is 0
+        return f == everything(tube) and t == empty_desc(tube)
+    full = frozenset(range(n))
+    if not _is_canonical(n, t.finite_objs) or f.corays or f.rays != full.difference(minend):
+        return False
+    try:
+        reach = _bound(n, f.finite_objs, quotients=False)
+    except ValueError:  # a one-sided arc lies in no perp
+        return False
+    if (
+        not _is_canonical(n, f.finite_objs)
+        or any(b - s >= minend.get(s, 0) for s, b in reach.items())
+        or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
+    ):
+        return False
+    maxstart = _least_spans(n, reach, f.rays, quotients=False)
+    return (
+        bool(maxstart)  # else perp-F is everything, which has rays
+        and t.corays == full.difference(maxstart)
+        and low.keys() <= maxstart.keys()  # no arc ends at a coray
+        and len(t.finite_objs) == sum(maxstart.values()) - 2 * len(maxstart)
+    )
 
 
 def reflect_pair(tube: Tube, pair: TorsionPair) -> TorsionPair:
@@ -343,14 +449,9 @@ def _tilting_offsets(m: int, mirror: bool) -> Tuple[Tuple[Tuple[int, int], ...],
     return tuple(tuple(map(pair.__getitem__, t)) for t in type_a.enumerate_tilting(m))
 
 
-def prufer_type_rigids(tube: Tube, indices: Iterable[int]) -> List[MaxRigid]:
-    """All Prufer-type maximal rigid objects with exactly the given starts."""
-    return list(_iter_prufer_type(tube, indices))
-
-
 def _iter_prufer_type(tube: Tube, indices: Iterable[int], mirror: bool = False) -> Iterator[MaxRigid]:
-    """The objects of :func:`prufer_type_rigids`, one at a time, or with
-    ``mirror`` their reflections, in the same order.
+    """The Prufer-type maximal rigid objects with exactly the given starts,
+    one at a time, or with ``mirror`` their reflections, in the same order.
 
     The finite summands form a tilting set inside each wing between
     cyclically consecutive Prufer indices, embedded by shifting segment
@@ -444,7 +545,7 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     """
     n = tube.n
     prufers, adics, subs, quots = [], [], [], []
-    for x in rigid.summands:  # one pass: the anchored lifts of _reach_low
+    for x in rigid.summands:  # one pass: the anchored lifts of _bound
         s, e = x
         if e is None:
             prufers.append(x)
@@ -485,11 +586,10 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     )
 
 
-def _ext_projectives(tube: Tube, tau_t, rays) -> MaxRigid:
+def _ext_projectives(tube: Tube, low: Dict[int, int], rays) -> MaxRigid:
     """The Prufer-type object of a ray-type pair: the Prufers at the rays of
-    F and the Ext-projectives of tau T, given as raw (start, end) pairs, by
+    F and the Ext-projectives of tau T, whose anchored ``low`` is given, by
     ``type_a``'s rule read with period n."""
-    _, low = _reach_low(tube.n, tau_t)
     fins = [tube.normalize(a, b) for a, b in type_a._ext_projective_pairs(low, tube.n)]
     return MaxRigid(frozenset(fins + [tube.prufer(i) for i in rays]), PRUFER)
 
@@ -497,12 +597,25 @@ def _ext_projectives(tube: Tube, tau_t, rays) -> MaxRigid:
 def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
     """Inverse of the bijection: the Ext-projectives of tau T with the
     Prufers at the rays of F (ray type), or the reflection of those of the
-    reflected pair (coray type), whose tau T is tau of F reflected."""
+    reflected pair (coray type), whose tau T is tau of F reflected.
+
+    Each side of a torsion pair is the perp of the other, so the ``low`` of
+    tau T is read off the side whose perp it is: T = perp-F holds the spans
+    below F's ``maxstart`` at each end, which tau moves one step left; and
+    F = T^perp the spans below T's ``minend`` at each start, which the
+    reflection sends to the end -s and tau one step further.
+    """
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
-    if pair.kind == RAY:
-        tau_t = [(s - 1, e - 1) for s, e in pair.t_part.finite_objs]
-        return _ext_projectives(tube, tau_t, pair.f_part.rays)
-    tau_t = [(-e - 1, -s - 1) for s, e in pair.f_part.finite_objs]
-    rays = [-j % tube.n for j in pair.t_part.corays]
-    return reflect_rigid(tube, _ext_projectives(tube, tau_t, rays))
+    n = tube.n
+    t, f = pair.t_part, pair.f_part
+    if pair.kind == RAY:  # T ends at e with the spans below maxstart[e]; tau T at e - 1
+        maxstart = _least_spans(n, _bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
+        spans = {(e - 1) % n: d for e, d in maxstart.items()}
+        rays = f.rays
+    else:  # F starts at s with the spans below minend[s]; reflected it ends at -s, tau T at -s - 1
+        minend = _least_spans(n, _bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
+        spans = {(-s - 1) % n: d for s, d in minend.items()}
+        rays = [-j % n for j in t.corays]
+    u = _ext_projectives(tube, {e: e - d + 1 for e, d in spans.items()}, rays)
+    return u if pair.kind == RAY else reflect_rigid(tube, u)

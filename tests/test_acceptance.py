@@ -29,12 +29,11 @@ from tubecalc.torsion import (
     is_torsion_pair,
     make_desc,
     max_rigid_of,
-    prufer_type_rigids,
     reflect_pair,
     reflect_rigid,
     torsion_pair_of,
 )
-from wings import wing_members
+from wings import prufer_type_rigids, wing_members
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 

@@ -14,7 +14,7 @@ from tubecalc.arcs import (
 )
 from tubecalc.torsion import left_closure, make_desc, members, right_closure
 from tubecalc.type_a import AArc
-from wings import wing_members
+from wings import fan, wing_members
 
 try:
     from hypothesis import given, strategies as st
@@ -55,10 +55,10 @@ class TestNormalize:
         for anchor in range(-n, 2 * n):
             for longest in (1, n + 1, 3 * n + 2, 2):  # grown rows, then prefixes
                 spans = range(2, longest + 1)
-                assert tube.fan(anchor, longest) == [
+                assert fan(tube, anchor, longest) == [
                     tube.normalize(anchor, anchor + d) for d in spans
                 ]
-                assert tube.fan(anchor, longest, at_end=True) == [
+                assert fan(tube, anchor, longest, at_end=True) == [
                     tube.normalize(anchor - d, anchor) for d in spans
                 ]
 

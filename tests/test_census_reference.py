@@ -4,7 +4,7 @@ code it replaced.
 The reference below is the old code, copied unchanged: the adic half of
 ``iter_max_rigid`` reflects every Prufer-type object summand by summand,
 ``torsion_pair_of`` filters the finite summands and the family in separate
-passes and takes one ``Tube.fan`` call per array entry, and
+passes and takes one fan row (``tests/wings.py``) per array entry, and
 ``format_finite`` formats every arc it is given.  The new code places the
 adic half wing by wing already mirrored, reads the summands in one pass,
 takes each closure from one ``Tube.fans`` call, and reads names from a
@@ -26,6 +26,7 @@ from tubecalc import arcs as arcs_mod
 from tubecalc import cli
 from tubecalc import torsion as tor
 from tubecalc import type_a
+from wings import fan
 from tubecalc.arcs import FINITE_ARC, IndObj, Tube, format_finite
 from tubecalc.torsion import (
     ADIC,
@@ -100,7 +101,7 @@ def _closure_side(
     arcs = []
     for a, b in bound.items():
         if a not in skip:
-            arcs += tube.fan((a + shift) % n, a - b if quotients else b - a, at_end=quotients)
+            arcs += fan(tube, (a + shift) % n, a - b if quotients else b - a, at_end=quotients)
     return SubcatDesc(frozenset(arcs), rays, corays)
 
 
@@ -292,15 +293,15 @@ class TestFans:
     def test_fans_is_fan_per_entry(self, case):
         n, spans, at_end = case
         tube, fresh = Tube(n), Tube(n)
-        want = [x for a, longest in spans.items() for x in fresh.fan(a, longest, at_end)]
+        want = [x for a, longest in spans.items() for x in fan(fresh, a, longest, at_end)]
         assert tube.fans(spans, at_end) == want
         assert tube.fans(spans, at_end) == want  # read from the grown rows
 
 
     def test_a_span_below_two_lists_nothing(self):
         tube = Tube(1)
-        tube.fan(0, 4)
-        assert tube.fan(0, 0) == [] and tube.fan(0, 1) == []
+        fan(tube, 0, 4)
+        assert fan(tube, 0, 0) == [] and fan(tube, 0, 1) == []
         assert tube.fans({0: 0, 1: 1, 2: -3}) == []
 
 

@@ -342,6 +342,28 @@ class TestMalformedPairDocuments:
         code, err = self.run_doc(tmp_path, self.doc(free={"finite": ["M[0,inf]"], "rays": [0, 1]}))
         assert code == 2 and "M[0,inf]" in err
 
+    def test_one_sided_arc_names_the_torsion_key(self, tmp_path):
+        doc = self.doc(torsion={"finite": ["M[1,3]", "M[-inf,0]"], "corays": []})
+        code, err = self.run_doc(tmp_path, doc)
+        assert code == 2
+        assert err == "error: key 'torsion.finite': descriptors list finite arcs only, got M[-inf,0]\n"
+
+    def test_one_sided_arc_names_the_free_key(self, tmp_path):
+        code, err = self.run_doc(tmp_path, self.doc(free={"finite": ["M[0,inf]"], "rays": [0]}))
+        assert code == 2
+        assert err == "error: key 'free.finite': descriptors list finite arcs only, got M[0,inf]\n"
+
+    def test_short_arc_names_the_key(self, tmp_path):
+        code, err = self.run_doc(tmp_path, self.doc(free={"finite": ["M[0,1]"], "rays": [0]}))
+        assert code == 2
+        assert err == "error: key 'free.finite': finite arc needs end >= start+2, got [0,1]\n"
+
+    def test_parse_error_comes_before_a_one_sided_arc(self, tmp_path):
+        doc = self.doc(torsion={"finite": ["M[0,inf]", "M[2,1]"], "corays": []})
+        code, err = self.run_doc(tmp_path, doc)
+        assert code == 2
+        assert err == "error: key 'torsion.finite': finite arc needs end >= start+2, got [2,1]\n"
+
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text("[" * 200000 + "]" * 200000)

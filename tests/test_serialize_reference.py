@@ -1,0 +1,249 @@
+"""Reading pair and rigid documents against the code it replaced.
+
+The reference below is the old code, copied unchanged: every string of a
+``finite`` list goes through ``parse_obj`` (strip, one regex, ``normalize``),
+and ``make_desc`` then checks and normalizes each arc a second time.  The
+new reader fullmatches each string against the finite-arc grammar once and
+builds its canonical arc from the integer pair, and only a string that does
+not match goes through ``parse_obj``.  Hypothesis draws arbitrary strings
+around the grammar: surrounding whitespace, non-ASCII digits, ``+`` signs,
+leading zeros, ``inf``/``-inf`` ends, e < s+2, huge integers, duplicates and
+lifts off 0..n-1.  Each document must give the same pair or the same
+``ValidationError`` text, except that a one-sided arc in a pair document now
+names its key.  ``rigid_from_doc`` (summands, one-sided arcs allowed) keeps
+the old path.
+"""
+
+import re
+
+import pytest
+
+from tubecalc import arcs, serialize
+from tubecalc.arcs import Tube
+from tubecalc.serialize import pair_from_doc, rigid_from_doc
+from tubecalc.torsion import CORAY, RAY, SubcatDesc, TorsionPair, ValidationError
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+# -- reference ---------------------------------------------------------------------
+
+_OBJ_RE = re.compile(r"^M\[(-inf|-?[0-9]+),(inf|-?[0-9]+)\]$")
+
+
+def normalize(tube, start, end):
+    n = tube.n
+    if start is None and end is None:
+        raise ValueError("an arc needs at least one finite endpoint")
+    if start is None:
+        return arcs.IndObj(None, end % n)
+    if end is None:
+        return arcs.IndObj(start % n, None)
+    if end < start + 2:
+        raise ValueError(f"finite arc needs end >= start+2, got [{start},{end}]")
+    shift = start % n - start
+    return arcs.IndObj(start % n, end + shift)
+
+
+def parse_obj(tube, text):
+    m = _OBJ_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"cannot parse object {text!r}, expected M[start,end]")
+    raw_s, raw_e = m.group(1), m.group(2)
+    return normalize(
+        tube, None if raw_s == "-inf" else int(raw_s), None if raw_e == "inf" else int(raw_e)
+    )
+
+
+def make_desc(tube, finite_objs=(), rays=(), corays=()):
+    n = tube.n
+    rayset = frozenset(int(i) % n for i in rays)
+    corayset = frozenset(int(j) % n for j in corays)
+    fins = []
+    for x in finite_objs:
+        if not x.is_finite:
+            raise ValidationError(f"descriptors list finite arcs only, got {x}")
+        fins.append(normalize(tube, x.start, x.end))
+    if len(rayset) == n or len(corayset) == n:
+        full = frozenset(range(n))
+        return SubcatDesc(frozenset(), full, full)
+    kept = [x for x in fins if x.start not in rayset and x.end % n not in corayset]
+    return SubcatDesc(frozenset(kept), rayset, corayset)
+
+
+def _parse_arcs(tube, strings, key):
+    try:
+        return [parse_obj(tube, s) for s in strings]
+    except ValueError as exc:
+        raise ValidationError(f"key {key!r}: {exc}") from None
+
+
+def _desc_from_doc(tube, doc, side, family):
+    part = serialize._field(doc, side, dict)
+    finite = serialize._field(part, "finite", str, many=True, where=side + ".")
+    indices = serialize._field(part, family, int, many=True, where=side + ".")
+    if len(set(indices)) != len(indices) or not all(0 <= i < tube.n for i in indices):
+        raise ValidationError(
+            f"key {side + '.' + family!r} must list distinct indices in 0..{tube.n - 1}"
+        )
+    return make_desc(tube, _parse_arcs(tube, finite, side + ".finite"), **{family: indices})
+
+
+def old_pair_from_doc(doc):
+    tube, kind = serialize._doc_header(doc, "pair", (RAY, CORAY))
+    t_part = _desc_from_doc(tube, doc, "torsion", "corays")
+    f_part = _desc_from_doc(tube, doc, "free", "rays")
+    return tube, TorsionPair(t_part, f_part, kind)
+
+
+def old_rigid_from_doc(doc):
+    tube, kind = serialize._doc_header(doc, "rigid", ("prufer", "adic"))
+    summands = serialize._field(doc, "summands", str, many=True)
+    return tube, serialize.MaxRigid(frozenset(_parse_arcs(tube, summands, "summands")), kind)
+
+
+# -- comparison ----------------------------------------------------------------------
+
+ONE_SIDED = "descriptors list finite arcs only, got "
+
+
+def outcome(fn, doc):
+    """(rank, value), or the ValidationError's message."""
+    try:
+        tube, value = fn(doc)
+    except ValidationError as exc:
+        return str(exc)
+    return tube.n, value
+
+
+def expected(doc):
+    """The old outcome, with a one-sided arc's message naming its key."""
+    old = outcome(old_pair_from_doc, doc)
+    if isinstance(old, str) and old.startswith(ONE_SIDED):
+        tube = Tube(doc["rank"])
+        side = "torsion"
+        try:
+            _desc_from_doc(tube, doc, "torsion", "corays")
+            side = "free"
+        except ValidationError:
+            pass
+        return f"key '{side}.finite': {old}"
+    return old
+
+
+_SPACE = st.one_of(st.just(""), st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2003", "\x1c"]))
+_DIGITS = st.sampled_from(["0", "00", "007", "3", "12", "٣", "３", "²", "1_0"])
+_INTEGER = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.integers(-(10 ** 40), 10 ** 40).map(str),
+    st.builds(lambda sign, d: sign + d, st.sampled_from(["", "-", "+", "--"]), _DIGITS),
+)
+_END = st.one_of(_INTEGER, _INTEGER, st.sampled_from(["inf", "-inf", "+inf", "INF", ""]))
+_ARC = st.one_of(
+    st.builds(lambda s, e: f"M[{s},{e}]", st.integers(-20, 20), st.integers(-20, 40)),
+    st.builds(
+        lambda pre, s, e, post: f"{pre}M[{s},{e}]{post}", _SPACE, _END, _END, _SPACE
+    ),
+    st.builds(lambda s, e: f"M[{s}, {e}]", st.integers(-5, 5), st.integers(-5, 9)),
+    st.builds("M[{},inf]".format, st.integers(-5, 9)),
+    st.builds("M[-inf,{}]".format, st.integers(-5, 9)),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def finite_lists(draw):
+    strings = draw(st.lists(_ARC, max_size=8))
+    if strings and draw(st.booleans()):  # duplicates, verbatim
+        strings += draw(st.lists(st.sampled_from(strings), max_size=3))
+    return strings
+
+
+def families(n):
+    return st.one_of(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+        st.lists(st.integers(-1, n), max_size=n + 1),
+    )
+
+
+@st.composite
+def pair_docs(draw):
+    n = draw(st.integers(1, 6))
+    return {
+        "schema": 1,
+        "rank": n,
+        "kind": draw(st.sampled_from([RAY, CORAY])),
+        "torsion": {"finite": draw(finite_lists()), "corays": draw(families(n))},
+        "free": {"finite": draw(finite_lists()), "rays": draw(families(n))},
+    }
+
+
+def doc_of(n, t_finite=(), corays=(), f_finite=(), rays=(), kind=RAY):
+    return {
+        "schema": 1, "rank": n, "kind": kind,
+        "torsion": {"finite": list(t_finite), "corays": list(corays)},
+        "free": {"finite": list(f_finite), "rays": list(rays)},
+    }
+
+
+HUGE = "1" * 5000  # past int()'s default digit limit: a ValueError of its own
+
+
+class TestPairDocuments:
+    @settings(max_examples=600, deadline=None)
+    @given(pair_docs())
+    @example(doc_of(3, [" M[0,3]", "M[0,3]\n", "M[3,6]"], [], ["M[1,4]", "M[1,4]"], [0]))
+    @example(doc_of(3, ["M[007,+9]"], [1]))
+    @example(doc_of(3, ["M[+3,5]"], [1]))
+    @example(doc_of(3, ["M[-0,2]", "M[00,3]"], [1]))
+    @example(doc_of(3, [f"M[{10 ** 30},{10 ** 30 + 5}]", f"M[-{10 ** 30},2]"], [1]))
+    @example(doc_of(3, ["M[0,٣]"], [1]))
+    @example(doc_of(3, ["M[-inf,0]", "M[2,1]"]))
+    @example(doc_of(3, ["M[0,3]"], [], ["M[0,inf]", "M[4,5]"], [1]))
+    @example(doc_of(3, ["M[0,3]"], [], ["M[0,inf]"], [0, 1, 2]))
+    @example(doc_of(3, [f"M[0,{HUGE}]", "M[2,1]"]))
+    @example(doc_of(3, ["M[2,1]", f"M[0,{HUGE}]"]))
+    @example(doc_of(3, [f"M[-{HUGE},0]"]))
+    @example(doc_of(4, ["M[-9,-2]", "M[7,10]", "M[3,6]"], [0], kind=CORAY))
+    def test_same_pair_or_same_message(self, doc):
+        assert outcome(pair_from_doc, doc) == expected(doc)
+
+    def test_the_one_sided_message_names_the_key(self):
+        for side, doc in (
+            ("torsion", doc_of(2, ["M[-inf,1]"], [], [], [0])),
+            ("free", doc_of(2, [], [], ["M[0,3]", "M[1,inf]"], [0])),
+        ):
+            assert outcome(old_pair_from_doc, doc) == ONE_SIDED + doc[side]["finite"][-1]
+            assert outcome(pair_from_doc, doc) == f"key '{side}.finite': " + ONE_SIDED + doc[side]["finite"][-1]
+
+    def test_each_string_is_read_once(self, monkeypatch):
+        """A string in the grammar that ``format_obj`` prints goes through
+        neither ``parse_obj`` nor ``Tube.normalize``; any other string goes
+        through ``parse_obj``, and so ``normalize``, once."""
+        parsed, normalized = [], []
+        real_parse, real_normalize = arcs.parse_obj, Tube.normalize
+        monkeypatch.setattr(arcs, "parse_obj", lambda tube, text: parsed.append(text) or real_parse(tube, text))
+        monkeypatch.setattr(Tube, "normalize", lambda *a: normalized.append(a[1:]) or real_normalize(*a))
+        doc = doc_of(3, ["M[1,4]", " M[4,8]", "M[-2,1]", "M[1,4]"], [], ["M[2,4]"], [0, 2])
+        tube, pair = pair_from_doc(doc)
+        assert parsed == [" M[4,8]"] and normalized == [(4, 8)]
+        assert pair.t_part.finite_objs == {(1, 4), (1, 5)} and not pair.f_part.finite_objs
+
+
+@st.composite
+def rigid_docs(draw):
+    return {
+        "schema": 1,
+        "rank": draw(st.integers(1, 6)),
+        "kind": draw(st.sampled_from(["prufer", "adic"])),
+        "summands": draw(finite_lists()),
+    }
+
+
+class TestRigidDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(rigid_docs())
+    @example({"schema": 1, "rank": 3, "kind": "prufer", "summands": ["M[0,inf]", " M[-inf,4]", "M[3,6]"]})
+    @example({"schema": 1, "rank": 3, "kind": "adic", "summands": ["M[0,inf]", "M[2,1]"]})
+    def test_same_object_or_same_message(self, doc):
+        assert outcome(rigid_from_doc, doc) == outcome(old_rigid_from_doc, doc)

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from limits import needs_alarm, time_limit
-from wings import wing_members
+from wings import prufer_type_rigids, wing_members
 from tubecalc import oracle
 from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
@@ -32,7 +32,6 @@ from tubecalc.torsion import (
     make_desc,
     max_rigid_of,
     members,
-    prufer_type_rigids,
     reflect_pair,
     reflect_rigid,
     right_closure,

@@ -10,6 +10,14 @@ The new code reads the same facts off ``type_a``'s ``low`` and ``reach``,
 the inverse by ``type_a``'s Ext-projective rule on the ``low`` of tau T.  Hypothesis draws arcs in any lift, arbitrary descriptors (also
 ones that list arcs ending at their corays, which ``make_desc`` would
 drop), closures, and torsion pairs with a few items toggled.
+
+The validators have a second reference, also copied unchanged: the
+``left_perp`` that reflected the descriptor, took its ``right_perp`` and
+reflected back, and the ``is_torsion_pair`` that compared both perps with
+the pair.  The new ones read the cyclic ``minend`` and ``maxstart`` off the
+arrays and count, with no perp built.  They are compared on raw
+``SubcatDesc`` values too: arcs in any lift, spans below 2 and above n,
+one-sided arcs, both families, and real pairs with such an item added.
 """
 
 import math
@@ -19,7 +27,9 @@ from typing import List, Tuple
 import pytest
 
 from tubecalc import torsion as tor
+from tubecalc import type_a
 from tubecalc.arcs import IndObj, Tube
+from wings import fan
 from tubecalc.torsion import (
     ADIC,
     CORAY,
@@ -35,6 +45,7 @@ from tubecalc.torsion import (
     everything,
     make_desc,
     reflect_desc,
+    reflect_pair,
     reflect_rigid,
 )
 
@@ -69,7 +80,7 @@ def _closure_arcs(
     for a in range(n):
         longest = a - bound[a] if quotients else bound[a] - a
         if longest > 1 and a not in skip:
-            out += tube.fan((a + shift) % n, longest, at_end=quotients)
+            out += fan(tube, (a + shift) % n, longest, at_end=quotients)
     return out
 
 
@@ -346,3 +357,184 @@ class TestBijection:
         (tube, t_part), (_, f_part) = case
         for kind in (RAY, CORAY):
             assert_pair_matches(tube, TorsionPair(t_part, f_part, kind))
+
+
+# -- the validators before they read arrays ------------------------------------------
+
+
+def _reach_low_arrays(n: int, objs):
+    try:
+        spans = [(s % n, e % n, e - s) for s, e in objs]
+    except TypeError:  # a None endpoint
+        raise ValueError("one-sided arcs have no finite length") from None
+    return (
+        type_a._reach([(s, s + d) for s, _, d in spans]),
+        type_a._low([(r - d, r) for _, r, d in spans]),
+    )
+
+
+def right_perp_by_shortest(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
+    if desc.rays:
+        return empty_desc(tube)
+    n = tube.n
+    _, low = _reach_low_arrays(n, desc.finite_objs)
+    low.update(dict.fromkeys(desc.corays, -math.inf))
+    shortest = {}
+    for j, a in low.items():
+        for i in range(max(a, j - 1 - n), j - 1):
+            if shortest.get(i % n, math.inf) > j - i - 1:
+                shortest[i % n] = j - i - 1
+    reach = {s: s + l for s, l in shortest.items()}
+    rays = frozenset(range(n)).difference(reach)
+    # the parent passed the dict to the library's _closure_side; this file's takes a list
+    return _closure_side(tube, [reach.get(a, a + 1) for a in range(n)], quotients=False, rays=rays)
+
+
+def left_perp_by_reflection(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
+    return reflect_desc(tube, right_perp_by_shortest(tube, reflect_desc(tube, desc)))
+
+
+def is_torsion_pair_by_perps(tube: Tube, pair: TorsionPair) -> bool:
+    t, f = pair.t_part, pair.f_part
+    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < tube.n:
+        return False
+    try:
+        if classify_kind(tube, pair) != pair.kind:
+            return False
+    except ValidationError:
+        return False
+    return right_perp_by_shortest(tube, t) == f and left_perp_by_reflection(tube, f) == t
+
+
+@st.composite
+def raw_subcats(draw, n: int):
+    """A ``SubcatDesc`` as drawn, never made canonical: arcs in any lift
+    with spans from -1 to 3n+2, now and then a one-sided arc, and any rays
+    and corays, both families at once included."""
+    spans = st.tuples(st.integers(-3 * n, 3 * n), st.integers(-1, 3 * n + 2))
+    arcs = {IndObj(s, s + d) for s, d in draw(st.lists(spans, max_size=6))}
+    if draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(-n, 2 * n))
+        arcs.add(IndObj(i, None) if draw(st.booleans()) else IndObj(None, i))
+    return SubcatDesc(frozenset(arcs), draw(indices(n)), draw(indices(n)))
+
+
+@st.composite
+def raw_edits(draw, tube: Tube, desc: SubcatDesc):
+    """The descriptor with one raw item added: another lift of a listed
+    arc, an arc at one of its own families, a short or one-sided arc, or an
+    index of the other family; sometimes in place of a listed arc, so that
+    the side still numbers what a count identity expects."""
+    n = tube.n
+    fins, rays, corays = set(desc.finite_objs), set(desc.rays), set(desc.corays)
+    if fins and draw(st.booleans()):
+        fins.discard(draw(st.sampled_from(sorted(fins))))
+    what = draw(st.sampled_from(["lift", "at_family", "short", "one_sided", "family"]))
+    s = draw(st.integers(0, n - 1))
+    if what == "lift" and desc.finite_objs:
+        x = draw(st.sampled_from(sorted(desc.finite_objs)))
+        k = draw(st.sampled_from([-1, 1, 2]))
+        fins.add(IndObj(x.start + k * n, x.end + k * n))
+    elif what == "at_family" and (rays or corays):
+        d = draw(st.integers(2, 2 * n + 1))
+        fins.add(IndObj(min(rays), min(rays) + d) if rays else tube.normalize(min(corays) - d, min(corays)))
+    elif what == "short":
+        fins.add(IndObj(s, s + draw(st.integers(-1, 1))))
+    elif what == "one_sided":
+        fins.add(IndObj(s, None) if draw(st.booleans()) else IndObj(None, s))
+    else:
+        (corays if desc.rays else rays).add(s)
+    return SubcatDesc(frozenset(fins), frozenset(rays), frozenset(corays))
+
+
+@st.composite
+def raw_pairs(draw):
+    """The pair of a maximal rigid object with either side kept, edited by
+    ``raw_edits`` or replaced by ``raw_subcats``; the kind now and then
+    flipped."""
+    n = draw(st.integers(1, N_MAX - 1))
+    tube = Tube(n)
+    objects = rigid_objects(n)
+    pair = tor.torsion_pair_of(tube, objects[draw(st.integers(0, len(objects) - 1))])
+    sides = []
+    for side in (pair.t_part, pair.f_part):
+        how = draw(st.sampled_from(["keep", "edit", "edit", "raw"]))
+        if how == "edit":
+            side = draw(raw_edits(tube, side))
+        elif how == "raw":
+            side = draw(raw_subcats(n))
+        sides.append(side)
+    kind = pair.kind
+    if draw(st.integers(0, 4)) == 0:
+        kind = RAY if kind == CORAY else CORAY
+    return tube, TorsionPair(sides[0], sides[1], kind)
+
+
+def assert_validators_match(tube: Tube, pair: TorsionPair) -> None:
+    assert outcome(tor.is_torsion_pair, tube, pair) == outcome(is_torsion_pair_by_perps, tube, pair)
+    for desc in (pair.t_part, pair.f_part):
+        assert outcome(tor.left_perp, tube, desc) == outcome(left_perp_by_reflection, tube, desc)
+        assert outcome(tor.right_perp, tube, desc) == outcome(right_perp_by_shortest, tube, desc)
+
+
+class TestValidatorsOnArrays:
+    @settings(max_examples=500, deadline=None)
+    @given(raw_pairs())
+    def test_real_pairs_with_raw_items(self, case):
+        assert_validators_match(*case)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, N_MAX).flatmap(lambda n: st.tuples(st.just(n), raw_subcats(n), raw_subcats(n))))
+    def test_raw_descriptors_of_both_kinds(self, case):
+        n, t_part, f_part = case
+        for kind in (RAY, CORAY):
+            assert_validators_match(Tube(n), TorsionPair(t_part, f_part, kind))
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_pairs())
+    def test_perturbed_pairs(self, case):
+        assert_validators_match(*case)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pair_and_its_reflection(self, n):
+        tube = Tube(n)
+        for u in rigid_objects(n):
+            pair = tor.torsion_pair_of(tube, u)
+            for p in (pair, reflect_pair(tube, pair)):
+                assert tor.is_torsion_pair(tube, p) and is_torsion_pair_by_perps(tube, p)
+                assert tor.left_perp(tube, p.f_part) == p.t_part == left_perp_by_reflection(tube, p.f_part)
+
+    def test_raw_items_make_the_old_answer_false_or_raise(self):
+        """Hand-picked cases the strategies reach, each added to a real
+        pair: another lift of a listed arc, an arc at the descriptor's own
+        ray, a short arc, and one-sided arcs."""
+        tube = Tube(3)
+        u = next(v for v in rigid_objects(3) if v.kind == PRUFER and sum(x.is_prufer for x in v.summands) == 1)
+        pair = tor.torsion_pair_of(tube, u)
+        t, f = pair.t_part, pair.f_part
+        x, ray = min(t.finite_objs), min(f.rays)
+        assert tor.is_torsion_pair(tube, pair)
+        for bad in (
+            TorsionPair(SubcatDesc(t.finite_objs | {IndObj(x.start + 3, x.end + 3)}, t.rays, t.corays), f, RAY),
+            TorsionPair(SubcatDesc(t.finite_objs | {IndObj(0, 1)}, t.rays, t.corays), f, RAY),
+            TorsionPair(t, SubcatDesc(f.finite_objs | {IndObj(ray, ray + 2)}, f.rays, f.corays), RAY),
+        ):
+            assert not tor.is_torsion_pair(tube, bad) and not is_torsion_pair_by_perps(tube, bad)
+        # a short arc in place of an arc whose start keeps a longer one
+        tube4 = Tube(4)
+        for v in rigid_objects(4):
+            p4 = tor.torsion_pair_of(tube4, v)
+            inner = [y for y in p4.f_part.finite_objs if IndObj(y.start, y.end + 1) in p4.f_part.finite_objs]
+            if inner:
+                fins = p4.f_part.finite_objs - {inner[0]} | {IndObj(inner[0].start, inner[0].start + 1)}
+                bad4 = TorsionPair(p4.t_part, SubcatDesc(fins, p4.f_part.rays, p4.f_part.corays), p4.kind)
+                assert not tor.is_torsion_pair(tube4, bad4) and not is_torsion_pair_by_perps(tube4, bad4)
+                break
+        else:
+            pytest.fail("no pair at rank 4 lists two arcs at one start of F")
+        bad_f = SubcatDesc(f.finite_objs | {IndObj(0, None)}, f.rays, f.corays)
+        bad = TorsionPair(SubcatDesc(t.finite_objs | {IndObj(0, None)}, t.rays, t.corays), bad_f, RAY)
+        assert outcome(tor.is_torsion_pair, tube, bad) == outcome(is_torsion_pair_by_perps, tube, bad)
+        assert outcome(tor.is_torsion_pair, tube, bad)[0] == "ValueError"
+        assert outcome(tor.left_perp, tube, bad_f) == outcome(left_perp_by_reflection, tube, bad_f)
+        assert outcome(tor.left_perp, tube, bad_f)[0] == "ValidationError"
