@@ -30,13 +30,13 @@ from .torsion import (
     MaxRigid,
     ValidationError,
     count_max_rigid,
+    is_torsion_pair,
     iter_max_rigid,
     max_rigid_counts,
     max_rigid_of,
     torsion_pair_of,
 )
 from .type_a import AArc
-from . import homs
 
 
 # The most objects `pairs enumerate` and `rigid enumerate` write: rank 11
@@ -159,20 +159,16 @@ def _split_summands(text: str) -> List[str]:
 
 
 def cmd_pair_of_rigid(args) -> int:
+    """The pair of the summands, of the kind of the family present; refused
+    unless they are maximal rigid, which the pair shows (``torsion_pair_of``)."""
     tube = Tube(args.rank)
     summands = frozenset(
         parse_obj(tube, part) for part in _split_summands(args.summands)
     )
-    if len(summands) != tube.n:
-        raise ValidationError(f"expected {tube.n} distinct summands, got {len(summands)}")
-    has_prufer = any(x.is_prufer for x in summands)
-    has_adic = any(x.is_adic for x in summands)
-    if has_prufer == has_adic:
-        raise ValidationError("object must contain Prufer or adic summands, not both or neither")
-    if not homs.is_rigid(tube, summands):
+    kind = PRUFER if any(x.is_prufer for x in summands) else ADIC
+    pair = torsion_pair_of(tube, MaxRigid(summands, kind))
+    if not is_torsion_pair(tube, pair):
         raise ValidationError("summand set is not rigid")
-    rigid = MaxRigid(summands, PRUFER if has_prufer else ADIC)
-    pair = torsion_pair_of(tube, rigid)
     if args.json:
         _print_json(pair_to_doc(tube, pair))
     else:

@@ -539,9 +539,25 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     ``ValidationError`` refuses an object with a summand that spans more
     than n, without a Prufer (adic) summand, of an unknown kind, with other
     than n summands, or whose kind is Prufer (adic) while it holds an adic
-    (Prufer) summand; each check is O(1) per summand.  Two crossing finite
-    summands are trusted, not refused: the pair is then wrong, and
-    ``is_torsion_pair`` rejects it.
+    (Prufer) summand; each check is O(1) per summand.  A refusal names the
+    least offending summand (by start, or by ``sort_key``), so that it does
+    not depend on the set's order, which varies between processes.  Two
+    crossing finite summands are trusted, not refused: the pair is then
+    wrong, and ``is_torsion_pair`` rejects it.
+
+    So ``is_torsion_pair`` of the result is how a caller checks an untrusted
+    object: n distinct summands of one family that pass the checks above
+    are maximal rigid iff their pair is a torsion pair.  The forward
+    direction is the bijection.  Conversely (Prufer type; adic type is the
+    mirror), say U gives a torsion pair, and let V = ``max_rigid_of`` of it.
+    V is maximal rigid with the same pair, so the same Prufers (the rays of
+    F), and its finite part has the quotient closure and, off the rays, the
+    subobject closure of U's.  An arc of V is the longest summand at its
+    start or at its end: the third vertex of the triangle beyond it in its
+    wing lies on one side of it.  One that starts at a Prufer is the longest
+    at its end, since a longer arc there would hold the Prufer strictly
+    inside (lemma A).  So it is ``[s, reach[s]]`` or ``[low[e], e]`` of the
+    closures, an arc of U: V is within U, and with n summands each, V = U.
     """
     n = tube.n
     prufers, adics, subs, quots = [], [], [], []
@@ -556,9 +572,10 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
             subs.append((a, a + e - s))
             quots.append((r - e + s, r))
     reach, low = type_a._reach(subs), type_a._low(quots)
-    for s, e in reach.items():
-        if e - s > n:  # an arc spanning more than n crosses its own lift
-            raise ValidationError(f"summand {IndObj(s, e)} spans more than {n}, so it is not rigid")
+    too_long = [s for s, e in reach.items() if e - s > n]  # each crosses its own lift
+    if too_long:  # named by the least start: set order varies between processes
+        s = min(too_long)
+        raise ValidationError(f"summand {IndObj(s, reach[s])} spans more than {n}, so it is not rigid")
     if rigid.kind == PRUFER:
         family, stray, name, other = prufers, adics, "Prufer", "adic"
     elif rigid.kind == ADIC:
@@ -572,7 +589,7 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
             f"a maximal rigid object in rank {n} has {n} summands, got {len(rigid.summands)}"
         )
     if stray:
-        raise ValidationError(f"{name}-type object holds the {other} summand {stray[0]}")
+        raise ValidationError(f"{name}-type object holds the {other} summand {min(stray, key=sort_key)}")
     if rigid.kind == PRUFER:
         return TorsionPair(
             _closure_side(tube, low, quotients=True, shift=1),

@@ -91,21 +91,6 @@ def tau_inv(m: int, x: AArc) -> Optional[AArc]:
     return AArc(x.i + 1, x.j + 1) if x.j + 1 <= m + 1 else None
 
 
-def hom_nonzero(x: AArc, y: AArc) -> bool:
-    """Uniseriality: a nonzero map factors as left-shortening then inclusion."""
-    return x.i <= y.i <= x.j - 2 and y.i + 2 <= x.j <= y.j
-
-
-def injective_arcs(m: int) -> List[AArc]:
-    """The fan at the right endpoint: arcs [i, m+1]."""
-    return [AArc(i, m + 1) for i in range(m)]
-
-
-def projective_arcs(m: int) -> List[AArc]:
-    """The fan at the left endpoint: arcs [0, j]."""
-    return [AArc(0, j) for j in range(2, m + 2)]
-
-
 def _low(pairs) -> Dict[int, int]:
     """``low[j]`` of (start, end) pairs, over the ends that have an arc;
     pairs shorter than [j-2, j] are skipped."""
@@ -202,14 +187,6 @@ def torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
     return t_part, f_part
 
 
-def second_torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
-    """(Gen tau^{-1}(U), Cogen U), the companion map."""
-    shifted = [tau_inv(m, x) for x in tilting if x.j + 1 <= m + 1]
-    t_part = left_closure(shifted)
-    f_part = right_closure(tilting)
-    return t_part, f_part
-
-
 def _segment_pairs(m: int, arcs) -> List[Tuple[int, int]]:
     """The arcs as (start, end) pairs; ``check_arc``'s ValueError for an arc
     that does not fit the segment."""
@@ -267,23 +244,19 @@ def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
     return frozenset(AArc(a, b) for a, b in _ext_projective_pairs(low, m + 2))
 
 
-def is_oriented_ptolemy(arcs) -> bool:
-    """Closed under resolving negative crossings."""
-    arcs = frozenset(arcs)
-    for x in arcs:
-        for y in arcs:
-            if ext_dim(x, y) == 1 and not ses_middle(x, y) <= arcs:
-                return False
-    return True
-
-
 def is_torsion_class(arcs) -> bool:
+    """Whether the arcs form a torsion class: quotient-closed and
+    extension-closed, read off ``low`` (``_is_torsion_low``).  Public as one
+    of the segment model's validators, which the README names."""
     pairs = [(x.i, x.j) for x in frozenset(arcs) if x.j >= x.i + 2]
     return _is_torsion_low(_low(pairs), len(pairs))
 
 
 def is_torsionfree_class(arcs) -> bool:
-    """The reflection [i, j] -> [-j, -i] swaps subobjects and quotients."""
+    """Whether the arcs form a torsionfree class: ``is_torsion_class`` of
+    the reflection [i, j] -> [-j, -i], which swaps subobjects and quotients.
+    Public as one of the segment model's validators, which the README
+    names."""
     pairs = [(-x.j, -x.i) for x in frozenset(arcs) if x.j >= x.i + 2]
     return _is_torsion_low(_low(pairs), len(pairs))
 

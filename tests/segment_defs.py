@@ -1,0 +1,37 @@
+"""Segment-level definitions that only the tests read: the Hom rule, the
+injective and projective fans, the companion map of the tilting bijection
+and the all-pairs Ptolemy check, which the tests compare the library's
+segment model with."""
+
+from tubecalc.type_a import AArc, ext_dim, left_closure, right_closure, ses_middle, tau_inv
+
+
+def hom_nonzero(x: AArc, y: AArc) -> bool:
+    """Uniseriality: a nonzero map factors as left-shortening then inclusion."""
+    return x.i <= y.i <= x.j - 2 and y.i + 2 <= x.j <= y.j
+
+
+def injective_arcs(m: int) -> list:
+    """The fan at the right endpoint: arcs [i, m+1]."""
+    return [AArc(i, m + 1) for i in range(m)]
+
+
+def projective_arcs(m: int) -> list:
+    """The fan at the left endpoint: arcs [0, j]."""
+    return [AArc(0, j) for j in range(2, m + 2)]
+
+
+def second_torsion_pair_of_tilting(m: int, tilting) -> tuple:
+    """(Gen tau^{-1}(U), Cogen U), the companion map."""
+    shifted = [tau_inv(m, x) for x in tilting if x.j + 1 <= m + 1]
+    return left_closure(shifted), right_closure(tilting)
+
+
+def is_oriented_ptolemy(arcs) -> bool:
+    """Closed under resolving negative crossings."""
+    arcs = frozenset(arcs)
+    for x in arcs:
+        for y in arcs:
+            if ext_dim(x, y) == 1 and not ses_middle(x, y) <= arcs:
+                return False
+    return True

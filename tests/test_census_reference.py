@@ -10,8 +10,9 @@ adic half wing by wing already mirrored, reads the summands in one pass,
 takes each closure from one ``Tube.fans`` call, and reads names from a
 bounded memo.  Hypothesis draws arbitrary ``MaxRigid`` values, invalid ones
 included: the new refusals (a summand count other than n, a summand of the
-other family) are asserted on their own, every other outcome must be the
-old one.
+other family) are asserted on their own, and so is the summand a refusal
+names, the least one where the old code named the first in the set's
+order; every other outcome must be the old one.
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 import pytest
 
 from tubecalc import arcs as arcs_mod
-from tubecalc import cli
+from tubecalc import cli, homs
 from tubecalc import torsion as tor
 from tubecalc import type_a
 from wings import fan
@@ -161,8 +162,22 @@ def new_refusal(tube: Tube, rigid: MaxRigid):
     }[rigid.kind]
     strays = [x for x in rigid.summands if is_stray(x)]
     if strays:
-        return ("ValidationError", f"{name}-type object holds the {other} summand {strays[0]}")
+        least = min(strays, key=arcs_mod.sort_key)
+        return ("ValidationError", f"{name}-type object holds the {other} summand {least}")
     return None
+
+
+def least_too_long(tube: Tube, rigid: MaxRigid):
+    """The refusal of a summand spanning more than n, as ``outcome`` reports
+    it, naming the longest summand at the least start among them, where the
+    old code named the first in the set's order."""
+    n = tube.n
+    longest = {}
+    for s, e in rigid.summands:
+        if s is not None and e is not None:
+            longest[s % n] = max(longest.get(s % n, 0), e - s)
+    s = min(a for a, d in longest.items() if d > n)
+    return ("ValidationError", f"summand {IndObj(s, s + longest[s])} spans more than {n}, so it is not rigid")
 
 
 @lru_cache(maxsize=None)
@@ -241,6 +256,9 @@ class TestTorsionPairOf:
             if refusal is not None:
                 assert new == refusal
                 return
+        if isinstance(old, tuple) and "spans more than" in old[1]:
+            assert new == least_too_long(tube, rigid)
+            return
         assert new == old
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -277,6 +295,60 @@ class TestTorsionPairOf:
         t3 = Tube(3)
         rigid = MaxRigid(frozenset({t3.prufer(0), t3.finite(0, 2), t3.finite(1, 3)}), PRUFER)
         assert not tor.is_torsion_pair(t3, tor.torsion_pair_of(t3, rigid))
+
+
+@st.composite
+def one_family_sets(draw):
+    """n distinct summands of one family, with a summand of it: arbitrary
+    arcs spanning 2 to 2n+1 and one-sided arcs of the family, or a real
+    maximal rigid object with one or two summands swapped for such arcs."""
+    n = draw(st.integers(1, N_MAX))
+    tube = Tube(n)
+    kind = draw(st.sampled_from([PRUFER, ADIC]))
+    one_sided = tube.prufer if kind == PRUFER else tube.adic
+    pool = [tube.normalize(s, s + d) for s in range(n) for d in range(2, 2 * n + 2)]
+    pool += [one_sided(i) for i in range(n)]
+    summands = set()
+    if draw(st.booleans()):
+        objects = [u for u in rigid_objects(n) if u.kind == kind]
+        summands = set(objects[draw(st.integers(0, len(objects) - 1))].summands)
+        for _ in range(min(n, draw(st.integers(1, 2)))):
+            summands.discard(draw(st.sampled_from(sorted(summands, key=arcs_mod.sort_key))))
+    for x in draw(st.permutations(pool)):
+        if len(summands) < n:
+            summands.add(x)
+    if all(x.is_finite for x in summands):
+        summands.discard(draw(st.sampled_from(sorted(summands, key=arcs_mod.sort_key))))
+        summands.add(one_sided(draw(st.integers(0, n - 1))))
+    return tube, MaxRigid(frozenset(summands), kind)
+
+
+def rigid_by_pair(tube: Tube, rigid: MaxRigid) -> bool:
+    """Rigidity read through the bijection: whether the pair is a torsion pair."""
+    try:
+        pair = tor.torsion_pair_of(tube, rigid)
+    except ValidationError as exc:
+        assert "spans more than" in str(exc)  # the only refusal of such a set
+        return False
+    return tor.is_torsion_pair(tube, pair)
+
+
+class TestRigidityThroughTheBijection:
+    """n distinct summands of one family are maximal rigid iff their pair is
+    a torsion pair (the ``torsion_pair_of`` docstring has the proof)."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(one_family_sets())
+    def test_arbitrary_one_family_sets(self, case):
+        tube, rigid = case
+        assert len(rigid.summands) == tube.n
+        assert rigid_by_pair(tube, rigid) == homs.is_rigid(tube, rigid.summands)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_maximal_rigid_object(self, n):
+        tube = Tube(n)
+        for u in rigid_objects(n):
+            assert rigid_by_pair(tube, u) and homs.is_rigid(tube, u.summands)
 
 
 class TestFans:

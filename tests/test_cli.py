@@ -383,6 +383,39 @@ class TestPairOfRigid:
     def test_wrong_summand_count_exits_2(self):
         assert run(["pair-of-rigid", "--rank", "3", "--summands", "M[0,inf]"])[0] == 2
 
+    def test_crossing_summands_exit_2(self):
+        # torsion_pair_of trusts the crossing; its pair is no torsion pair
+        argv = ["pair-of-rigid", "--rank", "3", "--summands", "M[0,inf],M[0,2],M[1,3]"]
+        assert run_err(argv) == (2, "error: summand set is not rigid\n")
+
+    @pytest.mark.parametrize(
+        "rank,summands,message",
+        [
+            ("2", "M[0,inf],M[-inf,0]", "Prufer-type object holds the adic summand M[-inf,0]"),
+            ("3", "M[-inf,1],M[1,4],M[2,inf]", "Prufer-type object holds the adic summand M[-inf,1]"),
+            ("3", "M[0,inf]", "a maximal rigid object in rank 3 has 3 summands, got 1"),
+            ("2", "M[-inf,0],M[0,2],M[1,3]", "a maximal rigid object in rank 2 has 2 summands, got 3"),
+            ("2", "M[0,2],M[1,3]", "adic-type object has no adic summand"),
+            ("3", "M[0,inf],M[0,5],M[1,3]", "summand M[0,5] spans more than 3, so it is not rigid"),
+        ],
+    )
+    def test_refusals_name_the_summand_or_the_count(self, rank, summands, message):
+        argv = ["pair-of-rigid", "--rank", rank, "--summands", summands]
+        assert run_both(argv) == (2, "", f"error: {message}\n")
+
+    @needs_alarm
+    def test_rank_20000_is_not_quadratic(self):
+        # rigid, with a small pair; checking Ext on all n^2 ordered pairs of
+        # summands took minutes here
+        n = 20000
+        summands = ",".join([f"M[{i},inf]" for i in range(n) if i != 1] + ["M[0,2]"])
+        with time_limit(10):
+            code, out = run(["pair-of-rigid", "--rank", str(n), "--summands", summands, "--json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["torsion"] == {"corays": [], "finite": ["M[1,3]"]}
+        assert doc["free"] == {"finite": [], "rays": [i for i in range(n) if i != 1]}
+
     def test_bad_list_exits_1(self):
         assert run(["pair-of-rigid", "--rank", "2", "--summands", "M[0,inf],zzz"])[0] == 1
         assert run(["pair-of-rigid", "--rank", "2", "--summands", "M[0,inf],M[\u0660,2]"])[0] == 1
@@ -541,3 +574,11 @@ class TestCrossProcessDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout
+
+    def test_refusals_name_the_same_summand(self):
+        # a set of arcs holding None iterates in an order that, before
+        # Python 3.12, follows the address of None and so varies between runs
+        summands = ",".join(["M[0,inf]"] + [f"M[-inf,{j}]" for j in range(1, 8)])
+        cmd = [sys.executable, "-m", "tubecalc", "pair-of-rigid", "--rank", "8", "--summands", summands]
+        errs = {subprocess.run(cmd, capture_output=True).stderr for _ in range(4)}
+        assert errs == {b"error: Prufer-type object holds the adic summand M[-inf,1]\n"}

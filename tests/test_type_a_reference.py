@@ -20,7 +20,8 @@ import itertools
 import pytest
 
 from tubecalc import type_a as ta
-from tubecalc.type_a import AArc, all_arcs, ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy
+from tubecalc.type_a import AArc, all_arcs, ext_dim
+from segment_defs import hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -133,7 +134,7 @@ def perturbed_pairs(draw):
     tiltings = ta.enumerate_tilting(m)
     u = tiltings[draw(st.integers(0, len(tiltings) - 1))]
     first = draw(st.booleans())
-    pair = ta.torsion_pair_of_tilting(m, u) if first else ta.second_torsion_pair_of_tilting(m, u)
+    pair = ta.torsion_pair_of_tilting(m, u) if first else second_torsion_pair_of_tilting(m, u)
     t_part, f_part = set(pair[0]), set(pair[1])
     for _ in range(draw(st.integers(0, 3))):
         side = t_part if draw(st.booleans()) else f_part
@@ -177,7 +178,7 @@ class TestMatchesReference:
     def test_every_tilting_pair(self, m):
         for u in ta.enumerate_tilting(m):
             assert_matches(m, *ta.torsion_pair_of_tilting(m, u))
-            assert_matches(m, *ta.second_torsion_pair_of_tilting(m, u))
+            assert_matches(m, *second_torsion_pair_of_tilting(m, u))
 
     def test_strategies_reach_both_answers(self):
         # without a torsion pair among the drawn cases the comparison above
