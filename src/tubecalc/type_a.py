@@ -87,10 +87,6 @@ def tau(x: AArc) -> Optional[AArc]:
     return AArc(x.i - 1, x.j - 1) if x.i >= 1 else None
 
 
-def tau_inv(m: int, x: AArc) -> Optional[AArc]:
-    return AArc(x.i + 1, x.j + 1) if x.j + 1 <= m + 1 else None
-
-
 def _low(pairs) -> Dict[int, int]:
     """``low[j]`` of (start, end) pairs, over the ends that have an arc;
     pairs shorter than [j-2, j] are skipped."""
@@ -126,23 +122,20 @@ def right_closure(arcs) -> frozenset:
 def enumerate_tilting(m: int) -> List[frozenset]:
     """All tilting sets: maximal noncrossing m-subsets containing [0, m+1].
 
-    Backtracking over the lexicographically ordered arc list with a
-    compatibility bitmask per arc; output sorted for determinism.
+    Backtracking over the lexicographically ordered arc list with a bitmask
+    per arc of the later arcs it does not cross.  Each state pushes its
+    candidates largest first, so the sets come out in lexicographic order.
     """
     if m == 0:
         return [frozenset()]
     arcs = all_arcs(m)
-    total = len(arcs)
-    masks = []
-    for a, xa in enumerate(arcs):
-        mask = 0
-        for b, xb in enumerate(arcs):
-            if a != b and not crossing(xa, xb):
-                mask |= 1 << b
-        masks.append(mask)
-    base = arcs.index(AArc(0, m + 1))
+    masks = [
+        sum(1 << b for b in range(a + 1, len(arcs)) if not crossing(x, arcs[b]))
+        for a, x in enumerate(arcs)
+    ]
+    base = arcs.index(AArc(0, m + 1))  # it crosses no arc
     results: List[frozenset] = []
-    stack = [([base], masks[base])]
+    stack = [([base], ((1 << len(arcs)) - 1) ^ (1 << base))]
     while stack:
         chosen, cand = stack.pop()
         if len(chosen) == m:
@@ -152,10 +145,9 @@ def enumerate_tilting(m: int) -> List[frozenset]:
             continue
         c = cand
         while c:
-            t = (c & -c).bit_length() - 1
-            c &= c - 1
-            stack.append((chosen + [t], c & masks[t]))
-    results.sort(key=lambda s: sorted((x.i, x.j) for x in s))
+            t = c.bit_length() - 1
+            c ^= 1 << t
+            stack.append((chosen + [t], cand & masks[t]))
     return results
 
 

@@ -1,9 +1,11 @@
 """Segment-level definitions that only the tests read: the Hom rule, the
-injective and projective fans, the companion map of the tilting bijection
-and the all-pairs Ptolemy check, which the tests compare the library's
-segment model with."""
+injective and projective fans, tau^{-1}, the companion map of the tilting
+bijection and the all-pairs Ptolemy check, which the tests compare the
+library's segment model with."""
 
-from tubecalc.type_a import AArc, ext_dim, left_closure, right_closure, ses_middle, tau_inv
+from typing import Optional
+
+from tubecalc.type_a import AArc, ext_dim, left_closure, right_closure, ses_middle
 
 
 def hom_nonzero(x: AArc, y: AArc) -> bool:
@@ -19,6 +21,11 @@ def injective_arcs(m: int) -> list:
 def projective_arcs(m: int) -> list:
     """The fan at the left endpoint: arcs [0, j]."""
     return [AArc(0, j) for j in range(2, m + 2)]
+
+
+def tau_inv(m: int, x: AArc) -> Optional[AArc]:
+    """One step right, or None at the right wall."""
+    return AArc(x.i + 1, x.j + 1) if x.j + 1 <= m + 1 else None
 
 
 def second_torsion_pair_of_tilting(m: int, tilting) -> tuple:

@@ -1,0 +1,66 @@
+"""Every name a library module imports is used there.
+
+Each ``src/tubecalc/*.py`` is parsed with ``ast``; a name bound by an
+import counts as used if the module reads it anywhere (as a name, or as the
+base of an attribute chain) or lists it in ``__all__``.  ``from __future__``
+imports bind no name and are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tubecalc").glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """The name each import binds, mapped to its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def used_names(tree: ast.Module) -> set:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return sorted((line, name) for name, line in imported_names(tree).items() if name not in used)
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"arcs.py", "homs.py", "torsion.py", "type_a.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_guard_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from . import type_a\n"
+        "from .homs import neg_crossing_shifts as shifts, hom_dim\n"
+        "__all__ = ['hom_dim']\n"
+        "def f(x):\n"
+        "    return os.path.join(type_a.low, x)\n"
+    )
+    assert unused_imports(source) == [(2, "math"), (5, "shifts")]

@@ -145,6 +145,26 @@ class TestClosurePredicates:
                 assert not is_sub_closed(t3, d), d
                 assert not is_ext_closed(t3, d), d
 
+    def test_ptolemy_rule_on_low_is_not_exact(self):
+        # quotient-closed is not needed, and no crossing within low is not enough
+        t6 = Tube(6)
+        missing = make_desc(t6, [t6.finite(0, 3), t6.finite(1, 4), t6.finite(0, 4)])
+        assert not is_ext_closed(t6, missing)  # [1,4] x [0,3] resolves into [1,3]
+        assert is_ext_closed(t6, make_desc(t6, [t6.finite(0, 2), t6.finite(0, 3), t6.finite(0, 4)]))
+
+    @needs_alarm
+    def test_fan_pair_torsion_side_at_rank_100(self):
+        # the fan object: Prufers at three seeded indices, the fan [i, e] in each wing from i
+        tube = Tube(100)
+        idx = sorted(random.Random(0).sample(range(tube.n), 3))
+        summands = {tube.prufer(i) for i in idx}
+        for i, nxt in zip(idx, idx[1:] + [idx[0] + tube.n]):
+            summands.update(tube.finite(i, e) for e in range(i + 2, nxt + 1))
+        t_part = torsion_pair_of(tube, MaxRigid(frozenset(summands), PRUFER)).t_part
+        assert len(t_part.finite_objs) == 2278
+        with time_limit(5):
+            assert is_ext_closed(tube, t_part)
+
     def test_empty_closed_under_everything(self):
         t3 = Tube(3)
         d = empty_desc(t3)

@@ -18,6 +18,15 @@ the pair.  The new ones read the cyclic ``minend`` and ``maxstart`` off the
 arrays and count, with no perp built.  They are compared on raw
 ``SubcatDesc`` values too: arcs in any lift, spans below 2 and above n,
 one-sided arcs, both families, and real pairs with such an item added.
+
+The Ptolemy check has a third reference, also copied unchanged: the
+``is_ext_closed`` that walked every ordered pair of listed arcs, took the
+crossing lifts from ``homs.neg_crossing_shifts`` and resolved each with
+``type_a.ses_middle``.  The new one indexes the listed spans by end residue
+and visits each crossing once, by its end.  They are compared on canonical
+descriptors, on every side of every pair at n <= 5, and on raw ones; a
+listed one-sided arc is left out of the comparison, since the old answer
+there depended on which pair the set yielded first.
 """
 
 import math
@@ -29,6 +38,7 @@ import pytest
 from tubecalc import torsion as tor
 from tubecalc import type_a
 from tubecalc.arcs import IndObj, Tube
+from tubecalc.homs import neg_crossing_shifts
 from wings import fan
 from tubecalc.torsion import (
     ADIC,
@@ -538,3 +548,106 @@ class TestValidatorsOnArrays:
         assert outcome(tor.is_torsion_pair, tube, bad)[0] == "ValueError"
         assert outcome(tor.left_perp, tube, bad_f) == outcome(left_perp_by_reflection, tube, bad_f)
         assert outcome(tor.left_perp, tube, bad_f)[0] == "ValidationError"
+
+
+# -- the Ptolemy check before it read integers ----------------------------------------
+
+
+def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
+    """Oriented Ptolemy condition: for every negative crossing between
+    members, the resolution arcs of the crossing lift are again members."""
+    if desc.rays and desc.corays:
+        return desc == everything(tube)
+    if desc.corays:
+        return is_ext_closed(tube, reflect_desc(tube, desc))
+    fins = desc.finite_objs
+    if desc.rays and (
+        # the first lift of r past x.start lies strictly inside x
+        any((r - x.start - 1) % tube.n < x.length for x in fins for r in desc.rays)
+        or not is_sub_closed(tube, desc)
+    ):
+        return False
+    for x in fins:
+        for y in fins:
+            for k in neg_crossing_shifts(tube, x, y):
+                lifted = type_a.AArc(*tube.lift(y, k))
+                for mid in type_a.ses_middle(type_a.AArc(x.start, x.end), lifted):
+                    if not contains(tube, desc, tube.normalize(mid.i, mid.j)):
+                        return False
+    return True
+
+
+ONE_SIDED = ("ValueError", "one-sided arcs have no finite length")
+
+
+def assert_ext_closed_matches(tube: Tube, desc: SubcatDesc) -> bool:
+    """The outcomes agree; with a listed one-sided arc and no corays (which
+    the reflection refuses first) the new code raises, whatever the order."""
+    got = outcome(tor.is_ext_closed, tube, desc)
+    if desc.corays or all(x.is_finite for x in desc.finite_objs):
+        assert got == outcome(is_ext_closed, tube, desc), desc
+    else:
+        assert got == ONE_SIDED, desc
+    return got
+
+
+@st.composite
+def raw_family_subcats(draw):
+    """``raw_subcats`` with no family, rays only, corays only or both, each
+    as often: drawn independently, both families would come most often."""
+    tube = Tube(draw(st.integers(1, N_MAX)))
+    desc = draw(raw_subcats(tube.n))
+    rays, corays = draw(st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+    return tube, SubcatDesc(
+        desc.finite_objs, desc.rays if rays else frozenset(), desc.corays if corays else frozenset()
+    )
+
+
+class TestExtClosedByEnds:
+    @settings(max_examples=500, deadline=None)
+    @given(descriptors())
+    def test_canonical_descriptors(self, case):
+        assert_ext_closed_matches(*case)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw_family_subcats())
+    def test_raw_descriptors(self, case):
+        assert_ext_closed_matches(*case)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_side_of_every_pair(self, n):
+        tube = Tube(n)
+        verdicts = set()
+        for u in rigid_objects(n):
+            pair = tor.torsion_pair_of(tube, u)
+            for side in (pair.t_part, pair.f_part):
+                verdicts.add(assert_ext_closed_matches(tube, side))
+                verdicts.add(assert_ext_closed_matches(tube, tor.left_perp(tube, side)))
+        assert verdicts == {True}
+
+    def test_strategies_reach_both_answers_and_the_guard(self):
+        tube = Tube(3)
+        ext = [IndObj(0, 2), IndObj(1, 3), IndObj(0, 3)]
+        closed = SubcatDesc(frozenset(ext), frozenset(), frozenset())
+        assert is_ext_closed(tube, closed) and tor.is_ext_closed(tube, closed)
+        assert not is_ext_closed(tube, SubcatDesc(frozenset(ext[:2]), frozenset(), frozenset()))
+        # membership is by the canonical lift: [3, 5] crosses [4, 6] and
+        # resolves into [3, 6], which is [0, 3] and so not listed
+        raw = SubcatDesc(frozenset([IndObj(3, 5), IndObj(4, 6), IndObj(3, 6)]), frozenset(), frozenset())
+        assert not is_ext_closed(tube, raw) and not tor.is_ext_closed(tube, raw)
+        # the span guard: an arc spanning n + 1 with its whole quotient closure
+        long = make_desc(tube, tor.left_closure(tube, [IndObj(0, 4)]))
+        assert not is_ext_closed(tube, long) and not tor.is_ext_closed(tube, long)
+
+    def test_one_sided_arcs_raise_whatever_the_order(self):
+        tube = Tube(3)
+        for fins in (
+            [IndObj(0, None)],
+            [IndObj(None, 2)],
+            [IndObj(0, 2), IndObj(1, 3), IndObj(0, None)],  # [0, 3] missing
+            [IndObj(0, 5), IndObj(None, 1)],  # spans more than n
+            [IndObj(0, 1), IndObj(2, None)],  # spans below 2
+        ):
+            for rays in (frozenset(), frozenset([1]), frozenset([0, 2])):
+                desc = SubcatDesc(frozenset(fins), rays, frozenset())
+                assert outcome(tor.is_ext_closed, tube, desc) == ONE_SIDED, desc

@@ -52,8 +52,8 @@ class TestTranslate:
     def test_examples(self):
         assert ta.tau(AArc(1, 3)) == AArc(0, 2)
         assert ta.tau(AArc(0, 4)) is None
-        assert ta.tau_inv(3, AArc(0, 2)) == AArc(1, 3)
-        assert ta.tau_inv(3, AArc(1, 4)) is None
+        assert segment_defs.tau_inv(3, AArc(0, 2)) == AArc(1, 3)
+        assert segment_defs.tau_inv(3, AArc(1, 4)) is None
 
 
 class TestTilting:
@@ -97,6 +97,12 @@ class TestTilting:
 
     def test_enumeration_is_deterministic(self):
         assert ta.enumerate_tilting(5) == ta.enumerate_tilting(5)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_enumeration_is_in_lexicographic_order(self, m):
+        # by construction: the census pins read this order through _tilting_offsets
+        keys = [sorted((x.i, x.j) for x in u) for u in ta.enumerate_tilting(m)]
+        assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
 
     def test_enumeration_leaves_no_cyclic_garbage(self):
         # a result list kept alive by a reference cycle is freed only by a
