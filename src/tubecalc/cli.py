@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, List, Optional
 
 from .arcs import Tube, format_obj, parse_endpoints, parse_obj, sort_key
-from .homs import ALEPH0, InfinitePairError, ext_dim, hom_dim
+from .homs import InfinitePairError, ext_dim, hom_dim
 from .render import RenderSpec, ar_quiver_lines, render_svg, write_svg
 from .serialize import (
     format_desc,
@@ -53,10 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dim_str(value) -> str:
-    return "aleph0" if value is ALEPH0 else str(value)
-
-
 def _print_json(doc) -> None:
     print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
 
@@ -78,7 +74,7 @@ def cmd_dim(args) -> int:
     tube = Tube(args.rank)
     x = parse_obj(tube, args.x)
     y = parse_obj(tube, args.y)
-    print(_dim_str(args.dim(tube, x, y)))
+    print(args.dim(tube, x, y))  # ALEPH0 prints as aleph0
     return 0
 
 

@@ -1,13 +1,13 @@
-"""Matrix-level ground truth over a prime field.
+"""Matrix-level ground truth over the fixed prime field F_32003 (``PRIME``).
 
 Tube objects become nilpotent representations of the cyclic quiver with
 arrows v -> v-1 (and segment arcs become representations of the linear
 quiver with the same arrow direction).  Hom(a, b) is the kernel of the map
 (+)_v Hom(a_v, b_v) -> (+)_{arrows k: v -> w} Hom(a_v, b_w) that sends (f_v)
 to (f_w A_k - B_k f_v)_k, so its dimension is the number of unknowns minus
-the rank of that system mod p.  The elimination is general (any integer
-maps, no uniserial or 0/1 shortcut), and p must be a prime.  Ext^1 follows
-from Hom and the Euler form, since both quiver categories are hereditary.
+the rank of that system mod PRIME.  The elimination is general (any
+integer maps, no uniserial or 0/1 shortcut).  Ext^1 follows from Hom and
+the Euler form, since both quiver categories are hereditary.
 
 The map of arrow k: v -> w is held as a plain tuple ``(rows, cols, entries)``
 with ``(rows, cols) == (dims[w], dims[v])`` and ``entries`` a tuple of its
@@ -17,7 +17,6 @@ nonzero cells ``(row, col, value)`` as Python integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
@@ -25,7 +24,7 @@ from . import homs
 from .arcs import IndObj, Tube, sort_key
 from .type_a import AArc, check_arc
 
-DEFAULT_PRIME = 32003
+PRIME = 32003
 
 
 @dataclass(frozen=True)
@@ -51,38 +50,6 @@ class QuivRep:
     shape: QuiverShape
     dims: Tuple[int, ...]
     maps: Tuple[Map, ...]
-    p: int
-
-
-# Miller-Rabin with the first twelve primes as bases decides every n below
-# 3.18 * 10**23 exactly (Sorenson and Webster, 2015), so every n < 2**64.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n in _WITNESSES:
-        return True
-    if any(n % q == 0 for q in _WITNESSES):
-        return False
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
-    d = (n - 1) >> s
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=64, typed=True)
-def _check_prime(p: int) -> None:
-    if type(p) is not int or not 2 <= p < 2**64 or not _is_prime(p):
-        raise ValueError(f"p must be a prime, got p={p!r}")
 
 
 def _check_rep(rep: QuivRep) -> None:
@@ -100,11 +67,10 @@ def _check_rep(rep: QuivRep) -> None:
                 raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
 
 
-def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int) -> QuivRep:
+def _uniserial(shape: QuiverShape, socle_vertex: int, length: int) -> QuivRep:
     """Basis b_0..b_{length-1}; b_t sits at vertex socle+t mod the vertex
     count (on the linear quiver socle+t stays below it), arrows send
     b_t -> b_{t-1}."""
-    _check_prime(p)
     nv = shape.num_vertices
     dims = [0] * nv
     arrow_of = {arrow: k for k, arrow in enumerate(shape.arrows)}
@@ -117,20 +83,20 @@ def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int) -> Qu
         dims[v] += 1
         prev = v
     maps = tuple((dims[w], dims[v], tuple(e)) for (v, w), e in zip(shape.arrows, entries))
-    return QuivRep(shape, tuple(dims), maps, p)
+    return QuivRep(shape, tuple(dims), maps)
 
 
-def build_rep(tube: Tube, obj: IndObj, p: int = DEFAULT_PRIME) -> QuivRep:
+def build_rep(tube: Tube, obj: IndObj) -> QuivRep:
     """Nilpotent cyclic-quiver representation of a finite arc."""
     if not obj.is_finite:
         raise ValueError("only finite arcs have matrix representations")
-    return _uniserial(cyclic_quiver(tube.n), obj.start % tube.n, obj.length, p)
+    return _uniserial(cyclic_quiver(tube.n), obj.start % tube.n, obj.length)
 
 
-def build_rep_a(m: int, arc: AArc, p: int = DEFAULT_PRIME) -> QuivRep:
+def build_rep_a(m: int, arc: AArc) -> QuivRep:
     """Linear-quiver representation of a segment arc (socle S_{i+1})."""
     check_arc(m, arc)
-    return _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1, p)
+    return _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1)
 
 
 def euler_form(shape: QuiverShape, d, e) -> int:
@@ -159,9 +125,10 @@ def _intertwiner_rows(a: QuivRep, b: QuivRep, offs: List[int]) -> List[Dict[int,
     return rows
 
 
-def _rank_mod(rows: List[Dict[int, int]], p: int) -> int:
-    """Rank mod a prime p of sparse integer rows: one pivot row per column,
+def _rank_mod(rows: List[Dict[int, int]]) -> int:
+    """Rank mod PRIME of sparse integer rows: one pivot row per column,
     normalized to 1 at its lowest column, reduces each incoming row there."""
+    p = PRIME
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
         row = {c: x % p for c, x in row.items() if x % p}
@@ -180,13 +147,12 @@ def _rank_mod(rows: List[Dict[int, int]], p: int) -> int:
 
 def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     """Dimension of the space of intertwiners a -> b: unknowns minus rank."""
-    if a.shape != b.shape or a.p != b.p:
-        raise ValueError("representations live over different quivers or primes")
-    _check_prime(a.p)
+    if a.shape != b.shape:
+        raise ValueError("representations live over different quivers")
     _check_rep(a)
     _check_rep(b)
     offs = list(accumulate((b.dims[v] * a.dims[v] for v in range(a.shape.num_vertices)), initial=0))
-    return offs[-1] - _rank_mod(_intertwiner_rows(a, b, offs), a.p)
+    return offs[-1] - _rank_mod(_intertwiner_rows(a, b, offs))
 
 
 def ext_dim_oracle(a: QuivRep, b: QuivRep) -> int:
@@ -211,7 +177,7 @@ def _bron_kerbosch(r: set, p: set, x: set, neighbors, out: List[set]) -> None:
         x.add(v)
 
 
-def brute_force_max_rigid(tube: Tube, p: int = DEFAULT_PRIME) -> List[frozenset]:
+def brute_force_max_rigid(tube: Tube) -> List[frozenset]:
     """Maximal cliques of the Ext-compatibility graph on self-rigid arcs.
 
     Nodes: finite arcs of length < n together with all Prufer and adic
@@ -224,7 +190,7 @@ def brute_force_max_rigid(tube: Tube, p: int = DEFAULT_PRIME) -> List[frozenset]
     nodes += [tube.prufer(i) for i in range(n)]
     nodes += [tube.adic(j) for j in range(n)]
     nodes.sort(key=sort_key)
-    reps = {v: build_rep(tube, v, p) for v in nodes if v.is_finite}
+    reps = {v: build_rep(tube, v) for v in nodes if v.is_finite}
 
     def ext_zero(x: IndObj, y: IndObj) -> bool:
         if x.is_finite and y.is_finite:

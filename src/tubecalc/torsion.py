@@ -59,11 +59,12 @@ A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
 The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So some mirror
 -side constructions are derived rather than written out: ``is_sub_closed``
-is ``is_quotient_closed`` of the reflection, and the coray-type inverse is
-the reflected ray-type one (read off T's ``minend``, since F = T^perp).
-``left_perp`` is written out: it reads ``maxstart`` off ``reach`` with no
-reflected descriptor, which ``_least_spans`` gets by reading quotients
-mirrored.
+is ``is_quotient_closed`` of the reflection, ``left_perp`` is the reflected
+``right_perp``, and the coray-type inverse is the reflected ray-type one
+(read off T's ``minend``, since F = T^perp).  ``_least_spans`` reads the
+mirrored arrays itself (quotients as mirrored subobjects), since
+``is_torsion_pair`` and ``max_rigid_of`` read F's ``maxstart`` off
+``reach`` with no reflected descriptor.
 """
 
 from __future__ import annotations
@@ -330,28 +331,9 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
 
 
 def left_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
-    """Descriptor of {y : Hom(y, x) = 0 for every member x of desc}.
-
-    The mirror of the right perp: a nonzero map y -> x has image
-    [x.start, y.end], a quotient of y and a subobject of x, so per end e the
-    perp is every span below ``maxstart[e]``, the least gap e - x.start of a
-    member x that reaches e, read off ``reach``.  A ray reaches every end,
-    and a coray leaves nothing.  A listed one-sided arc, or a span below 2,
-    raises what the reflected descriptor raises.
-    """
-    n = tube.n
-    try:
-        finite = all(e - s >= 2 for s, e in desc.finite_objs)
-    except TypeError:  # a None endpoint
-        finite = False
-    if not finite:
-        reflect_desc(tube, desc)  # raises the error of the offending arc
-    if desc.corays or len({i % n for i in desc.rays}) == n:
-        return empty_desc(tube)
-    reach = _bound(n, desc.finite_objs, quotients=False)
-    maxstart = _least_spans(n, reach, desc.rays, quotients=False)
-    low = {e: e - d + 1 for e, d in maxstart.items()}
-    return _closure_side(tube, low, quotients=True, corays=frozenset(range(n)).difference(low))
+    """Descriptor of {y : Hom(y, x) = 0 for every member x of desc}: the
+    reflected right perp of the reflection, since Hom(y, x) = Hom(x^v, y^v)."""
+    return reflect_desc(tube, right_perp(tube, reflect_desc(tube, desc)))
 
 
 # -- torsion pairs ---------------------------------------------------------------
@@ -382,7 +364,8 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
     arcs only, none at their own family, F = T^perp iff F has a ray at
     every start without ``minend`` and numbers as many arcs as T^perp, and
     then T = perp-F iff T has a coray at every end without F's
-    ``maxstart`` and numbers as many arcs as perp-F (see ``left_perp``).
+    ``maxstart`` and numbers as many arcs as perp-F (the mirror of
+    ``right_perp``).
     The pair of an object with k Prufers (or adics) lists k rays (or
     corays) and an arc per finite summand, so it lists n items at least.
     """

@@ -256,18 +256,25 @@ def is_torsionfree_class(arcs) -> bool:
 def is_torsion_pair(m: int, t_part, f_part) -> bool:
     """Hom(T, F) = 0, read off ``minend``; given that, F = T^perp and
     T = perp-F iff each side numbers as many arcs as the other's perp, which
-    lie below ``minend`` and above ``maxstart``."""
+    lie below ``minend`` and above ``maxstart``.  T = perp-F is
+    quotient-closed and F = T^perp sub-closed, so a side that does not
+    number its closure is refused first; then ``minend[s]`` is the least end
+    of an arc of T at start s, and ``maxstart[e]`` the greatest start of an
+    arc of F at end e, one pass each."""
     t_pairs = _segment_pairs(m, frozenset(t_part))
     f_pairs = _segment_pairs(m, frozenset(f_part))
-    low, reach = _low(t_pairs), _reach(f_pairs)
+    if len(t_pairs) != _quotient_count(_low(t_pairs)) or len(f_pairs) != sum(
+        b - i - 1 for i, b in _reach(f_pairs).items()
+    ):
+        return False
     minend = [m + 2] * m
-    for j in sorted(low, reverse=True):
-        for s in range(low[j], j - 1):
-            minend[s] = j
+    for i, j in t_pairs:
+        if j < minend[i]:
+            minend[i] = j
     maxstart = [-1] * (m + 2)
-    for i in sorted(reach):
-        for e in range(i + 2, reach[i] + 1):
-            maxstart[e] = i
+    for i, j in f_pairs:
+        if i > maxstart[j]:
+            maxstart[j] = i
     return (
         all(j < minend[i] for i, j in f_pairs)
         and len(f_pairs) == sum(e - s - 2 for s, e in enumerate(minend))

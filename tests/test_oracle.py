@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from limits import needs_alarm, time_limit
 from tubecalc import homs, oracle
 from tubecalc.arcs import Tube
 from tubecalc.type_a import AArc
@@ -84,73 +83,22 @@ class TestHomOracle:
         for x, y in itertools.product(objs, objs):
             assert oracle.hom_dim_oracle(reps[x], reps[y]) == homs.hom_dim(tube, x, y)
 
-    def test_prime_independence(self):
-        for n in (1, 2, 3):
-            tube = Tube(n)
-            objs = tube.finite_objects(6)
-            for x, y in itertools.product(objs, objs):
-                a2 = oracle.build_rep(tube, x, p=2)
-                b2 = oracle.build_rep(tube, y, p=2)
-                ab = oracle.build_rep(tube, x)
-                bb = oracle.build_rep(tube, y)
-                assert oracle.hom_dim_oracle(a2, b2) == oracle.hom_dim_oracle(ab, bb)
-
-    @pytest.mark.parametrize("p", [0, 1, 4, -5])
-    def test_non_prime_p_rejected(self, p):
-        tube = Tube(3)
-        with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
-            oracle.build_rep(tube, tube.finite(0, 4), p=p)
-        with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
-            oracle.build_rep_a(3, AArc(0, 3), p=p)
-        # a representation built by hand is checked where the field is used
-        rep = oracle.build_rep(tube, tube.finite(0, 4))
-        rep = oracle.QuivRep(rep.shape, rep.dims, rep.maps, p)
-        with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
-            oracle.hom_dim_oracle(rep, rep)
-
-    def test_prime_check_reads_the_type(self):
-        tube = Tube(2)
-        oracle.build_rep(tube, tube.finite(0, 3), p=5)
-        # 5.0 == 5 must not reuse the answer memoized for 5
-        for p in (5.0, True, "5"):
-            with pytest.raises(ValueError, match="p must be a prime"):
-                oracle.build_rep(tube, tube.finite(0, 3), p=p)
-
-    @needs_alarm
-    def test_prime_check_is_bounded(self):
-        tube = Tube(3)
-        with time_limit(5):
-            oracle.build_rep(tube, tube.finite(0, 4), p=2**61 - 1)
-            # a Carmichael number, 3 * 768614336404564651, and a prime past
-            # the range where the Miller-Rabin witnesses are proven exact
-            for p in (561, 2**61 + 1, 2**89 - 1):
-                with pytest.raises(ValueError, match=f"p must be a prime, got p={p}"):
-                    oracle.build_rep(tube, tube.finite(0, 4), p=p)
-
-    def test_prime_check_matches_trial_division(self):
-        for p in range(2, 5000):
-            assert oracle._is_prime(p) == all(p % d for d in range(2, p))
-        # strong pseudoprimes to the first four and to the first nine primes
-        assert not oracle._is_prime(3215031751)
-        assert not oracle._is_prime(3825123056546413051)
-        assert oracle._is_prime(2**31 - 1)
-
     def test_maps_must_match_the_dimension_vector(self):
-        rep = oracle.QuivRep(oracle.cyclic_quiver(1), (1,), ((2, 2, ()),), 3)
+        rep = oracle.QuivRep(oracle.cyclic_quiver(1), (1,), ((2, 2, ()),))
         with pytest.raises(ValueError, match="arrow 0 do not match the dimension vectors"):
             oracle.hom_dim_oracle(rep, rep)
 
     @pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (1, -1), (1, 1.0), (True, 1)])
     def test_dims_must_fit_the_quiver(self, dims):
         shape = oracle.cyclic_quiver(2)
-        rep = oracle.QuivRep(shape, dims, ((0, 1, ()), (1, 0, ())), 3)
+        rep = oracle.QuivRep(shape, dims, ((0, 1, ()), (1, 0, ())))
         with pytest.raises(ValueError, match="is not a dimension vector on 2 vertices"):
             oracle.hom_dim_oracle(rep, rep)
         with pytest.raises(ValueError, match="is not a dimension vector on 2 vertices"):
             oracle.ext_dim_oracle(rep, rep)
 
     def test_one_map_per_arrow(self):
-        rep = oracle.QuivRep(oracle.cyclic_quiver(2), (1, 1), ((1, 1, ((0, 0, 1),)),), 3)
+        rep = oracle.QuivRep(oracle.cyclic_quiver(2), (1, 1), ((1, 1, ((0, 0, 1),)),))
         with pytest.raises(ValueError, match="1 maps for 2 arrows"):
             oracle.hom_dim_oracle(rep, rep)
 
@@ -159,8 +107,8 @@ class TestHomOracle:
         # dims (1, 2) on the cyclic quiver with two vertices: the map of
         # arrow 1 (vertex 1 -> vertex 0) is 1 x 2
         shape = oracle.cyclic_quiver(2)
-        good = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, ())), 3)
-        bad = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, (cell + (1,),))), 3)
+        good = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, ())))
+        bad = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, (cell + (1,),))))
         assert oracle.hom_dim_oracle(good, good) == 5
         outside = "an entry of the map of arrow 1 lies outside its 1 x 2 shape"
         for a, b in ((bad, good), (good, bad)):

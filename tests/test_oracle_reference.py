@@ -3,11 +3,13 @@
 The reference below is the old implementation, copied unchanged: the
 intertwiner system is assembled from Kronecker products with identity
 blocks, stacked, and reduced mod p row by row over numpy, on maps held as
-dense arrays.  Hypothesis draws arbitrary representations, not only the 0/1
-uniserials the tube and the segment use: cyclic quivers with 1-5 vertices
-and linear quivers with 1-5 vertices, 0-3 basis vectors per vertex, and maps
-with integer entries in [-5, 5] at one of three densities (so not
-necessarily nilpotent), over p = 2, 3 or 32003.  Each map is drawn once,
+dense arrays.  The field is F_p with p = ``oracle.PRIME``.  Hypothesis draws
+arbitrary representations, not only the 0/1 uniserials the tube and the
+segment use: cyclic quivers with 1-5 vertices and linear quivers with 1-5
+vertices, 0-3 basis vectors per vertex, and maps with integer entries at one
+of three densities (so not necessarily nilpotent).  Most entries lie in
+[-5, 5]; now and then one is a nonzero multiple of p, so rows that vanish
+mod p but not over the integers are drawn too.  Each map is drawn once,
 handed to the reference as a dense array and to ``oracle`` as its nonzero
 entries.  It also compares the rank of random integer matrices, and the
 uniserials ``build_rep`` and ``build_rep_a`` make with the old dense ones.
@@ -55,9 +57,9 @@ def _rank_mod(mat: np.ndarray, p: int) -> int:
 
 def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     """Dimension of the space of intertwiners a -> b, by nullspace count."""
-    if a.shape != b.shape or a.p != b.p:
-        raise ValueError("representations live over different quivers or primes")
-    shape, p = a.shape, a.p
+    if a.shape != b.shape:
+        raise ValueError("representations live over different quivers")
+    shape, p = a.shape, oracle.PRIME
     unk = [b.dims[v] * a.dims[v] for v in range(shape.num_vertices)]
     offs = [0]
     for u in unk:
@@ -88,9 +90,8 @@ def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     return total - _rank_mod(system, p)
 
 
-def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cyclic: bool) -> QuivRep:
+def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, cyclic: bool) -> QuivRep:
     """Basis b_0..b_{length-1}; b_t sits at vertex socle+t, arrows send b_t -> b_{t-1}."""
-    oracle._check_prime(p)
     nv = shape.num_vertices
     dims = [0] * nv
     vert_of, local = [], []  # vertex of b_t, and its index among that vertex's basis
@@ -106,27 +107,30 @@ def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, p: int, cycli
             if vert_of[t] == src and vert_of[t - 1] == dst:
                 mat[local[t - 1], local[t]] = 1
         maps.append(mat)
-    return QuivRep(shape, tuple(dims), tuple(maps), p)
+    return QuivRep(shape, tuple(dims), tuple(maps))
 
 
 # -- comparison ----------------------------------------------------------------------
 
-PRIMES = (2, 3, 32003)
+MULTIPLES = (-oracle.PRIME, oracle.PRIME, 2 * oracle.PRIME)
 
 
 def integer_matrix(rng, rows: int, cols: int, density: float) -> np.ndarray:
-    """Entries in [-5, 5], each kept with probability ``density``.  The
-    entries come from a generator seeded by hypothesis, which draws the
-    shapes and the density itself: drawing every entry through hypothesis
-    made generation two thirds of the test's time."""
-    return rng.integers(-5, 6, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    """Entries in [-5, 5], or with probability 1/5 one of ``MULTIPLES``, each
+    kept with probability ``density``.  The entries come from a generator
+    seeded by hypothesis, which draws the shapes and the density itself:
+    drawing every entry through hypothesis made generation two thirds of
+    the test's time."""
+    shape = (rows, cols)
+    small = rng.integers(-5, 6, size=shape)
+    entries = np.where(rng.random(shape) < 0.2, rng.choice(MULTIPLES, size=shape), small)
+    return entries * (rng.random(shape) < density)
 
 
 @st.composite
 def representation_pairs(draw):
     quiver = draw(st.sampled_from([oracle.cyclic_quiver, oracle.linear_quiver]))
     shape = quiver(draw(st.integers(1, 5)))
-    p = draw(st.sampled_from(PRIMES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     density = draw(st.sampled_from([0.3, 0.6, 1.0]))
     pair = []
@@ -134,7 +138,7 @@ def representation_pairs(draw):
         nv = shape.num_vertices
         dims = tuple(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)))
         maps = tuple(integer_matrix(rng, dims[w], dims[v], density) for (v, w) in shape.arrows)
-        pair.append(both_forms(shape, dims, maps, p))
+        pair.append(both_forms(shape, dims, maps))
     return pair
 
 
@@ -161,9 +165,9 @@ def entry_form(mat: np.ndarray):
     return rows, cols, tuple((i, j, x) for i, line in lines for j, x in enumerate(line) if x)
 
 
-def both_forms(shape, dims, dense_maps, p):
+def both_forms(shape, dims, dense_maps):
     """The same representation for the reference and for ``oracle``."""
-    return QuivRep(shape, dims, dense_maps, p), QuivRep(shape, dims, tuple(map(entry_form, dense_maps)), p)
+    return QuivRep(shape, dims, dense_maps), QuivRep(shape, dims, tuple(map(entry_form, dense_maps)))
 
 
 @needs_alarm
@@ -178,17 +182,17 @@ class TestMatchesReference:
             assert oracle.ext_dim_oracle(a, b) >= 0
 
     @settings(max_examples=200, deadline=None)
-    @given(integer_matrices(), st.sampled_from(PRIMES))
-    def test_rank_of_integer_matrices(self, mat, p):
+    @given(integer_matrices())
+    def test_rank_of_integer_matrices(self, mat):
         with time_limit(10):
-            assert oracle._rank_mod(sparse_rows(mat), p) == _rank_mod(mat, p)
+            assert oracle._rank_mod(sparse_rows(mat)) == _rank_mod(mat, oracle.PRIME)
 
     def test_non_nilpotent_loop(self):
-        # x -> 2x and x -> x over F_3: only scalars commute with the first,
-        # and nothing but 0 intertwines the two; no uniserial is like this
+        # x -> 2x and x -> x over F_PRIME: only scalars commute with the
+        # first, and nothing but 0 intertwines the two; no uniserial is like this
         shape = oracle.cyclic_quiver(1)
-        dense_a, a = both_forms(shape, (1,), (np.array([[2]], dtype=np.int64),), 3)
-        dense_b, b = both_forms(shape, (1,), (np.array([[1]], dtype=np.int64),), 3)
+        dense_a, a = both_forms(shape, (1,), (np.array([[2]], dtype=np.int64),))
+        dense_b, b = both_forms(shape, (1,), (np.array([[1]], dtype=np.int64),))
         assert a.maps == ((1, 1, ((0, 0, 2),)),)
         assert oracle.hom_dim_oracle(a, a) == hom_dim_oracle(dense_a, dense_a) == 1
         assert oracle.hom_dim_oracle(a, b) == hom_dim_oracle(dense_a, dense_b) == 0
@@ -197,18 +201,18 @@ class TestMatchesReference:
 class TestUniserialsMatchReference:
     @staticmethod
     def assert_same(rep: QuivRep, dense: QuivRep):
-        assert (rep.shape, rep.dims, rep.p) == (dense.shape, dense.dims, dense.p)
+        assert (rep.shape, rep.dims) == (dense.shape, dense.dims)
         assert rep.maps == tuple(map(entry_form, dense.maps))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_tube_arcs(self, n):
         tube = Tube(n)
         for x in tube.finite_objects(2 * n):
-            dense = _uniserial(oracle.cyclic_quiver(n), x.start % n, x.length, 3, cyclic=True)
-            self.assert_same(oracle.build_rep(tube, x, p=3), dense)
+            dense = _uniserial(oracle.cyclic_quiver(n), x.start % n, x.length, cyclic=True)
+            self.assert_same(oracle.build_rep(tube, x), dense)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_segment_arcs(self, m):
         for arc in all_arcs(m):
-            dense = _uniserial(oracle.linear_quiver(m), arc.i, arc.j - arc.i - 1, 3, cyclic=False)
-            self.assert_same(oracle.build_rep_a(m, arc, p=3), dense)
+            dense = _uniserial(oracle.linear_quiver(m), arc.i, arc.j - arc.i - 1, cyclic=False)
+            self.assert_same(oracle.build_rep_a(m, arc), dense)

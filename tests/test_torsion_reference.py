@@ -430,6 +430,22 @@ def raw_subcats(draw, n: int):
 
 
 @st.composite
+def raw_family_subcats(draw, n: int):
+    """``raw_subcats`` with no family, rays only, corays only or both, each
+    as often: drawn independently, both families would come most often."""
+    desc = draw(raw_subcats(n))
+    rays, corays = draw(st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
+    return SubcatDesc(
+        desc.finite_objs, desc.rays if rays else frozenset(), desc.corays if corays else frozenset()
+    )
+
+
+def on_one_rank(*strategies):
+    """A rank n <= N_MAX, then one draw of each strategy at that rank."""
+    return st.integers(1, N_MAX).flatmap(lambda n: st.tuples(st.just(n), *(s(n) for s in strategies)))
+
+
+@st.composite
 def raw_edits(draw, tube: Tube, desc: SubcatDesc):
     """The descriptor with one raw item added: another lift of a listed
     arc, an arc at one of its own families, a short or one-sided arc, or an
@@ -494,7 +510,7 @@ class TestValidatorsOnArrays:
         assert_validators_match(*case)
 
     @settings(max_examples=400, deadline=None)
-    @given(st.integers(1, N_MAX).flatmap(lambda n: st.tuples(st.just(n), raw_subcats(n), raw_subcats(n))))
+    @given(on_one_rank(raw_family_subcats, raw_family_subcats))
     def test_raw_descriptors_of_both_kinds(self, case):
         n, t_part, f_part = case
         for kind in (RAY, CORAY):
@@ -591,18 +607,6 @@ def assert_ext_closed_matches(tube: Tube, desc: SubcatDesc) -> bool:
     return got
 
 
-@st.composite
-def raw_family_subcats(draw):
-    """``raw_subcats`` with no family, rays only, corays only or both, each
-    as often: drawn independently, both families would come most often."""
-    tube = Tube(draw(st.integers(1, N_MAX)))
-    desc = draw(raw_subcats(tube.n))
-    rays, corays = draw(st.sampled_from([(False, False), (True, False), (False, True), (True, True)]))
-    return tube, SubcatDesc(
-        desc.finite_objs, desc.rays if rays else frozenset(), desc.corays if corays else frozenset()
-    )
-
-
 class TestExtClosedByEnds:
     @settings(max_examples=500, deadline=None)
     @given(descriptors())
@@ -610,9 +614,10 @@ class TestExtClosedByEnds:
         assert_ext_closed_matches(*case)
 
     @settings(max_examples=500, deadline=None)
-    @given(raw_family_subcats())
+    @given(on_one_rank(raw_family_subcats))
     def test_raw_descriptors(self, case):
-        assert_ext_closed_matches(*case)
+        n, desc = case
+        assert_ext_closed_matches(Tube(n), desc)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_every_side_of_every_pair(self, n):

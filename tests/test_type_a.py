@@ -7,6 +7,7 @@ import pytest
 from tubecalc import oracle
 from tubecalc import type_a as ta
 import segment_defs
+from limits import needs_alarm, time_limit
 from tubecalc.type_a import AArc
 
 
@@ -158,6 +159,17 @@ class TestTorsionPairsA:
                 x for x in f if all(ta.ext_dim(y, x) == 0 for y in f)
             )
             assert recovered == u
+
+    @needs_alarm
+    def test_validator_is_linear_in_its_input(self):
+        # a fan on each side, neither closed: O(m) arcs whose closures hold
+        # O(m^2), which the validator must not fill
+        m = 20000
+        t = [AArc(0, j) for j in range(2, m + 2)]
+        f = [AArc(i, m + 1) for i in range(m)]
+        with time_limit(5):
+            assert not ta.is_torsion_pair(m, t, f)
+            assert not ta.is_torsion_pair(m, f, t)
 
     def test_recovery_example(self):
         t = {AArc(0, 2), AArc(0, 3), AArc(1, 3)}
