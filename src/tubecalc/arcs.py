@@ -125,14 +125,6 @@ class Tube:
     def adic(self, j: int) -> IndObj:
         return self.normalize(None, j)
 
-    def lift(self, obj: IndObj, k: int = 0) -> Tuple[Optional[int], Optional[int]]:
-        """The k-th lift of the arc to the universal cover, as a raw pair."""
-        kn = k * self.n
-        return (
-            None if obj.start is None else obj.start + kn,
-            None if obj.end is None else obj.end + kn,
-        )
-
     def fans(self, spans: Dict[int, int], at_end: bool = False) -> List[IndObj]:
         """For every ``anchor: longest`` of ``spans``, in its order, the
         canonical arcs that start at ``anchor`` (or end at residue ``anchor``

@@ -8,6 +8,20 @@ fill one ``"%.3f,%.3f"`` template.  That prints what rounding each point with
 expression, in the same order, as in a point-by-point loop; ``%.3f`` is
 correctly rounded, as ``round`` is; and ``-0.000`` is rewritten to ``0.000``.
 
+An annulus path depends on the rank and the arc alone, and a rank-n tube
+has few arcs worth drawing: a maximal rigid object's summands are among
+n(n-1) finite arcs of span at most n and the 2n one-sided ones.  So the
+printed points of each annulus path (and, for a one-sided arc, of its
+arrowhead) are kept in a memo keyed by ``(n, arc)``.  It holds only these
+coordinate strings; the style, which picks the element's class, colour and
+dash, is added each time.  Past ``MAX_PATH_CHARS`` characters the memo
+starts again, so its size stays bounded whatever is drawn, and a path
+longer than that on its own is drawn but not kept.  A path is a function of
+its key, so callers (and threads) can share the memo: a race costs a miss,
+never a wrong path.  Stores take a lock, so the bound holds with threads
+too; lookups take none.  Cover and segment paths depend on the drawing's ends
+as well, and are printed each time.
+
 Bounds, checked before any work (``ValueError``): ``MAX_POINTS`` marked and
 sampled points per drawing; ``MAX_CELLS`` nodes and ``MAX_CHARS`` characters
 per AR quiver.
@@ -16,9 +30,10 @@ per AR quiver.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .arcs import IndObj, Tube, format_obj, sort_key
 from .type_a import AArc, check_arc
@@ -36,6 +51,7 @@ SPIRAL_TURNS = 2.5  # one-sided arcs are truncated after this many turns
 MAX_POINTS = 10**6  # marked points plus sampled arc points of one drawing
 MAX_CELLS = 10**5  # nodes of one AR quiver: rank x max_length
 MAX_CHARS = 10**7  # characters of one AR quiver display; rows are indented
+MAX_PATH_CHARS = 1 << 22  # characters of printed points held by the annulus path memo
 
 CX = 240.0
 CY = 240.0
@@ -81,22 +97,27 @@ def _samples(annulus: bool, obj) -> int:
     return 16 + 8 * (j - i) if annulus else 12 + 4 * (j - i)
 
 
-def _draw(body: List[str], xs, ys, style: str, arrow: bool) -> None:
-    """Append the path through the points and, if asked, its arrowhead."""
+def _arrowhead(xs, ys) -> str:
+    """The points of the arrowhead at the path's last point."""
+    x0, y0, x1, y1 = xs[-2], ys[-2], xs[-1], ys[-1]
+    dx, dy = x1 - x0, y1 - y0
+    norm = math.hypot(dx, dy) or 1.0
+    ux, uy = dx / norm, dy / norm
+    bx, by = x1 - 9 * ux, y1 - 9 * uy  # the base, 9 back from the tip; half width 4
+    return _coords((x1, bx - 4 * uy, bx + 4 * uy), (y1, by + 4 * ux, by - 4 * ux), " ")
+
+
+def _draw(body: List[str], style: str, d: str, arrow: str) -> None:
+    """Append the path through the printed points d and, if arrow is not
+    empty, the arrowhead through its printed points."""
     color = STYLE_COLOR[style]
     dash = ' stroke-dasharray="6 3"' if style in DASHED_STYLES else ""
     body.append(
-        f'<path class="arc {style}" d="M {_coords(xs, ys, " L ")}" fill="none" '
+        f'<path class="arc {style}" d="M {d}" fill="none" '
         f'stroke="{color}" stroke-width="1.5"{dash}/>'
     )
     if arrow:
-        x0, y0, x1, y1 = xs[-2], ys[-2], xs[-1], ys[-1]
-        dx, dy = x1 - x0, y1 - y0
-        norm = math.hypot(dx, dy) or 1.0
-        ux, uy = dx / norm, dy / norm
-        bx, by = x1 - 9 * ux, y1 - 9 * uy  # the base, 9 back from the tip; half width 4
-        pts = _coords((x1, bx - 4 * uy, bx + 4 * uy), (y1, by + 4 * ux, by - 4 * ux), " ")
-        body.append(f'<polygon class="arrow {style}" points="{pts}" fill="{color}"/>')
+        body.append(f'<polygon class="arrow {style}" points="{arrow}" fill="{color}"/>')
 
 
 def _svg(width: float, height: float, body: List[str]) -> str:
@@ -110,6 +131,11 @@ def _svg(width: float, height: float, body: List[str]) -> str:
 
 
 # -- annulus mode ---------------------------------------------------------------
+
+# (rank, arc) -> (path points, arrowhead points), as _annulus_path prints them
+_PATHS: Dict[Tuple[int, IndObj], Tuple[str, str]] = {}
+_path_chars = 0  # characters held in _PATHS
+_PATHS_LOCK = threading.Lock()  # held while _PATHS or _path_chars change; lookups take none
 
 
 def _ring(n: int, idxs, rs) -> Tuple[List[float], List[float]]:
@@ -134,9 +160,19 @@ def _annulus_body(n: int, arcs) -> List[str]:
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
             f'text-anchor="middle" dominant-baseline="middle">{k}</text>',
         ]
-    turns, width = SPIRAL_TURNS * n, R_OUT - R_IN - 6
     for obj, style in arcs:
+        _draw(body, style, *_annulus_path(n, obj))
+    return body
+
+
+def _annulus_path(n: int, obj: IndObj) -> Tuple[str, str]:
+    """The printed points of the arc's path at rank n and, for a one-sided
+    arc, of its arrowhead ("" for a finite arc); from the memo if there."""
+    key = (n, obj)
+    path = _PATHS.get(key)
+    if path is None:
         us, bulge = _steps(_samples(True, obj))
+        turns, width = SPIRAL_TURNS * n, R_OUT - R_IN - 6
         if obj.is_finite:
             start, span = obj.start, obj.end - obj.start
             depth = min(R_OUT - R_IN - 12, 22.0 + 11.0 * span)
@@ -148,8 +184,33 @@ def _annulus_body(n: int, arcs) -> List[str]:
         else:
             idxs = [obj.end - turns * (1 - u) for u in us]
             rs = [R_IN + 6 + width * u for u in us]
-        _draw(body, *_ring(n, idxs, rs), style, not obj.is_finite)
-    return body
+        xs, ys = _ring(n, idxs, rs)
+        path = _coords(xs, ys, " L "), "" if obj.is_finite else _arrowhead(xs, ys)
+        _keep(key, path)
+    return path
+
+
+def _keep(key: Tuple[int, IndObj], path: Tuple[str, str]) -> None:
+    """Store a path in the memo, which starts again when it would pass
+    MAX_PATH_CHARS; a path longer than that on its own is not kept."""
+    global _path_chars
+    size = len(path[0]) + len(path[1])
+    if size > MAX_PATH_CHARS:
+        return
+    with _PATHS_LOCK:
+        if _path_chars + size > MAX_PATH_CHARS:
+            _PATHS.clear()
+            _path_chars = 0
+        _PATHS[key] = path
+        _path_chars += size
+
+
+def _forget_paths() -> None:
+    """Empty the memo."""
+    global _path_chars
+    with _PATHS_LOCK:
+        _PATHS.clear()
+        _path_chars = 0
 
 
 # -- cover and segment modes -------------------------------------------------------
@@ -186,7 +247,8 @@ def _line_body(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
         us, bulge = _steps(_samples(False, obj))
         xs = [x0 + (x1 - x0) * u for u in us]
         ys = [_BASE - height * v for v in bulge]
-        _draw(body, xs, ys, style, i is None or j is None)
+        arrow = _arrowhead(xs, ys) if i is None or j is None else ""
+        _draw(body, style, _coords(xs, ys, " L "), arrow)
     return body, width
 
 

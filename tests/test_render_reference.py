@@ -4,12 +4,18 @@ The reference below is the old per-point code, copied unchanged; hypothesis
 draws specs in all three modes and every byte must agree.  The same specs are
 compared once more with every number printed in full, where rounding to
 10^-3 would hide a coordinate that is off by one ulp.
+
+The annulus path memo is checked cold and warm against the reference and
+against a pinned SHA-256; those tests need only the standard library, so
+they run where hypothesis is not installed, and the property tests skip.
 """
 
 import contextlib
+import hashlib
 import math
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import List, Sequence, Tuple
 
 import pytest
@@ -30,8 +36,11 @@ from tubecalc.render import (
 )
 from tubecalc.type_a import AArc
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property tests below skip without hypothesis
+    given = settings = st = None
+needs_hypothesis = pytest.mark.skipif(given is None, reason="needs hypothesis")
 
 # -- reference renderer -------------------------------------------------------------
 
@@ -215,43 +224,69 @@ def reference_svg(spec: RenderSpec) -> str:
 
 # -- byte equivalence with the reference ---------------------------------------------
 
-styles = st.sampled_from(sorted(STYLE_COLOR))
+
+def styles():
+    return st.sampled_from(sorted(STYLE_COLOR))
 
 
-@st.composite
-def tube_specs(draw, mode, ranks, spans, min_arcs=0):
-    """A spec of up to 8 styled tube arcs; finite spans drawn from spans(n)."""
-    n = draw(ranks)
-    tube = Tube(n)
-    starts = st.integers(0, n - 1)
-    arc = st.one_of(
-        st.builds(lambda s, span: tube.finite(s, s + span), starts, spans(n)),
-        st.builds(tube.prufer, starts),
-        st.builds(tube.adic, starts),
-    )
-    arcs = draw(st.lists(st.tuples(arc, styles), min_size=min_arcs, max_size=8))
-    return RenderSpec(mode, n, tuple(arcs))
+def tube_specs(mode, ranks, spans, min_arcs=0):
+    """Specs of up to 8 styled tube arcs; finite spans drawn from spans(n)."""
+
+    @st.composite
+    def specs(draw):
+        n = draw(ranks)
+        tube = Tube(n)
+        starts = st.integers(0, n - 1)
+        arc = st.one_of(
+            st.builds(lambda s, span: tube.finite(s, s + span), starts, spans(n)),
+            st.builds(tube.prufer, starts),
+            st.builds(tube.adic, starts),
+        )
+        arcs = draw(st.lists(st.tuples(arc, styles()), min_size=min_arcs, max_size=8))
+        return RenderSpec(mode, n, tuple(arcs))
+
+    return specs()
 
 
-@st.composite
-def tall_cover_specs(draw):
+def annulus_specs():
+    return tube_specs("annulus", st.integers(1, 40), lambda n: st.integers(2, 3 * n + 2))
+
+
+def tall_cover_specs():
     """Cover specs with at least one finite arc of span >= 21, whose bump
     rises above the base line, so y runs through 0 into negative values."""
-    spec = draw(tube_specs("cover", st.integers(1, 8), lambda n: st.integers(2, 48)))
-    n = spec.rank
-    start = draw(st.integers(0, n - 1))
-    tall = Tube(n).finite(start, start + draw(st.integers(21, 48)))
-    return RenderSpec("cover", n, spec.arcs + ((tall, draw(styles)),))
+
+    @st.composite
+    def specs(draw):
+        spec = draw(tube_specs("cover", st.integers(1, 8), lambda n: st.integers(2, 48)))
+        n = spec.rank
+        start = draw(st.integers(0, n - 1))
+        tall = Tube(n).finite(start, start + draw(st.integers(21, 48)))
+        return RenderSpec("cover", n, spec.arcs + ((tall, draw(styles())),))
+
+    return specs()
 
 
-@st.composite
-def segment_specs(draw):
-    m = draw(st.integers(1, 30))
-    arc = st.integers(0, m - 1).flatmap(
-        lambda i: st.builds(lambda j: AArc(i, j), st.integers(i + 2, m + 1))
-    )
-    arcs = draw(st.lists(st.tuples(arc, styles), max_size=8))
-    return RenderSpec("segment", m, tuple(arcs))
+def segment_specs():
+    @st.composite
+    def specs(draw):
+        m = draw(st.integers(1, 30))
+        arc = st.integers(0, m - 1).flatmap(
+            lambda i: st.builds(lambda j: AArc(i, j), st.integers(i + 2, m + 1))
+        )
+        arcs = draw(st.lists(st.tuples(arc, styles()), max_size=8))
+        return RenderSpec("segment", m, tuple(arcs))
+
+    return specs()
+
+
+def spiral_specs(n: int):
+    """Every Prufer arc of rank n, then every adic arc, as two specs."""
+    t = Tube(n)
+    return [
+        RenderSpec("annulus", n, tuple((make(i), kind) for i in range(n)))
+        for kind, make in (("prufer", t.prufer), ("adic", t.adic))
+    ]
 
 
 class TestMatchesReference:
@@ -259,50 +294,175 @@ class TestMatchesReference:
     point-by-point output."""
 
     @needs_alarm
-    @settings(max_examples=150, deadline=None)
-    @given(tube_specs("annulus", st.integers(1, 40), lambda n: st.integers(2, 3 * n + 2)))
-    def test_annulus(self, spec):
-        with time_limit(20):
-            assert render_svg(spec) == reference_svg(spec)
+    @needs_hypothesis
+    def test_annulus(self):
+        @settings(max_examples=150, deadline=None)
+        @given(annulus_specs())
+        def check(spec):
+            with time_limit(20):
+                assert render_svg(spec) == reference_svg(spec)
+
+        check()
 
     @needs_alarm
-    @settings(max_examples=100, deadline=None)
-    @given(tall_cover_specs())
-    def test_cover_with_tall_arcs(self, spec):
-        with time_limit(20):
-            assert render_svg(spec) == reference_svg(spec)
+    @needs_hypothesis
+    def test_cover_with_tall_arcs(self):
+        @settings(max_examples=100, deadline=None)
+        @given(tall_cover_specs())
+        def check(spec):
+            with time_limit(20):
+                assert render_svg(spec) == reference_svg(spec)
+
+        check()
 
     @needs_alarm
-    @settings(max_examples=100, deadline=None)
-    @given(segment_specs())
-    def test_segment(self, spec):
-        with time_limit(20):
-            assert render_svg(spec) == reference_svg(spec)
+    @needs_hypothesis
+    def test_segment(self):
+        @settings(max_examples=100, deadline=None)
+        @given(segment_specs())
+        def check(spec):
+            with time_limit(20):
+                assert render_svg(spec) == reference_svg(spec)
+
+        check()
 
     @needs_alarm
     def test_every_spiral_at_every_rank(self):
         with time_limit(60):
             for n in range(1, 41):
-                t = Tube(n)
-                for kind in ("prufer", "adic"):
-                    make = t.prufer if kind == "prufer" else t.adic
-                    spec = RenderSpec("annulus", n, tuple((make(i), kind) for i in range(n)))
-                    assert render_svg(spec) == reference_svg(spec), (n, kind)
+                for spec in spiral_specs(n):
+                    assert render_svg(spec) == reference_svg(spec), (n, spec.arcs[0][1])
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.one_of(
-            st.floats(-1000, 1000, allow_nan=False),
-            st.floats(-0.001, 0.001, allow_nan=False),
-            st.integers(-10**6, 10**6).map(lambda k: (k + 0.5) / 1000),
-        ),
-    )
-    def test_number_format_matches_round_then_format(self, x):
+    @needs_hypothesis
+    def test_number_format_matches_round_then_format(self):
         # near-halves at the 4th decimal and negative values that round to
         # zero; no drawing reaches the latter (bumps of span up to 5000 never
         # land in (-0.0005, 0)), so the emitter is pinned on its own
-        assert render._fmt(x) == _fmt(x)
-        assert render._coords([x, 1.0], [2.0, x], " L ") == f"{_pt(x, 2.0)} L {_pt(1.0, x)}"
+        @settings(max_examples=300, deadline=None)
+        @given(
+            st.one_of(
+                st.floats(-1000, 1000, allow_nan=False),
+                st.floats(-0.001, 0.001, allow_nan=False),
+                st.integers(-10**6, 10**6).map(lambda k: (k + 0.5) / 1000),
+            ),
+        )
+        def check(x):
+            assert render._fmt(x) == _fmt(x)
+            assert render._coords([x, 1.0], [2.0, x], " L ") == f"{_pt(x, 2.0)} L {_pt(1.0, x)}"
+
+        check()
+
+
+# -- the annulus path memo -----------------------------------------------------------
+
+
+def dense_annulus(n: int) -> RenderSpec:
+    """Every finite arc of span <= n and every spiral at rank n, the styles in turn."""
+    t = Tube(n)
+    arcs = [t.finite(s, s + d) for s in range(n) for d in range(2, n + 1)]
+    arcs += [t.prufer(i) for i in range(n)] + [t.adic(i) for i in range(n)]
+    cycle = sorted(STYLE_COLOR)
+    return RenderSpec("annulus", n, tuple((x, cycle[k % len(cycle)]) for k, x in enumerate(arcs)))
+
+
+# the dense rank-20 drawing as the renderer printed it before the memo
+DENSE_20_SHA256 = "7ff86a305a33f646ccbb5b3038bdca0ecd6f77fa889d12a1f263a6935bef410e"
+
+
+def memo_chars() -> int:
+    return sum(len(d) + len(arrow) for d, arrow in render._PATHS.values())
+
+
+def first_path(svg: str) -> str:
+    return re.search(r"<path [^>]*>", svg).group()
+
+
+@pytest.fixture
+def cold():
+    """An empty memo on entry and on exit."""
+    render._forget_paths()
+    yield
+    render._forget_paths()
+
+
+class TestPathMemo:
+    """A path taken from the memo is the path printed on a miss: the same
+    bytes cold, warm and in the reference, whatever was drawn before."""
+
+    def test_pinned_dense_drawing_cold_and_warm(self, cold):
+        spec = dense_annulus(20)
+        for _ in ("cold", "warm"):
+            assert hashlib.sha256(render_svg(spec).encode()).hexdigest() == DENSE_20_SHA256
+
+    @needs_alarm
+    def test_cold_warm_and_reference_agree_at_small_ranks(self, cold):
+        with time_limit(60):
+            for n in range(1, 13):
+                for spec in [dense_annulus(n)] + spiral_specs(n):
+                    render._forget_paths()
+                    first = render_svg(spec)
+                    assert render_svg(spec) == first == reference_svg(spec), n
+
+    def test_style_stays_outside_the_memo(self, cold):
+        x = Tube(4).prufer(1)
+        for style in sorted(STYLE_COLOR):
+            spec = RenderSpec("annulus", 4, ((x, style),))
+            assert render_svg(spec) == reference_svg(spec)
+        assert list(render._PATHS) == [(4, x)]
+
+    def test_the_key_holds_the_rank(self, cold):
+        specs = [RenderSpec("annulus", n, ((Tube(n).finite(0, 2), "summand"),)) for n in (3, 5)]
+        paths = [first_path(render_svg(spec)) for spec in specs]
+        assert paths[0] != paths[1]
+        assert paths == [first_path(reference_svg(spec)) for spec in specs]
+
+    def test_memo_stays_within_its_bound(self, cold, monkeypatch):
+        monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
+        held = []
+        for n in range(1, 9):
+            for spec in [dense_annulus(n)] + spiral_specs(n):
+                assert render_svg(spec) == reference_svg(spec)
+                assert memo_chars() == render._path_chars <= 20000
+                held.append(render._path_chars)
+        assert any(b < a for a, b in zip(held, held[1:]))  # it started again
+
+    def test_path_over_the_budget_is_drawn_but_not_kept(self, cold, monkeypatch):
+        monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
+        t = Tube(3)
+        short, long = (t.finite(0, 2), "summand"), (t.finite(0, 200), "summand")
+        render_svg(RenderSpec("annulus", 3, (short,)))
+        spec = RenderSpec("annulus", 3, (long,))
+        svg = render_svg(spec)
+        assert len(first_path(svg)) > 20000 and svg == reference_svg(spec)
+        assert list(render._PATHS) == [(3, short[0])]  # kept, and the long one not
+        assert memo_chars() == render._path_chars
+
+    def test_threads_share_the_memo(self, cold, monkeypatch):
+        monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
+        specs = [spec for n in range(1, 9) for spec in [dense_annulus(n)] + spiral_specs(n)]
+        want = [reference_svg(spec) for spec in specs]
+
+        def draw(k):
+            order = specs[k:] + specs[:k]
+            return [render_svg(spec) for spec in order] == want[k:] + want[:k]
+
+        with ThreadPoolExecutor(4) as pool:
+            assert all(pool.map(draw, range(0, 4 * 5, 5)))
+        # two threads that keep the same path count it twice, never less
+        assert memo_chars() <= render._path_chars <= 20000
+
+    @needs_alarm
+    @needs_hypothesis
+    def test_cold_warm_and_reference_agree(self):
+        @settings(max_examples=150, deadline=None)
+        @given(annulus_specs())
+        def check(spec):
+            with time_limit(20):
+                render._forget_paths()
+                first = render_svg(spec)
+                assert render_svg(spec) == first == reference_svg(spec)
+
+        check()
 
 
 # -- the same at full precision ------------------------------------------------------
@@ -318,12 +478,18 @@ def _full_coords(xs, ys, sep: str) -> str:
 
 @contextlib.contextmanager
 def full_precision():
-    """Both renderers print every number as repr(float)."""
+    """Both renderers print every number as repr(float); the path memo is
+    emptied on entry and on exit, so that no path printed at one precision
+    is drawn at the other."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(render, "_fmt", _full)
         mp.setattr(render, "_coords", _full_coords)
         mp.setattr(sys.modules[__name__], "_fmt", _full)
-        yield
+        render._forget_paths()
+        try:
+            yield
+        finally:
+            render._forget_paths()
 
 
 def assert_same_at_full_precision(spec: RenderSpec) -> None:
@@ -338,39 +504,50 @@ class TestMatchesReferenceAtFullPrecision:
 
     def test_mode_prints_in_full(self):
         spec = RenderSpec("annulus", 3, ((Tube(3).finite(0, 2), "summand"),))
+        render_svg(spec)  # a warm memo must not leak 3-decimal paths in
         with full_precision():
             svg = render_svg(spec)
         decimals = [len(x) for x in re.findall(r"\.(\d+)", svg)]
         assert 'cx="240.0"' in svg and max(decimals) > 3
+        assert re.search(r"\.\d{4}", first_path(svg))
+        assert render_svg(spec) == reference_svg(spec)  # nor full-precision paths out
 
     @needs_alarm
-    @settings(max_examples=150, deadline=None)
-    @given(tube_specs("annulus", st.integers(1, 40), lambda n: st.integers(2, 3 * n + 2)))
-    def test_annulus(self, spec):
-        with time_limit(20):
-            assert_same_at_full_precision(spec)
+    @needs_hypothesis
+    def test_annulus(self):
+        @settings(max_examples=150, deadline=None)
+        @given(annulus_specs())
+        def check(spec):
+            with time_limit(20):
+                assert_same_at_full_precision(spec)
+
+        check()
 
     @needs_alarm
-    @settings(max_examples=100, deadline=None)
-    @given(tall_cover_specs())
-    def test_cover_with_tall_arcs(self, spec):
-        with time_limit(20):
-            assert_same_at_full_precision(spec)
+    @needs_hypothesis
+    def test_cover_with_tall_arcs(self):
+        @settings(max_examples=100, deadline=None)
+        @given(tall_cover_specs())
+        def check(spec):
+            with time_limit(20):
+                assert_same_at_full_precision(spec)
+
+        check()
 
     @needs_alarm
-    @settings(max_examples=100, deadline=None)
-    @given(segment_specs())
-    def test_segment(self, spec):
-        with time_limit(20):
-            assert_same_at_full_precision(spec)
+    @needs_hypothesis
+    def test_segment(self):
+        @settings(max_examples=100, deadline=None)
+        @given(segment_specs())
+        def check(spec):
+            with time_limit(20):
+                assert_same_at_full_precision(spec)
+
+        check()
 
     @needs_alarm
     def test_every_spiral_at_every_rank(self):
         with time_limit(60):
             for n in range(1, 41):
-                t = Tube(n)
-                for kind in ("prufer", "adic"):
-                    make = t.prufer if kind == "prufer" else t.adic
-                    assert_same_at_full_precision(
-                        RenderSpec("annulus", n, tuple((make(i), kind) for i in range(n)))
-                    )
+                for spec in spiral_specs(n):
+                    assert_same_at_full_precision(spec)

@@ -39,6 +39,7 @@ from tubecalc import torsion as tor
 from tubecalc import type_a
 from tubecalc.arcs import IndObj, Tube
 from tubecalc.homs import neg_crossing_shifts
+from cover import lift
 from wings import fan
 from tubecalc.torsion import (
     ADIC,
@@ -476,8 +477,8 @@ def raw_edits(draw, tube: Tube, desc: SubcatDesc):
 @st.composite
 def raw_pairs(draw):
     """The pair of a maximal rigid object with either side kept, edited by
-    ``raw_edits`` or replaced by ``raw_subcats``; the kind now and then
-    flipped."""
+    ``raw_edits`` or replaced by ``raw_family_subcats``; the kind now and
+    then flipped."""
     n = draw(st.integers(1, N_MAX - 1))
     tube = Tube(n)
     objects = rigid_objects(n)
@@ -488,7 +489,7 @@ def raw_pairs(draw):
         if how == "edit":
             side = draw(raw_edits(tube, side))
         elif how == "raw":
-            side = draw(raw_subcats(n))
+            side = draw(raw_family_subcats(n))
         sides.append(side)
     kind = pair.kind
     if draw(st.integers(0, 4)) == 0:
@@ -586,7 +587,7 @@ def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
     for x in fins:
         for y in fins:
             for k in neg_crossing_shifts(tube, x, y):
-                lifted = type_a.AArc(*tube.lift(y, k))
+                lifted = type_a.AArc(*lift(tube, y, k))
                 for mid in type_a.ses_middle(type_a.AArc(x.start, x.end), lifted):
                     if not contains(tube, desc, tube.normalize(mid.i, mid.j)):
                         return False
