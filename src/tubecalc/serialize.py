@@ -1,14 +1,13 @@
-"""JSON documents (schema 1) for torsion pairs and maximal rigid objects."""
+"""JSON documents (schema 1): pair documents are read and written, rigid
+documents only written."""
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .arcs import Tube, _parse_finite, format_finite, format_obj, parse_obj, sort_key
+from .arcs import Tube, _parse_finite, format_finite, format_obj, sort_key
 from .torsion import (
-    ADIC,
     CORAY,
-    PRUFER,
     RAY,
     MaxRigid,
     SubcatDesc,
@@ -60,8 +59,9 @@ def _doc_header(doc, what: str, kinds) -> Tuple[Tube, str]:
     """Rank and kind of a schema-1 document whose kind is one of kinds."""
     if not isinstance(doc, dict):
         raise ValidationError("document must be a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise ValidationError(f"unsupported schema {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA:  # JSON true and 1.0 equal 1
+        raise ValidationError(f"key 'schema' must be the integer {SCHEMA}, got {schema!r}")
     rank = _field(doc, "rank", int)
     if rank < 1:
         raise ValidationError(f"key 'rank' must be a positive integer, got {rank}")
@@ -91,14 +91,6 @@ def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
     return _desc(tube.n, arcs, **{family: found})
 
 
-def _parse_arcs(tube: Tube, strings, key: str):
-    """The arcs the strings name; a ValidationError naming the key if one fails to parse."""
-    try:
-        return [parse_obj(tube, s) for s in strings]
-    except ValueError as exc:
-        raise ValidationError(f"key {key!r}: {exc}") from None
-
-
 def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
     tube, kind = _doc_header(doc, "pair", (RAY, CORAY))
     t_part = _desc_from_doc(tube, doc, "torsion", "corays")
@@ -115,12 +107,6 @@ def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
             format_obj(x) for x in sorted(rigid.summands, key=sort_key)
         ],
     }
-
-
-def rigid_from_doc(doc: dict) -> Tuple[Tube, MaxRigid]:
-    tube, kind = _doc_header(doc, "rigid", (PRUFER, ADIC))
-    summands = _field(doc, "summands", str, many=True)
-    return tube, MaxRigid(frozenset(_parse_arcs(tube, summands, "summands")), kind)
 
 
 def format_desc(desc: SubcatDesc) -> str:

@@ -238,20 +238,6 @@ def _closure_side(
     return SubcatDesc(frozenset(tube.fans(spans, at_end=quotients)), rays, corays)
 
 
-def left_closure(tube: Tube, objs) -> frozenset:
-    """The quotients of finite arcs: same end, start moved weakly right
-    (from ``low`` on)."""
-    low = _bound(tube.n, objs, quotients=True)
-    return _closure_side(tube, low, quotients=True).finite_objs
-
-
-def right_closure(tube: Tube, objs) -> frozenset:
-    """The subobjects of finite arcs: same start, end moved weakly left
-    (down from ``reach``)."""
-    reach = _bound(tube.n, objs, quotients=False)
-    return _closure_side(tube, reach, quotients=False).finite_objs
-
-
 def reflect_desc(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     n = tube.n
     return make_desc(
@@ -403,15 +389,6 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
         and t.corays == full.difference(maxstart)
         and low.keys() <= maxstart.keys()  # no arc ends at a coray
         and len(t.finite_objs) == sum(maxstart.values()) - 2 * len(maxstart)
-    )
-
-
-def reflect_pair(tube: Tube, pair: TorsionPair) -> TorsionPair:
-    """(T, F) -> (F^v, T^v); ray type and coray type swap."""
-    return TorsionPair(
-        reflect_desc(tube, pair.f_part),
-        reflect_desc(tube, pair.t_part),
-        RAY if pair.kind == CORAY else CORAY,
     )
 
 

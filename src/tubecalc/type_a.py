@@ -63,25 +63,6 @@ def crossing(x: AArc, y: AArc) -> bool:
     return x.i < y.i < x.j < y.j or y.i < x.i < y.j < x.j
 
 
-def ext_dim(x: AArc, y: AArc) -> int:
-    """1 iff the crossing is negative from x's side: y.i < x.i < y.j < x.j."""
-    return 1 if y.i < x.i < y.j < x.j else 0
-
-
-def ses_middle(x: AArc, y: AArc) -> frozenset:
-    """Middle-term arcs of the non-split extension of x by y.
-
-    Two arcs [y.i, x.j] and [x.i, y.j] in general; the second degenerates
-    (is a boundary segment) when y.j == x.i + 1.
-    """
-    if ext_dim(x, y) != 1:
-        raise ValueError(f"no extension of {x} by {y}")
-    mids = {AArc(y.i, x.j)}
-    if y.j > x.i + 1:
-        mids.add(AArc(x.i, y.j))
-    return frozenset(mids)
-
-
 def tau(x: AArc) -> Optional[AArc]:
     """One step left, or None at the left wall."""
     return AArc(x.i - 1, x.j - 1) if x.i >= 1 else None

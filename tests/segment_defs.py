@@ -1,11 +1,38 @@
-"""Segment-level definitions that only the tests read: the Hom rule, the
-injective and projective fans, tau^{-1}, the companion map of the tilting
-bijection and the all-pairs Ptolemy check, which the tests compare the
-library's segment model with."""
+"""Segment-level definitions that only the tests read, which the tests
+compare the library's segment model with.
+
+- The Ext rule: Ext^1(x, y) is 1 iff the crossing of x and y is negative
+  from x's side, y.i < x.i < y.j < x.j, and 0 otherwise.
+- The middle terms of the non-split extension 0 -> y -> E -> x -> 0: the
+  Ptolemy resolution of that crossing, [y.i, x.j] and [x.i, y.j], where the
+  second is a boundary segment, and so dropped, when y.j == x.i + 1.
+- The Hom rule, the injective and projective fans, tau^{-1}, the companion
+  map of the tilting bijection, and the all-pairs Ptolemy check built on
+  the two rules above.
+"""
 
 from typing import Optional
 
-from tubecalc.type_a import AArc, ext_dim, left_closure, right_closure, ses_middle
+from tubecalc.type_a import AArc, left_closure, right_closure
+
+
+def ext_dim(x: AArc, y: AArc) -> int:
+    """1 iff the crossing is negative from x's side: y.i < x.i < y.j < x.j."""
+    return 1 if y.i < x.i < y.j < x.j else 0
+
+
+def ses_middle(x: AArc, y: AArc) -> frozenset:
+    """Middle-term arcs of the non-split extension of x by y.
+
+    Two arcs [y.i, x.j] and [x.i, y.j] in general; the second degenerates
+    (is a boundary segment) when y.j == x.i + 1.
+    """
+    if ext_dim(x, y) != 1:
+        raise ValueError(f"no extension of {x} by {y}")
+    mids = {AArc(y.i, x.j)}
+    if y.j > x.i + 1:
+        mids.add(AArc(x.i, y.j))
+    return frozenset(mids)
 
 
 def hom_nonzero(x: AArc, y: AArc) -> bool:

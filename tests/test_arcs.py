@@ -12,9 +12,10 @@ from tubecalc.arcs import (
     parse_obj,
     sort_key,
 )
-from tubecalc.torsion import left_closure, make_desc, members, right_closure
+from tubecalc.torsion import make_desc, members
 from tubecalc.type_a import AArc
 from cover import lift
+from tube_defs import left_closure, right_closure
 from wings import fan, wing_members
 
 try:

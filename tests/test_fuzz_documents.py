@@ -27,7 +27,9 @@ from tubecalc.torsion import (  # noqa: E402
 _endpoint = st.one_of(st.integers(min_value=-6, max_value=14).map(str), st.sampled_from(["inf", "-inf"]))
 _arc = st.one_of(st.builds(lambda s, e: f"M[{s},{e}]", _endpoint, _endpoint), st.text(max_size=8))
 _header = {
-    "schema": st.integers(min_value=0, max_value=2),
+    "schema": st.one_of(
+        st.integers(min_value=0, max_value=2), st.booleans(), st.integers(min_value=0, max_value=2).map(float)
+    ),
     "rank": st.integers(min_value=-1, max_value=5),
     "kind": st.one_of(st.sampled_from(["ray", "coray"]), st.text(max_size=6)),
 }

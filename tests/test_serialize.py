@@ -8,9 +8,9 @@ from tubecalc.serialize import (
     format_desc,
     pair_from_doc,
     pair_to_doc,
-    rigid_from_doc,
     rigid_to_doc,
 )
+from tube_defs import rigid_from_doc
 from tubecalc.torsion import (
     ValidationError,
     empty_desc,
@@ -97,6 +97,11 @@ def test_format_desc():
           "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
         ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,\u0663]"], "corays": []},
           "free": {"finite": [], "rays": [0]}}, "torsion.finite"),
+        # a valid pair but for its schema: JSON true and 1.0 compare equal to 1
+        ({"schema": True, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,3]"], "corays": []},
+          "free": {"finite": [], "rays": [0]}}, "schema"),
+        ({"schema": 1.0, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,3]"], "corays": []},
+          "free": {"finite": [], "rays": [0]}}, "schema"),
     ],
 )
 def test_malformed_pair_doc(doc, key):

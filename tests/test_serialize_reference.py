@@ -11,7 +11,9 @@ leading zeros, ``inf``/``-inf`` ends, e < s+2, huge integers, duplicates and
 lifts off 0..n-1.  Each document must give the same pair or the same
 ``ValidationError`` text, except that a one-sided arc in a pair document now
 names its key.  ``rigid_from_doc`` (summands, one-sided arcs allowed) keeps
-the old path.
+the old path; the library writes rigid documents but no longer reads them,
+so it lives in ``tests/tube_defs.py``, and is compared here with the old
+reader, whose ``parse_obj`` is the copy above.
 """
 
 import re
@@ -20,7 +22,8 @@ import pytest
 
 from tubecalc import arcs, serialize
 from tubecalc.arcs import Tube
-from tubecalc.serialize import pair_from_doc, rigid_from_doc
+from tubecalc.serialize import pair_from_doc
+from tube_defs import rigid_from_doc
 from tubecalc.torsion import CORAY, RAY, SubcatDesc, TorsionPair, ValidationError
 
 hypothesis = pytest.importorskip("hypothesis")

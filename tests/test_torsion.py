@@ -9,6 +9,7 @@ from wings import prufer_type_rigids, wing_members
 from tubecalc import oracle
 from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
+from tube_defs import left_closure, reflect_pair, right_closure
 from tubecalc.torsion import (
     ADIC,
     CORAY,
@@ -27,14 +28,11 @@ from tubecalc.torsion import (
     is_quotient_closed,
     is_sub_closed,
     is_torsion_pair,
-    left_closure,
     left_perp,
     make_desc,
     max_rigid_of,
     members,
-    reflect_pair,
     reflect_rigid,
-    right_closure,
     right_perp,
     torsion_pair_of,
 )

@@ -22,11 +22,12 @@ one-sided arcs, both families, and real pairs with such an item added.
 The Ptolemy check has a third reference, also copied unchanged: the
 ``is_ext_closed`` that walked every ordered pair of listed arcs, took the
 crossing lifts from ``homs.neg_crossing_shifts`` and resolved each with
-``type_a.ses_middle``.  The new one indexes the listed spans by end residue
-and visits each crossing once, by its end.  They are compared on canonical
-descriptors, on every side of every pair at n <= 5, and on raw ones; a
-listed one-sided arc is left out of the comparison, since the old answer
-there depended on which pair the set yielded first.
+the segment's middle terms, ``ses_middle`` (once in ``type_a``, now in
+``tests/segment_defs.py``).  The new one indexes the listed spans by end
+residue and visits each crossing once, by its end.  They are compared on
+canonical descriptors, on every side of every pair at n <= 5, and on raw
+ones; a listed one-sided arc is left out of the comparison, since the old
+answer there depended on which pair the set yielded first.
 """
 
 import math
@@ -39,7 +40,9 @@ from tubecalc import torsion as tor
 from tubecalc import type_a
 from tubecalc.arcs import IndObj, Tube
 from tubecalc.homs import neg_crossing_shifts
+import tube_defs
 from cover import lift
+from segment_defs import ses_middle
 from wings import fan
 from tubecalc.torsion import (
     ADIC,
@@ -56,7 +59,6 @@ from tubecalc.torsion import (
     everything,
     make_desc,
     reflect_desc,
-    reflect_pair,
     reflect_rigid,
 )
 
@@ -258,7 +260,7 @@ def descriptors(draw, n=None):
     of their quotient or subobject closure, or its right or left perp."""
     tube = Tube(n or draw(st.integers(1, N_MAX)))
     arcs = draw(lifted_arcs(tube.n))
-    closure = draw(st.sampled_from([None, tor.left_closure, tor.right_closure]))
+    closure = draw(st.sampled_from([None, tube_defs.left_closure, tube_defs.right_closure]))
     if closure is not None:
         arcs = closure(tube, arcs)
     desc = make_desc(tube, arcs, draw(indices(tube.n)), draw(indices(tube.n)))
@@ -273,7 +275,7 @@ def raw_descriptors(draw):
     tube = Tube(draw(st.integers(1, N_MAX)))
     arcs = draw(lifted_arcs(tube.n))
     if draw(st.booleans()):
-        arcs = tor.left_closure(tube, arcs)
+        arcs = tube_defs.left_closure(tube, arcs)
     arcs = frozenset(tube.normalize(*x) for x in arcs)
     return tube, SubcatDesc(arcs, frozenset(), draw(indices(tube.n)))
 
@@ -315,13 +317,13 @@ class TestClosures:
     def test_closures_of_arcs_in_any_lift(self, case):
         n, arcs = case
         tube = Tube(n)
-        assert tor.left_closure(tube, arcs) == left_closure(tube, arcs)
-        assert tor.right_closure(tube, arcs) == right_closure(tube, arcs)
+        assert tube_defs.left_closure(tube, arcs) == left_closure(tube, arcs)
+        assert tube_defs.right_closure(tube, arcs) == right_closure(tube, arcs)
 
     def test_one_sided_arcs_refused(self):
         tube = Tube(3)
         for arcs in ([IndObj(0, None)], [IndObj(0, 3), IndObj(None, 2)]):
-            for new, old in ((tor.left_closure, left_closure), (tor.right_closure, right_closure)):
+            for new, old in ((tube_defs.left_closure, left_closure), (tube_defs.right_closure, right_closure)):
                 assert outcome(new, tube, arcs) == outcome(old, tube, arcs)
                 assert outcome(new, tube, arcs)[0] == "ValueError"
 
@@ -341,7 +343,7 @@ class TestDescriptors:
         # a closed descriptor with corays, and an arc at a coray whose
         # quotients are members only through the coray
         tube = Tube(3)
-        closed = make_desc(tube, tor.left_closure(tube, [IndObj(0, 5)]), corays=[1])
+        closed = make_desc(tube, tube_defs.left_closure(tube, [IndObj(0, 5)]), corays=[1])
         assert is_quotient_closed(tube, closed) and tor.is_quotient_closed(tube, closed)
         raw = SubcatDesc(frozenset([IndObj(0, 4)]), frozenset(), frozenset([1]))
         assert is_quotient_closed(tube, raw) and tor.is_quotient_closed(tube, raw)
@@ -447,16 +449,19 @@ def on_one_rank(*strategies):
 
 
 @st.composite
-def raw_edits(draw, tube: Tube, desc: SubcatDesc):
-    """The descriptor with one raw item added: another lift of a listed
-    arc, an arc at one of its own families, a short or one-sided arc, or an
-    index of the other family; sometimes in place of a listed arc, so that
-    the side still numbers what a count identity expects."""
+def raw_edits(draw, tube: Tube, desc: SubcatDesc, family: str):
+    """The descriptor with one raw item: another lift of a listed arc, an
+    arc at one of its own families, a short or one-sided arc, an index of
+    the side's own ``family`` ("rays" or "corays") added or dropped, as the
+    ``invert_reject`` benchmark corrupts rays, or an index of the other
+    family; sometimes in place of a listed arc, so that the side still
+    numbers what a count identity expects."""
     n = tube.n
     fins, rays, corays = set(desc.finite_objs), set(desc.rays), set(desc.corays)
+    own, other = (rays, corays) if family == "rays" else (corays, rays)
     if fins and draw(st.booleans()):
         fins.discard(draw(st.sampled_from(sorted(fins))))
-    what = draw(st.sampled_from(["lift", "at_family", "short", "one_sided", "family"]))
+    what = draw(st.sampled_from(["lift", "at_family", "short", "one_sided", "add_own", "drop_own", "other"]))
     s = draw(st.integers(0, n - 1))
     if what == "lift" and desc.finite_objs:
         x = draw(st.sampled_from(sorted(desc.finite_objs)))
@@ -469,8 +474,12 @@ def raw_edits(draw, tube: Tube, desc: SubcatDesc):
         fins.add(IndObj(s, s + draw(st.integers(-1, 1))))
     elif what == "one_sided":
         fins.add(IndObj(s, None) if draw(st.booleans()) else IndObj(None, s))
-    else:
-        (corays if desc.rays else rays).add(s)
+    elif what == "other":
+        other.add(s)
+    elif what == "drop_own" and own:
+        own.discard(draw(st.sampled_from(sorted(own))))
+    else:  # add_own, or an edit above that found nothing to act on
+        own.add(s)
     return SubcatDesc(frozenset(fins), frozenset(rays), frozenset(corays))
 
 
@@ -484,10 +493,10 @@ def raw_pairs(draw):
     objects = rigid_objects(n)
     pair = tor.torsion_pair_of(tube, objects[draw(st.integers(0, len(objects) - 1))])
     sides = []
-    for side in (pair.t_part, pair.f_part):
+    for side, family in ((pair.t_part, "corays"), (pair.f_part, "rays")):
         how = draw(st.sampled_from(["keep", "edit", "edit", "raw"]))
         if how == "edit":
-            side = draw(raw_edits(tube, side))
+            side = draw(raw_edits(tube, side, family))
         elif how == "raw":
             side = draw(raw_family_subcats(n))
         sides.append(side)
@@ -527,7 +536,7 @@ class TestValidatorsOnArrays:
         tube = Tube(n)
         for u in rigid_objects(n):
             pair = tor.torsion_pair_of(tube, u)
-            for p in (pair, reflect_pair(tube, pair)):
+            for p in (pair, tube_defs.reflect_pair(tube, pair)):
                 assert tor.is_torsion_pair(tube, p) and is_torsion_pair_by_perps(tube, p)
                 assert tor.left_perp(tube, p.f_part) == p.t_part == left_perp_by_reflection(tube, p.f_part)
 
@@ -588,7 +597,7 @@ def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
         for y in fins:
             for k in neg_crossing_shifts(tube, x, y):
                 lifted = type_a.AArc(*lift(tube, y, k))
-                for mid in type_a.ses_middle(type_a.AArc(x.start, x.end), lifted):
+                for mid in ses_middle(type_a.AArc(x.start, x.end), lifted):
                     if not contains(tube, desc, tube.normalize(mid.i, mid.j)):
                         return False
     return True
@@ -642,7 +651,7 @@ class TestExtClosedByEnds:
         raw = SubcatDesc(frozenset([IndObj(3, 5), IndObj(4, 6), IndObj(3, 6)]), frozenset(), frozenset())
         assert not is_ext_closed(tube, raw) and not tor.is_ext_closed(tube, raw)
         # the span guard: an arc spanning n + 1 with its whole quotient closure
-        long = make_desc(tube, tor.left_closure(tube, [IndObj(0, 4)]))
+        long = make_desc(tube, tube_defs.left_closure(tube, [IndObj(0, 4)]))
         assert not is_ext_closed(tube, long) and not tor.is_ext_closed(tube, long)
 
     def test_one_sided_arcs_raise_whatever_the_order(self):

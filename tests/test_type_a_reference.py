@@ -20,8 +20,8 @@ import itertools
 import pytest
 
 from tubecalc import type_a as ta
-from tubecalc.type_a import AArc, all_arcs, ext_dim
-from segment_defs import hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting
+from tubecalc.type_a import AArc, all_arcs
+from segment_defs import ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

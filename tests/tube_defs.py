@@ -1,0 +1,60 @@
+"""Tube-level definitions that only the tests read: the quotient and
+subobject closures of any set of finite arcs, the reflection of a torsion
+pair, and the reader of rigid documents.
+
+The closures read the library's ``torsion._bound`` and ``_closure_side``,
+which ``torsion_pair_of`` feeds only the finite parts of rigid objects; the
+tests feed them arbitrary arc sets, in any lift.  The reflection
+[i,j] -> [-j,-i] swaps the two sides of a pair, and with them ray type and
+coray type.  The library writes rigid documents but reads pair documents
+only; ``rigid_from_doc`` reads one back through the library's header and
+field checks, so that round trips and malformed summand lists can be
+tested."""
+
+from tubecalc import serialize, torsion
+from tubecalc.arcs import parse_obj
+from tubecalc.torsion import (
+    ADIC,
+    CORAY,
+    PRUFER,
+    RAY,
+    MaxRigid,
+    TorsionPair,
+    ValidationError,
+    reflect_desc,
+)
+
+
+def left_closure(tube, objs) -> frozenset:
+    """The quotients of finite arcs: same end, start moved weakly right
+    (from ``low`` on)."""
+    low = torsion._bound(tube.n, objs, quotients=True)
+    return torsion._closure_side(tube, low, quotients=True).finite_objs
+
+
+def right_closure(tube, objs) -> frozenset:
+    """The subobjects of finite arcs: same start, end moved weakly left
+    (down from ``reach``)."""
+    reach = torsion._bound(tube.n, objs, quotients=False)
+    return torsion._closure_side(tube, reach, quotients=False).finite_objs
+
+
+def reflect_pair(tube, pair: TorsionPair) -> TorsionPair:
+    """(T, F) -> (F^v, T^v); ray type and coray type swap."""
+    return TorsionPair(
+        reflect_desc(tube, pair.f_part),
+        reflect_desc(tube, pair.t_part),
+        RAY if pair.kind == CORAY else CORAY,
+    )
+
+
+def rigid_from_doc(doc: dict):
+    """(tube, maximal rigid object) of a rigid document, one-sided summands
+    allowed; a ValidationError naming the key if a summand fails to parse."""
+    tube, kind = serialize._doc_header(doc, "rigid", (PRUFER, ADIC))
+    summands = serialize._field(doc, "summands", str, many=True)
+    try:
+        arcs = [parse_obj(tube, s) for s in summands]
+    except ValueError as exc:
+        raise ValidationError(f"key 'summands': {exc}") from None
+    return tube, MaxRigid(frozenset(arcs), kind)
