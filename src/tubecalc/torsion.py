@@ -44,14 +44,16 @@ its arcs from the tube's fan table: ``_closure_side`` turns its array into
 one ``{anchor: span}`` map and reads all its rows in one ``Tube.fans``
 call, so a closure neither normalizes nor builds an arc per member.
 
-The inverse reads the finite part of a Prufer-type U off T = tau^{-1}
-Gen(U_fin): it is the set of Ext-projectives of tau T, which ``type_a``'s
-Ext-projective rule reads off the anchored ``low`` of tau T with period n
-(arcs of different wings never cross, and an end strictly inside an arc
-lies in that arc's wing).  Since T = perp-F, that ``low`` is read off F's
-``maxstart``, so the inverse reads no arc of T.  The Prufers sit at the
-rays of F, and by lemma A, which ``is_ext_closed`` uses too, the wings lie
-between them:
+The inverse reads U off one side of its pair, since each finite summand
+is the longest summand at its start or at its end (see
+``torsion_pair_of``).  For a Prufer-type U these are the longest arc of F
+at each start off the rays, F being the subobject closure there, and tau
+of the longest arc of T = perp-F at each end, whose span F's ``maxstart``
+fixes; so the inverse reads no arc of T.  The coray type is the mirror,
+read off T alone: its longest arc at each end, and tau^{-1} of the longest
+arc of F = T^perp at each start, off T's ``minend``.  The Prufers sit at
+the rays of F, and by lemma A, which ``is_ext_closed`` uses too, the wings
+lie between them:
 
 A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
    finite summand lies in a wing between cyclically consecutive rays of F.
@@ -59,12 +61,11 @@ A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
 The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So some mirror
 -side constructions are derived rather than written out: ``is_sub_closed``
-is ``is_quotient_closed`` of the reflection, ``left_perp`` is the reflected
-``right_perp``, and the coray-type inverse is the reflected ray-type one
-(read off T's ``minend``, since F = T^perp).  ``_least_spans`` reads the
-mirrored arrays itself (quotients as mirrored subobjects), since
-``is_torsion_pair`` and ``max_rigid_of`` read F's ``maxstart`` off
-``reach`` with no reflected descriptor.
+is ``is_quotient_closed`` of the reflection, and ``left_perp`` is the
+reflected ``right_perp``.  ``_least_spans`` reads the mirrored arrays
+itself (quotients as mirrored subobjects), since ``is_torsion_pair`` and
+``max_rigid_of`` read T's ``minend`` off ``low`` and F's ``maxstart`` off
+``reach``, with no reflected descriptor.
 """
 
 from __future__ import annotations
@@ -392,13 +393,6 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
     )
 
 
-def reflect_rigid(tube: Tube, rigid: MaxRigid) -> MaxRigid:
-    return MaxRigid(
-        frozenset(tube.reflect(x) for x in rigid.summands),
-        ADIC if rigid.kind == PRUFER else PRUFER,
-    )
-
-
 # -- enumeration -----------------------------------------------------------------
 
 
@@ -566,36 +560,36 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     )
 
 
-def _ext_projectives(tube: Tube, low: Dict[int, int], rays) -> MaxRigid:
-    """The Prufer-type object of a ray-type pair: the Prufers at the rays of
-    F and the Ext-projectives of tau T, whose anchored ``low`` is given, by
-    ``type_a``'s rule read with period n."""
-    fins = [tube.normalize(a, b) for a, b in type_a._ext_projective_pairs(low, tube.n)]
-    return MaxRigid(frozenset(fins + [tube.prufer(i) for i in rays]), PRUFER)
-
-
 def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
-    """Inverse of the bijection: the Ext-projectives of tau T with the
-    Prufers at the rays of F (ray type), or the reflection of those of the
-    reflected pair (coray type), whose tau T is tau of F reflected.
+    """Inverse of the bijection, read off one side of the pair: each finite
+    summand is the longest summand at its start or at its end (see
+    ``torsion_pair_of``).
 
-    Each side of a torsion pair is the perp of the other, so the ``low`` of
-    tau T is read off the side whose perp it is: T = perp-F holds the spans
-    below F's ``maxstart`` at each end, which tau moves one step left; and
-    F = T^perp the spans below T's ``minend`` at each start, which the
-    reflection sends to the end -s and tau one step further.
+    Ray type, off F: the Prufers at F's rays, the longest arc
+    [s, reach[s]] of F at each start (F is the subobject closure off the
+    rays), and tau of T's longest arc at each end e.  Since T = perp-F,
+    that arc is [e - d + 1, e] for F's cyclic ``maxstart`` span d at e,
+    and tau moves it to [e - d, e - 1]; d = 2 leaves no arc.  Coray type
+    is the mirror, off T: the adics at T's corays, the longest arc
+    [low[e], e] of T at each end, and tau^{-1} of F's longest arc at each
+    start s, [s + 1, s + d] for T's cyclic ``minend`` span d at s, since
+    F = T^perp.
     """
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
     n = tube.n
     t, f = pair.t_part, pair.f_part
-    if pair.kind == RAY:  # T ends at e with the spans below maxstart[e]; tau T at e - 1
-        maxstart = _least_spans(n, _bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
-        spans = {(e - 1) % n: d for e, d in maxstart.items()}
-        rays = f.rays
-    else:  # F starts at s with the spans below minend[s]; reflected it ends at -s, tau T at -s - 1
-        minend = _least_spans(n, _bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
-        spans = {(-s - 1) % n: d for s, d in minend.items()}
-        rays = [-j % n for j in t.corays]
-    u = _ext_projectives(tube, {e: e - d + 1 for e, d in spans.items()}, rays)
-    return u if pair.kind == RAY else reflect_rigid(tube, u)
+    if pair.kind == RAY:
+        reach = _bound(n, f.finite_objs, quotients=False)
+        maxstart = _least_spans(n, reach, f.rays, quotients=False)
+        arcs = list(reach.items())
+        arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
+        family, kind = [tube.prufer(i) for i in f.rays], PRUFER
+    else:
+        low = _bound(n, t.finite_objs, quotients=True)
+        minend = _least_spans(n, low, t.corays, quotients=True)
+        arcs = [(a, e) for e, a in low.items()]
+        arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
+        family, kind = [tube.adic(j) for j in t.corays], ADIC
+    fins = [_arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift
+    return MaxRigid(frozenset(fins + family), kind)

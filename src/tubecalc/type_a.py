@@ -16,8 +16,9 @@ one starting at residue s for ``reach[s]``, ending at r for ``low[r]``).
   closure (starts low[j]..j-2 at end j); ``reach[i]``, the largest end of
   an arc starting at i, fixes the subobject closure (ends i+2..reach[i]);
 - ``minend[s] = min{t.j : t.i <= s <= t.j-2}`` and ``maxstart[e] =
-  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; ``minend`` is the
-  ``shortest`` array of the tube's ``right_perp`` with n = infinity.
+  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; the tube reads both
+  as cyclic spans, ``minend[s] - s`` and ``e - maxstart[e]``, off ``low``
+  and ``reach`` with ``torsion._least_spans``.
 
 Three rules follow, each exact:
 
@@ -28,10 +29,13 @@ Three rules follow, each exact:
 - Ptolemy rule on ``low``: in a quotient-closed T, [a, d] crossing [c, b]
   (a < c < d < b) resolves into [c, d], a quotient of [a, d], and [a, b],
   so T is extension-closed iff no ends d < b have low[d] < low[b] < d.
-- Ext-projective rule: [a, b] in a torsion class is Ext-projective iff
-  low[d] >= a for every end d with a < d < b.  Both models use it: the
-  segment reads ``low`` as it is (period m+2), and the tube's inverse
-  bijection reads the anchored ``low`` of tau T with period n.
+- Longest-arc rule: each arc of a tilting set U is the longest arc of U
+  at its start or at its end, since the triangle beyond it has its third
+  vertex on one side of it.  So with T = Gen U and T^perp = Cogen tau U,
+  U is [low[e], e] at each end e of T together with [s + 1, minend[s]],
+  tau^{-1} of the longest arc of T^perp at start s, wherever that spans 2
+  or more.  Both models use it: the tube's inverse bijection reads the
+  same two arcs per residue, off one side of the pair.
 """
 
 from __future__ import annotations
@@ -188,33 +192,31 @@ def _is_torsion_low(low: Dict[int, int], size: int) -> bool:
     return True
 
 
-def _ext_projective_pairs(low: Dict[int, int], period: int) -> List[Tuple[int, int]]:
-    """The Ext-projective (start, end) pairs of the torsion class that
-    ``low`` fixes, read with the given period: at end d it reads
-    ``low[d % period] + d - d % period``.  Scanning the starts a of each end
-    b downward, the running minimum of low over the ends in (a, b) decides
-    [a, b]."""
-    keep = []
-    for b, lo in low.items():
-        run = b  # the least low[d] over the ends a < d < b
-        for a in range(b - 2, lo - 1, -1):
-            r = (a + 1) % period
-            if r in low:
-                run = min(run, low[r] + a + 1 - r)
-            if run >= a:
-                keep.append((a, b))
-    return keep
+def _minend(m: int, pairs) -> List[int]:
+    """``minend[s]`` for s in 0..m-1: the least end of an arc at start s,
+    or m + 2 where none starts."""
+    minend = [m + 2] * m
+    for i, j in pairs:
+        if j < minend[i]:
+            minend[i] = j
+    return minend
 
 
 def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
-    """Ext-projective arcs of a torsion class containing every injective arc."""
+    """The tilting set U with T = Gen U, for a torsion class T containing
+    every injective arc.  Each arc of U is its longest at its start or at
+    its end: [low[e], e] at each end, or tau^{-1} of the longest arc
+    [s, minend[s] - 1] of T^perp = Cogen tau U at a start s, where that
+    spans 2 or more."""
     pairs = _segment_pairs(m, frozenset(t_part))
     low = _low(pairs)
     if not _is_torsion_low(low, len(pairs)):
         raise ValueError("input is not a torsion class")
     if m and low.get(m + 1) != 0:
         raise ValueError("torsion class must contain every injective arc")
-    return frozenset(AArc(a, b) for a, b in _ext_projective_pairs(low, m + 2))
+    tilting = {AArc(a, e) for e, a in low.items()}
+    tilting.update(AArc(s + 1, e) for s, e in enumerate(_minend(m, pairs)) if e - s >= 3)
+    return frozenset(tilting)
 
 
 def is_torsion_class(arcs) -> bool:
@@ -248,10 +250,7 @@ def is_torsion_pair(m: int, t_part, f_part) -> bool:
         b - i - 1 for i, b in _reach(f_pairs).items()
     ):
         return False
-    minend = [m + 2] * m
-    for i, j in t_pairs:
-        if j < minend[i]:
-            minend[i] = j
+    minend = _minend(m, t_pairs)
     maxstart = [-1] * (m + 2)
     for i, j in f_pairs:
         if i > maxstart[j]:

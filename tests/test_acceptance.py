@@ -30,10 +30,9 @@ from tubecalc.torsion import (
     is_torsion_pair,
     make_desc,
     max_rigid_of,
-    reflect_rigid,
     torsion_pair_of,
 )
-from tube_defs import reflect_pair
+from tube_defs import reflect_pair, reflect_rigid
 from wings import prufer_type_rigids, wing_members
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")

@@ -1,0 +1,156 @@
+"""Every statement of the bijection's functions runs at least K times on
+the inputs the property tests draw.
+
+``torsion.max_rigid_of``, ``torsion.is_torsion_pair``,
+``torsion.torsion_pair_of`` and ``type_a.tilting_of_torsion_pair`` run
+under ``sys.settrace`` on:
+
+- every maximal rigid object at n <= 5, of both kinds, and its pair;
+- the derandomized draws of ``raw_pairs`` (real pairs with raw items, see
+  ``test_torsion_reference``) and of ``rigid_values`` (arbitrary objects,
+  invalid ones included, see ``test_census_reference``); the pair of a
+  drawn object is validated and inverted too;
+- every tilting set at m <= 6, with both sides of its torsion pair.
+
+A statement of those functions that runs fewer than K times fails the
+test: a refusal that few inputs reach is a branch the property tests
+barely check.  Statements are read off the source with ``ast``, since
+Python 3.10 and later emit a line event for the first line of every
+statement that runs, whatever the bytecode.  With hypothesis 6.155.2 the
+two thinnest run 6 and 7 times: ``is_torsion_pair`` refusing a one-sided
+arc in F, and ``torsion_pair_of`` refusing a summand of the other family.
+Another release draws other values, and may draw them fewer times.
+
+The tracer is the standard library's.  The draws come from the property
+tests' own strategies, so this module is skipped where hypothesis is not
+installed, as those tests are.
+"""
+
+import ast
+import inspect
+import sys
+import textwrap
+from collections import Counter
+
+import pytest
+
+from tubecalc import torsion, type_a
+from tubecalc.arcs import Tube
+
+pytest.importorskip("hypothesis")
+from hypothesis import Phase, given, settings  # noqa: E402
+from test_census_reference import rigid_values  # noqa: E402
+from test_torsion_reference import raw_pairs  # noqa: E402
+
+K = 3  # the least number of runs of each statement
+DRAWS = 500  # derandomized draws per strategy
+FUNCTIONS = (
+    torsion.max_rigid_of,
+    torsion.is_torsion_pair,
+    torsion.torsion_pair_of,
+    type_a.tilting_of_torsion_pair,
+)
+
+
+def statement_lines(fn) -> dict:
+    """{line: source} of the first line of each statement in the body of
+    ``fn``, its docstring left out."""
+    lines, first = inspect.getsourcelines(fn)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    body = tree.body[0].body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    found = {}
+    for top in body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.stmt):
+                found[first + node.lineno - 1] = lines[node.lineno - 1].strip()
+    return found
+
+
+def draws(strategy) -> list:
+    """The first DRAWS values of the strategy, the same in every run of one
+    hypothesis release."""
+    found = []
+
+    @settings(max_examples=DRAWS, derandomize=True, database=None, deadline=None, phases=[Phase.generate])
+    @given(strategy)
+    def collect(case):
+        found.append(case)
+
+    collect()
+    return found
+
+
+def attempt(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:  # ValidationError included
+        return None
+
+
+def run_inputs(pairs, objects) -> None:
+    found = [(tube, attempt(torsion.torsion_pair_of, tube, u)) for tube, u in objects]
+    for tube, pair in pairs + [(tube, pair) for tube, pair in found if pair is not None]:
+        attempt(torsion.is_torsion_pair, tube, pair)
+        attempt(torsion.max_rigid_of, tube, pair)
+    for m in range(7):
+        for u in type_a.enumerate_tilting(m):
+            for side in type_a.torsion_pair_of_tilting(m, u):
+                attempt(type_a.tilting_of_torsion_pair, m, side)
+
+
+def traced_counts(functions, run) -> Counter:
+    """(code, line) -> line events in the frames of ``functions`` while
+    ``run()`` runs."""
+    codes = {fn.__code__ for fn in functions}
+    counts: Counter = Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts[frame.f_code, frame.f_lineno] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return counts
+
+
+def thin_statements(functions, counts) -> list:
+    return [
+        f"{fn.__module__}.{fn.__name__}:{line} ran {counts[fn.__code__, line]} times: {source}"
+        for fn in functions
+        for line, source in statement_lines(fn).items()
+        if counts[fn.__code__, line] < K
+    ]
+
+
+def test_every_statement_runs_k_times():
+    objects = [(Tube(n), u) for n in range(1, 6) for u in torsion.enumerate_max_rigid(Tube(n))]
+    objects += draws(rigid_values())
+    pairs = draws(raw_pairs())
+    counts = traced_counts(FUNCTIONS, lambda: run_inputs(pairs, objects))
+    thin = thin_statements(FUNCTIONS, counts)
+    assert not thin, "\n".join(thin)
+
+
+def test_the_count_sees_a_statement_that_runs_too_seldom():
+    def sometimes(x):
+        if x > 0:
+            return 1
+        return 0
+
+    lines = statement_lines(sometimes)
+    assert list(lines.values()) == ["if x > 0:", "return 1", "return 0"]
+    counts = traced_counts([sometimes], lambda: [sometimes(x) for x in range(-5, 3)])
+    assert [counts[sometimes.__code__, line] for line in lines] == [8, 2, 6]
+    assert thin_statements([sometimes], counts) == [
+        f"{__name__}.sometimes:{min(lines) + 1} ran 2 times: return 1"
+    ]

@@ -9,7 +9,7 @@ from wings import prufer_type_rigids, wing_members
 from tubecalc import oracle
 from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
-from tube_defs import left_closure, reflect_pair, right_closure
+from tube_defs import left_closure, reflect_pair, reflect_rigid, right_closure
 from tubecalc.torsion import (
     ADIC,
     CORAY,
@@ -32,10 +32,19 @@ from tubecalc.torsion import (
     make_desc,
     max_rigid_of,
     members,
-    reflect_rigid,
     right_perp,
     torsion_pair_of,
 )
+
+
+def fan_object(tube):
+    """The fan object: Prufers at three seeded indices, the fan [i, e] in
+    each wing from its base i."""
+    idx = sorted(random.Random(0).sample(range(tube.n), 3))
+    summands = {tube.prufer(i) for i in idx}
+    for i, nxt in zip(idx, idx[1:] + [idx[0] + tube.n]):
+        summands.update(tube.finite(i, e) for e in range(i + 2, nxt + 1))
+    return MaxRigid(frozenset(summands), PRUFER)
 
 
 def perturb(tube, desc):
@@ -152,13 +161,8 @@ class TestClosurePredicates:
 
     @needs_alarm
     def test_fan_pair_torsion_side_at_rank_100(self):
-        # the fan object: Prufers at three seeded indices, the fan [i, e] in each wing from i
         tube = Tube(100)
-        idx = sorted(random.Random(0).sample(range(tube.n), 3))
-        summands = {tube.prufer(i) for i in idx}
-        for i, nxt in zip(idx, idx[1:] + [idx[0] + tube.n]):
-            summands.update(tube.finite(i, e) for e in range(i + 2, nxt + 1))
-        t_part = torsion_pair_of(tube, MaxRigid(frozenset(summands), PRUFER)).t_part
+        t_part = torsion_pair_of(tube, fan_object(tube)).t_part
         assert len(t_part.finite_objs) == 2278
         with time_limit(5):
             assert is_ext_closed(tube, t_part)
@@ -500,8 +504,8 @@ def random_max_rigid(rng, tube, kind):
 
 
 class TestRandomRoundTrips:
-    """Round trips past the exhaustive ranks, where wings are wide enough for
-    the in-wing Ext-projective test to matter."""
+    """Round trips past the exhaustive ranks, where wings are wide enough
+    that a summand is often the longest at one of its ends only."""
 
     @pytest.mark.parametrize("n", range(8, 33, 4))
     def test_round_trips(self, n):
@@ -511,6 +515,15 @@ class TestRandomRoundTrips:
             for _ in range(25):
                 u = random_max_rigid(rng, tube, kind)
                 assert max_rigid_of(tube, torsion_pair_of(tube, u)) == u
+
+    @needs_alarm
+    def test_fan_pair_at_rank_800(self):
+        # the pair lists 147,468 arcs
+        tube = Tube(800)
+        u = fan_object(tube)
+        with time_limit(5):
+            for v in (u, reflect_rigid(tube, u)):
+                assert max_rigid_of(tube, torsion_pair_of(tube, v)) == v
 
 
 def shortenings(tube, objs):

@@ -6,10 +6,10 @@ one list per array, indexed by residue; ``right_perp`` walks every quotient
 of every listed arc and every start per coray, and normalizes each arc of
 its result; ``is_quotient_closed`` looks up every quotient of every listed
 arc; ``_ext_projectives`` walks every wing of F and reads ``reach`` there.
-The new code reads the same facts off ``type_a``'s ``low`` and ``reach``,
-the inverse by ``type_a``'s Ext-projective rule on the ``low`` of tau T.  Hypothesis draws arcs in any lift, arbitrary descriptors (also
-ones that list arcs ending at their corays, which ``make_desc`` would
-drop), closures, and torsion pairs with a few items toggled.
+The new code reads the same facts off ``type_a``'s ``low`` and ``reach``.
+Hypothesis draws arcs in any lift, arbitrary descriptors (also ones that
+list arcs ending at their corays, which ``make_desc`` would drop),
+closures, and torsion pairs with a few items toggled.
 
 The validators have a second reference, also copied unchanged: the
 ``left_perp`` that reflected the descriptor, took its ``right_perp`` and
@@ -28,11 +28,20 @@ residue and visits each crossing once, by its end.  They are compared on
 canonical descriptors, on every side of every pair at n <= 5, and on raw
 ones; a listed one-sided arc is left out of the comparison, since the old
 answer there depended on which pair the set yielded first.
+
+The inverse has a second reference, also copied unchanged: the
+``max_rigid_of`` that took the Ext-projectives of tau T by ``type_a``'s
+running-minimum scan over every start of every end, read with period n,
+and for coray type ran it on the reflected pair and reflected the object
+back.  The new one reads each summand as the longest arc at its start or
+at its end, off one side of the pair.  They are compared on every pair at
+n <= 6 and its reflection, on ``raw_pairs`` and on perturbed pairs, where
+an invalid pair must raise the same error.
 """
 
 import math
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -59,8 +68,8 @@ from tubecalc.torsion import (
     everything,
     make_desc,
     reflect_desc,
-    reflect_rigid,
 )
+from tube_defs import reflect_rigid
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -574,6 +583,98 @@ class TestValidatorsOnArrays:
         assert outcome(tor.is_torsion_pair, tube, bad)[0] == "ValueError"
         assert outcome(tor.left_perp, tube, bad_f) == outcome(left_perp_by_reflection, tube, bad_f)
         assert outcome(tor.left_perp, tube, bad_f)[0] == "ValidationError"
+
+
+# -- the inverse before it read the longest arcs --------------------------------------
+
+
+def _ext_projective_pairs(low: Dict[int, int], period: int) -> List[Tuple[int, int]]:
+    """The Ext-projective (start, end) pairs of the torsion class that
+    ``low`` fixes, read with the given period: at end d it reads
+    ``low[d % period] + d - d % period``.  Scanning the starts a of each end
+    b downward, the running minimum of low over the ends in (a, b) decides
+    [a, b]."""
+    keep = []
+    for b, lo in low.items():
+        run = b  # the least low[d] over the ends a < d < b
+        for a in range(b - 2, lo - 1, -1):
+            r = (a + 1) % period
+            if r in low:
+                run = min(run, low[r] + a + 1 - r)
+            if run >= a:
+                keep.append((a, b))
+    return keep
+
+
+def _ext_projectives_of_low(tube: Tube, low: Dict[int, int], rays) -> MaxRigid:
+    """The Prufer-type object of a ray-type pair: the Prufers at the rays of
+    F and the Ext-projectives of tau T, whose anchored ``low`` is given, by
+    ``type_a``'s rule read with period n."""
+    fins = [tube.normalize(a, b) for a, b in _ext_projective_pairs(low, tube.n)]
+    return MaxRigid(frozenset(fins + [tube.prufer(i) for i in rays]), PRUFER)
+
+
+def max_rigid_of_by_ext_projectives(tube: Tube, pair: TorsionPair) -> MaxRigid:
+    """Inverse of the bijection: the Ext-projectives of tau T with the
+    Prufers at the rays of F (ray type), or the reflection of those of the
+    reflected pair (coray type), whose tau T is tau of F reflected.
+
+    Each side of a torsion pair is the perp of the other, so the ``low`` of
+    tau T is read off the side whose perp it is: T = perp-F holds the spans
+    below F's ``maxstart`` at each end, which tau moves one step left; and
+    F = T^perp the spans below T's ``minend`` at each start, which the
+    reflection sends to the end -s and tau one step further.
+    """
+    if not tor.is_torsion_pair(tube, pair):
+        raise ValidationError("input does not validate as a torsion pair")
+    n = tube.n
+    t, f = pair.t_part, pair.f_part
+    if pair.kind == RAY:  # T ends at e with the spans below maxstart[e]; tau T at e - 1
+        maxstart = tor._least_spans(n, tor._bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
+        spans = {(e - 1) % n: d for e, d in maxstart.items()}
+        rays = f.rays
+    else:  # F starts at s with the spans below minend[s]; reflected it ends at -s, tau T at -s - 1
+        minend = tor._least_spans(n, tor._bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
+        spans = {(-s - 1) % n: d for s, d in minend.items()}
+        rays = [-j % n for j in t.corays]
+    u = _ext_projectives_of_low(tube, {e: e - d + 1 for e, d in spans.items()}, rays)
+    return u if pair.kind == RAY else reflect_rigid(tube, u)
+
+
+def assert_inverse_matches(tube: Tube, pair: TorsionPair):
+    got = outcome(tor.max_rigid_of, tube, pair)
+    assert got == outcome(max_rigid_of_by_ext_projectives, tube, pair), pair
+    return got
+
+
+class TestInverseByLongestArcs:
+    @settings(max_examples=600, deadline=None)
+    @given(raw_pairs())
+    def test_real_pairs_with_raw_items(self, case):
+        assert_inverse_matches(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_pairs())
+    def test_perturbed_pairs(self, case):
+        assert_inverse_matches(*case)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_pair_and_its_reflection(self, n):
+        tube = Tube(n)
+        for u in rigid_objects(n):
+            pair = tor.torsion_pair_of(tube, u)
+            assert assert_inverse_matches(tube, pair) == u
+            assert assert_inverse_matches(tube, tube_defs.reflect_pair(tube, pair)) == reflect_rigid(tube, u)
+
+    def test_strategies_reach_both_answers(self):
+        # a raw pair that still validates, and refusals: without them the
+        # comparison above would see only one kind of outcome
+        tube = Tube(3)
+        u = next(v for v in rigid_objects(3) if v.kind == ADIC)
+        pair = tor.torsion_pair_of(tube, u)
+        assert assert_inverse_matches(tube, pair) == u
+        bad = TorsionPair(pair.t_part, pair.f_part, RAY)
+        assert assert_inverse_matches(tube, bad) == ("ValidationError", "input does not validate as a torsion pair")
 
 
 # -- the Ptolemy check before it read integers ----------------------------------------

@@ -13,9 +13,17 @@ that take m (``is_torsion_pair``, ``tilting_of_torsion_pair``): they raise
 ``check_arc``'s ValueError, where the old code answered False or read the
 arc on the integer line.  The closures and class predicates take no m and
 keep the old answers on any arcs, short ones included.
+
+``tilting_of_torsion_pair`` has a second reference, also copied unchanged:
+the one that took the Ext-projectives by a running-minimum scan of ``low``
+over every start of every end.  The new one reads each arc of the tilting
+set as the longest at its start or at its end, off ``low`` and
+``minend``.  They are compared on arbitrary arc sets, arcs off the segment
+included, and on every quotient closure at m <= 7.
 """
 
 import itertools
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -90,6 +98,35 @@ def is_tilting(m: int, arcs) -> bool:
             if i < k < j < l:  # k >= i in sorted order
                 return False
     return True
+
+
+def _ext_projective_pairs(low: Dict[int, int], period: int) -> List[Tuple[int, int]]:
+    """The Ext-projective (start, end) pairs of the torsion class that
+    ``low`` fixes, read with the given period: at end d it reads
+    ``low[d % period] + d - d % period``.  Scanning the starts a of each end
+    b downward, the running minimum of low over the ends in (a, b) decides
+    [a, b]."""
+    keep = []
+    for b, lo in low.items():
+        run = b  # the least low[d] over the ends a < d < b
+        for a in range(b - 2, lo - 1, -1):
+            r = (a + 1) % period
+            if r in low:
+                run = min(run, low[r] + a + 1 - r)
+            if run >= a:
+                keep.append((a, b))
+    return keep
+
+
+def tilting_of_torsion_pair_by_ext_projectives(m: int, t_part) -> frozenset:
+    """Ext-projective arcs of a torsion class containing every injective arc."""
+    pairs = ta._segment_pairs(m, frozenset(t_part))
+    low = ta._low(pairs)
+    if not ta._is_torsion_low(low, len(pairs)):
+        raise ValueError("input is not a torsion class")
+    if m and low.get(m + 1) != 0:
+        raise ValueError("torsion class must contain every injective arc")
+    return frozenset(AArc(a, b) for a, b in _ext_projective_pairs(low, m + 2))
 
 
 # -- comparison ----------------------------------------------------------------------
@@ -266,3 +303,42 @@ class TestArcsOffTheSegment:
         }
         # the class predicates ignore a short arc, as before
         assert ta.is_torsion_class({AArc(1, 2)}) and ta.is_torsionfree_class({AArc(4, 3)})
+
+
+def quotient_closures(m: int):
+    """Every quotient closure on the segment: per end j, no arc or every
+    start from some a to j - 2."""
+    choices = [[None, *range(j - 1)] for j in range(2, m + 2)]
+    for lows in itertools.product(*choices):
+        yield frozenset(
+            AArc(i, j) for j, a in zip(range(2, m + 2), lows) if a is not None for i in range(a, j - 1)
+        )
+
+
+def assert_tilting_matches(m: int, arcs):
+    got = outcome(ta.tilting_of_torsion_pair, m, arcs)
+    assert got == outcome(tilting_of_torsion_pair_by_ext_projectives, m, arcs), (m, arcs)
+    return got
+
+
+class TestTiltingByLongestArcs:
+    @settings(max_examples=400, deadline=None)
+    @given(arbitrary_sides())
+    def test_arbitrary_subsets(self, case):
+        m, t_part, f_part = case
+        assert_tilting_matches(m, t_part)
+        assert_tilting_matches(m, f_part)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, M_MAX), st.sets(line_arcs, max_size=8))
+    def test_arcs_off_the_segment(self, m, arcs):
+        assert_tilting_matches(m, arcs)
+
+    @pytest.mark.parametrize("m", range(0, M_MAX + 1))
+    def test_every_quotient_closure(self, m):
+        # every torsion class is one, and so are the refusals of each kind
+        answers = set()
+        for t_part in quotient_closures(m):
+            got = assert_tilting_matches(m, t_part)
+            answers.add(got if isinstance(got, tuple) else "tilting")
+        assert "tilting" in answers and (m < 2 or len(answers) == 3)

@@ -1,12 +1,12 @@
 """Tube-level definitions that only the tests read: the quotient and
-subobject closures of any set of finite arcs, the reflection of a torsion
-pair, and the reader of rigid documents.
+subobject closures of any set of finite arcs, the reflections of a torsion
+pair and of a maximal rigid object, and the reader of rigid documents.
 
 The closures read the library's ``torsion._bound`` and ``_closure_side``,
 which ``torsion_pair_of`` feeds only the finite parts of rigid objects; the
 tests feed them arbitrary arc sets, in any lift.  The reflection
 [i,j] -> [-j,-i] swaps the two sides of a pair, and with them ray type and
-coray type.  The library writes rigid documents but reads pair documents
+coray type; on an object it swaps Prufers with adics.  The library writes rigid documents but reads pair documents
 only; ``rigid_from_doc`` reads one back through the library's header and
 field checks, so that round trips and malformed summand lists can be
 tested."""
@@ -45,6 +45,14 @@ def reflect_pair(tube, pair: TorsionPair) -> TorsionPair:
         reflect_desc(tube, pair.f_part),
         reflect_desc(tube, pair.t_part),
         RAY if pair.kind == CORAY else CORAY,
+    )
+
+
+def reflect_rigid(tube, rigid: MaxRigid) -> MaxRigid:
+    """The summands reflected one by one; Prufer type and adic type swap."""
+    return MaxRigid(
+        frozenset(tube.reflect(x) for x in rigid.summands),
+        ADIC if rigid.kind == PRUFER else PRUFER,
     )
 
 
