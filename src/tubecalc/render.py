@@ -8,19 +8,26 @@ fill one ``"%.3f,%.3f"`` template.  That prints what rounding each point with
 expression, in the same order, as in a point-by-point loop; ``%.3f`` is
 correctly rounded, as ``round`` is; and ``-0.000`` is rewritten to ``0.000``.
 
-An annulus path depends on the rank and the arc alone, and a rank-n tube
-has few arcs worth drawing: a maximal rigid object's summands are among
-n(n-1) finite arcs of span at most n and the 2n one-sided ones.  So the
-printed points of each annulus path (and, for a one-sided arc, of its
-arrowhead) are kept in a memo keyed by ``(n, arc)``.  It holds only these
-coordinate strings; the style, which picks the element's class, colour and
-dash, is added each time.  Past ``MAX_PATH_CHARS`` characters the memo
-starts again, so its size stays bounded whatever is drawn, and a path
-longer than that on its own is drawn but not kept.  A path is a function of
-its key, so callers (and threads) can share the memo: a race costs a miss,
-never a wrong path.  Stores take a lock, so the bound holds with threads
-too; lookups take none.  Cover and segment paths depend on the drawing's ends
-as well, and are printed each time.
+An annulus drawing is put together from pieces that depend on the rank
+and the arc alone, and a rank-n tube has few arcs worth drawing: a maximal
+rigid object's summands are among n(n-1) finite arcs of span at most n and
+the 2n one-sided ones.  So one memo holds, under ``(n, arc)``, the arc's
+point count and the printed points of its path (and, for a one-sided arc,
+of its arrowhead), and under ``(n, None)`` the rank's frame: the two
+circles and the n marked points with their labels, printed as one string.
+A piece is stored only once its arc, or its rank, has passed the checks, so
+a drawing checks only the arcs the memo misses and adds up its points from
+the stored counts; it refuses what a cold drawing refuses, with the same
+message, and prints nothing before its points are counted.  The memo holds
+each piece's points once, and no style: the element's class, colour and
+dash come from strings printed once per style (``_STYLE_ENDS``), put before
+and after the points.  Past ``MAX_PATH_CHARS`` characters the memo starts
+again, so its size stays bounded whatever is drawn, and a piece longer than
+that on its own is drawn but not kept.  A piece is a function of its key, so
+callers (and threads) can share the memo: a race costs a miss, never a
+wrong piece.  Stores take a lock, so the bound holds with threads too;
+lookups take none.  Cover and segment paths depend on the drawing's ends as
+well, and are printed and checked each time.
 
 Bounds, checked before any work (``ValueError``): ``MAX_POINTS`` marked and
 sampled points per drawing; ``MAX_CELLS`` nodes and ``MAX_CHARS`` characters
@@ -33,7 +40,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .arcs import IndObj, Tube, format_obj, sort_key
 from .type_a import AArc, check_arc
@@ -51,7 +58,7 @@ SPIRAL_TURNS = 2.5  # one-sided arcs are truncated after this many turns
 MAX_POINTS = 10**6  # marked points plus sampled arc points of one drawing
 MAX_CELLS = 10**5  # nodes of one AR quiver: rank x max_length
 MAX_CHARS = 10**7  # characters of one AR quiver display; rows are indented
-MAX_PATH_CHARS = 1 << 22  # characters of printed points held by the annulus path memo
+MAX_PATH_CHARS = 1 << 22  # characters of printed points held by the annulus memo
 
 CX = 240.0
 CY = 240.0
@@ -107,17 +114,26 @@ def _arrowhead(xs, ys) -> str:
     return _coords((x1, bx - 4 * uy, bx + 4 * uy), (y1, by + 4 * ux, by - 4 * ux), " ")
 
 
+# per style: what goes before and after the printed points of a path, then of an arrowhead
+_STYLE_ENDS = {
+    style: (
+        f'<path class="arc {style}" d="M ',
+        f'" fill="none" stroke="{color}" stroke-width="1.5"'
+        + (' stroke-dasharray="6 3"' if style in DASHED_STYLES else "") + "/>",
+        f'<polygon class="arrow {style}" points="',
+        f'" fill="{color}"/>',
+    )
+    for style, color in STYLE_COLOR.items()
+}
+
+
 def _draw(body: List[str], style: str, d: str, arrow: str) -> None:
     """Append the path through the printed points d and, if arrow is not
     empty, the arrowhead through its printed points."""
-    color = STYLE_COLOR[style]
-    dash = ' stroke-dasharray="6 3"' if style in DASHED_STYLES else ""
-    body.append(
-        f'<path class="arc {style}" d="M {d}" fill="none" '
-        f'stroke="{color}" stroke-width="1.5"{dash}/>'
-    )
+    path_open, path_close, arrow_open, arrow_close = _STYLE_ENDS[style]
+    body.append(path_open + d + path_close)
     if arrow:
-        body.append(f'<polygon class="arrow {style}" points="{arrow}" fill="{color}"/>')
+        body.append(arrow_open + arrow + arrow_close)
 
 
 def _svg(width: float, height: float, body: List[str]) -> str:
@@ -132,8 +148,9 @@ def _svg(width: float, height: float, body: List[str]) -> str:
 
 # -- annulus mode ---------------------------------------------------------------
 
-# (rank, arc) -> (path points, arrowhead points), as _annulus_path prints them
-_PATHS: Dict[Tuple[int, IndObj], Tuple[str, str]] = {}
+# (rank, arc) -> (its points, path points, arrowhead points), as _annulus_path
+# prints them; (rank, None) -> (marked points, frame, ""), as _frame prints it
+_PATHS: Dict[Tuple[int, Optional[IndObj]], Tuple[int, str, str]] = {}
 _path_chars = 0  # characters held in _PATHS
 _PATHS_LOCK = threading.Lock()  # held while _PATHS or _path_chars change; lookups take none
 
@@ -147,27 +164,52 @@ def _ring(n: int, idxs, rs) -> Tuple[List[float], List[float]]:
     return xs, ys
 
 
-def _annulus_body(n: int, arcs) -> List[str]:
-    body = [
+def _annulus_svg(n: int, arcs) -> str:
+    """The drawing of the sorted arcs, from the memo's pieces where it holds
+    them.  Every key was checked before it was stored, so only the arcs it
+    misses are checked, and the rank only when its frame is missed too.  The
+    points are counted before any piece is printed."""
+    # 3.0 == 3 as a key, but range(3.0) refuses it: such a rank draws nothing
+    frame = _PATHS.get((n, None)) if isinstance(n, int) else None
+    pieces = [_PATHS.get((n, obj)) for obj, _ in arcs]
+    missed = [arc for arc, piece in zip(arcs, pieces) if piece is None]
+    if frame is None or missed:
+        _check_tube_arcs(n, missed)
+    _check_points(n + sum(
+        _samples(True, obj) + 1 if piece is None else piece[0]
+        for (obj, _), piece in zip(arcs, pieces)
+    ))
+    body = [(frame or _frame(n))[1]]
+    for (obj, style), piece in zip(arcs, pieces):
+        _, d, arrow = piece or _annulus_path(n, obj)
+        _draw(body, style, d, arrow)
+    return _svg(480, 480, body)
+
+
+def _frame(n: int) -> Tuple[int, str, str]:
+    """The two circles, then the n marked points with their labels, as one
+    piece; kept in the memo."""
+    lines = [
         f'<circle cx="{_fmt(CX)}" cy="{_fmt(CY)}" r="{_fmt(r)}" '
         'fill="none" stroke="#888888" stroke-width="1"/>'
         for r in (R_OUT, R_IN)
     ]
     marks = zip(*_ring(n, range(n), [R_OUT] * n), *_ring(n, range(n), [R_OUT + 14] * n))
     for k, (x, y, lx, ly) in enumerate(marks):
-        body += [
+        lines += [
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="#000000"/>',
             f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="12" '
             f'text-anchor="middle" dominant-baseline="middle">{k}</text>',
         ]
-    for obj, style in arcs:
-        _draw(body, style, *_annulus_path(n, obj))
-    return body
+    piece = n, "\n".join(lines), ""
+    _keep((n, None), piece)
+    return piece
 
 
-def _annulus_path(n: int, obj: IndObj) -> Tuple[str, str]:
-    """The printed points of the arc's path at rank n and, for a one-sided
-    arc, of its arrowhead ("" for a finite arc); from the memo if there."""
+def _annulus_path(n: int, obj: IndObj) -> Tuple[int, str, str]:
+    """The arc's point count at rank n, the printed points of its path and,
+    for a one-sided arc, of its arrowhead ("" for a finite arc); from the
+    memo if there."""
     key = (n, obj)
     path = _PATHS.get(key)
     if path is None:
@@ -185,28 +227,28 @@ def _annulus_path(n: int, obj: IndObj) -> Tuple[str, str]:
             idxs = [obj.end - turns * (1 - u) for u in us]
             rs = [R_IN + 6 + width * u for u in us]
         xs, ys = _ring(n, idxs, rs)
-        path = _coords(xs, ys, " L "), "" if obj.is_finite else _arrowhead(xs, ys)
+        path = len(us), _coords(xs, ys, " L "), "" if obj.is_finite else _arrowhead(xs, ys)
         _keep(key, path)
     return path
 
 
-def _keep(key: Tuple[int, IndObj], path: Tuple[str, str]) -> None:
-    """Store a path in the memo, which starts again when it would pass
-    MAX_PATH_CHARS; a path longer than that on its own is not kept."""
+def _keep(key: Tuple[int, Optional[IndObj]], piece: Tuple[int, str, str]) -> None:
+    """Store a piece in the memo, which starts again when it would pass
+    MAX_PATH_CHARS; a piece longer than that on its own is not kept."""
     global _path_chars
-    size = len(path[0]) + len(path[1])
+    size = len(piece[1]) + len(piece[2])
     if size > MAX_PATH_CHARS:
         return
     with _PATHS_LOCK:
         if _path_chars + size > MAX_PATH_CHARS:
             _PATHS.clear()
             _path_chars = 0
-        _PATHS[key] = path
+        _PATHS[key] = piece
         _path_chars += size
 
 
 def _forget_paths() -> None:
-    """Empty the memo."""
+    """Empty the memo, frames included."""
     global _path_chars
     with _PATHS_LOCK:
         _PATHS.clear()
@@ -258,6 +300,8 @@ def render_svg(spec: RenderSpec) -> str:
             raise ValueError(f"unknown style {style!r}")
     arcs = sorted(spec.arcs, key=lambda a: (a[1], _arc_key(a[0])))
     mode, n = spec.mode, spec.rank
+    if mode == "annulus":
+        return _annulus_svg(n, arcs)
     if mode == "segment":
         if n < 0:
             raise ValueError(f"a segment needs m >= 0, got {n}")
@@ -272,19 +316,17 @@ def render_svg(spec: RenderSpec) -> str:
         for i, j in (_ends(obj) for obj, _ in arcs):
             ends += [j - 2 * n if i is None else i, i + 2 * n if j is None else j]
         lo, hi = min(ends) - 1, max(ends) + 1
-    elif mode == "annulus":
-        _check_tube_arcs(n, arcs)
-        lo, hi = 0, n - 1
     else:
         raise ValueError(f"unknown render mode {spec.mode!r}")
-    points = hi - lo + 1 + sum(_samples(mode == "annulus", obj) + 1 for obj, _ in arcs)
+    _check_points(hi - lo + 1 + sum(_samples(False, obj) + 1 for obj, _ in arcs))
+    body, width = _line_body(lo, hi, arcs)
+    return _svg(width, 280, body)
+
+
+def _check_points(points: int) -> None:
     if points > MAX_POINTS:
         raise ValueError(
             f"the drawing needs {points} points, above the bound MAX_POINTS = {MAX_POINTS}")
-    if mode == "annulus":
-        return _svg(480, 480, _annulus_body(n, arcs))
-    body, width = _line_body(lo, hi, arcs)
-    return _svg(width, 280, body)
 
 
 def _arc_key(obj) -> Tuple:

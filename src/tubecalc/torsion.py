@@ -273,7 +273,10 @@ def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
     arc is listed in no lift (with rays, lemma A refuses it too): False.
     Else the lift [d-w, d] of a span w listed at end residue d mod n crosses
     [a, b] iff a < d < b and d - w < a: each crossing is visited once, by
-    its end.  With at most one family, a one-sided arc raises ValueError."""
+    its end.  Its resolution [d-w, b] is looked up per crossing, and [a, d],
+    which does not depend on w, once per listed [a, b] and end d that some
+    lift crosses.  With at most one family, a one-sided arc raises
+    ValueError."""
     if desc.rays and desc.corays:
         return desc == everything(tube)
     if desc.corays:
@@ -288,10 +291,11 @@ def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
     ):
         return False
     return all(
-        contains(tube, desc, _canonical(n, s, e))
-        for a, b in fins for d in range(a + 1, b) for w in ends.get(d % n, ())
-        if d - w < a  # the lift [d - w, d] crosses [a, b] negatively
-        for s, e in ((d - w, b), (a, d)) if e - s >= 2  # [a, a + 1] is no arc
+        (d - a < 2 or contains(tube, desc, _canonical(n, a, d)))  # [a, a + 1] is no arc
+        and all(contains(tube, desc, _canonical(n, d - w, b)) for w in crossing)
+        for a, b in fins for d in range(a + 1, b)
+        # the lifts [d - w, d] that cross [a, b] negatively
+        if (crossing := [w for w in ends.get(d % n, ()) if d - w < a])
     )
 
 

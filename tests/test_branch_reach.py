@@ -2,24 +2,30 @@
 the inputs the property tests draw.
 
 ``torsion.max_rigid_of``, ``torsion.is_torsion_pair``,
-``torsion.torsion_pair_of`` and ``type_a.tilting_of_torsion_pair`` run
-under ``sys.settrace`` on:
+``torsion.torsion_pair_of``, ``torsion.is_ext_closed`` and
+``type_a.tilting_of_torsion_pair`` run under ``sys.settrace`` on:
 
-- every maximal rigid object at n <= 5, of both kinds, and its pair;
+- every maximal rigid object at n <= 5, of both kinds, and its pair,
+  each side of which is also checked by ``is_ext_closed``;
 - the derandomized draws of ``raw_pairs`` (real pairs with raw items, see
   ``test_torsion_reference``) and of ``rigid_values`` (arbitrary objects,
   invalid ones included, see ``test_census_reference``); the pair of a
   drawn object is validated and inverted too;
+- the derandomized draws of ``raw_family_subcats`` (raw descriptors with
+  no family, rays, corays or both, see ``test_torsion_reference``),
+  checked by ``is_ext_closed``;
 - every tilting set at m <= 6, with both sides of its torsion pair.
 
 A statement of those functions that runs fewer than K times fails the
 test: a refusal that few inputs reach is a branch the property tests
 barely check.  Statements are read off the source with ``ast``, since
 Python 3.10 and later emit a line event for the first line of every
-statement that runs, whatever the bytecode.  With hypothesis 6.155.2 the
-two thinnest run 6 and 7 times: ``is_torsion_pair`` refusing a one-sided
-arc in F, and ``torsion_pair_of`` refusing a summand of the other family.
-Another release draws other values, and may draw them fewer times.
+statement that runs, whatever the bytecode.  Two refusals used to be
+thin (6 and 7 runs with hypothesis 6.155.2, and as few as 2 under other
+seeds): ``is_torsion_pair`` refusing a one-sided arc in F, and
+``torsion_pair_of`` refusing a summand of the other family.  Each is now
+an edit kind of its own in ``raw_pairs`` and ``rigid_values``, drawn one
+time in six, and runs 41-93 times in 500 draws under each of 8 seeds.
 
 The tracer is the standard library's.  The draws come from the property
 tests' own strategies, so this module is skipped where hypothesis is not
@@ -40,7 +46,7 @@ from tubecalc.arcs import Tube
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings  # noqa: E402
 from test_census_reference import rigid_values  # noqa: E402
-from test_torsion_reference import raw_pairs  # noqa: E402
+from test_torsion_reference import on_one_rank, raw_family_subcats, raw_pairs  # noqa: E402
 
 K = 3  # the least number of runs of each statement
 DRAWS = 500  # derandomized draws per strategy
@@ -48,6 +54,7 @@ FUNCTIONS = (
     torsion.max_rigid_of,
     torsion.is_torsion_pair,
     torsion.torsion_pair_of,
+    torsion.is_ext_closed,
     type_a.tilting_of_torsion_pair,
 )
 
@@ -89,11 +96,13 @@ def attempt(fn, *args):
         return None
 
 
-def run_inputs(pairs, objects) -> None:
+def run_inputs(pairs, objects, sides) -> None:
     found = [(tube, attempt(torsion.torsion_pair_of, tube, u)) for tube, u in objects]
     for tube, pair in pairs + [(tube, pair) for tube, pair in found if pair is not None]:
         attempt(torsion.is_torsion_pair, tube, pair)
         attempt(torsion.max_rigid_of, tube, pair)
+    for tube, side in sides:
+        attempt(torsion.is_ext_closed, tube, side)
     for m in range(7):
         for u in type_a.enumerate_tilting(m):
             for side in type_a.torsion_pair_of_tilting(m, u):
@@ -134,9 +143,12 @@ def thin_statements(functions, counts) -> list:
 
 def test_every_statement_runs_k_times():
     objects = [(Tube(n), u) for n in range(1, 6) for u in torsion.enumerate_max_rigid(Tube(n))]
+    pairs = [(tube, torsion.torsion_pair_of(tube, u)) for tube, u in objects]
+    sides = [(tube, side) for tube, pair in pairs for side in (pair.t_part, pair.f_part)]
+    sides += [(Tube(n), desc) for n, desc in draws(on_one_rank(raw_family_subcats))]
     objects += draws(rigid_values())
     pairs = draws(raw_pairs())
-    counts = traced_counts(FUNCTIONS, lambda: run_inputs(pairs, objects))
+    counts = traced_counts(FUNCTIONS, lambda: run_inputs(pairs, objects, sides))
     thin = thin_statements(FUNCTIONS, counts)
     assert not thin, "\n".join(thin)
 

@@ -189,7 +189,9 @@ def rigid_objects(n: int):
 def rigid_values(draw):
     """Arbitrary ``MaxRigid`` values: arcs in any lift (short, long and
     one-sided ones too), any number of them, any kind; sometimes a real
-    maximal rigid object with a summand swapped, dropped or added."""
+    maximal rigid object with a summand swapped, dropped or added.  One
+    draw in six is its own edit: a real object with a summand swapped for
+    one of the other family, its kind kept."""
     n = draw(st.integers(1, N_MAX))
     tube = Tube(n)
     finite = st.builds(
@@ -201,6 +203,13 @@ def rigid_values(draw):
     )
     arc = st.one_of(finite, one_sided)
     kind = draw(st.sampled_from([PRUFER, ADIC, PRUFER, ADIC, "ray"]))
+    if draw(st.integers(0, 5)) == 0:
+        objects = rigid_objects(n)
+        u = objects[draw(st.integers(0, len(objects) - 1))]
+        s = draw(st.integers(-n, 2 * n))
+        summands = set(u.summands) - {draw(st.sampled_from(sorted(u.summands, key=arcs_mod.sort_key)))}
+        summands.add(IndObj(None, s) if u.kind == PRUFER else IndObj(s, None))
+        return tube, MaxRigid(frozenset(summands), u.kind)
     if draw(st.booleans()):
         objects = rigid_objects(n)
         summands = set(objects[draw(st.integers(0, len(objects) - 1))].summands)

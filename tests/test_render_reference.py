@@ -5,9 +5,11 @@ draws specs in all three modes and every byte must agree.  The same specs are
 compared once more with every number printed in full, where rounding to
 10^-3 would hide a coordinate that is off by one ulp.
 
-The annulus path memo is checked cold and warm against the reference and
-against a pinned SHA-256; those tests need only the standard library, so
-they run where hypothesis is not installed, and the property tests skip.
+The annulus memo (each rank's frame and each arc's path) is checked cold,
+warm and right after it starts again, against the reference and against a
+pinned SHA-256, and its refusals are checked with the rank's arcs already
+held; those tests need only the standard library, so they run where
+hypothesis is not installed, and the property tests skip.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import pytest
 
 from limits import needs_alarm, time_limit
 from tubecalc import render
-from tubecalc.arcs import Tube, sort_key
+from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.render import (
     CX,
     CY,
@@ -370,7 +372,15 @@ DENSE_20_SHA256 = "7ff86a305a33f646ccbb5b3038bdca0ecd6f77fa889d12a1f263a6935bef4
 
 
 def memo_chars() -> int:
-    return sum(len(d) + len(arrow) for d, arrow in render._PATHS.values())
+    """The characters the memo holds: every frame and every path."""
+    return sum(len(d) + len(arrow) for _, d, arrow in render._PATHS.values())
+
+
+def points_of(spec: RenderSpec) -> int:
+    """The marked points plus every sampled point of the reference's paths."""
+    return spec.rank + sum(
+        16 + 8 * (x.end - x.start) + 1 if x.is_finite else 160 + 1 for x, _ in spec.arcs
+    )
 
 
 def first_path(svg: str) -> str:
@@ -386,8 +396,11 @@ def cold():
 
 
 class TestPathMemo:
-    """A path taken from the memo is the path printed on a miss: the same
-    bytes cold, warm and in the reference, whatever was drawn before."""
+    """A frame or path taken from the memo is the one printed on a miss: the
+    same bytes cold, warm and in the reference, whatever was drawn before.
+    An arc the memo holds was checked when it was stored, and its point
+    count is stored with it, so a warm drawing refuses what a cold one does,
+    with the same message."""
 
     def test_pinned_dense_drawing_cold_and_warm(self, cold):
         spec = dense_annulus(20)
@@ -403,18 +416,67 @@ class TestPathMemo:
                     first = render_svg(spec)
                     assert render_svg(spec) == first == reference_svg(spec), n
 
+    @needs_alarm
+    def test_bytes_hold_right_after_a_restart(self, cold, monkeypatch):
+        # a budget of half the drawing: the memo starts again part way
+        # through it, so the next drawing finds some pieces and misses the rest
+        with time_limit(60):
+            for n in range(1, 13):
+                for spec in [dense_annulus(n)] + spiral_specs(n):
+                    want = reference_svg(spec)
+                    render._forget_paths()
+                    assert render_svg(spec) == want
+                    monkeypatch.setattr(render, "MAX_PATH_CHARS", render._path_chars // 2)
+                    render._forget_paths()
+                    for _ in ("restarted", "partly held", "again"):
+                        assert render_svg(spec) == want, n
+                        assert memo_chars() == render._path_chars <= render.MAX_PATH_CHARS
+                    monkeypatch.undo()
+
     def test_style_stays_outside_the_memo(self, cold):
         x = Tube(4).prufer(1)
         for style in sorted(STYLE_COLOR):
             spec = RenderSpec("annulus", 4, ((x, style),))
             assert render_svg(spec) == reference_svg(spec)
-        assert list(render._PATHS) == [(4, x)]
+        assert list(render._PATHS) == [(4, None), (4, x)]
+        frame, path = render._PATHS.values()
+        assert frame[0] == 4 and frame[2] == "" and frame[1].count("<text ") == 4
+        assert path[0] == 161 and path[1].count(" L ") == 160 and path[2].count(" ") == 2
 
     def test_the_key_holds_the_rank(self, cold):
         specs = [RenderSpec("annulus", n, ((Tube(n).finite(0, 2), "summand"),)) for n in (3, 5)]
-        paths = [first_path(render_svg(spec)) for spec in specs]
-        assert paths[0] != paths[1]
-        assert paths == [first_path(reference_svg(spec)) for spec in specs]
+        svgs = [render_svg(spec) for spec in specs]
+        assert first_path(svgs[0]) != first_path(svgs[1])
+        assert svgs == [reference_svg(spec) for spec in specs]
+        assert list(render._PATHS) == [(3, None), (3, specs[0].arcs[0][0]), (5, None), (5, specs[1].arcs[0][0])]
+
+    def test_refusals_hold_with_the_arcs_held(self, cold, monkeypatch):
+        spec = dense_annulus(5)
+        render_svg(spec)  # the frame and every arc of rank 5 are held now
+        held = dict(render._PATHS)
+        refused = [
+            ((IndObj(6, 8), "summand"), "arc M[6,8] is not normalized for rank 5"),
+            ((IndObj(None, 7), "adic"), "arc M[-inf,7] is not normalized for rank 5"),
+            ((AArc(0, 3), "summand"), "annulus and cover modes draw tube arcs only"),
+            ((Tube(5).finite(0, 2), "sparkly"), "unknown style 'sparkly'"),
+        ]
+        for extra, message in refused:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                render_svg(RenderSpec("annulus", 5, spec.arcs + (extra,)))
+        assert render._PATHS == held  # a refusal stores nothing
+        points = points_of(spec)
+        monkeypatch.setattr(render, "MAX_POINTS", points - 1)
+        message = f"the drawing needs {points} points, above the bound MAX_POINTS = {points - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            render_svg(spec)
+        monkeypatch.setattr(render, "MAX_POINTS", points)
+        assert render_svg(spec) == reference_svg(spec)
+
+    def test_a_rank_that_only_equals_an_int_is_refused_warm_too(self, cold):
+        arcs = ((Tube(3).finite(0, 2), "summand"),)
+        render_svg(RenderSpec("annulus", 3, arcs))
+        with pytest.raises(TypeError):
+            render_svg(RenderSpec("annulus", 3.0, arcs))
 
     def test_memo_stays_within_its_bound(self, cold, monkeypatch):
         monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
@@ -434,7 +496,7 @@ class TestPathMemo:
         spec = RenderSpec("annulus", 3, (long,))
         svg = render_svg(spec)
         assert len(first_path(svg)) > 20000 and svg == reference_svg(spec)
-        assert list(render._PATHS) == [(3, short[0])]  # kept, and the long one not
+        assert list(render._PATHS) == [(3, None), (3, short[0])]  # kept, and the long one not
         assert memo_chars() == render._path_chars
 
     def test_threads_share_the_memo(self, cold, monkeypatch):
@@ -492,6 +554,11 @@ def full_precision():
             render._forget_paths()
 
 
+def reference_svg_in_full(spec: RenderSpec) -> str:
+    with full_precision():
+        return reference_svg(spec)
+
+
 def assert_same_at_full_precision(spec: RenderSpec) -> None:
     with full_precision():
         ours, theirs = render_svg(spec), reference_svg(spec)
@@ -504,13 +571,14 @@ class TestMatchesReferenceAtFullPrecision:
 
     def test_mode_prints_in_full(self):
         spec = RenderSpec("annulus", 3, ((Tube(3).finite(0, 2), "summand"),))
-        render_svg(spec)  # a warm memo must not leak 3-decimal paths in
+        render_svg(spec)  # a warm memo must not leak a 3-decimal frame or path in
         with full_precision():
             svg = render_svg(spec)
         decimals = [len(x) for x in re.findall(r"\.(\d+)", svg)]
         assert 'cx="240.0"' in svg and max(decimals) > 3
         assert re.search(r"\.\d{4}", first_path(svg))
-        assert render_svg(spec) == reference_svg(spec)  # nor full-precision paths out
+        assert svg == reference_svg_in_full(spec)
+        assert render_svg(spec) == reference_svg(spec)  # nor full-precision ones out
 
     @needs_alarm
     @needs_hypothesis

@@ -496,11 +496,16 @@ def raw_edits(draw, tube: Tube, desc: SubcatDesc, family: str):
 def raw_pairs(draw):
     """The pair of a maximal rigid object with either side kept, edited by
     ``raw_edits`` or replaced by ``raw_family_subcats``; the kind now and
-    then flipped."""
+    then flipped.  One draw in six is its own edit: T and the kind kept, a
+    one-sided arc added to F's arcs, which lies in no perp."""
     n = draw(st.integers(1, N_MAX - 1))
     tube = Tube(n)
     objects = rigid_objects(n)
     pair = tor.torsion_pair_of(tube, objects[draw(st.integers(0, len(objects) - 1))])
+    if draw(st.integers(0, 5)) == 0:
+        s, f = draw(st.integers(0, n - 1)), pair.f_part
+        arc = IndObj(s, None) if draw(st.booleans()) else IndObj(None, s)
+        return tube, TorsionPair(pair.t_part, SubcatDesc(f.finite_objs | {arc}, f.rays, f.corays), pair.kind)
     sides = []
     for side, family in ((pair.t_part, "corays"), (pair.f_part, "rays")):
         how = draw(st.sampled_from(["keep", "edit", "edit", "raw"]))
