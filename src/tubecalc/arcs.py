@@ -117,6 +117,8 @@ class Tube:
         return _canonical(n, start, end)
 
     def finite(self, i: int, j: int) -> IndObj:
+        if i is None or j is None:
+            raise ValueError(f"a finite arc has two finite ends, got ({i}, {j})")
         return self.normalize(i, j)
 
     def prufer(self, i: int) -> IndObj:

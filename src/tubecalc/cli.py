@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage or parse error, 2 semantic validation
-failure.  Every command is a thin shell over the library; all output is
-deterministic for a fixed invocation.
+Exit codes: 0 success, 1 usage or parse error (also a flag the command
+does not take), 2 semantic validation failure.  Every command is a thin
+shell over the library; all output is deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .arcs import Tube, format_obj, parse_endpoints, parse_obj, sort_key
 from .homs import InfinitePairError, ext_dim, hom_dim
 from .render import RenderSpec, ar_quiver_lines, render_svg, write_svg
 from .serialize import (
+    SCHEMA,
     format_desc,
     pair_from_doc,
     pair_to_doc,
@@ -44,8 +45,8 @@ from .type_a import AArc
 MAX_OBJECTS = 10**6
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad invocation or an unreadable input file: exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +54,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _print_json(doc) -> None:
-    print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    print(_encode(doc))
 
 
 def _pair_line(pair) -> str:
@@ -92,7 +96,7 @@ def _enumerable(rank: int) -> Tube:
 
 def _write_each(tube: Tube, key: str, items: Iterable, as_json: bool, to_doc, to_line) -> int:
     """Write the items one at a time, each as it arrives: a line each, or the
-    document ``{key: [to_doc(item), ...], "rank": n, "schema": 1}``."""
+    document ``{key: [to_doc(item), ...], "rank": n, "schema": SCHEMA}``."""
     write = sys.stdout.write
     if not as_json:
         for item in items:
@@ -100,20 +104,21 @@ def _write_each(tube: Tube, key: str, items: Iterable, as_json: bool, to_doc, to
         return 0
     # The same bytes as _print_json of the whole document only because key
     # ("objects" or "pairs") sorts before "rank" and "schema".
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     write('{"%s":[' % key)
     sep = ""
     for item in items:
-        write(sep + encode(to_doc(tube, item)))
+        write(sep + _encode(to_doc(tube, item)))
         sep = ","
-    write('],"rank":%d,"schema":1}\n' % tube.n)
+    write('],"rank":%d,"schema":%d}\n' % (tube.n, SCHEMA))
     return 0
 
 
-def cmd_pairs(args) -> int:
-    if args.action == "count":
-        print(count_max_rigid(Tube(args.rank)))
-        return 0
+def cmd_pairs_count(args) -> int:
+    print(count_max_rigid(Tube(args.rank)))
+    return 0
+
+
+def cmd_pairs_enumerate(args) -> int:
     tube = _enumerable(args.rank)
     pairs = (torsion_pair_of(tube, u) for u in iter_max_rigid(tube))
     return _write_each(tube, "pairs", pairs, args.json, pair_to_doc, _pair_line)
@@ -124,13 +129,12 @@ def _rigid_line(rigid: MaxRigid) -> str:
     return f"{rigid.kind}: {names}"
 
 
-def cmd_rigid(args) -> int:
-    if args.action == "enumerate":
-        tube = _enumerable(args.rank)
-        return _write_each(
-            tube, "objects", iter_max_rigid(tube), args.json, rigid_to_doc, _rigid_line
-        )
-    # action == "of-pair"
+def cmd_rigid_enumerate(args) -> int:
+    tube = _enumerable(args.rank)
+    return _write_each(tube, "objects", iter_max_rigid(tube), args.json, rigid_to_doc, _rigid_line)
+
+
+def cmd_rigid_of_pair(args) -> int:
     try:
         with open(args.pair, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -162,6 +166,8 @@ def cmd_pair_of_rigid(args) -> int:
         parse_obj(tube, part) for part in _split_summands(args.summands)
     )
     kind = PRUFER if any(x.is_prufer for x in summands) else ADIC
+    if kind == ADIC and not any(x.is_adic for x in summands):
+        raise ValidationError("summand list has no Prufer or adic summand")
     pair = torsion_pair_of(tube, MaxRigid(summands, kind))
     if not is_torsion_pair(tube, pair):
         raise ValidationError("summand set is not rigid")
@@ -172,12 +178,12 @@ def cmd_pair_of_rigid(args) -> int:
     return 0
 
 
-def _parse_render_arc(tube: Optional[Tube], m: Optional[int], text: str):
+def _parse_render_arc(tube: Optional[Tube], text: str):
     if ":" in text:
         name, style = text.split(":", 1)
     else:
         name, style = text, "summand"
-    if m is None:
+    if tube is not None:
         return (parse_obj(tube, name), style)
     # segment arcs are not normalized; the renderer checks segment bounds
     start, end = parse_endpoints(name)
@@ -187,17 +193,11 @@ def _parse_render_arc(tube: Optional[Tube], m: Optional[int], text: str):
 
 
 def cmd_render(args) -> int:
-    if args.mode == "segment":
-        if args.m is None:
-            raise UsageError("segment mode needs --m")
-        arcs = tuple(_parse_render_arc(None, args.m, a) for a in args.arc)
-        spec = RenderSpec("segment", args.m, arcs)
-    else:
-        if args.rank is None:
-            raise UsageError(f"{args.mode} mode needs --rank")
-        tube = Tube(args.rank)
-        arcs = tuple(_parse_render_arc(tube, None, a) for a in args.arc)
-        spec = RenderSpec(args.mode, args.rank, arcs)
+    flag, size = ("--m", args.m) if args.mode == "segment" else ("--rank", args.rank)
+    if size is None:
+        raise UsageError(f"{args.mode} mode needs {flag}")
+    tube = None if args.mode == "segment" else Tube(size)
+    spec = RenderSpec(args.mode, size, tuple(_parse_render_arc(tube, a) for a in args.arc))
     if args.out:
         write_svg(spec, args.out)
     else:
@@ -226,17 +226,25 @@ def build_parser() -> _Parser:
         p.set_defaults(func=cmd_dim, dim=dim)
 
     p = sub.add_parser("pairs", help="torsion pairs of the tube")
-    p.add_argument("action", choices=["count", "enumerate"])
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("count", help="number of torsion pairs")
+    p.add_argument("--rank", type=_integer, required=True)
+    p.set_defaults(func=cmd_pairs_count)
+    p = actions.add_parser("enumerate", help="every torsion pair")
     p.add_argument("--rank", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pairs)
+    p.set_defaults(func=cmd_pairs_enumerate)
 
     p = sub.add_parser("rigid", help="maximal rigid objects")
-    p.add_argument("action", choices=["enumerate", "of-pair"])
-    p.add_argument("--rank", type=_integer)
-    p.add_argument("--pair", help="JSON pair document (for of-pair)")
+    actions = p.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("enumerate", help="every maximal rigid object")
+    p.add_argument("--rank", type=_integer, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rigid)
+    p.set_defaults(func=cmd_rigid_enumerate)
+    p = actions.add_parser("of-pair", help="maximal rigid object of a torsion pair")
+    p.add_argument("--pair", required=True, help="JSON pair document")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_rigid_of_pair)
 
     p = sub.add_parser("pair-of-rigid", help="torsion pair of a maximal rigid object")
     p.add_argument("--rank", type=_integer, required=True)
@@ -246,8 +254,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("render", help="SVG arc diagram")
     p.add_argument("--mode", choices=["annulus", "cover", "segment"], required=True)
-    p.add_argument("--rank", type=_integer)
-    p.add_argument("--m", type=_integer)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--rank", type=_integer, help="tube rank (annulus, cover)")
+    size.add_argument("--m", type=_integer, help="segment size (segment)")
     p.add_argument("--out")
     p.add_argument("--arc", action="append", default=[], help="M[i,j][:style], repeatable")
     p.set_defaults(func=cmd_render)
@@ -261,22 +270,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "rigid":
-            if args.action == "enumerate" and args.rank is None:
-                raise UsageError("rigid enumerate needs --rank")
-            if args.action == "of-pair" and not args.pair:
-                raise UsageError("rigid of-pair needs --pair")
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValidationError, InfinitePairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

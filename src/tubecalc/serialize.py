@@ -36,6 +36,7 @@ def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:
     }
 
 
+_PAIR_KEYS = frozenset(("schema", "rank", "kind", "torsion", "free"))
 _JSON_TYPES = {int: "integer", str: "string", dict: "object"}
 
 
@@ -53,6 +54,15 @@ def _field(doc: dict, key: str, kind: type, many: bool = False, where: str = "")
         wanted = f"a list of {_JSON_TYPES[kind]}s" if many else f"of type {_JSON_TYPES[kind]}"
         raise ValidationError(f"key {where + key!r} must be {wanted}")
     return doc[key]
+
+
+def _only_keys(doc: dict, keys, where: str = "") -> None:
+    """A ValidationError naming the least key of doc that is not one of keys,
+    when doc has more keys.  With one of keys missing, which ``_field``
+    refuses, another key may pass here."""
+    if len(doc) > len(keys):
+        other = min(map(str, doc.keys() - keys))
+        raise ValidationError(f"a pair document holds no key {where + other!r}")
 
 
 def _doc_header(doc, what: str, kinds) -> Tuple[Tube, str]:
@@ -74,6 +84,7 @@ def _doc_header(doc, what: str, kinds) -> Tuple[Tube, str]:
 
 def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
     part = _field(doc, side, dict)
+    _only_keys(part, ("finite", family), side + ".")
     finite = _field(part, "finite", str, many=True, where=side + ".")
     indices = _field(part, family, int, many=True, where=side + ".")
     found = frozenset(indices)
@@ -93,6 +104,7 @@ def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
 
 def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
     tube, kind = _doc_header(doc, "pair", (RAY, CORAY))
+    _only_keys(doc, _PAIR_KEYS)
     t_part = _desc_from_doc(tube, doc, "torsion", "corays")
     f_part = _desc_from_doc(tube, doc, "free", "rays")
     return tube, TorsionPair(t_part, f_part, kind)

@@ -77,6 +77,12 @@ class TestNormalize:
         with pytest.raises(ValueError):
             Tube(0)
 
+    @pytest.mark.parametrize("ends", [(0, None), (None, 2), (None, None)])
+    def test_finite_takes_finite_ends_only(self, ends):
+        # normalize would give M[0,inf] and M[-inf,2]
+        with pytest.raises(ValueError, match="a finite arc has two finite ends"):
+            Tube(3).finite(*ends)
+
 
 class TestSymmetries:
     def test_tau_examples(self):

@@ -364,6 +364,20 @@ class TestMalformedPairDocuments:
         assert code == 2
         assert err == "error: key 'torsion.finite': finite arc needs end >= start+2, got [2,1]\n"
 
+    def test_keys_that_are_not_read(self, tmp_path):
+        # a torsion side with a proper ray family, which pair_to_doc refuses
+        # to write, is refused, not read without its rays
+        doc = self.doc(torsion={"finite": ["M[0,2]"], "corays": [], "rays": [0, 1]},
+                       free={"finite": [], "rays": [1], "corays": [0]}, junk=7)
+        assert self.run_doc(tmp_path, doc) == (2, "error: a pair document holds no key 'junk'\n")
+        del doc["junk"]
+        assert self.run_doc(tmp_path, doc) == (2, "error: a pair document holds no key 'torsion.rays'\n")
+        del doc["torsion"]["rays"]
+        assert self.run_doc(tmp_path, doc) == (2, "error: a pair document holds no key 'free.corays'\n")
+        del doc["free"]["corays"]
+        (tmp_path / "pair.json").write_text(json.dumps(doc))
+        assert run(["rigid", "of-pair", "--pair", str(tmp_path / "pair.json")]) == (0, "prufer: M[1,3] M[1,inf]\n")
+
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "pair.json"
         path.write_text("[" * 200000 + "]" * 200000)
@@ -395,7 +409,7 @@ class TestPairOfRigid:
             ("3", "M[-inf,1],M[1,4],M[2,inf]", "Prufer-type object holds the adic summand M[-inf,1]"),
             ("3", "M[0,inf]", "a maximal rigid object in rank 3 has 3 summands, got 1"),
             ("2", "M[-inf,0],M[0,2],M[1,3]", "a maximal rigid object in rank 2 has 2 summands, got 3"),
-            ("2", "M[0,2],M[1,3]", "adic-type object has no adic summand"),
+            ("2", "M[0,2],M[1,3]", "summand list has no Prufer or adic summand"),
             ("3", "M[0,inf],M[0,5],M[1,3]", "summand M[0,5] spans more than 3, so it is not rigid"),
         ],
     )
@@ -495,6 +509,50 @@ class TestRenderAndQuiver:
         # it used to print an SVG of width -100
         code, err = run_err(["render", "--mode", "segment", "--m", "-5"])
         assert (code, err) == (1, "error: a segment needs m >= 0, got -5\n")
+
+
+class TestFlagsEachCommandTakes:
+    """A flag that the command does not read is refused with exit 1 and
+    one error line, not ignored; a missing flag is named."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["pairs", "count", "--rank", "3", "--json"], "unrecognized arguments: --json"),
+            (["rigid", "enumerate", "--rank", "2", "--pair", "PAIR"], "unrecognized arguments: --pair PAIR"),
+            (["rigid", "of-pair", "--rank", "99", "--pair", "PAIR"], "unrecognized arguments: --rank 99"),
+            (["render", "--mode", "segment", "--m", "3", "--rank", "3"],
+             "argument --rank: not allowed with argument --m"),
+            (["render", "--mode", "annulus", "--rank", "3", "--m", "3"],
+             "argument --m: not allowed with argument --rank"),
+            (["render", "--mode", "cover", "--rank", "3", "--m", "3"],
+             "argument --m: not allowed with argument --rank"),
+            # the action comes first
+            (["pairs", "--rank", "3", "count"], "argument action: invalid choice: '3'"),
+        ],
+        ids=["pairs-count-json", "rigid-enumerate-pair", "rigid-of-pair-rank", "segment-rank",
+             "annulus-m", "cover-m", "pairs-flag-first"],
+    )
+    def test_a_flag_the_command_does_not_take_exits_1(self, tmp_path, argv, message):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair_doc(2, "ray", torsion_finite=["M[0,2]"], free_rays=[1])))
+        argv = [str(path) if token == "PAIR" else token for token in argv]
+        code, out, err = run_both(argv)
+        assert (code, out) == (1, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and message.replace("PAIR", str(path)) in line
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["rigid", "enumerate"], "the following arguments are required: --rank"),
+            (["rigid", "of-pair"], "the following arguments are required: --pair"),
+            (["render", "--mode", "segment", "--rank", "3"], "segment mode needs --m"),
+            (["render", "--mode", "cover", "--m", "3"], "cover mode needs --rank"),
+        ],
+    )
+    def test_a_missing_flag_is_named(self, argv, message):
+        assert run_both(argv) == (1, "", f"error: {message}\n")
 
 
 class TestExitPolicy:

@@ -58,30 +58,40 @@ _value = st.one_of(_number, _arc, st.sampled_from([*MODES, *PAIR_FILES, *OUT_NAM
 
 
 def _command_argvs():
-    """Each command with its own arguments, each of them sometimes left out."""
+    """Each command or action with its own arguments, each of them sometimes
+    left out, and in one draw of five a flag of another action or mode."""
     def opt(flag, value):
         return _mostly(value.map(lambda v: [flag, v]), st.just([]))
 
-    def action(*names):
-        return _mostly(st.sampled_from([[name] for name in names]), st.just([]))
+    def action(command, name):
+        return _mostly(st.just([command, name]), st.just([command]))
+
+    def other(flags):
+        return _mostly(st.just([]), flags)
 
     json_flag = st.sampled_from([[], ["--json"]])
     rank = opt("--rank", _number)
+    m = opt("--m", _number)
+    pair = opt("--pair", st.sampled_from([*PAIR_FILES, "missing.json", ""]))
     arcs = _mostly(st.lists(_arc, min_size=2, max_size=2), st.lists(_arc, max_size=3))
     summands = st.lists(_arc, min_size=1, max_size=5).map(",".join)
-    return st.one_of(
-        st.tuples(st.sampled_from([["ext"], ["hom"]]), rank, arcs),
-        st.tuples(st.just(["pairs"]), action("count", "enumerate"), rank, json_flag),
-        st.tuples(
-            st.just(["rigid"]), action("enumerate", "of-pair"), rank,
-            opt("--pair", st.sampled_from([*PAIR_FILES, "missing.json", ""])), json_flag,
-        ),
-        st.tuples(st.just(["pair-of-rigid"]), rank, opt("--summands", summands), json_flag),
-        st.tuples(
-            st.just(["render"]), opt("--mode", st.sampled_from(MODES)), rank, opt("--m", _number),
+
+    def render(mode):
+        own, stray = (m, rank) if mode == "segment" else (rank, m)
+        return st.tuples(
+            st.just(["render"]), opt("--mode", st.just(mode)), own, other(stray),
             st.lists(_arc, max_size=3).map(lambda arcs: [t for a in arcs for t in ("--arc", a)]),
             opt("--out", st.sampled_from(OUT_NAMES)),
-        ),
+        )
+
+    return st.one_of(
+        st.tuples(st.sampled_from([["ext"], ["hom"]]), rank, arcs),
+        st.tuples(action("pairs", "count"), rank, other(st.just(["--json"]))),
+        st.tuples(action("pairs", "enumerate"), rank, json_flag),
+        st.tuples(action("rigid", "enumerate"), rank, json_flag, other(pair)),
+        st.tuples(action("rigid", "of-pair"), pair, json_flag, other(rank)),
+        st.tuples(st.just(["pair-of-rigid"]), rank, opt("--summands", summands), json_flag),
+        st.sampled_from(MODES).flatmap(render),
         st.tuples(st.just(["ar-quiver"]), rank, opt("--max-length", _number)),
     ).map(lambda parts: [token for part in parts for token in part])
 

@@ -2,9 +2,9 @@
 rigid object or is refused with a ValidationError, never another exception.
 
 The documents start from real pair documents at ranks 1-5; hypothesis may
-replace the header fields, add arbitrary arc strings, drop listed arcs and
-replace the ray or coray indices.  Every change shrinks back to the real
-document."""
+replace the header fields, add arbitrary arc strings, drop listed arcs,
+replace the ray or coray indices and add a key that is not read, which
+must be refused.  Every change shrinks back to the real document."""
 
 import json
 from functools import lru_cache
@@ -33,6 +33,8 @@ _header = {
     "rank": st.integers(min_value=-1, max_value=5),
     "kind": st.one_of(st.sampled_from(["ray", "coray"]), st.text(max_size=6)),
 }
+# (side or None for the top level, key): keys a pair document does not hold
+_UNREAD = [(None, "junk"), (None, "summands"), ("torsion", "rays"), ("free", "corays"), ("free", "")]
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +45,7 @@ def _real_docs(n):
 
 @st.composite
 def _pair_docs(draw):
+    """A document, and the unread key added to it or None."""
     doc = json.loads(draw(st.sampled_from(_real_docs(draw(st.integers(min_value=1, max_value=5))))))
     changed = draw(st.sets(st.sampled_from([*_header, "torsion", "free"]), max_size=2))
     for key, values in _header.items():
@@ -58,15 +61,21 @@ def _pair_docs(draw):
         part[family] = draw(
             st.one_of(st.just(part[family]), st.lists(st.integers(min_value=-2, max_value=7), max_size=6))
         )
-    return doc
+    unread = draw(st.sampled_from(_UNREAD)) if draw(st.integers(min_value=0, max_value=3)) == 3 else None
+    if unread:
+        side, key = unread
+        (doc if side is None else doc[side])[key] = draw(st.lists(st.integers(min_value=0, max_value=4)))
+    return doc, unread
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_pair_docs())
-def test_pair_document_inverts_or_is_refused(doc):
+def test_pair_document_inverts_or_is_refused(case):
+    doc, unread = case
     try:
         tube, pair = pair_from_doc(doc)
         rigid = max_rigid_of(tube, pair)
     except ValidationError:
         return
+    assert unread is None, unread
     assert isinstance(rigid, MaxRigid) and len(rigid.summands) == tube.n

@@ -102,6 +102,13 @@ def test_format_desc():
           "free": {"finite": [], "rays": [0]}}, "schema"),
         ({"schema": 1.0, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,3]"], "corays": []},
           "free": {"finite": [], "rays": [0]}}, "schema"),
+        # a valid pair but for a key that is not read
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,3]"], "corays": []},
+          "free": {"finite": [], "rays": [0]}, "junk": 7}, "junk"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,3]"], "corays": [], "rays": []},
+          "free": {"finite": [], "rays": [0]}}, "torsion.rays"),
+        ({"schema": 1, "rank": 2, "kind": "ray", "torsion": {"finite": ["M[1,3]"], "corays": []},
+          "free": {"finite": [], "rays": [0], "corays": []}}, "free.corays"),
     ],
 )
 def test_malformed_pair_doc(doc, key):

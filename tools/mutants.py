@@ -45,6 +45,8 @@ class Mutant:
 
 RENDER = "src/tubecalc/render.py"
 RENDER_TESTS = ("tests/test_render.py", "tests/test_render_reference.py")
+TORSION = "src/tubecalc/torsion.py"
+CLI = "src/tubecalc/cli.py"
 
 MUTANTS = (
     Mutant(
@@ -84,6 +86,43 @@ MUTANTS = (
         "point-count-of-cover-mode",
         ((RENDER, "path = len(us), ", "path = _samples(False, obj) + 1, "),),
         RENDER_TESTS,
+    ),
+    Mutant(
+        "inverse-drops-span-3-arcs",
+        ((TORSION, "for e, d in maxstart.items() if d > 2]", "for e, d in maxstart.items() if d > 3]"),),
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "ptolemy-skips-start-resolution",
+        ((TORSION, "(d - a < 2 or contains(tube, desc, _canonical(n, a, d)))", "(True)"),),
+        ("tests/test_torsion.py",),
+    ),
+    Mutant(
+        "ptolemy-counts-shared-start",
+        ((TORSION, "if d - w < a])", "if d - w <= a])"),),
+        ("tests/test_torsion_reference.py",),
+    ),
+    Mutant(
+        "least-spans-skips-first-lift",
+        ((TORSION, "if stack and k >= 0:", "if stack and k > 0:"),),
+        ("tests/test_acceptance.py",),
+    ),
+    Mutant(
+        "hom-through-tau",
+        (("src/tubecalc/homs.py", "neg_crossings(tube, tube.tau_inv(y), x)", "neg_crossings(tube, tube.tau(y), x)"),),
+        ("tests/test_homs.py",),
+    ),
+    Mutant(
+        "of-pair-takes-rank",
+        ((CLI, 'help="maximal rigid object of a torsion pair")\n',
+          'help="maximal rigid object of a torsion pair")\n    p.add_argument("--rank", type=_integer)\n'),),
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "render-sizes-outside-the-group",
+        ((CLI, '    size.add_argument("--rank"', '    p.add_argument("--rank"'),
+         (CLI, '    size.add_argument("--m"', '    p.add_argument("--m"')),
+        ("tests/test_cli.py",),
     ),
 )
 
