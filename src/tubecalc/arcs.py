@@ -14,14 +14,15 @@ An arc is a tuple ``(start, end)``, so ``IndObj(0, 3) == (0, 3)`` and its
 hash, equality and the ordering of finite arcs run in C: on finite arcs
 ``sorted(objs)`` is the order of :func:`sort_key`.  One-sided arcs hold a
 None and do not compare with finite ones, so mixed lists sort by
-:func:`sort_key`.
+:func:`sort_key`.  A ``Wing`` is a namedtuple ``(start, end)`` too, so
+``Wing(0, 3) == IndObj(0, 3) == (0, 3)``; a segment arc
+(``type_a.AArc``) is not a tuple and equals none of them.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -61,12 +62,10 @@ class IndObj(namedtuple("IndObj", "start end")):
         return format_obj(self)
 
 
-@dataclass(frozen=True)
-class Wing:
+class Wing(namedtuple("Wing", "start end")):
     """The triangle of arcs contained in the interval [start, end]."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
 
 def sort_key(obj: IndObj) -> Tuple[int, int, int]:

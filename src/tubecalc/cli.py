@@ -17,7 +17,6 @@ from typing import Iterable, List, Optional
 
 from .arcs import Tube, format_obj, parse_endpoints, parse_obj, sort_key
 from .homs import InfinitePairError, ext_dim, hom_dim
-from .render import RenderSpec, ar_quiver_lines, render_svg, write_svg
 from .serialize import (
     SCHEMA,
     format_desc,
@@ -193,23 +192,27 @@ def _parse_render_arc(tube: Optional[Tube], text: str):
 
 
 def cmd_render(args) -> int:
+    from . import render  # only the commands that draw load it
+
     flag, size = ("--m", args.m) if args.mode == "segment" else ("--rank", args.rank)
     if size is None:
         raise UsageError(f"{args.mode} mode needs {flag}")
     tube = None if args.mode == "segment" else Tube(size)
-    spec = RenderSpec(args.mode, size, tuple(_parse_render_arc(tube, a) for a in args.arc))
+    spec = render.RenderSpec(args.mode, size, tuple(_parse_render_arc(tube, a) for a in args.arc))
     if args.out:
-        write_svg(spec, args.out)
+        render.write_svg(spec, args.out)
     else:
-        sys.stdout.write(render_svg(spec))
+        sys.stdout.write(render.render_svg(spec))
     return 0
 
 
 def cmd_ar_quiver(args) -> int:
     if args.max_length < 1:
         raise UsageError("--max-length must be at least 1")
+    from . import render
+
     tube = Tube(args.rank)
-    for line in ar_quiver_lines(tube, args.max_length):
+    for line in render.ar_quiver_lines(tube, args.max_length):
         print(line)
     return 0
 

@@ -16,7 +16,7 @@ nonzero cells ``(row, col, value)`` as Python integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import Dict, List, Tuple
 
@@ -27,10 +27,10 @@ from .type_a import AArc, check_arc
 PRIME = 32003
 
 
-@dataclass(frozen=True)
-class QuiverShape:
-    num_vertices: int
-    arrows: Tuple[Tuple[int, int], ...]
+class QuiverShape(namedtuple("QuiverShape", "num_vertices arrows")):
+    """The vertex count and the arrows, each a pair (source, target)."""
+
+    __slots__ = ()
 
 
 def cyclic_quiver(n: int) -> QuiverShape:
@@ -45,11 +45,11 @@ def linear_quiver(m: int) -> QuiverShape:
 Map = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]  # (rows, cols, nonzero entries)
 
 
-@dataclass
-class QuivRep:
-    shape: QuiverShape
-    dims: Tuple[int, ...]
-    maps: Tuple[Map, ...]
+class QuivRep(namedtuple("QuivRep", "shape dims maps")):
+    """A representation: its QuiverShape, its dimension vector as a tuple,
+    and one Map per arrow, as a tuple."""
+
+    __slots__ = ()
 
 
 def _check_rep(rep: QuivRep) -> None:

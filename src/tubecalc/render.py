@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .arcs import IndObj, Tube, format_obj, sort_key
-from .type_a import AArc, check_arc
+from .arcs import IndObj, Tube, format_obj
+from .type_a import AArc, _check_segment, check_arc
 
 STYLE_COLOR = {
     "summand": "#000000",
@@ -66,11 +66,12 @@ R_OUT = 200.0
 R_IN = 70.0
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    mode: str  # "annulus" | "cover" | "segment"
-    rank: int  # tube rank n, or m in segment mode
-    arcs: Tuple[Tuple[Union[IndObj, AArc], str], ...]
+class RenderSpec(namedtuple("RenderSpec", "mode rank arcs")):
+    """The mode ("annulus", "cover" or "segment"), the tube rank n (or m in
+    segment mode), and the arcs as a tuple of (arc, style) pairs: ``IndObj``
+    arcs, or ``AArc`` arcs in segment mode."""
+
+    __slots__ = ()
 
 
 def _fmt(x: float) -> str:
@@ -298,13 +299,12 @@ def render_svg(spec: RenderSpec) -> str:
     for _, style in spec.arcs:
         if style not in STYLE_COLOR:
             raise ValueError(f"unknown style {style!r}")
-    arcs = sorted(spec.arcs, key=lambda a: (a[1], _arc_key(a[0])))
+    arcs = sorted(spec.arcs, key=_arc_key)
     mode, n = spec.mode, spec.rank
     if mode == "annulus":
         return _annulus_svg(n, arcs)
     if mode == "segment":
-        if n < 0:
-            raise ValueError(f"a segment needs m >= 0, got {n}")
+        _check_segment(n)
         for obj, _ in arcs:
             if not isinstance(obj, AArc):
                 raise ValueError("segment mode draws segment arcs only")
@@ -329,8 +329,18 @@ def _check_points(points: int) -> None:
             f"the drawing needs {points} points, above the bound MAX_POINTS = {MAX_POINTS}")
 
 
-def _arc_key(obj) -> Tuple:
-    return (0, obj.i, obj.j) if isinstance(obj, AArc) else sort_key(obj)
+def _arc_key(item) -> Tuple:
+    """The drawing order of an (arc, style) pair: by style, then as
+    ``sort_key`` orders tube arcs (a segment arc as a finite one)."""
+    obj, style = item
+    if isinstance(obj, AArc):
+        return style, 0, obj.i, obj.j
+    start, end = obj.start, obj.end
+    if end is None:
+        return style, 1, start, 0
+    if start is None:
+        return style, 2, end, 0
+    return style, 0, start, end
 
 
 def _check_tube_arcs(n: int, arcs) -> None:

@@ -66,12 +66,18 @@ reflected ``right_perp``.  ``_least_spans`` reads the mirrored arrays
 itself (quotients as mirrored subobjects), since ``is_torsion_pair`` and
 ``max_rigid_of`` read T's ``minend`` off ``low`` and F's ``maxstart`` off
 ``reach``, with no reflected descriptor.
+
+The value types are namedtuples, as ``IndObj`` is: ``SubcatDesc`` (its
+finite arcs, rays and corays, each a frozenset), ``TorsionPair`` (two
+descriptors and a kind) and ``MaxRigid`` (a frozenset of summands and a
+kind).  They are immutable, and hash and compare as the tuples of their
+fields, so a descriptor equals the plain tuple of its three sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
@@ -90,30 +96,27 @@ class ValidationError(ValueError):
     """A descriptor or pair fails a structural precondition."""
 
 
-@dataclass(frozen=True)
-class SubcatDesc:
-    """Finite description of an additive subcategory of the tube."""
+class SubcatDesc(namedtuple("SubcatDesc", "finite_objs rays corays")):
+    """Finite description of an additive subcategory of the tube: a
+    frozenset of finite arcs, and frozensets of ray and coray residues."""
 
-    finite_objs: FrozenSet[IndObj]
-    rays: FrozenSet[int]
-    corays: FrozenSet[int]
+    __slots__ = ()
 
     @property
     def is_finite_type(self) -> bool:
         return not self.rays and not self.corays
 
 
-@dataclass(frozen=True)
-class TorsionPair:
-    t_part: SubcatDesc
-    f_part: SubcatDesc
-    kind: str
+class TorsionPair(namedtuple("TorsionPair", "t_part f_part kind")):
+    """Two descriptors and the kind, RAY or CORAY."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MaxRigid:
-    summands: FrozenSet[IndObj]
-    kind: str
+class MaxRigid(namedtuple("MaxRigid", "summands kind")):
+    """A frozenset of summands and the kind, PRUFER or ADIC."""
+
+    __slots__ = ()
 
 
 # -- descriptors ---------------------------------------------------------------

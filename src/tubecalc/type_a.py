@@ -6,6 +6,16 @@ detected by a single negative crossing; tilting sets are triangulations of
 the (m+2)-gon; torsion pairs come from shortening closures.  These
 functions also power wing-level computations inside a tube, since every
 wing of width at most n+1 is equivalent to such a module category.
+Every function that takes m refuses m < 0 (``_check_segment``).
+
+An arc is an ``AArc``: an immutable object with slots ``i`` and ``j``,
+hashed as the pair (i, j), and equal only to an ``AArc`` with the same
+ends, never to a tuple or to a tube arc (``arcs.IndObj``, which is one).
+The segment model takes its arcs from one shared table (``_shared``): the
+arcs that ``all_arcs``, ``tau``, the closures and
+``tilting_of_torsion_pair`` return are the table's instances, so a closure
+builds no arc and two sets of them compare by identity.  An arc built
+directly equals the table's.
 
 The closures and validators read each fact off one integer array per side,
 so no loop runs over pairs of arcs.  ``_low`` and ``_reach`` build them for
@@ -40,27 +50,88 @@ Three rules follow, each exact:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import threading
+from typing import Collection, Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
 class AArc:
-    i: int
-    j: int
+    """The segment arc [i, j].  Immutable; hashed as the pair (i, j), and
+    equal only to an ``AArc`` with the same ends."""
+
+    __slots__ = ("i", "j", "_hash")
+
+    def __init__(self, i: int, j: int):
+        put = object.__setattr__
+        put(self, "i", i)
+        put(self, "j", j)
+        put(self, "_hash", hash((i, j)))
+
+    def __eq__(self, other):
+        if other.__class__ is AArc:
+            return self.i == other.i and self.j == other.j
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy, deepcopy and pickle build it anew
+        return AArc, (self.i, self.j)
+
+    def __repr__(self) -> str:
+        return f"AArc(i={self.i!r}, j={self.j!r})"
 
     def __str__(self) -> str:
         return f"[{self.i},{self.j}]"
 
 
+# The shared arcs, keyed by (i, j).  Past MAX_ARCS entries the table starts
+# again, so its size stays bounded whatever is asked for; A_8 has 36 arcs.
+# An arc depends on its key alone, so callers (and threads) can share the
+# table: a race costs a second instance of an equal arc, never a wrong one.
+# Stores take a lock, so the bound holds with threads too; lookups take none.
+MAX_ARCS = 1 << 12
+_ARCS: Dict[Tuple[int, int], AArc] = {}
+_ARCS_LOCK = threading.Lock()
+
+
+def _shared(pairs: Collection[Tuple[int, int]]) -> List[AArc]:
+    """The table's arc for each (i, j) pair, in the pairs' order; the
+    arcs it misses are built and stored, unless they alone pass the bound."""
+    try:
+        return list(map(_ARCS.__getitem__, pairs))
+    except KeyError:
+        pass
+    with _ARCS_LOCK:
+        arcs = [_ARCS.get(p) or AArc(*p) for p in pairs]
+        if len(arcs) <= MAX_ARCS:
+            if len(_ARCS) + len(arcs) > MAX_ARCS:
+                _ARCS.clear()
+            _ARCS.update(zip(pairs, arcs))
+        return arcs
+
+
+def _check_segment(m: int) -> None:
+    """The one check of m that every segment function makes."""
+    if m < 0:
+        raise ValueError(f"a segment needs m >= 0, got {m}")
+
+
 def check_arc(m: int, x: AArc) -> None:
+    _check_segment(m)
     if not (0 <= x.i and x.j <= m + 1 and x.j >= x.i + 2):
         raise ValueError(f"arc {x} does not fit on a segment with points 0..{m + 1}")
 
 
 def all_arcs(m: int) -> List[AArc]:
     """Every arc on the segment, in lexicographic order."""
-    return [AArc(i, j) for i in range(0, m) for j in range(i + 2, m + 2)]
+    _check_segment(m)
+    return _shared([(i, j) for i in range(0, m) for j in range(i + 2, m + 2)])
 
 
 def crossing(x: AArc, y: AArc) -> bool:
@@ -69,7 +140,7 @@ def crossing(x: AArc, y: AArc) -> bool:
 
 def tau(x: AArc) -> Optional[AArc]:
     """One step left, or None at the left wall."""
-    return AArc(x.i - 1, x.j - 1) if x.i >= 1 else None
+    return _shared([(x.i - 1, x.j - 1)])[0] if x.i >= 1 else None
 
 
 def _low(pairs) -> Dict[int, int]:
@@ -95,13 +166,13 @@ def _reach(pairs) -> Dict[int, int]:
 def left_closure(arcs) -> frozenset:
     """The quotients of the arcs: same end, start moved weakly right."""
     low = _low((x.i, x.j) for x in arcs)
-    return frozenset([AArc(i, j) for j, a in low.items() for i in range(a, j - 1)])
+    return frozenset(_shared([(i, j) for j, a in low.items() for i in range(a, j - 1)]))
 
 
 def right_closure(arcs) -> frozenset:
     """The subobjects of the arcs: same start, end moved weakly left."""
     reach = _reach((x.i, x.j) for x in arcs)
-    return frozenset([AArc(i, j) for i, b in reach.items() for j in range(i + 2, b + 1)])
+    return frozenset(_shared([(i, j) for i, b in reach.items() for j in range(i + 2, b + 1)]))
 
 
 def enumerate_tilting(m: int) -> List[frozenset]:
@@ -111,9 +182,9 @@ def enumerate_tilting(m: int) -> List[frozenset]:
     per arc of the later arcs it does not cross.  Each state pushes its
     candidates largest first, so the sets come out in lexicographic order.
     """
+    arcs = all_arcs(m)
     if m == 0:
         return [frozenset()]
-    arcs = all_arcs(m)
     masks = [
         sum(1 << b for b in range(a + 1, len(arcs)) if not crossing(x, arcs[b]))
         for a, x in enumerate(arcs)
@@ -158,6 +229,7 @@ def is_tilting(m: int, arcs) -> bool:
 def torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
     """(Gen U, Cogen tau(U)): close U under left-shortening; shift U one step
     left (dropping arcs at the wall) and close under right-shortening."""
+    _check_segment(m)
     t_part = left_closure(tilting)
     shifted = [tau(x) for x in tilting if x.i >= 1]
     f_part = right_closure(shifted)
@@ -167,6 +239,7 @@ def torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
 def _segment_pairs(m: int, arcs) -> List[Tuple[int, int]]:
     """The arcs as (start, end) pairs; ``check_arc``'s ValueError for an arc
     that does not fit the segment."""
+    _check_segment(m)
     pairs = [(x.i, x.j) for x in arcs]
     for (i, j), x in zip(pairs, arcs):
         if i < 0 or j > m + 1 or j < i + 2:
@@ -214,9 +287,9 @@ def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
         raise ValueError("input is not a torsion class")
     if m and low.get(m + 1) != 0:
         raise ValueError("torsion class must contain every injective arc")
-    tilting = {AArc(a, e) for e, a in low.items()}
-    tilting.update(AArc(s + 1, e) for s, e in enumerate(_minend(m, pairs)) if e - s >= 3)
-    return frozenset(tilting)
+    tilting = {(a, e) for e, a in low.items()}
+    tilting.update((s + 1, e) for s, e in enumerate(_minend(m, pairs)) if e - s >= 3)
+    return frozenset(_shared(tilting))
 
 
 def is_torsion_class(arcs) -> bool:

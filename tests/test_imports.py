@@ -1,12 +1,20 @@
-"""Every name a library module imports is used there.
+"""Every name a library module imports is used there, and the CLI loads
+only what its commands need.
 
 Each ``src/tubecalc/*.py`` is parsed with ``ast``; a name bound by an
 import counts as used if the module reads it anywhere (as a name, or as the
 base of an attribute chain) or lists it in ``__all__``.  ``from __future__``
 imports bind no name and are skipped.
+
+A fresh interpreter, without ``site`` so that only the import itself is
+seen, imports ``tubecalc.cli``: it must not load ``dataclasses`` (nor the
+``inspect`` that it pulls in), and not ``tubecalc.render``, which only the
+drawing commands import.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +72,12 @@ def test_the_guard_sees_an_unused_import():
         "    return os.path.join(type_a.low, x)\n"
     )
     assert unused_imports(source) == [(2, "math"), (5, "shifts")]
+
+
+def test_the_cli_loads_no_dataclasses_and_no_render():
+    code = "import sys, tubecalc.cli\nprint(' '.join(sys.modules))"
+    # the package is found through PYTHONPATH
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "tubecalc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "tubecalc.render"}

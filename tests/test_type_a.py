@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 from functools import lru_cache
 
@@ -115,6 +116,40 @@ class TestTilting:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+# each public function of type_a that takes m, with arguments that are
+# fine but for m = -1
+CALLS_WITH_NEGATIVE_M = {
+    "check_arc": (-1, AArc(0, 2)),
+    "all_arcs": (-1,),
+    "enumerate_tilting": (-1,),
+    "is_tilting": (-1, []),
+    "torsion_pair_of_tilting": (-1, []),
+    "tilting_of_torsion_pair": (-1, []),
+    "is_torsion_pair": (-1, [], []),
+}
+
+
+class TestNegativeM:
+    @pytest.mark.parametrize("name", CALLS_WITH_NEGATIVE_M)
+    def test_refused_with_one_message(self, name):
+        with pytest.raises(ValueError, match=r"^a segment needs m >= 0, got -1$"):
+            getattr(ta, name)(*CALLS_WITH_NEGATIVE_M[name])
+
+    def test_every_function_that_takes_m_is_listed(self):
+        takes_m = {
+            name for name, fn in vars(ta).items()
+            if inspect.isfunction(fn) and not name.startswith("_")
+            and list(inspect.signature(fn).parameters)[:1] == ["m"]
+        }
+        assert takes_m == set(CALLS_WITH_NEGATIVE_M)
+
+    def test_m_zero_is_a_segment(self):
+        assert ta.all_arcs(0) == [] and ta.enumerate_tilting(0) == [frozenset()]
+        assert ta.is_tilting(0, []) and ta.is_torsion_pair(0, [], [])
+        assert ta.torsion_pair_of_tilting(0, []) == (frozenset(), frozenset())
+        assert ta.tilting_of_torsion_pair(0, []) == frozenset()
 
 
 class TestTorsionPairsA:

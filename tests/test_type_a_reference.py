@@ -20,14 +20,32 @@ over every start of every end.  The new one reads each arc of the tilting
 set as the longest at its start or at its end, off ``low`` and
 ``minend``.  They are compared on arbitrary arc sets, arcs off the segment
 included, and on every quotient closure at m <= 7.
+
+The last part keeps the frozen dataclass ``AArc`` and the functions that
+built an arc per member, copied unchanged but for their names.  The
+slotted ``AArc`` hashes, compares and prints as the dataclass did, and
+the closures, ``tau``, both directions of the bijection and
+``enumerate_tilting`` give the same arcs, now the shared table's
+instances.  The table is checked on its own too: under a small patched
+bound, and with four threads clearing it under each other.
 """
 
+import contextlib
+import copy
 import itertools
+import pickle
+import random
+import re
+import sys
+import threading
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import pytest
 
 from tubecalc import type_a as ta
+from tubecalc.arcs import IndObj
 from tubecalc.type_a import AArc, all_arcs
 from segment_defs import ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting
 
@@ -342,3 +360,265 @@ class TestTiltingByLongestArcs:
             got = assert_tilting_matches(m, t_part)
             answers.add(got if isinstance(got, tuple) else "tilting")
         assert "tilting" in answers and (m < 2 or len(answers) == 3)
+
+
+# -- the dataclass AArc and the closures that built it ------------------------------
+#
+# Copied unchanged, but for the names: the frozen dataclass AArc, and the
+# functions that built an arc per member before the shared table.  They
+# share the array helpers (_low, _reach, _is_torsion_low, _minend,
+# _segment_pairs), which the table did not change.
+
+
+@dataclass(frozen=True)
+class OldAArc:
+    i: int
+    j: int
+
+    def __str__(self) -> str:
+        return f"[{self.i},{self.j}]"
+
+
+def old_all_arcs(m: int) -> List[OldAArc]:
+    return [OldAArc(i, j) for i in range(0, m) for j in range(i + 2, m + 2)]
+
+
+def old_crossing(x, y) -> bool:
+    return x.i < y.i < x.j < y.j or y.i < x.i < y.j < x.j
+
+
+def old_tau(x):
+    return OldAArc(x.i - 1, x.j - 1) if x.i >= 1 else None
+
+
+def old_left_closure(arcs) -> frozenset:
+    low = ta._low((x.i, x.j) for x in arcs)
+    return frozenset([OldAArc(i, j) for j, a in low.items() for i in range(a, j - 1)])
+
+
+def old_right_closure(arcs) -> frozenset:
+    reach = ta._reach((x.i, x.j) for x in arcs)
+    return frozenset([OldAArc(i, j) for i, b in reach.items() for j in range(i + 2, b + 1)])
+
+
+def old_enumerate_tilting(m: int) -> List[frozenset]:
+    if m == 0:
+        return [frozenset()]
+    arcs = old_all_arcs(m)
+    masks = [
+        sum(1 << b for b in range(a + 1, len(arcs)) if not old_crossing(x, arcs[b]))
+        for a, x in enumerate(arcs)
+    ]
+    base = arcs.index(OldAArc(0, m + 1))
+    results: List[frozenset] = []
+    stack = [([base], ((1 << len(arcs)) - 1) ^ (1 << base))]
+    while stack:
+        chosen, cand = stack.pop()
+        if len(chosen) == m:
+            results.append(frozenset(map(arcs.__getitem__, chosen)))
+            continue
+        if len(chosen) + cand.bit_count() < m:
+            continue
+        c = cand
+        while c:
+            t = c.bit_length() - 1
+            c ^= 1 << t
+            stack.append((chosen + [t], cand & masks[t]))
+    return results
+
+
+def old_torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
+    t_part = old_left_closure(tilting)
+    shifted = [old_tau(x) for x in tilting if x.i >= 1]
+    f_part = old_right_closure(shifted)
+    return t_part, f_part
+
+
+def old_tilting_of_torsion_pair(m: int, t_part) -> frozenset:
+    pairs = ta._segment_pairs(m, frozenset(t_part))
+    low = ta._low(pairs)
+    if not ta._is_torsion_low(low, len(pairs)):
+        raise ValueError("input is not a torsion class")
+    if m and low.get(m + 1) != 0:
+        raise ValueError("torsion class must contain every injective arc")
+    tilting = {OldAArc(a, e) for e, a in low.items()}
+    tilting.update(OldAArc(s + 1, e) for s, e in enumerate(ta._minend(m, pairs)) if e - s >= 3)
+    return frozenset(tilting)
+
+
+def ends(arcs):
+    """The arcs as a set of (i, j) pairs, so that old and new compare."""
+    return frozenset((x.i, x.j) for x in arcs)
+
+
+def as_old(arcs) -> set:
+    return {OldAArc(x.i, x.j) for x in arcs}
+
+
+def shared(arcs) -> bool:
+    """Whether every arc is the table's instance."""
+    return all(type(x) is AArc and ta._shared([(x.i, x.j)])[0] is x for x in arcs)
+
+
+def outcome_ends(fn, *args):
+    """``outcome`` with a set of arcs read as its (i, j) pairs, and with the
+    arc that a refusal names left out: which of several arcs off the segment
+    is named first depends on the order of a set."""
+    got = outcome(fn, *args)
+    if isinstance(got, tuple):
+        return got[0], re.sub(r"^arc \[-?\d+,-?\d+\] ", "arc ", got[1])
+    return ends(got)
+
+
+@contextlib.contextmanager
+def fresh_table(bound: int):
+    """An empty arc table with the given bound, in place of the shared one."""
+    with mock.patch.multiple(ta, MAX_ARCS=bound, _ARCS={}):
+        yield
+
+
+pairs_on_the_line = st.tuples(st.integers(-4, 9), st.integers(-4, 9))
+
+
+class TestMatchesDataclassCode:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sets(line_arcs, max_size=8))
+    def test_closures_and_tau(self, arcs):
+        for new, old in ((ta.left_closure, old_left_closure), (ta.right_closure, old_right_closure)):
+            got = new(arcs)
+            assert ends(got) == ends(old(as_old(arcs))) and shared(got)
+            # a second closure holds the very same instances
+            assert {id(x) for x in new(arcs)} == {id(x) for x in got}
+        for x in arcs:
+            got, want = ta.tau(x), old_tau(OldAArc(x.i, x.j))
+            assert (got is None) == (want is None)
+            assert got is None or (ends([got]) == ends([want]) and shared([got]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, M_MAX), st.sets(line_arcs, max_size=8))
+    def test_both_directions_of_the_bijection(self, m, arcs):
+        t_part, f_part = ta.torsion_pair_of_tilting(m, arcs)
+        old_t, old_f = old_torsion_pair_of_tilting(m, as_old(arcs))
+        assert (ends(t_part), ends(f_part)) == (ends(old_t), ends(old_f))
+        assert shared(t_part | f_part)
+        got = outcome_ends(ta.tilting_of_torsion_pair, m, arcs)
+        assert got == outcome_ends(old_tilting_of_torsion_pair, m, as_old(arcs))
+        if not isinstance(got, tuple):
+            assert shared(ta.tilting_of_torsion_pair(m, arcs))
+
+    @pytest.mark.parametrize("m", range(0, 9))
+    def test_enumerate_tilting(self, m):
+        got = ta.enumerate_tilting(m)
+        assert [ends(u) for u in got] == [ends(u) for u in old_enumerate_tilting(m)]
+        assert ta.all_arcs(m) == [AArc(x.i, x.j) for x in old_all_arcs(m)] and shared(ta.all_arcs(m))
+        for u in got:
+            back = ta.tilting_of_torsion_pair(m, ta.torsion_pair_of_tilting(m, u)[0])
+            assert back == u and shared(back)
+
+
+class TestArcValue:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs_on_the_line, pairs_on_the_line)
+    def test_equality_hash_repr_and_str_as_the_dataclass(self, a, b):
+        x, y, old_x, old_y = AArc(*a), AArc(*b), OldAArc(*a), OldAArc(*b)
+        assert (x == y, x != y) == (old_x == old_y, old_x != old_y)
+        assert hash(x) == hash(old_x) == hash(a)
+        assert repr(x) == repr(old_x).replace("OldAArc", "AArc") and str(x) == str(old_x)
+
+    @pytest.mark.parametrize("cls", [AArc, OldAArc])
+    @pytest.mark.parametrize("other", [(0, 3), IndObj(0, 3)], ids=["tuple", "IndObj"])
+    def test_unequal_to_tuples_and_tube_arcs(self, cls, other):
+        x = cls(0, 3)
+        assert x != other and other != x
+        assert not (x == other) and not (other == x)
+        assert len({x, other}) == 2
+
+    def test_equal_only_to_an_arc_with_the_same_ends(self):
+        assert AArc(0, 3) == AArc(0, 3) and AArc(0, 3) != AArc(0, 4) and AArc(0, 3) != AArc(1, 3)
+
+    def test_immutable(self):
+        x = AArc(0, 3)
+        for name in ("i", "j", "k"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert (x.i, x.j) == (0, 3) and not hasattr(x, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_clones_round_trip(self, clone):
+        y = clone(AArc(-4, 9))
+        assert type(y) is AArc and y == AArc(-4, 9) and (y.i, y.j) == (-4, 9)
+
+
+class TestArcTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(pairs_on_the_line, max_size=12, unique=True))
+    def test_an_arc_from_the_table_equals_the_arc_built_directly(self, pairs):
+        got = ta._shared(pairs)
+        assert got == [AArc(*p) for p in pairs] and all(type(x) is AArc for x in got)
+        assert all(a is b for a, b in zip(ta._shared(pairs), got))
+
+    def test_each_key_keeps_its_own_arc(self):
+        # arcs that share a start, or an end, are different keys
+        with fresh_table(16):
+            for pairs in ([(0, 2), (0, 3)], [(0, 2)], [(0, 3)], [(1, 3), (0, 3)], [(1, 3)]):
+                assert ta._shared(pairs) == [AArc(*p) for p in pairs]
+
+    def test_the_table_starts_again_at_its_bound(self):
+        with fresh_table(4):
+            first = ta._shared([(0, 2), (0, 3), (1, 3)])
+            assert len(ta._ARCS) == 3 and ta._shared([(0, 2)])[0] is first[0]
+            assert ta._shared([(2, 4), (2, 5)]) == [AArc(2, 4), AArc(2, 5)]
+            assert len(ta._ARCS) == 2
+            # more arcs than the bound are built, and none is kept
+            many = [(0, j) for j in range(2, 8)]
+            assert ta._shared(many) == [AArc(*p) for p in many]
+            assert set(ta._ARCS) == {(2, 4), (2, 5)}
+            for m in range(6):
+                assert ta.all_arcs(m) == [AArc(x.i, x.j) for x in old_all_arcs(m)]
+                assert len(ta._ARCS) <= 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sets(line_arcs, max_size=8))
+    def test_closures_hold_with_a_small_table(self, arcs):
+        with fresh_table(5):
+            assert ends(ta.left_closure(arcs)) == ends(old_left_closure(as_old(arcs)))
+            assert ends(ta.right_closure(arcs)) == ends(old_right_closure(as_old(arcs)))
+            assert len(ta._ARCS) <= 5
+
+    def test_four_threads_share_it(self):
+        # a small bound, so that the threads clear the table under each other
+        cases = [
+            {AArc(*sorted(rng.sample(range(-4, 10), 2))) for _ in range(6)}
+            for rng in map(random.Random, range(40))
+        ]
+        wants = [(ends(old_left_closure(as_old(c))), ends(old_right_closure(as_old(c)))) for c in cases]
+        start, wrong = threading.Barrier(4), []
+
+        def work(k):
+            start.wait(timeout=60)
+            for _ in range(50):
+                for c, want in zip(cases[k::4], wants[k::4]):
+                    got = ta.left_closure(c), ta.right_closure(c)
+                    if (ends(got[0]), ends(got[1])) != want or not all(type(x) is AArc for x in got[0] | got[1]):
+                        wrong.append(c)
+                    if len(ta._ARCS) > 24:
+                        wrong.append(len(ta._ARCS))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the table's stores too
+        try:
+            with fresh_table(24):
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []

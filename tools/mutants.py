@@ -1,11 +1,12 @@
 """Run listed source mutants against the tests that must catch them.
 
-A mutant is one or more exact source edits plus the test files that must
-fail once they are made.  The checkout's ``src/``, ``tests/`` and
+A mutant is one or more exact source edits plus the tests that must fail
+once they are made, as pytest node ids (a file, or ``file::test``, or
+``file::Class::test``).  The checkout's ``src/``, ``tests/`` and
 ``pyproject.toml`` are copied to a temporary directory outside it; the
-copy, unedited, must pass each test file set first, so that a broken setup
+copy, unedited, must pass each set of tests first, so that a broken setup
 is not read as a kill.  Then each mutant's edits are made in the copy, its
-test files run under pytest, and the edited files are put back.  A mutant
+tests run under pytest, and the edited files are put back.  A mutant
 is killed when pytest reports a failed test.  Nothing is written into the
 checkout.
 
@@ -40,13 +41,16 @@ TIMEOUT = 600  # seconds for one pytest run
 class Mutant:
     name: str
     edits: Tuple[Tuple[str, str, str], ...]  # (file, text, replacement); text occurs exactly once
-    tests: Tuple[str, ...]
+    tests: Tuple[str, ...]  # pytest node ids
 
 
 RENDER = "src/tubecalc/render.py"
-RENDER_TESTS = ("tests/test_render.py", "tests/test_render_reference.py")
+MEMO_TESTS = "tests/test_render_reference.py::TestPathMemo"
 TORSION = "src/tubecalc/torsion.py"
 CLI = "src/tubecalc/cli.py"
+CLI_FLAGS = "tests/test_cli.py::TestFlagsEachCommandTakes::test_a_flag_the_command_does_not_take_exits_1"
+TYPE_A = "src/tubecalc/type_a.py"
+ARC_TESTS = "tests/test_type_a_reference.py::"
 
 MUTANTS = (
     Mutant(
@@ -55,13 +59,13 @@ MUTANTS = (
             (RENDER, "frame = _PATHS.get((n, None))", "frame = _PATHS.get((0, None))"),
             (RENDER, "_keep((n, None), piece)", "_keep((0, None), piece)"),
         ),
-        RENDER_TESTS,
+        ("tests/test_render.py::TestSvg::test_golden_bytes",),
     ),
     Mutant(
         "hit-skips-point-count",
         ((RENDER, "_samples(True, obj) + 1 if piece is None else piece[0]",
           "_samples(True, obj) + 1 if piece is None else 0"),),
-        RENDER_TESTS,
+        (f"{MEMO_TESTS}::test_refusals_hold_with_the_arcs_held",),
     ),
     Mutant(
         "hit-drops-dash",
@@ -70,7 +74,7 @@ MUTANTS = (
           "        if piece:\n"
           "            k = len(body) - 1 - bool(arrow)\n"
           "            body[k] = body[k].replace(' stroke-dasharray=\"6 3\"', '')\n"),),
-        RENDER_TESTS,
+        ("tests/test_render.py::TestSvg::test_repeated_renders_identical",),
     ),
     Mutant(
         "forget-keeps-frames",
@@ -80,49 +84,70 @@ MUTANTS = (
           "        _PATHS.clear()\n"
           "        _PATHS.update(frames)\n"
           "        _path_chars = 0\n\n\n#"),),
-        RENDER_TESTS,
+        (f"{MEMO_TESTS}::test_bytes_hold_right_after_a_restart",),
     ),
     Mutant(
         "point-count-of-cover-mode",
         ((RENDER, "path = len(us), ", "path = _samples(False, obj) + 1, "),),
-        RENDER_TESTS,
+        (f"{MEMO_TESTS}::test_style_stays_outside_the_memo",),
     ),
     Mutant(
         "inverse-drops-span-3-arcs",
         ((TORSION, "for e, d in maxstart.items() if d > 2]", "for e, d in maxstart.items() if d > 3]"),),
-        ("tests/test_acceptance.py",),
+        ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
     ),
     Mutant(
         "ptolemy-skips-start-resolution",
         ((TORSION, "(d - a < 2 or contains(tube, desc, _canonical(n, a, d)))", "(True)"),),
-        ("tests/test_torsion.py",),
+        ("tests/test_torsion.py::TestClosurePredicates::test_ptolemy_rule_on_low_is_not_exact",),
     ),
     Mutant(
         "ptolemy-counts-shared-start",
         ((TORSION, "if d - w < a])", "if d - w <= a])"),),
-        ("tests/test_torsion_reference.py",),
+        ("tests/test_torsion_reference.py::TestExtClosedByEnds::test_raw_descriptors",),
     ),
     Mutant(
         "least-spans-skips-first-lift",
         ((TORSION, "if stack and k >= 0:", "if stack and k > 0:"),),
-        ("tests/test_acceptance.py",),
+        ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
     ),
     Mutant(
         "hom-through-tau",
         (("src/tubecalc/homs.py", "neg_crossings(tube, tube.tau_inv(y), x)", "neg_crossings(tube, tube.tau(y), x)"),),
-        ("tests/test_homs.py",),
+        ("tests/test_homs.py::TestHomDim::test_simple_endomorphisms",),
     ),
     Mutant(
         "of-pair-takes-rank",
         ((CLI, 'help="maximal rigid object of a torsion pair")\n',
           'help="maximal rigid object of a torsion pair")\n    p.add_argument("--rank", type=_integer)\n'),),
-        ("tests/test_cli.py",),
+        (CLI_FLAGS,),
     ),
     Mutant(
         "render-sizes-outside-the-group",
         ((CLI, '    size.add_argument("--rank"', '    p.add_argument("--rank"'),
          (CLI, '    size.add_argument("--m"', '    p.add_argument("--m"')),
-        ("tests/test_cli.py",),
+        (CLI_FLAGS,),
+    ),
+    Mutant(
+        "arc-equals-a-tuple",
+        ((TYPE_A, "            return self.i == other.i and self.j == other.j\n        return NotImplemented",
+          "            return self.i == other.i and self.j == other.j\n        return (self.i, self.j) == other"),),
+        (f"{ARC_TESTS}TestArcValue::test_unequal_to_tuples_and_tube_arcs",),
+    ),
+    Mutant(
+        "arc-table-keeps-entries-past-its-bound",
+        ((TYPE_A, "                _ARCS.clear()", "                pass"),),
+        (f"{ARC_TESTS}TestArcTable::test_the_table_starts_again_at_its_bound",),
+    ),
+    Mutant(
+        "arc-table-key-drops-j",
+        (
+            (TYPE_A, "return list(map(_ARCS.__getitem__, pairs))",
+             "return list(map(_ARCS.__getitem__, [i for i, _ in pairs]))"),
+            (TYPE_A, "_ARCS.get(p) or AArc(*p)", "_ARCS.get(p[0]) or AArc(*p)"),
+            (TYPE_A, "_ARCS.update(zip(pairs, arcs))", "_ARCS.update(zip([i for i, _ in pairs], arcs))"),
+        ),
+        (f"{ARC_TESTS}TestArcTable::test_each_key_keeps_its_own_arc",),
     ),
 )
 
@@ -141,7 +166,7 @@ def edited(sources: Dict[str, str], mutant: Mutant) -> Dict[str, str]:
 
 
 def run_tests(copy: Path, tests: Sequence[str]) -> Tuple[int, str, float]:
-    """pytest's exit code on the test files in the copy, its first failed
+    """pytest's exit code on the node ids in the copy, its first failed
     test (else the end of its output) and the seconds it took."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
