@@ -87,10 +87,15 @@ def ext_dim(tube: Tube, x: IndObj, y: IndObj) -> ExtDim:
 
 def hom_dim(tube: Tube, x: IndObj, y: IndObj) -> int:
     """dim Hom(x, y) = dim Ext^1(tau^{-1} y, x); undefined (raises) when both
-    arcs are one-sided."""
+    arcs are one-sided.  tau^{-1} y is y with both ends one step right, on
+    no particular lift: the crossing counts read every lift alike."""
     if not (x.is_finite or y.is_finite):
         raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
-    return neg_crossings(tube, tube.tau_inv(y), x)
+    start, end = y
+    if y.is_finite and end < start + 2:
+        raise ValueError(f"finite arc needs end >= start+2, got [{start},{end}]")
+    shifted = (start if start is None else start + 1, end if end is None else end + 1)
+    return neg_crossings(tube, tuple.__new__(IndObj, shifted), x)
 
 
 def is_rigid(tube: Tube, objs) -> bool:

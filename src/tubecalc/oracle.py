@@ -9,6 +9,10 @@ the rank of that system mod PRIME.  The elimination is general (any
 integer maps, no uniserial or 0/1 shortcut).  Ext^1 follows from Hom and
 the Euler form, since both quiver categories are hereditary.
 
+A ``QuivRep`` is checked when it is made (through ``_make`` and
+``_replace`` too): its dimension vector and maps fit its quiver, or it
+raises ValueError.  So ``hom_dim_oracle`` only compares the two quivers.
+
 The map of arrow k: v -> w is held as a plain tuple ``(rows, cols, entries)``
 with ``(rows, cols) == (dims[w], dims[v])`` and ``entries`` a tuple of its
 nonzero cells ``(row, col, value)`` as Python integers.
@@ -16,8 +20,10 @@ nonzero cells ``(row, col, value)`` as Python integers.
 
 from __future__ import annotations
 
-from collections import namedtuple
+import threading
+from collections import defaultdict, namedtuple
 from itertools import accumulate
+from operator import mul
 from typing import Dict, List, Tuple
 
 from . import homs
@@ -47,14 +53,23 @@ Map = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]  # (rows, cols, nonzero 
 
 class QuivRep(namedtuple("QuivRep", "shape dims maps")):
     """A representation: its QuiverShape, its dimension vector as a tuple,
-    and one Map per arrow, as a tuple."""
+    and one Map per arrow, as a tuple; ValueError unless they fit."""
 
     __slots__ = ()
+
+    def __new__(cls, shape: QuiverShape, dims, maps):
+        rep = tuple.__new__(cls, (shape, dims, maps))
+        _check_rep(rep)
+        return rep
+
+    @classmethod
+    def _make(cls, iterable):  # also behind _replace; keeps the check above
+        return cls(*iterable)
 
 
 def _check_rep(rep: QuivRep) -> None:
     """The dimension vector and the maps must fit the quiver."""
-    shape, dims, maps = rep.shape, rep.dims, rep.maps
+    shape, dims, maps = rep
     if len(dims) != shape.num_vertices or any(type(d) is not int or d < 0 for d in dims):
         raise ValueError(f"dims {dims!r} is not a dimension vector on {shape.num_vertices} vertices")
     if len(maps) != len(shape.arrows):
@@ -67,13 +82,34 @@ def _check_rep(rep: QuivRep) -> None:
                 raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
 
 
-def _uniserial(shape: QuiverShape, socle_vertex: int, length: int) -> QuivRep:
-    """Basis b_0..b_{length-1}; b_t sits at vertex socle+t mod the vertex
-    count (on the linear quiver socle+t stays below it), arrows send
-    b_t -> b_{t-1}."""
+# Each quiver with its arrow index, {(source, target): k}, keyed by the
+# function that makes it and its size; started again past MAX_SHAPES entries.
+# An entry depends on its key alone, so a race costs a second equal quiver;
+# stores take a lock, so the bound holds with threads too.
+MAX_SHAPES = 64
+_SHAPES: Dict[tuple, Tuple[QuiverShape, Dict[Tuple[int, int], int]]] = {}
+_SHAPES_LOCK = threading.Lock()
+
+
+def _indexed(quiver, size: int) -> Tuple[QuiverShape, Dict[Tuple[int, int], int]]:
+    got = _SHAPES.get((quiver, size))
+    if got is None:
+        shape = quiver(size)
+        got = shape, {arrow: k for k, arrow in enumerate(shape.arrows)}
+        with _SHAPES_LOCK:
+            if len(_SHAPES) >= MAX_SHAPES:
+                _SHAPES.clear()
+            _SHAPES[quiver, size] = got
+    return got
+
+
+def _uniserial(quiver, size: int, socle_vertex: int, length: int) -> QuivRep:
+    """On the quiver ``quiver(size)``: basis b_0..b_{length-1}; b_t sits at
+    vertex socle+t mod the vertex count (on the linear quiver socle+t stays
+    below it), arrows send b_t -> b_{t-1}."""
+    shape, arrow_of = _indexed(quiver, size)
     nv = shape.num_vertices
     dims = [0] * nv
-    arrow_of = {arrow: k for k, arrow in enumerate(shape.arrows)}
     entries = [[] for _ in shape.arrows]  # nonzero cells, arrow by arrow
     prev = None  # the vertex of b_{t-1}, where it is the last basis vector so far
     for t in range(length):
@@ -90,13 +126,13 @@ def build_rep(tube: Tube, obj: IndObj) -> QuivRep:
     """Nilpotent cyclic-quiver representation of a finite arc."""
     if not obj.is_finite:
         raise ValueError("only finite arcs have matrix representations")
-    return _uniserial(cyclic_quiver(tube.n), obj.start % tube.n, obj.length)
+    return _uniserial(cyclic_quiver, tube.n, obj.start % tube.n, obj.length)
 
 
 def build_rep_a(m: int, arc: AArc) -> QuivRep:
     """Linear-quiver representation of a segment arc (socle S_{i+1})."""
     check_arc(m, arc)
-    return _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1)
+    return _uniserial(linear_quiver, m, arc.i, arc.j - arc.i - 1)
 
 
 def euler_form(shape: QuiverShape, d, e) -> int:
@@ -107,21 +143,25 @@ def euler_form(shape: QuiverShape, d, e) -> int:
 
 
 def _intertwiner_rows(a: QuivRep, b: QuivRep, offs: List[int]) -> List[Dict[int, int]]:
-    """The system as sparse rows: one {column: value} per entry (i, j) of f_w A_k - B_k f_v,
-    arrow by arrow.  Unknown f_v[r, c] is column offs[v] + c * b.dims[v] + r (column-major)."""
+    """The system as sparse rows: one {column: value} per entry (i, j) of f_w A_k - B_k f_v
+    that some unknown touches, arrow by arrow; an arrow with no entries (b_w a_v = 0) is
+    skipped.  Unknown f_v[r, c] is column offs[v] + c * b.dims[v] + r (column-major)."""
     rows: List[Dict[int, int]] = []
-    for k, (v, w) in enumerate(a.shape.arrows):
-        bv, bw, av = b.dims[v], b.dims[w], a.dims[v]
-        eqs: List[Dict[int, int]] = [{} for _ in range(bw * av)]  # entry (i, j) is row j * bw + i
-        for l, j, x in a.maps[k][2]:  # + f_w[i, l] A_k[l, j]
+    for (v, w), (_, _, a_entries), (_, _, b_entries) in zip(a.shape.arrows, a.maps, b.maps):
+        bw, av = b.dims[w], a.dims[v]
+        if not bw * av:
+            continue
+        bv = b.dims[v]
+        eqs: Dict[int, Dict[int, int]] = defaultdict(dict)  # entry (i, j) is row j * bw + i
+        for l, j, x in a_entries:  # + f_w[i, l] A_k[l, j]
             for i in range(bw):
                 eq, col = eqs[j * bw + i], offs[w] + l * bw + i
                 eq[col] = eq.get(col, 0) + x
-        for i, l, x in b.maps[k][2]:  # - B_k[i, l] f_v[l, j]
+        for i, l, x in b_entries:  # - B_k[i, l] f_v[l, j]
             for j in range(av):
                 eq, col = eqs[j * bw + i], offs[v] + j * bv + l
                 eq[col] = eq.get(col, 0) - x
-        rows += eqs
+        rows += eqs.values()
     return rows
 
 
@@ -131,17 +171,23 @@ def _rank_mod(rows: List[Dict[int, int]]) -> int:
     p = PRIME
     pivots: Dict[int, Dict[int, int]] = {}
     for row in rows:
-        row = {c: x % p for c, x in row.items() if x % p}
+        row = {c: r for c, x in row.items() if (r := x % p)}
         while row:
             c = min(row)
-            if c not in pivots:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {d: x * inv % p for d, x in row.items()}
+            pivot = pivots.get(c)
+            if pivot is None:
+                if row[c] != 1:
+                    inv = pow(row[c], -1, p)
+                    row = {d: x * inv % p for d, x in row.items()}
+                pivots[c] = row
                 break
             f = row[c]
-            for d, x in pivots[c].items():
-                row[d] = (row.get(d, 0) - f * x) % p
-            row = {d: x for d, x in row.items() if x}
+            for d, x in pivot.items():  # row[d] -= f * x, deleting what cancels
+                r = (row.get(d, 0) - f * x) % p
+                if r:
+                    row[d] = r
+                else:
+                    del row[d]
     return len(pivots)
 
 
@@ -149,9 +195,7 @@ def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     """Dimension of the space of intertwiners a -> b: unknowns minus rank."""
     if a.shape != b.shape:
         raise ValueError("representations live over different quivers")
-    _check_rep(a)
-    _check_rep(b)
-    offs = list(accumulate((b.dims[v] * a.dims[v] for v in range(a.shape.num_vertices)), initial=0))
+    offs = list(accumulate(map(mul, b.dims, a.dims), initial=0))
     return offs[-1] - _rank_mod(_intertwiner_rows(a, b, offs))
 
 

@@ -12,8 +12,8 @@ An arc is an ``AArc``: an immutable object with slots ``i`` and ``j``,
 hashed as the pair (i, j), and equal only to an ``AArc`` with the same
 ends, never to a tuple or to a tube arc (``arcs.IndObj``, which is one).
 The segment model takes its arcs from one shared table (``_shared``): the
-arcs that ``all_arcs``, ``tau``, the closures and
-``tilting_of_torsion_pair`` return are the table's instances, so a closure
+arcs that ``all_arcs``, the closures and both directions of the bijection
+return are the table's instances, so a closure
 builds no arc and two sets of them compare by identity.  An arc built
 directly equals the table's.
 
@@ -51,7 +51,7 @@ Three rules follow, each exact:
 from __future__ import annotations
 
 import threading
-from typing import Collection, Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Tuple
 
 
 class AArc:
@@ -138,11 +138,6 @@ def crossing(x: AArc, y: AArc) -> bool:
     return x.i < y.i < x.j < y.j or y.i < x.i < y.j < x.j
 
 
-def tau(x: AArc) -> Optional[AArc]:
-    """One step left, or None at the left wall."""
-    return _shared([(x.i - 1, x.j - 1)])[0] if x.i >= 1 else None
-
-
 def _low(pairs) -> Dict[int, int]:
     """``low[j]`` of (start, end) pairs, over the ends that have an arc;
     pairs shorter than [j-2, j] are skipped."""
@@ -163,16 +158,24 @@ def _reach(pairs) -> Dict[int, int]:
     return reach
 
 
+def _quotients(low: Dict[int, int]) -> frozenset:
+    """The quotient closure that ``low`` fixes."""
+    return frozenset(_shared([(i, j) for j, a in low.items() for i in range(a, j - 1)]))
+
+
+def _subobjects(reach: Dict[int, int]) -> frozenset:
+    """The subobject closure that ``reach`` fixes."""
+    return frozenset(_shared([(i, j) for i, b in reach.items() for j in range(i + 2, b + 1)]))
+
+
 def left_closure(arcs) -> frozenset:
     """The quotients of the arcs: same end, start moved weakly right."""
-    low = _low((x.i, x.j) for x in arcs)
-    return frozenset(_shared([(i, j) for j, a in low.items() for i in range(a, j - 1)]))
+    return _quotients(_low((x.i, x.j) for x in arcs))
 
 
 def right_closure(arcs) -> frozenset:
     """The subobjects of the arcs: same start, end moved weakly left."""
-    reach = _reach((x.i, x.j) for x in arcs)
-    return frozenset(_shared([(i, j) for i, b in reach.items() for j in range(i + 2, b + 1)]))
+    return _subobjects(_reach((x.i, x.j) for x in arcs))
 
 
 def enumerate_tilting(m: int) -> List[frozenset]:
@@ -228,12 +231,10 @@ def is_tilting(m: int, arcs) -> bool:
 
 def torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
     """(Gen U, Cogen tau(U)): close U under left-shortening; shift U one step
-    left (dropping arcs at the wall) and close under right-shortening."""
-    _check_segment(m)
-    t_part = left_closure(tilting)
-    shifted = [tau(x) for x in tilting if x.i >= 1]
-    f_part = right_closure(shifted)
-    return t_part, f_part
+    left (dropping arcs at the wall) and close under right-shortening.
+    ``check_arc``'s ValueError for an arc that does not fit the segment."""
+    pairs = _segment_pairs(m, frozenset(tilting))
+    return _quotients(_low(pairs)), _subobjects(_reach((i - 1, j - 1) for i, j in pairs if i >= 1))
 
 
 def _segment_pairs(m: int, arcs) -> List[Tuple[int, int]]:

@@ -6,9 +6,9 @@ compare the library's segment model with.
 - The middle terms of the non-split extension 0 -> y -> E -> x -> 0: the
   Ptolemy resolution of that crossing, [y.i, x.j] and [x.i, y.j], where the
   second is a boundary segment, and so dropped, when y.j == x.i + 1.
-- The Hom rule, the injective and projective fans, tau^{-1}, the companion
-  map of the tilting bijection, and the all-pairs Ptolemy check built on
-  the two rules above.
+- The Hom rule, the injective and projective fans, tau and tau^{-1}, the
+  companion map of the tilting bijection, and the all-pairs Ptolemy check
+  built on the two rules above.
 """
 
 from typing import Optional
@@ -48,6 +48,11 @@ def injective_arcs(m: int) -> list:
 def projective_arcs(m: int) -> list:
     """The fan at the left endpoint: arcs [0, j]."""
     return [AArc(0, j) for j in range(2, m + 2)]
+
+
+def tau(x: AArc) -> Optional[AArc]:
+    """One step left, or None at the left wall."""
+    return AArc(x.i - 1, x.j - 1) if x.i >= 1 else None
 
 
 def tau_inv(m: int, x: AArc) -> Optional[AArc]:

@@ -4,7 +4,10 @@ The reference below is the old code, copied unchanged: two interval
 counters, ``_count_open`` and ``_count_closed``, and a ``hom_dim`` with a
 count formula per pair of arc types.  The new code reads every dimension
 as the length of one range of multiples of n, and Hom by the
-Auslander-Reiten formula as Ext(tau^{-1} y, x).  Hypothesis draws finite,
+Auslander-Reiten formula as Ext(tau^{-1} y, x).  A second reference,
+``hom_dim_by_tau_inv``, is the rule that read tau^{-1} y through the
+normalizing ``Tube.tau_inv``, where ``hom_dim`` now shifts both ends of y by
+one.  Hypothesis draws finite,
 Prufer and adic arcs in any lift, anchored or not, and compares the value
 or the exception's type and message.
 
@@ -83,6 +86,13 @@ def hom_dim(tube, x, y):
     raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
 
 
+def hom_dim_by_tau_inv(tube, x, y):
+    """The rule that read tau^{-1} y through the normalizing ``Tube.tau_inv``."""
+    if not (x.is_finite or y.is_finite):
+        raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
+    return homs.neg_crossings(tube, tube.tau_inv(y), x)
+
+
 # -- strategies ----------------------------------------------------------------------
 
 ranks = st.integers(1, 9)
@@ -125,6 +135,13 @@ class TestAgainstReference:
             (homs.hom_dim, hom_dim),
         ):
             assert outcome(new, tube, x, y) == outcome(old, tube, x, y), new.__name__
+
+    @settings(max_examples=2000, deadline=None)
+    @given(ranks, arcs(), arcs())
+    def test_hom_by_shifted_ends(self, n, x, y):
+        # finite, Prufer and adic arcs in any lift, finite ones spanning up to 40 > n
+        tube = Tube(n)
+        assert outcome(homs.hom_dim, tube, x, y) == outcome(hom_dim_by_tau_inv, tube, x, y)
 
     @settings(max_examples=300, deadline=None)
     @given(ranks, arcs(), ends, st.integers(-3, 1))

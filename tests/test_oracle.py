@@ -20,6 +20,19 @@ def compose(mat, cur):
     return rows, cols, tuple((i, j, x) for (i, j), x in sorted(out.items()) if x)
 
 
+def assert_refused(shape, dims, maps, message):
+    """A rep that does not fit its quiver raises ValueError where it is made:
+    by the constructor, by ``_make`` and by ``_replace`` on a rep that fits."""
+    fits = oracle.QuivRep(shape, (0,) * shape.num_vertices, tuple((0, 0, ()) for _ in shape.arrows))
+    for make in (
+        lambda: oracle.QuivRep(shape, dims, maps),
+        lambda: oracle.QuivRep._make((shape, dims, maps)),
+        lambda: fits._replace(dims=dims, maps=maps),
+    ):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestBuildRep:
     def test_simple_sits_at_its_socle_vertex(self):
         t2 = Tube(2)
@@ -55,6 +68,16 @@ class TestBuildRep:
                 w = arrow[1]
             assert cur[2] == ()
 
+    def test_quiver_memo_stays_bounded(self):
+        # more sizes than the memo holds, twice over: each rep still fits a
+        # quiver equal to a fresh one
+        for n in range(1, 2 * oracle.MAX_SHAPES + 2):
+            tube = Tube(n)
+            rep = oracle.build_rep(tube, tube.finite(0, n + 2))
+            assert rep.shape == oracle.cyclic_quiver(n) and sum(rep.dims) == n + 1
+            assert len(oracle._SHAPES) <= oracle.MAX_SHAPES
+        assert oracle.build_rep_a(3, AArc(0, 4)).shape == oracle.linear_quiver(3)
+
     def test_infinite_objects_have_no_matrices(self):
         t2 = Tube(2)
         with pytest.raises(ValueError):
@@ -84,23 +107,16 @@ class TestHomOracle:
             assert oracle.hom_dim_oracle(reps[x], reps[y]) == homs.hom_dim(tube, x, y)
 
     def test_maps_must_match_the_dimension_vector(self):
-        rep = oracle.QuivRep(oracle.cyclic_quiver(1), (1,), ((2, 2, ()),))
-        with pytest.raises(ValueError, match="arrow 0 do not match the dimension vectors"):
-            oracle.hom_dim_oracle(rep, rep)
+        assert_refused(oracle.cyclic_quiver(1), (1,), ((2, 2, ()),),
+                       "arrow 0 do not match the dimension vectors")
 
     @pytest.mark.parametrize("dims", [(1,), (1, 1, 1), (1, -1), (1, 1.0), (True, 1)])
     def test_dims_must_fit_the_quiver(self, dims):
-        shape = oracle.cyclic_quiver(2)
-        rep = oracle.QuivRep(shape, dims, ((0, 1, ()), (1, 0, ())))
-        with pytest.raises(ValueError, match="is not a dimension vector on 2 vertices"):
-            oracle.hom_dim_oracle(rep, rep)
-        with pytest.raises(ValueError, match="is not a dimension vector on 2 vertices"):
-            oracle.ext_dim_oracle(rep, rep)
+        assert_refused(oracle.cyclic_quiver(2), dims, ((0, 1, ()), (1, 0, ())),
+                       "is not a dimension vector on 2 vertices")
 
     def test_one_map_per_arrow(self):
-        rep = oracle.QuivRep(oracle.cyclic_quiver(2), (1, 1), ((1, 1, ((0, 0, 1),)),))
-        with pytest.raises(ValueError, match="1 maps for 2 arrows"):
-            oracle.hom_dim_oracle(rep, rep)
+        assert_refused(oracle.cyclic_quiver(2), (1, 1), ((1, 1, ((0, 0, 1),)),), "1 maps for 2 arrows")
 
     @pytest.mark.parametrize("cell", [(1, 0), (0, 2), (-1, 0), (0, -1)])
     def test_entries_must_lie_inside_the_map(self, cell):
@@ -108,12 +124,9 @@ class TestHomOracle:
         # arrow 1 (vertex 1 -> vertex 0) is 1 x 2
         shape = oracle.cyclic_quiver(2)
         good = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, ())))
-        bad = oracle.QuivRep(shape, (1, 2), ((2, 1, ()), (1, 2, (cell + (1,),))))
         assert oracle.hom_dim_oracle(good, good) == 5
-        outside = "an entry of the map of arrow 1 lies outside its 1 x 2 shape"
-        for a, b in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match=outside):
-                oracle.hom_dim_oracle(a, b)
+        assert_refused(shape, (1, 2), ((2, 1, ()), (1, 2, (cell + (1,),))),
+                       "an entry of the map of arrow 1 lies outside its 1 x 2 shape")
 
     def test_mismatched_quivers_rejected(self):
         a = oracle.build_rep(Tube(2), Tube(2).finite(0, 3))

@@ -15,6 +15,8 @@ entries.  It also compares the rank of random integer matrices, and the
 uniserials ``build_rep`` and ``build_rep_a`` make with the old dense ones.
 """
 
+from collections import namedtuple
+
 import pytest
 
 from limits import needs_alarm, time_limit
@@ -28,6 +30,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 # -- reference ---------------------------------------------------------------------
+
+# A representation with dense maps, which a ``QuivRep`` refuses when it is made
+DenseRep = namedtuple("DenseRep", "shape dims maps")
 
 
 def _rank_mod(mat: np.ndarray, p: int) -> int:
@@ -55,7 +60,7 @@ def _rank_mod(mat: np.ndarray, p: int) -> int:
     return r
 
 
-def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
+def hom_dim_oracle(a: DenseRep, b: DenseRep) -> int:
     """Dimension of the space of intertwiners a -> b, by nullspace count."""
     if a.shape != b.shape:
         raise ValueError("representations live over different quivers")
@@ -90,7 +95,7 @@ def hom_dim_oracle(a: QuivRep, b: QuivRep) -> int:
     return total - _rank_mod(system, p)
 
 
-def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, cyclic: bool) -> QuivRep:
+def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, cyclic: bool) -> DenseRep:
     """Basis b_0..b_{length-1}; b_t sits at vertex socle+t, arrows send b_t -> b_{t-1}."""
     nv = shape.num_vertices
     dims = [0] * nv
@@ -107,7 +112,7 @@ def _uniserial(shape: QuiverShape, socle_vertex: int, length: int, cyclic: bool)
             if vert_of[t] == src and vert_of[t - 1] == dst:
                 mat[local[t - 1], local[t]] = 1
         maps.append(mat)
-    return QuivRep(shape, tuple(dims), tuple(maps))
+    return DenseRep(shape, tuple(dims), tuple(maps))
 
 
 # -- comparison ----------------------------------------------------------------------
@@ -167,7 +172,7 @@ def entry_form(mat: np.ndarray):
 
 def both_forms(shape, dims, dense_maps):
     """The same representation for the reference and for ``oracle``."""
-    return QuivRep(shape, dims, dense_maps), QuivRep(shape, dims, tuple(map(entry_form, dense_maps)))
+    return DenseRep(shape, dims, dense_maps), QuivRep(shape, dims, tuple(map(entry_form, dense_maps)))
 
 
 @needs_alarm
@@ -200,7 +205,7 @@ class TestMatchesReference:
 
 class TestUniserialsMatchReference:
     @staticmethod
-    def assert_same(rep: QuivRep, dense: QuivRep):
+    def assert_same(rep: QuivRep, dense: DenseRep):
         assert (rep.shape, rep.dims) == (dense.shape, dense.dims)
         assert rep.maps == tuple(map(entry_form, dense.maps))
 

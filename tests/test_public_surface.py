@@ -52,6 +52,7 @@ ALLOWED = {
     "oracle.brute_force_max_rigid": "the crosscheck_oracle workload runs it",
     "oracle.build_rep_a": "the ground truth the tests compare the segment Ext rule with",
     "arcs.Tube.tau": "the AR translate, which the tests read the AR formula with",
+    "arcs.Tube.tau_inv": "the inverse AR translate, which the tests check against tau",
 }
 
 

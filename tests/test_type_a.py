@@ -52,8 +52,8 @@ class TestExtAndSes:
 
 class TestTranslate:
     def test_examples(self):
-        assert ta.tau(AArc(1, 3)) == AArc(0, 2)
-        assert ta.tau(AArc(0, 4)) is None
+        assert segment_defs.tau(AArc(1, 3)) == AArc(0, 2)
+        assert segment_defs.tau(AArc(0, 4)) is None
         assert segment_defs.tau_inv(3, AArc(0, 2)) == AArc(1, 3)
         assert segment_defs.tau_inv(3, AArc(1, 4)) is None
 

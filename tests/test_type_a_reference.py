@@ -9,8 +9,8 @@ subsets of the segment, torsion pairs with a few arcs toggled, quotient
 closures with their perps, and arcs anywhere on the integer line.
 
 An arc that does not fit the segment is a caller error for the functions
-that take m (``is_torsion_pair``, ``tilting_of_torsion_pair``): they raise
-``check_arc``'s ValueError, where the old code answered False or read the
+that take m (``is_torsion_pair`` and both directions of the bijection): they
+raise ``check_arc``'s ValueError, where the old code answered False or read the
 arc on the integer line.  The closures and class predicates take no m and
 keep the old answers on any arcs, short ones included.
 
@@ -24,7 +24,7 @@ included, and on every quotient closure at m <= 7.
 The last part keeps the frozen dataclass ``AArc`` and the functions that
 built an arc per member, copied unchanged but for their names.  The
 slotted ``AArc`` hashes, compares and prints as the dataclass did, and
-the closures, ``tau``, both directions of the bijection and
+the closures, both directions of the bijection and
 ``enumerate_tilting`` give the same arcs, now the shared table's
 instances.  The table is checked on its own too: under a small patched
 bound, and with four threads clearing it under each other.
@@ -308,6 +308,8 @@ class TestArcsOffTheSegment:
         if on_t_side:
             with pytest.raises(ValueError, match="does not fit on a segment"):
                 ta.tilting_of_torsion_pair(m, t_part)
+            with pytest.raises(ValueError, match="does not fit on a segment"):
+                ta.torsion_pair_of_tilting(m, t_part)
 
     def test_examples(self):
         # the old code answered False here, and read the short arc [1,2] as
@@ -316,6 +318,9 @@ class TestArcsOffTheSegment:
             ta.is_torsion_pair(3, {AArc(0, 5)}, set())
         with pytest.raises(ValueError, match=r"arc \[1,2\] does not fit"):
             ta.tilting_of_torsion_pair(2, {AArc(0, 3), AArc(1, 3), AArc(1, 2)})
+        # the old code read [-4,9] on the integer line
+        with pytest.raises(ValueError, match=r"arc \[-4,9\] does not fit on a segment with points 0..3"):
+            ta.torsion_pair_of_tilting(2, {AArc(-4, 9)})
         assert tilting_of_torsion_pair(2, {AArc(0, 3), AArc(1, 3), AArc(1, 2)}) == {
             AArc(0, 3), AArc(1, 3), AArc(1, 2)
         }
@@ -483,22 +488,23 @@ pairs_on_the_line = st.tuples(st.integers(-4, 9), st.integers(-4, 9))
 class TestMatchesDataclassCode:
     @settings(max_examples=400, deadline=None)
     @given(st.sets(line_arcs, max_size=8))
-    def test_closures_and_tau(self, arcs):
+    def test_closures(self, arcs):
         for new, old in ((ta.left_closure, old_left_closure), (ta.right_closure, old_right_closure)):
             got = new(arcs)
             assert ends(got) == ends(old(as_old(arcs))) and shared(got)
             # a second closure holds the very same instances
             assert {id(x) for x in new(arcs)} == {id(x) for x in got}
-        for x in arcs:
-            got, want = ta.tau(x), old_tau(OldAArc(x.i, x.j))
-            assert (got is None) == (want is None)
-            assert got is None or (ends([got]) == ends([want]) and shared([got]))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, M_MAX), st.sets(line_arcs, max_size=8))
     def test_both_directions_of_the_bijection(self, m, arcs):
-        t_part, f_part = ta.torsion_pair_of_tilting(m, arcs)
-        old_t, old_f = old_torsion_pair_of_tilting(m, as_old(arcs))
+        # an arc off the segment is refused; the arcs that fit keep the old answer
+        fitting = {x for x in arcs if 0 <= x.i and x.j <= m + 1 and x.j >= x.i + 2}
+        if fitting != arcs:
+            with pytest.raises(ValueError, match="does not fit on a segment"):
+                ta.torsion_pair_of_tilting(m, arcs)
+        t_part, f_part = ta.torsion_pair_of_tilting(m, fitting)
+        old_t, old_f = old_torsion_pair_of_tilting(m, as_old(fitting))
         assert (ends(t_part), ends(f_part)) == (ends(old_t), ends(old_f))
         assert shared(t_part | f_part)
         got = outcome_ends(ta.tilting_of_torsion_pair, m, arcs)
@@ -512,7 +518,10 @@ class TestMatchesDataclassCode:
         assert [ends(u) for u in got] == [ends(u) for u in old_enumerate_tilting(m)]
         assert ta.all_arcs(m) == [AArc(x.i, x.j) for x in old_all_arcs(m)] and shared(ta.all_arcs(m))
         for u in got:
-            back = ta.tilting_of_torsion_pair(m, ta.torsion_pair_of_tilting(m, u)[0])
+            t_part, f_part = ta.torsion_pair_of_tilting(m, u)
+            old_t, old_f = old_torsion_pair_of_tilting(m, as_old(u))
+            assert (ends(t_part), ends(f_part)) == (ends(old_t), ends(old_f))
+            back = ta.tilting_of_torsion_pair(m, t_part)
             assert back == u and shared(back)
 
 

@@ -51,6 +51,8 @@ CLI = "src/tubecalc/cli.py"
 CLI_FLAGS = "tests/test_cli.py::TestFlagsEachCommandTakes::test_a_flag_the_command_does_not_take_exits_1"
 TYPE_A = "src/tubecalc/type_a.py"
 ARC_TESTS = "tests/test_type_a_reference.py::"
+ORACLE = "src/tubecalc/oracle.py"
+SPARSE_TESTS = "tests/test_oracle_sparse_reference.py::TestEveryArcPair"
 
 MUTANTS = (
     Mutant(
@@ -113,7 +115,8 @@ MUTANTS = (
     ),
     Mutant(
         "hom-through-tau",
-        (("src/tubecalc/homs.py", "neg_crossings(tube, tube.tau_inv(y), x)", "neg_crossings(tube, tube.tau(y), x)"),),
+        (("src/tubecalc/homs.py", "(start if start is None else start + 1, end if end is None else end + 1)",
+          "(start if start is None else start - 1, end if end is None else end - 1)"),),
         ("tests/test_homs.py::TestHomDim::test_simple_endomorphisms",),
     ),
     Mutant(
@@ -148,6 +151,21 @@ MUTANTS = (
             (TYPE_A, "_ARCS.update(zip(pairs, arcs))", "_ARCS.update(zip([i for i, _ in pairs], arcs))"),
         ),
         (f"{ARC_TESTS}TestArcTable::test_each_key_keeps_its_own_arc",),
+    ),
+    Mutant(
+        "rep-made-unchecked",
+        ((ORACLE, "        _check_rep(rep)\n        return rep", "        return rep"),),
+        ("tests/test_oracle.py::TestHomOracle::test_one_map_per_arrow",),
+    ),
+    Mutant(
+        "pivot-left-unnormalized",
+        ((ORACLE, "if row[c] != 1:", "if False:"),),
+        (f"{SPARSE_TESTS}::test_pivots_other_than_one",),
+    ),
+    Mutant(
+        "arrow-skip-reads-bv",
+        ((ORACLE, "if not bw * av:", "if not bw * b.dims[v]:"),),
+        (f"{SPARSE_TESTS}::test_tube_arcs",),
     ),
 )
 
