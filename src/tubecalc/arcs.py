@@ -90,8 +90,8 @@ class Tube:
     """A tube of rank n; owns every index computation that depends on n."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"rank must be a positive integer, got {n}")
+        if type(n) is not int or n < 1:  # bool is no rank
+            raise ValueError(f"rank must be a positive integer, got {n!r}")
         self.n = n
         self._fans = ({}, {})  # [at_end][anchor] -> arcs by span, see fans()
 

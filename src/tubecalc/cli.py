@@ -8,7 +8,6 @@ shell over the library; all output is deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import re
@@ -26,13 +25,13 @@ from .serialize import (
 )
 from .torsion import (
     ADIC,
+    MAX_COUNT_RANK,
     PRUFER,
     MaxRigid,
     ValidationError,
     count_max_rigid,
     is_torsion_pair,
     iter_max_rigid,
-    max_rigid_counts,
     max_rigid_of,
     torsion_pair_of,
 )
@@ -83,10 +82,11 @@ def cmd_dim(args) -> int:
 
 def _enumerable(rank: int) -> Tube:
     """The tube of an enumerating command, if it has at most MAX_OBJECTS
-    maximal rigid objects.  The counts grow with the rank, so the check
-    stops at the first rank past the bound and takes bounded time."""
+    maximal rigid objects.  The count grows with the rank and passes
+    MAX_OBJECTS long before MAX_COUNT_RANK, so a rank past that is refused
+    without counting."""
     tube = Tube(rank)
-    if any(c > MAX_OBJECTS for c in itertools.islice(max_rigid_counts(), tube.n)):
+    if tube.n > MAX_COUNT_RANK or count_max_rigid(tube) > MAX_OBJECTS:
         raise UsageError(
             f"rank {tube.n} has more maximal rigid objects than the bound MAX_OBJECTS = {MAX_OBJECTS}"
         )

@@ -170,8 +170,8 @@ def _annulus_svg(n: int, arcs) -> str:
     them.  Every key was checked before it was stored, so only the arcs it
     misses are checked, and the rank only when its frame is missed too.  The
     points are counted before any piece is printed."""
-    # 3.0 == 3 as a key, but range(3.0) refuses it: such a rank draws nothing
-    frame = _PATHS.get((n, None)) if isinstance(n, int) else None
+    # 3.0 == 3 and True == 1 as keys, but Tube refuses them: such a rank draws nothing
+    frame = _PATHS.get((n, None)) if type(n) is int else None
     pieces = [_PATHS.get((n, obj)) for obj, _ in arcs]
     missed = [arc for arc, piece in zip(arcs, pieces) if piece is None]
     if frame is None or missed:

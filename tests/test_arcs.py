@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -76,6 +77,11 @@ class TestNormalize:
             IndObj(None, None)
         with pytest.raises(ValueError):
             Tube(0)
+
+    @pytest.mark.parametrize("rank", [2.5, 3.0, "3", True, None])
+    def test_rank_must_be_an_int(self, rank):
+        with pytest.raises(ValueError, match=re.escape(f"got {rank!r}")):
+            Tube(rank)
 
     @pytest.mark.parametrize("ends", [(0, None), (None, 2), (None, None)])
     def test_finite_takes_finite_ends_only(self, ends):

@@ -473,10 +473,11 @@ class TestPathMemo:
         assert render_svg(spec) == reference_svg(spec)
 
     def test_a_rank_that_only_equals_an_int_is_refused_warm_too(self, cold):
-        arcs = ((Tube(3).finite(0, 2), "summand"),)
-        render_svg(RenderSpec("annulus", 3, arcs))
-        with pytest.raises(TypeError):
-            render_svg(RenderSpec("annulus", 3.0, arcs))
+        for rank in (3.0, True):
+            arcs = ((Tube(int(rank)).finite(0, 2), "summand"),)
+            render_svg(RenderSpec("annulus", int(rank), arcs))
+            with pytest.raises(ValueError, match=re.escape(f"got {rank!r}")):
+                render_svg(RenderSpec("annulus", rank, arcs))
 
     def test_memo_stays_within_its_bound(self, cold, monkeypatch):
         monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)

@@ -53,6 +53,7 @@ TYPE_A = "src/tubecalc/type_a.py"
 ARC_TESTS = "tests/test_type_a_reference.py::"
 ORACLE = "src/tubecalc/oracle.py"
 SPARSE_TESTS = "tests/test_oracle_sparse_reference.py::TestEveryArcPair"
+BOUND_TESTS = "tests/test_cli.py::TestEnumerationBounds::test_above_the_bound_exits_1_before_writing"
 
 MUTANTS = (
     Mutant(
@@ -118,6 +119,16 @@ MUTANTS = (
         (("src/tubecalc/homs.py", "(start if start is None else start + 1, end if end is None else end + 1)",
           "(start if start is None else start - 1, end if end is None else end - 1)"),),
         ("tests/test_homs.py::TestHomDim::test_simple_endomorphisms",),
+    ),
+    Mutant(
+        "count-off-by-one",
+        ((TORSION, "comb(2 * tube.n, tube.n)", "comb(2 * tube.n, tube.n - 1)"),),
+        ("tests/test_count_reference.py",),
+    ),
+    Mutant(
+        "enumeration-bound-never-counts",
+        ((CLI, " or count_max_rigid(tube) > MAX_OBJECTS:", ":"),),
+        (f"{BOUND_TESTS}[pairs-12]", f"{BOUND_TESTS}[rigid-12-json]"),
     ),
     Mutant(
         "of-pair-takes-rank",
