@@ -22,6 +22,7 @@ None and do not compare with finite ones, so mixed lists sort by
 from __future__ import annotations
 
 import re
+import threading
 from collections import namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -226,13 +227,46 @@ def format_obj(obj: IndObj) -> str:
     return f"M[{s},{e}]"
 
 
-# The names of the finite arcs format_finite has printed.  The rank-8 census
-# names 56 distinct arcs 238,288 times in all; past MAX_NAMES entries the
-# memo starts again, so its size stays bounded whatever is named.  A name
-# depends on its arc alone, so callers (and threads) can share the memo: a
-# race costs a miss, never a wrong name.
+class _Memo(dict):
+    """A dict that callers share as a bounded memo: the arc names here,
+    ``type_a``'s arc table and ``render``'s annulus pieces.  Lookups are
+    plain dict calls.  ``keep`` stores a dict of entries with a weight, by
+    default how many they are; ``held`` adds up the weights kept since the
+    memo last started again, and never passes ``bound``: a store that would
+    pass it empties the memo first, and a store heavier than the bound on
+    its own is dropped.  A value depends on its key alone, so callers (and
+    threads) can share a memo: a race costs a miss, or a second instance of
+    an equal value, never a wrong one.  Stores take a lock, so the bound
+    holds with threads too; lookups take none."""
+
+    __slots__ = ("bound", "held", "_lock")
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound, self.held, self._lock = bound, 0, threading.RLock()
+
+    def keep(self, items: dict, weight: Optional[int] = None) -> None:
+        if weight is None:
+            weight = len(items)
+        if weight > self.bound:
+            return
+        with self._lock:
+            if self.held + weight > self.bound:
+                self.clear()
+            self.update(items)
+            self.held += weight
+
+    def clear(self) -> None:
+        """Empty the memo; it then holds no weight."""
+        with self._lock:
+            dict.clear(self)
+            self.held = 0
+
+
+# The names of the finite arcs format_finite has printed; the rank-8 census
+# names 56 distinct arcs 238,288 times in all.
 MAX_NAMES = 1 << 12
-_NAMES: Dict[IndObj, str] = {}
+_NAMES = _Memo(MAX_NAMES)
 
 
 def format_finite(objs: Iterable[IndObj]) -> List[str]:
@@ -242,10 +276,7 @@ def format_finite(objs: Iterable[IndObj]) -> List[str]:
         return list(map(_NAMES.__getitem__, arcs))
     except KeyError:
         names = list(map(FINITE_ARC.__mod__, arcs))
-        if len(_NAMES) + len(names) > MAX_NAMES:
-            _NAMES.clear()
-        if len(names) <= MAX_NAMES:
-            _NAMES.update(zip(arcs, names))
+        _NAMES.keep(dict(zip(arcs, names)))
         return names
 
 

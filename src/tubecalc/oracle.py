@@ -20,8 +20,8 @@ nonzero cells ``(row, col, value)`` as Python integers.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict, namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Dict, List, Tuple
@@ -82,25 +82,14 @@ def _check_rep(rep: QuivRep) -> None:
                 raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
 
 
-# Each quiver with its arrow index, {(source, target): k}, keyed by the
-# function that makes it and its size; started again past MAX_SHAPES entries.
-# An entry depends on its key alone, so a race costs a second equal quiver;
-# stores take a lock, so the bound holds with threads too.
-MAX_SHAPES = 64
-_SHAPES: Dict[tuple, Tuple[QuiverShape, Dict[Tuple[int, int], int]]] = {}
-_SHAPES_LOCK = threading.Lock()
+MAX_SHAPES = 64  # quivers that _indexed holds
 
 
+@lru_cache(maxsize=MAX_SHAPES)
 def _indexed(quiver, size: int) -> Tuple[QuiverShape, Dict[Tuple[int, int], int]]:
-    got = _SHAPES.get((quiver, size))
-    if got is None:
-        shape = quiver(size)
-        got = shape, {arrow: k for k, arrow in enumerate(shape.arrows)}
-        with _SHAPES_LOCK:
-            if len(_SHAPES) >= MAX_SHAPES:
-                _SHAPES.clear()
-            _SHAPES[quiver, size] = got
-    return got
+    """The quiver ``quiver(size)`` with its arrow index, {(source, target): k}."""
+    shape = quiver(size)
+    return shape, {arrow: k for k, arrow in enumerate(shape.arrows)}
 
 
 def _uniserial(quiver, size: int, socle_vertex: int, length: int) -> QuivRep:

@@ -21,13 +21,10 @@ the stored counts; it refuses what a cold drawing refuses, with the same
 message, and prints nothing before its points are counted.  The memo holds
 each piece's points once, and no style: the element's class, colour and
 dash come from strings printed once per style (``_STYLE_ENDS``), put before
-and after the points.  Past ``MAX_PATH_CHARS`` characters the memo starts
-again, so its size stays bounded whatever is drawn, and a piece longer than
-that on its own is drawn but not kept.  A piece is a function of its key, so
-callers (and threads) can share the memo: a race costs a miss, never a
-wrong piece.  Stores take a lock, so the bound holds with threads too;
-lookups take none.  Cover and segment paths depend on the drawing's ends as
-well, and are printed and checked each time.
+and after the points.  The memo is an ``arcs._Memo`` of at most
+``MAX_PATH_CHARS`` characters, so a piece longer than that on its own is
+drawn but not kept.  Cover and segment paths depend on the drawing's ends
+as well, and are printed and checked each time.
 
 Bounds, checked before any work (``ValueError``): ``MAX_POINTS`` marked and
 sampled points per drawing; ``MAX_CELLS`` nodes and ``MAX_CHARS`` characters
@@ -37,12 +34,11 @@ per AR quiver.
 from __future__ import annotations
 
 import math
-import threading
 from collections import namedtuple
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .arcs import IndObj, Tube, format_obj
+from .arcs import IndObj, Tube, _Memo, format_obj
 from .type_a import AArc, _check_segment, check_arc
 
 STYLE_COLOR = {
@@ -150,10 +146,9 @@ def _svg(width: float, height: float, body: List[str]) -> str:
 # -- annulus mode ---------------------------------------------------------------
 
 # (rank, arc) -> (its points, path points, arrowhead points), as _annulus_path
-# prints them; (rank, None) -> (marked points, frame, ""), as _frame prints it
-_PATHS: Dict[Tuple[int, Optional[IndObj]], Tuple[int, str, str]] = {}
-_path_chars = 0  # characters held in _PATHS
-_PATHS_LOCK = threading.Lock()  # held while _PATHS or _path_chars change; lookups take none
+# prints them; (rank, None) -> (marked points, frame, ""), as _frame prints it;
+# weighed in printed characters
+_PATHS = _Memo(MAX_PATH_CHARS)
 
 
 def _ring(n: int, idxs, rs) -> Tuple[List[float], List[float]]:
@@ -203,7 +198,7 @@ def _frame(n: int) -> Tuple[int, str, str]:
             f'text-anchor="middle" dominant-baseline="middle">{k}</text>',
         ]
     piece = n, "\n".join(lines), ""
-    _keep((n, None), piece)
+    _PATHS.keep({(n, None): piece}, len(piece[1]))
     return piece
 
 
@@ -229,31 +224,8 @@ def _annulus_path(n: int, obj: IndObj) -> Tuple[int, str, str]:
             rs = [R_IN + 6 + width * u for u in us]
         xs, ys = _ring(n, idxs, rs)
         path = len(us), _coords(xs, ys, " L "), "" if obj.is_finite else _arrowhead(xs, ys)
-        _keep(key, path)
+        _PATHS.keep({key: path}, len(path[1]) + len(path[2]))
     return path
-
-
-def _keep(key: Tuple[int, Optional[IndObj]], piece: Tuple[int, str, str]) -> None:
-    """Store a piece in the memo, which starts again when it would pass
-    MAX_PATH_CHARS; a piece longer than that on its own is not kept."""
-    global _path_chars
-    size = len(piece[1]) + len(piece[2])
-    if size > MAX_PATH_CHARS:
-        return
-    with _PATHS_LOCK:
-        if _path_chars + size > MAX_PATH_CHARS:
-            _PATHS.clear()
-            _path_chars = 0
-        _PATHS[key] = piece
-        _path_chars += size
-
-
-def _forget_paths() -> None:
-    """Empty the memo, frames included."""
-    global _path_chars
-    with _PATHS_LOCK:
-        _PATHS.clear()
-        _path_chars = 0
 
 
 # -- cover and segment modes -------------------------------------------------------

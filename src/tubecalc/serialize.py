@@ -65,23 +65,6 @@ def _only_keys(doc: dict, keys, where: str = "") -> None:
         raise ValidationError(f"a pair document holds no key {where + other!r}")
 
 
-def _doc_header(doc, what: str, kinds) -> Tuple[Tube, str]:
-    """Rank and kind of a schema-1 document whose kind is one of kinds."""
-    if not isinstance(doc, dict):
-        raise ValidationError("document must be a JSON object")
-    schema = doc.get("schema")
-    if type(schema) is not int or schema != SCHEMA:  # JSON true and 1.0 equal 1
-        raise ValidationError(f"key 'schema' must be the integer {SCHEMA}, got {schema!r}")
-    rank = _field(doc, "rank", int)
-    if rank < 1:
-        raise ValidationError(f"key 'rank' must be a positive integer, got {rank}")
-    tube = Tube(rank)
-    kind = _field(doc, "kind", str)
-    if kind not in kinds:
-        raise ValidationError(f"unknown {what} kind {kind!r}")
-    return tube, kind
-
-
 def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
     part = _field(doc, side, dict)
     _only_keys(part, ("finite", family), side + ".")
@@ -103,7 +86,18 @@ def _desc_from_doc(tube: Tube, doc: dict, side: str, family: str) -> SubcatDesc:
 
 
 def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
-    tube, kind = _doc_header(doc, "pair", (RAY, CORAY))
+    if not isinstance(doc, dict):
+        raise ValidationError("document must be a JSON object")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != SCHEMA:  # JSON true and 1.0 equal 1
+        raise ValidationError(f"key 'schema' must be the integer {SCHEMA}, got {schema!r}")
+    rank = _field(doc, "rank", int)
+    if rank < 1:
+        raise ValidationError(f"key 'rank' must be a positive integer, got {rank}")
+    tube = Tube(rank)
+    kind = _field(doc, "kind", str)
+    if kind not in (RAY, CORAY):
+        raise ValidationError(f"unknown pair kind {kind!r}")
     _only_keys(doc, _PAIR_KEYS)
     t_part = _desc_from_doc(tube, doc, "torsion", "corays")
     f_part = _desc_from_doc(tube, doc, "free", "rays")

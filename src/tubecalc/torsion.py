@@ -160,13 +160,15 @@ def empty_desc(tube: Tube) -> SubcatDesc:
 
 
 def contains(tube: Tube, desc: SubcatDesc, x: IndObj) -> bool:
+    """Whether the finite arc x, given on any lift, is a member of desc:
+    an arc that is not on its canonical lift is normalized as ``make_desc``
+    normalizes the arcs it lists."""
     if not x.is_finite:
         raise ValidationError("descriptors only answer membership of finite arcs")
-    return (
-        x in desc.finite_objs
-        or x.start in desc.rays
-        or x.end % tube.n in desc.corays
-    )
+    n, (s, e) = tube.n, x
+    if not 0 <= s < n or e < s + 2:
+        x = s, e = _canonical(n, s, e)
+    return x in desc.finite_objs or s in desc.rays or e % n in desc.corays
 
 
 def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:

@@ -50,8 +50,9 @@ Three rules follow, each exact:
 
 from __future__ import annotations
 
-import threading
 from typing import Collection, Dict, List, Tuple
+
+from .arcs import _Memo
 
 
 class AArc:
@@ -90,29 +91,19 @@ class AArc:
         return f"[{self.i},{self.j}]"
 
 
-# The shared arcs, keyed by (i, j).  Past MAX_ARCS entries the table starts
-# again, so its size stays bounded whatever is asked for; A_8 has 36 arcs.
-# An arc depends on its key alone, so callers (and threads) can share the
-# table: a race costs a second instance of an equal arc, never a wrong one.
-# Stores take a lock, so the bound holds with threads too; lookups take none.
+# The shared arcs, keyed by (i, j); A_8 has 36 arcs.
 MAX_ARCS = 1 << 12
-_ARCS: Dict[Tuple[int, int], AArc] = {}
-_ARCS_LOCK = threading.Lock()
+_ARCS = _Memo(MAX_ARCS)
 
 
 def _shared(pairs: Collection[Tuple[int, int]]) -> List[AArc]:
     """The table's arc for each (i, j) pair, in the pairs' order; the
-    arcs it misses are built and stored, unless they alone pass the bound."""
+    arcs it misses are built and kept."""
     try:
         return list(map(_ARCS.__getitem__, pairs))
     except KeyError:
-        pass
-    with _ARCS_LOCK:
         arcs = [_ARCS.get(p) or AArc(*p) for p in pairs]
-        if len(arcs) <= MAX_ARCS:
-            if len(_ARCS) + len(arcs) > MAX_ARCS:
-                _ARCS.clear()
-            _ARCS.update(zip(pairs, arcs))
+        _ARCS.keep(dict(zip(pairs, arcs)))
         return arcs
 
 

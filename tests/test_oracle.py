@@ -75,7 +75,7 @@ class TestBuildRep:
             tube = Tube(n)
             rep = oracle.build_rep(tube, tube.finite(0, n + 2))
             assert rep.shape == oracle.cyclic_quiver(n) and sum(rep.dims) == n + 1
-            assert len(oracle._SHAPES) <= oracle.MAX_SHAPES
+            assert oracle._indexed.cache_info().currsize <= oracle.MAX_SHAPES
         assert oracle.build_rep_a(3, AArc(0, 4)).shape == oracle.linear_quiver(3)
 
     def test_infinite_objects_have_no_matrices(self):

@@ -390,9 +390,9 @@ def first_path(svg: str) -> str:
 @pytest.fixture
 def cold():
     """An empty memo on entry and on exit."""
-    render._forget_paths()
+    render._PATHS.clear()
     yield
-    render._forget_paths()
+    render._PATHS.clear()
 
 
 class TestPathMemo:
@@ -412,7 +412,7 @@ class TestPathMemo:
         with time_limit(60):
             for n in range(1, 13):
                 for spec in [dense_annulus(n)] + spiral_specs(n):
-                    render._forget_paths()
+                    render._PATHS.clear()
                     first = render_svg(spec)
                     assert render_svg(spec) == first == reference_svg(spec), n
 
@@ -424,13 +424,13 @@ class TestPathMemo:
             for n in range(1, 13):
                 for spec in [dense_annulus(n)] + spiral_specs(n):
                     want = reference_svg(spec)
-                    render._forget_paths()
+                    render._PATHS.clear()
                     assert render_svg(spec) == want
-                    monkeypatch.setattr(render, "MAX_PATH_CHARS", render._path_chars // 2)
-                    render._forget_paths()
+                    monkeypatch.setattr(render._PATHS, "bound", render._PATHS.held // 2)
+                    render._PATHS.clear()
                     for _ in ("restarted", "partly held", "again"):
                         assert render_svg(spec) == want, n
-                        assert memo_chars() == render._path_chars <= render.MAX_PATH_CHARS
+                        assert memo_chars() == render._PATHS.held <= render._PATHS.bound
                     monkeypatch.undo()
 
     def test_style_stays_outside_the_memo(self, cold):
@@ -480,17 +480,17 @@ class TestPathMemo:
                 render_svg(RenderSpec("annulus", rank, arcs))
 
     def test_memo_stays_within_its_bound(self, cold, monkeypatch):
-        monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
+        monkeypatch.setattr(render._PATHS, "bound", 20000)
         held = []
         for n in range(1, 9):
             for spec in [dense_annulus(n)] + spiral_specs(n):
                 assert render_svg(spec) == reference_svg(spec)
-                assert memo_chars() == render._path_chars <= 20000
-                held.append(render._path_chars)
+                assert memo_chars() == render._PATHS.held <= 20000
+                held.append(render._PATHS.held)
         assert any(b < a for a, b in zip(held, held[1:]))  # it started again
 
     def test_path_over_the_budget_is_drawn_but_not_kept(self, cold, monkeypatch):
-        monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
+        monkeypatch.setattr(render._PATHS, "bound", 20000)
         t = Tube(3)
         short, long = (t.finite(0, 2), "summand"), (t.finite(0, 200), "summand")
         render_svg(RenderSpec("annulus", 3, (short,)))
@@ -498,10 +498,10 @@ class TestPathMemo:
         svg = render_svg(spec)
         assert len(first_path(svg)) > 20000 and svg == reference_svg(spec)
         assert list(render._PATHS) == [(3, None), (3, short[0])]  # kept, and the long one not
-        assert memo_chars() == render._path_chars
+        assert memo_chars() == render._PATHS.held
 
     def test_threads_share_the_memo(self, cold, monkeypatch):
-        monkeypatch.setattr(render, "MAX_PATH_CHARS", 20000)
+        monkeypatch.setattr(render._PATHS, "bound", 20000)
         specs = [spec for n in range(1, 9) for spec in [dense_annulus(n)] + spiral_specs(n)]
         want = [reference_svg(spec) for spec in specs]
 
@@ -512,7 +512,7 @@ class TestPathMemo:
         with ThreadPoolExecutor(4) as pool:
             assert all(pool.map(draw, range(0, 4 * 5, 5)))
         # two threads that keep the same path count it twice, never less
-        assert memo_chars() <= render._path_chars <= 20000
+        assert memo_chars() <= render._PATHS.held <= 20000
 
     @needs_alarm
     @needs_hypothesis
@@ -521,7 +521,7 @@ class TestPathMemo:
         @given(annulus_specs())
         def check(spec):
             with time_limit(20):
-                render._forget_paths()
+                render._PATHS.clear()
                 first = render_svg(spec)
                 assert render_svg(spec) == first == reference_svg(spec)
 
@@ -548,11 +548,11 @@ def full_precision():
         mp.setattr(render, "_fmt", _full)
         mp.setattr(render, "_coords", _full_coords)
         mp.setattr(sys.modules[__name__], "_fmt", _full)
-        render._forget_paths()
+        render._PATHS.clear()
         try:
             yield
         finally:
-            render._forget_paths()
+            render._PATHS.clear()
 
 
 def reference_svg_in_full(spec: RenderSpec) -> str:

@@ -13,7 +13,9 @@ lifts off 0..n-1.  Each document must give the same pair or the same
 names its key.  ``rigid_from_doc`` (summands, one-sided arcs allowed) keeps
 the old path; the library writes rigid documents but no longer reads them,
 so it lives in ``tests/tube_defs.py``, and is compared here with the old
-reader, whose ``parse_obj`` is the copy above.
+reader, whose ``parse_obj`` is the copy above.  Both old readers check the
+header with ``tube_defs.doc_header``, the library's old shared header check,
+which ``pair_from_doc`` now makes inline for pair kinds.
 """
 
 import re
@@ -23,7 +25,7 @@ import pytest
 from tubecalc import arcs, serialize
 from tubecalc.arcs import Tube
 from tubecalc.serialize import pair_from_doc
-from tube_defs import rigid_from_doc
+from tube_defs import doc_header, rigid_from_doc
 from tubecalc.torsion import CORAY, RAY, SubcatDesc, TorsionPair, ValidationError
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,14 +95,14 @@ def _desc_from_doc(tube, doc, side, family):
 
 
 def old_pair_from_doc(doc):
-    tube, kind = serialize._doc_header(doc, "pair", (RAY, CORAY))
+    tube, kind = doc_header(doc, "pair", (RAY, CORAY))
     t_part = _desc_from_doc(tube, doc, "torsion", "corays")
     f_part = _desc_from_doc(tube, doc, "free", "rays")
     return tube, TorsionPair(t_part, f_part, kind)
 
 
 def old_rigid_from_doc(doc):
-    tube, kind = serialize._doc_header(doc, "rigid", ("prufer", "adic"))
+    tube, kind = doc_header(doc, "rigid", ("prufer", "adic"))
     summands = serialize._field(doc, "summands", str, many=True)
     return tube, serialize.MaxRigid(frozenset(_parse_arcs(tube, summands, "summands")), kind)
 

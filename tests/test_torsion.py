@@ -72,6 +72,25 @@ class TestDescriptors:
         assert not contains(t2, coray0, t2.finite(0, 3))
         assert not contains(t2, empty_desc(t2), t2.finite(0, 2))
 
+    def test_contains_reads_any_lift(self):
+        t3 = Tube(3)
+        assert contains(t3, make_desc(t3, [t3.finite(0, 2)]), IndObj(3, 5))
+        assert contains(t3, make_desc(t3, rays=[0]), IndObj(3, 7))
+        assert contains(t3, make_desc(t3, corays=[1]), IndObj(3, 7))
+        for n in (1, 2, 3, 4):
+            tube = Tube(n)
+            arcs = tube.finite_objects(n + 1)
+            descs = [make_desc(tube, [x], rays, corays)
+                     for x in arcs for rays in ((), (0,)) for corays in ((), (n - 1,))]
+            for desc in descs:
+                for x in arcs:
+                    want = contains(tube, desc, x)
+                    for k in range(-2, 3):
+                        assert contains(tube, desc, IndObj(x.start + k * n, x.end + k * n)) == want, (desc, x, k)
+        for k in range(-2, 3):  # [s, s + 1] is no arc, on any lift, as in make_desc
+            with pytest.raises(ValueError, match="needs end >= start"):
+                contains(t3, everything(t3), IndObj(3 * k, 3 * k + 1))
+
     def test_contains_rejects_one_sided_arcs(self):
         t2 = Tube(2)
         with pytest.raises(ValidationError):

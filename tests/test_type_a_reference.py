@@ -26,8 +26,10 @@ built an arc per member, copied unchanged but for their names.  The
 slotted ``AArc`` hashes, compares and prints as the dataclass did, and
 the closures, both directions of the bijection and
 ``enumerate_tilting`` give the same arcs, now the shared table's
-instances.  The table is checked on its own too: under a small patched
-bound, and with four threads clearing it under each other.
+instances.  The table is checked on its own too, under a small bound.
+The package's three shared memos (this table, ``arcs``' names and
+``render``'s annulus pieces) follow one store rule, ``arcs._Memo``; each is
+run with four threads clearing it under each other.
 """
 
 import contextlib
@@ -44,8 +46,8 @@ from unittest import mock
 
 import pytest
 
-from tubecalc import type_a as ta
-from tubecalc.arcs import IndObj
+from tubecalc import arcs as arcs_mod, render, type_a as ta
+from tubecalc.arcs import FINITE_ARC, IndObj, Tube, _Memo
 from tubecalc.type_a import AArc, all_arcs
 from segment_defs import ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting
 
@@ -478,7 +480,7 @@ def outcome_ends(fn, *args):
 @contextlib.contextmanager
 def fresh_table(bound: int):
     """An empty arc table with the given bound, in place of the shared one."""
-    with mock.patch.multiple(ta, MAX_ARCS=bound, _ARCS={}):
+    with mock.patch.object(ta, "_ARCS", _Memo(bound)):
         yield
 
 
@@ -600,34 +602,88 @@ class TestArcTable:
             assert ends(ta.right_closure(arcs)) == ends(old_right_closure(as_old(arcs)))
             assert len(ta._ARCS) <= 5
 
-    def test_four_threads_share_it(self):
-        # a small bound, so that the threads clear the table under each other
-        cases = [
-            {AArc(*sorted(rng.sample(range(-4, 10), 2))) for _ in range(6)}
-            for rng in map(random.Random, range(40))
-        ]
-        wants = [(ends(old_left_closure(as_old(c))), ends(old_right_closure(as_old(c)))) for c in cases]
+    @pytest.mark.parametrize("memo", ["arc-table", "names", "annulus"])
+    def test_four_threads_share_it(self, memo):
+        # a small bound, so that the threads clear the memo under each other
+        module, name, bound, size, work, fresh = THREAD_CASES[memo]()
         start, wrong = threading.Barrier(4), []
 
-        def work(k):
+        def run(k):
             start.wait(timeout=60)
-            for _ in range(50):
-                for c, want in zip(cases[k::4], wants[k::4]):
-                    got = ta.left_closure(c), ta.right_closure(c)
-                    if (ends(got[0]), ends(got[1])) != want or not all(type(x) is AArc for x in got[0] | got[1]):
-                        wrong.append(c)
-                    if len(ta._ARCS) > 24:
-                        wrong.append(len(ta._ARCS))
+            for ok in work(k):
+                if not ok:
+                    wrong.append(k)
+                if size(shared) > bound:
+                    wrong.append(size(shared))
 
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside the table's stores too
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the memo's stores too
         try:
-            with fresh_table(24):
-                threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            with mock.patch.object(module, name, _Memo(bound)) as shared:
+                threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=120)
+                held = dict(shared)
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and wrong == []
+        assert size(held) <= bound and all(fresh(key) == value for key, value in held.items())
+
+
+def arc_table_case():
+    """Closures of random arc sets, each against the reference."""
+    cases = [
+        {AArc(*sorted(rng.sample(range(-4, 10), 2))) for _ in range(6)}
+        for rng in map(random.Random, range(40))
+    ]
+    wants = [(ends(old_left_closure(as_old(c))), ends(old_right_closure(as_old(c)))) for c in cases]
+
+    def work(k):
+        for _ in range(50):
+            for c, want in zip(cases[k::4], wants[k::4]):
+                got = ta.left_closure(c), ta.right_closure(c)
+                yield (ends(got[0]), ends(got[1])) == want and all(type(x) is AArc for x in got[0] | got[1])
+
+    return ta, "_ARCS", 24, len, work, lambda key: AArc(*key)
+
+
+def names_case():
+    """Batches of 5 arcs that no batch before named, each thread its own."""
+
+    def work(k):
+        for r in range(3000):
+            batch = [IndObj(s, s + 2) for s in range(20 * r + 5 * k, 20 * r + 5 * k + 5)]
+            yield arcs_mod.format_finite(batch) == [FINITE_ARC % x for x in batch]
+
+    return arcs_mod, "_NAMES", 24, len, work, FINITE_ARC.__mod__
+
+
+def annulus_case():
+    """Annulus drawings at ranks 1-6, each thread from its own start,
+    against the drawings made before with a memo of its own."""
+    specs = [
+        render.RenderSpec("annulus", n, tuple((x, "summand") for x in Tube(n).finite_objects(n)))
+        for n in range(1, 7)
+    ]
+    with mock.patch.object(render, "_PATHS", _Memo(render.MAX_PATH_CHARS)):
+        wants = [render.render_svg(spec) for spec in specs]
+
+    def work(k):
+        for _ in range(10):
+            for spec, want in zip(specs[k:] + specs[:k], wants[k:] + wants[:k]):
+                yield render.render_svg(spec) == want
+
+    def size(memo):
+        return sum(len(d) + len(arrow) for _, d, arrow in memo.copy().values())
+
+    def fresh(key):
+        n, obj = key
+        with mock.patch.object(render, "_PATHS", _Memo(0)):
+            return render._frame(n) if obj is None else render._annulus_path(n, obj)
+
+    return render, "_PATHS", 6000, size, work, fresh
+
+
+THREAD_CASES = {"arc-table": arc_table_case, "names": names_case, "annulus": annulus_case}

@@ -7,12 +7,13 @@ which ``torsion_pair_of`` feeds only the finite parts of rigid objects; the
 tests feed them arbitrary arc sets, in any lift.  The reflection
 [i,j] -> [-j,-i] swaps the two sides of a pair, and with them ray type and
 coray type; on an object it swaps Prufers with adics.  The library writes rigid documents but reads pair documents
-only; ``rigid_from_doc`` reads one back through the library's header and
-field checks, so that round trips and malformed summand lists can be
-tested."""
+only; ``rigid_from_doc`` reads one back through ``doc_header``, the
+header checks that ``serialize.pair_from_doc`` makes (with the pair kinds
+replaced by the given ones), and the library's field checks, so that round
+trips and malformed summand lists can be tested."""
 
 from tubecalc import serialize, torsion
-from tubecalc.arcs import parse_obj
+from tubecalc.arcs import Tube, parse_obj
 from tubecalc.torsion import (
     ADIC,
     CORAY,
@@ -56,10 +57,27 @@ def reflect_rigid(tube, rigid: MaxRigid) -> MaxRigid:
     )
 
 
+def doc_header(doc, what: str, kinds):
+    """Rank and kind of a schema-1 document whose kind is one of kinds."""
+    if not isinstance(doc, dict):
+        raise ValidationError("document must be a JSON object")
+    schema = doc.get("schema")
+    if type(schema) is not int or schema != serialize.SCHEMA:  # JSON true and 1.0 equal 1
+        raise ValidationError(f"key 'schema' must be the integer {serialize.SCHEMA}, got {schema!r}")
+    rank = serialize._field(doc, "rank", int)
+    if rank < 1:
+        raise ValidationError(f"key 'rank' must be a positive integer, got {rank}")
+    tube = Tube(rank)
+    kind = serialize._field(doc, "kind", str)
+    if kind not in kinds:
+        raise ValidationError(f"unknown {what} kind {kind!r}")
+    return tube, kind
+
+
 def rigid_from_doc(doc: dict):
     """(tube, maximal rigid object) of a rigid document, one-sided summands
     allowed; a ValidationError naming the key if a summand fails to parse."""
-    tube, kind = serialize._doc_header(doc, "rigid", (PRUFER, ADIC))
+    tube, kind = doc_header(doc, "rigid", (PRUFER, ADIC))
     summands = serialize._field(doc, "summands", str, many=True)
     try:
         arcs = [parse_obj(tube, s) for s in summands]

@@ -44,6 +44,7 @@ class Mutant:
     tests: Tuple[str, ...]  # pytest node ids
 
 
+ARCS = "src/tubecalc/arcs.py"
 RENDER = "src/tubecalc/render.py"
 MEMO_TESTS = "tests/test_render_reference.py::TestPathMemo"
 TORSION = "src/tubecalc/torsion.py"
@@ -60,7 +61,7 @@ MUTANTS = (
         "frame-keyed-without-rank",
         (
             (RENDER, "frame = _PATHS.get((n, None))", "frame = _PATHS.get((0, None))"),
-            (RENDER, "_keep((n, None), piece)", "_keep((0, None), piece)"),
+            (RENDER, "_PATHS.keep({(n, None): piece}", "_PATHS.keep({(0, None): piece}"),
         ),
         ("tests/test_render.py::TestSvg::test_golden_bytes",),
     ),
@@ -81,12 +82,10 @@ MUTANTS = (
     ),
     Mutant(
         "forget-keeps-frames",
-        ((RENDER, "    with _PATHS_LOCK:\n        _PATHS.clear()\n        _path_chars = 0\n\n\n#",
-          "    with _PATHS_LOCK:\n"
-          "        frames = {key: piece for key, piece in _PATHS.items() if key[1] is None}\n"
-          "        _PATHS.clear()\n"
-          "        _PATHS.update(frames)\n"
-          "        _path_chars = 0\n\n\n#"),),
+        ((ARCS, "            dict.clear(self)\n",
+          "            frames = {key: piece for key, piece in self.items() if key[1] is None}\n"
+          "            dict.clear(self)\n"
+          "            self.update(frames)\n"),),
         (f"{MEMO_TESTS}::test_bytes_hold_right_after_a_restart",),
     ),
     Mutant(
@@ -150,7 +149,12 @@ MUTANTS = (
     ),
     Mutant(
         "arc-table-keeps-entries-past-its-bound",
-        ((TYPE_A, "                _ARCS.clear()", "                pass"),),
+        ((ARCS, "                self.clear()", "                pass"),),
+        (f"{ARC_TESTS}TestArcTable::test_the_table_starts_again_at_its_bound",),
+    ),
+    Mutant(
+        "memo-keeps-a-batch-past-its-bound",
+        ((ARCS, "        if weight > self.bound:\n            return\n", ""),),
         (f"{ARC_TESTS}TestArcTable::test_the_table_starts_again_at_its_bound",),
     ),
     Mutant(
@@ -159,7 +163,7 @@ MUTANTS = (
             (TYPE_A, "return list(map(_ARCS.__getitem__, pairs))",
              "return list(map(_ARCS.__getitem__, [i for i, _ in pairs]))"),
             (TYPE_A, "_ARCS.get(p) or AArc(*p)", "_ARCS.get(p[0]) or AArc(*p)"),
-            (TYPE_A, "_ARCS.update(zip(pairs, arcs))", "_ARCS.update(zip([i for i, _ in pairs], arcs))"),
+            (TYPE_A, "_ARCS.keep(dict(zip(pairs, arcs)))", "_ARCS.keep(dict(zip([i for i, _ in pairs], arcs)))"),
         ),
         (f"{ARC_TESTS}TestArcTable::test_each_key_keeps_its_own_arc",),
     ),
