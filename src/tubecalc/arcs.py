@@ -154,17 +154,6 @@ class Tube:
 
     # -- elementary symmetries ----------------------------------------------
 
-    def tau(self, obj: IndObj) -> IndObj:
-        """Auslander-Reiten translate: both endpoints move one step left."""
-        s = None if obj.start is None else obj.start - 1
-        e = None if obj.end is None else obj.end - 1
-        return self.normalize(s, e)
-
-    def tau_inv(self, obj: IndObj) -> IndObj:
-        s = None if obj.start is None else obj.start + 1
-        e = None if obj.end is None else obj.end + 1
-        return self.normalize(s, e)
-
     def reflect(self, obj: IndObj) -> IndObj:
         """The involution [i,j] -> [-j,-i]; swaps Prufer with adic arcs.
 

@@ -51,10 +51,19 @@ def _multiples(n: int, lo: int, hi: int) -> range:
     return range(-(-lo // n), hi // n + 1)
 
 
+def _check_arcs(*objs: IndObj) -> None:
+    """ValueError if one of objs is a finite pair that is no arc, end < start + 2."""
+    for start, end in objs:
+        if start is not None and end is not None and end < start + 2:
+            raise ValueError(f"finite arc needs end >= start+2, got [{start},{end}]")
+
+
 def neg_crossings(tube: Tube, a: IndObj, b: IndObj) -> ExtDim:
-    """Negative crossing count I^-(a, b) of the two arcs on the annulus."""
+    """Negative crossing count I^-(a, b) of the two arcs on the annulus;
+    ValueError if either is a finite pair that is no arc."""
     if a.is_finite and b.is_finite:
         return len(neg_crossing_shifts(tube, a, b))
+    _check_arcs(a, b)
     if a.is_prufer and b.is_finite:
         return len(_multiples(tube.n, b.start - a.start + 1, b.end - a.start - 1))
     if a.is_finite and b.is_adic:
@@ -76,6 +85,7 @@ def neg_crossing_shifts(tube: Tube, a: IndObj, b: IndObj) -> range:
     a.end - b.end)."""
     if not (a.is_finite and b.is_finite):
         raise ValueError("crossing shifts are only enumerated for finite arcs")
+    _check_arcs(a, b)
     hi = min(a.start - b.start, a.end - b.end)
     return _multiples(tube.n, a.start - b.end + 1, hi - 1)
 
@@ -91,9 +101,8 @@ def hom_dim(tube: Tube, x: IndObj, y: IndObj) -> int:
     no particular lift: the crossing counts read every lift alike."""
     if not (x.is_finite or y.is_finite):
         raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
+    _check_arcs(y)
     start, end = y
-    if y.is_finite and end < start + 2:
-        raise ValueError(f"finite arc needs end >= start+2, got [{start},{end}]")
     shifted = (start if start is None else start + 1, end if end is None else end + 1)
     return neg_crossings(tube, tuple.__new__(IndObj, shifted), x)
 

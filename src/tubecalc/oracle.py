@@ -1,13 +1,13 @@
 """Matrix-level ground truth over the fixed prime field F_32003 (``PRIME``).
 
 Tube objects become nilpotent representations of the cyclic quiver with
-arrows v -> v-1 (and segment arcs become representations of the linear
-quiver with the same arrow direction).  Hom(a, b) is the kernel of the map
+arrows v -> v-1.  Hom(a, b) is the kernel of the map
 (+)_v Hom(a_v, b_v) -> (+)_{arrows k: v -> w} Hom(a_v, b_w) that sends (f_v)
 to (f_w A_k - B_k f_v)_k, so its dimension is the number of unknowns minus
 the rank of that system mod PRIME.  The elimination is general (any
-integer maps, no uniserial or 0/1 shortcut).  Ext^1 follows from Hom and
-the Euler form, since both quiver categories are hereditary.
+quiver, any integer maps, no uniserial or 0/1 shortcut).  Ext^1 follows
+from Hom and the Euler form, since quiver representations form a
+hereditary category.
 
 A ``QuivRep`` is checked when it is made (through ``_make`` and
 ``_replace`` too): its dimension vector and maps fit its quiver, or it
@@ -27,8 +27,7 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from . import homs
-from .arcs import IndObj, Tube, sort_key
-from .type_a import AArc, check_arc
+from .arcs import IndObj, Tube, _canonical, sort_key
 
 PRIME = 32003
 
@@ -39,13 +38,13 @@ class QuiverShape(namedtuple("QuiverShape", "num_vertices arrows")):
     __slots__ = ()
 
 
+MAX_SHAPES = 64  # quivers that cyclic_quiver holds
+
+
+@lru_cache(maxsize=MAX_SHAPES)
 def cyclic_quiver(n: int) -> QuiverShape:
+    """Arrow v is v -> v-1 mod n."""
     return QuiverShape(n, tuple((v, (v - 1) % n) for v in range(n)))
-
-
-def linear_quiver(m: int) -> QuiverShape:
-    # vertices 0..m-1 stand for the simples S_1..S_m
-    return QuiverShape(m, tuple((v, v - 1) for v in range(1, m)))
 
 
 Map = Tuple[int, int, Tuple[Tuple[int, int, int], ...]]  # (rows, cols, nonzero entries)
@@ -82,46 +81,23 @@ def _check_rep(rep: QuivRep) -> None:
                 raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
 
 
-MAX_SHAPES = 64  # quivers that _indexed holds
-
-
-@lru_cache(maxsize=MAX_SHAPES)
-def _indexed(quiver, size: int) -> Tuple[QuiverShape, Dict[Tuple[int, int], int]]:
-    """The quiver ``quiver(size)`` with its arrow index, {(source, target): k}."""
-    shape = quiver(size)
-    return shape, {arrow: k for k, arrow in enumerate(shape.arrows)}
-
-
-def _uniserial(quiver, size: int, socle_vertex: int, length: int) -> QuivRep:
-    """On the quiver ``quiver(size)``: basis b_0..b_{length-1}; b_t sits at
-    vertex socle+t mod the vertex count (on the linear quiver socle+t stays
-    below it), arrows send b_t -> b_{t-1}."""
-    shape, arrow_of = _indexed(quiver, size)
-    nv = shape.num_vertices
-    dims = [0] * nv
-    entries = [[] for _ in shape.arrows]  # nonzero cells, arrow by arrow
-    prev = None  # the vertex of b_{t-1}, where it is the last basis vector so far
-    for t in range(length):
-        v = (socle_vertex + t) % nv
-        if t:  # b_t -> b_{t-1} along the arrow v -> prev
-            entries[arrow_of[v, prev]].append((dims[prev] - 1, dims[v], 1))
-        dims[v] += 1
-        prev = v
-    maps = tuple((dims[w], dims[v], tuple(e)) for (v, w), e in zip(shape.arrows, entries))
-    return QuivRep(shape, tuple(dims), maps)
-
-
 def build_rep(tube: Tube, obj: IndObj) -> QuivRep:
-    """Nilpotent cyclic-quiver representation of a finite arc."""
+    """Nilpotent cyclic-quiver representation of a finite arc: basis
+    b_0..b_{length-1}, b_t at vertex start+t mod n, and arrow v (v -> v-1)
+    sends b_t at v to b_{t-1}, the last basis vector at v-1 so far."""
     if not obj.is_finite:
         raise ValueError("only finite arcs have matrix representations")
-    return _uniserial(cyclic_quiver, tube.n, obj.start % tube.n, obj.length)
-
-
-def build_rep_a(m: int, arc: AArc) -> QuivRep:
-    """Linear-quiver representation of a segment arc (socle S_{i+1})."""
-    check_arc(m, arc)
-    return _uniserial(linear_quiver, m, arc.i, arc.j - arc.i - 1)
+    n = tube.n
+    start, end = _canonical(n, *obj)  # ValueError unless end >= start + 2
+    dims = [0] * n
+    entries = [[] for _ in range(n)]  # nonzero cells, arrow by arrow
+    for t in range(start, end - 1):
+        v = t % n
+        if t > start:
+            entries[v].append((dims[v - 1] - 1, dims[v], 1))
+        dims[v] += 1
+    maps = tuple((dims[v - 1], dims[v], tuple(e)) for v, e in enumerate(entries))
+    return QuivRep(cyclic_quiver(n), tuple(dims), maps)
 
 
 def euler_form(shape: QuiverShape, d, e) -> int:

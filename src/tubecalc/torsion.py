@@ -165,10 +165,12 @@ def contains(tube: Tube, desc: SubcatDesc, x: IndObj) -> bool:
     normalizes the arcs it lists."""
     if not x.is_finite:
         raise ValidationError("descriptors only answer membership of finite arcs")
-    n, (s, e) = tube.n, x
-    if not 0 <= s < n or e < s + 2:
-        x = s, e = _canonical(n, s, e)
-    return x in desc.finite_objs or s in desc.rays or e % n in desc.corays
+    return _member(tube.n, desc, _canonical(tube.n, *x))
+
+
+def _member(n: int, desc: SubcatDesc, x: IndObj) -> bool:
+    """Whether the canonical finite arc x is a member of desc."""
+    return x in desc.finite_objs or x[0] in desc.rays or x[1] % n in desc.corays
 
 
 def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:
@@ -297,8 +299,8 @@ def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:
     ):
         return False
     return all(
-        (d - a < 2 or contains(tube, desc, _canonical(n, a, d)))  # [a, a + 1] is no arc
-        and all(contains(tube, desc, _canonical(n, d - w, b)) for w in crossing)
+        (d - a < 2 or _member(n, desc, _canonical(n, a, d)))  # [a, a + 1] is no arc
+        and all(_member(n, desc, _canonical(n, d - w, b)) for w in crossing)
         for a, b in fins for d in range(a + 1, b)
         # the lifts [d - w, d] that cross [a, b] negatively
         if (crossing := [w for w in ends.get(d % n, ()) if d - w < a])

@@ -9,11 +9,16 @@ compare the library's segment model with.
 - The Hom rule, the injective and projective fans, tau and tau^{-1}, the
   companion map of the tilting bijection, and the all-pairs Ptolemy check
   built on the two rules above.
+- The linear quiver with m vertices and the representation of a segment
+  arc on it, which the tests hand to the oracle's elimination
+  (``oracle.hom_dim_oracle``, ``oracle.ext_dim_oracle``) as the ground
+  truth of the two rules.
 """
 
 from typing import Optional
 
-from tubecalc.type_a import AArc, left_closure, right_closure
+from tubecalc.oracle import QuiverShape, QuivRep
+from tubecalc.type_a import AArc, check_arc, left_closure, right_closure
 
 
 def ext_dim(x: AArc, y: AArc) -> int:
@@ -74,3 +79,19 @@ def is_oriented_ptolemy(arcs) -> bool:
             if ext_dim(x, y) == 1 and not ses_middle(x, y) <= arcs:
                 return False
     return True
+
+
+def linear_quiver(m: int) -> QuiverShape:
+    """Vertices 0..m-1 stand for the simples S_1..S_m; arrow k is k+1 -> k."""
+    return QuiverShape(m, tuple((v, v - 1) for v in range(1, m)))
+
+
+def build_rep_a(m: int, arc: AArc) -> QuivRep:
+    """The linear-quiver representation of a segment arc [i, j]: the thin
+    interval module with socle S_{i+1}, dimension 1 on vertices i..j-2 and
+    the map 1 on each arrow between two of them."""
+    check_arc(m, arc)
+    shape = linear_quiver(m)
+    dims = tuple(int(arc.i <= v <= arc.j - 2) for v in range(m))
+    maps = tuple((dims[w], dims[v], ((0, 0, 1),) if dims[v] * dims[w] else ()) for v, w in shape.arrows)
+    return QuivRep(shape, dims, maps)

@@ -32,7 +32,7 @@ from tubecalc.torsion import (
     max_rigid_of,
     torsion_pair_of,
 )
-from tube_defs import reflect_pair, reflect_rigid
+from tube_defs import reflect_pair, reflect_rigid, tau
 from wings import prufer_type_rigids, wing_members
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
@@ -81,7 +81,7 @@ def test_criterion_3_translate_duality():
         tube = Tube(n)
         objs = tube.finite_objects(12)
         for x, y in itertools.product(objs, objs):
-            assert hom_dim(tube, y, tube.tau(x)) == ext_dim(tube, x, y), (n, x, y)
+            assert hom_dim(tube, y, tau(tube, x)) == ext_dim(tube, x, y), (n, x, y)
     report(3, "Hom(Y, tau X) = Ext(X, Y) over the same range", started)
 
 

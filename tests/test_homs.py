@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from tube_defs import tau, tau_inv
 from wings import wing_members
 from tubecalc import oracle
-from tubecalc.arcs import Tube
+from tubecalc.arcs import IndObj, Tube
 from tubecalc.homs import (
     ALEPH0,
     Aleph0,
@@ -107,7 +108,7 @@ class TestHomDim:
         # translate-dual Ext value as required below
         t2 = Tube(2)
         assert hom_dim(t2, t2.finite(0, 4), t2.finite(1, 3)) == 0
-        assert ext_dim(t2, t2.tau_inv(t2.finite(1, 3)), t2.finite(0, 4)) == 0
+        assert ext_dim(t2, tau_inv(t2, t2.finite(1, 3)), t2.finite(0, 4)) == 0
 
     def test_two_one_sided_arcs_unsupported(self):
         t2 = Tube(2)
@@ -117,13 +118,42 @@ class TestHomDim:
                 hom_dim(t2, x, y)
 
 
+class TestNonArcs:
+    """A finite pair with end < start + 2 is no arc: each function refuses
+    it as either argument, with hom_dim's message, which names it."""
+
+    PARTNERS = [IndObj(0, 3), IndObj(-5, 7), IndObj(1, None), IndObj(None, 2)]
+
+    @staticmethod
+    def refused(bad):
+        return pytest.raises(ValueError, match=rf"finite arc needs end >= start\+2, got \[{bad[0]},{bad[1]}\]")
+
+    @pytest.mark.parametrize("bad", [(0, 1), (2, -3), (-4, -4)])
+    @pytest.mark.parametrize("f", [neg_crossings, pos_crossings, ext_dim, hom_dim])
+    def test_either_argument(self, f, bad):
+        t3 = Tube(3)
+        for other in self.PARTNERS:
+            for args in ((IndObj(*bad), other), (other, IndObj(*bad))):
+                with self.refused(bad):
+                    f(t3, *args)
+
+    @pytest.mark.parametrize("bad", [(0, 1), (2, -3)])
+    def test_shifts_and_rigidity(self, bad):
+        t3, x = Tube(3), IndObj(*bad)
+        for args in ((x, IndObj(0, 3)), (IndObj(0, 3), x)):
+            with self.refused(bad):
+                neg_crossing_shifts(t3, *args)
+        with self.refused(bad):
+            is_rigid(t3, [t3.prufer(0), x])
+
+
 class TestDualities:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_translate_duality(self, n):
         # dim Hom(Y, tau X) = dim Ext^1(X, Y)
         tube = Tube(n)
         for x, y in finite_pairs(tube, 8):
-            assert hom_dim(tube, y, tube.tau(x)) == ext_dim(tube, x, y)
+            assert hom_dim(tube, y, tau(tube, x)) == ext_dim(tube, x, y)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_reflection_preserves_hom_dim(self, n):

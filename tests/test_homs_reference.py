@@ -6,8 +6,8 @@ count formula per pair of arc types.  The new code reads every dimension
 as the length of one range of multiples of n, and Hom by the
 Auslander-Reiten formula as Ext(tau^{-1} y, x).  A second reference,
 ``hom_dim_by_tau_inv``, is the rule that read tau^{-1} y through the
-normalizing ``Tube.tau_inv``, where ``hom_dim`` now shifts both ends of y by
-one.  Hypothesis draws finite,
+normalizing ``tau_inv`` (``tests/tube_defs.py``), where ``hom_dim`` now shifts
+both ends of y by one.  Hypothesis draws finite,
 Prufer and adic arcs in any lift, anchored or not, and compares the value
 or the exception's type and message.
 
@@ -21,6 +21,7 @@ import pytest
 from tubecalc import homs
 from tubecalc.arcs import IndObj, Tube
 from tubecalc.homs import ALEPH0, InfinitePairError
+from tube_defs import tau_inv
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -87,10 +88,10 @@ def hom_dim(tube, x, y):
 
 
 def hom_dim_by_tau_inv(tube, x, y):
-    """The rule that read tau^{-1} y through the normalizing ``Tube.tau_inv``."""
+    """The rule that read tau^{-1} y through the normalizing ``tau_inv``."""
     if not (x.is_finite or y.is_finite):
         raise InfinitePairError(f"Hom({x}, {y}) between one-sided arcs is unsupported")
-    return homs.neg_crossings(tube, tube.tau_inv(y), x)
+    return homs.neg_crossings(tube, tau_inv(tube, y), x)
 
 
 # -- strategies ----------------------------------------------------------------------

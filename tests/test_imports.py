@@ -1,10 +1,11 @@
-"""Every name a library module imports is used there, and the CLI loads
-only what its commands need.
+"""Every name a library module imports is used there, the oracle builds
+on no segment code, and the CLI loads only what its commands need.
 
 Each ``src/tubecalc/*.py`` is parsed with ``ast``; a name bound by an
 import counts as used if the module reads it anywhere (as a name, or as the
 base of an attribute chain) or lists it in ``__all__``.  ``from __future__``
-imports bind no name and are skipped.
+imports bind no name and are skipped.  ``oracle`` models the tube's cyclic
+quiver alone, so it imports nothing from ``type_a``, in any form.
 
 A fresh interpreter, without ``site`` so that only the import itself is
 seen, imports ``tubecalc.cli``: it must not load ``dataclasses`` (nor the
@@ -72,6 +73,40 @@ def test_the_guard_sees_an_unused_import():
         "    return os.path.join(type_a.low, x)\n"
     )
     assert unused_imports(source) == [(2, "math"), (5, "shifts")]
+
+
+def modules_imported(source: str) -> set:
+    """Each module a library source imports, and each name it imports from
+    one, dotted from ``tubecalc`` for a relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["tubecalc" if node.level else "", node.module]))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_oracle_imports_nothing_from_type_a():
+    oracle = next(p for p in SOURCES if p.name == "oracle.py")
+    assert "tubecalc.type_a" not in modules_imported(oracle.read_text())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "from .type_a import AArc",
+        "from . import homs, type_a",
+        "import tubecalc.type_a",
+        "from tubecalc.type_a import check_arc",
+        "from tubecalc import type_a as ta",
+    ],
+)
+def test_the_guard_sees_an_import_of_type_a(line):
+    assert "tubecalc.type_a" in modules_imported(f"from .arcs import Tube\n{line}\n")
+    assert "tubecalc.type_a" not in modules_imported("from .arcs import Tube\nfrom . import homs\n")
 
 
 def test_the_cli_loads_no_dataclasses_and_no_render():

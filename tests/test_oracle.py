@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from segment_defs import build_rep_a, linear_quiver
+from tube_defs import tau
 from tubecalc import homs, oracle
-from tubecalc.arcs import Tube
+from tubecalc.arcs import IndObj, Tube
 from tubecalc.type_a import AArc
 
 
@@ -74,14 +76,19 @@ class TestBuildRep:
         for n in range(1, 2 * oracle.MAX_SHAPES + 2):
             tube = Tube(n)
             rep = oracle.build_rep(tube, tube.finite(0, n + 2))
-            assert rep.shape == oracle.cyclic_quiver(n) and sum(rep.dims) == n + 1
-            assert oracle._indexed.cache_info().currsize <= oracle.MAX_SHAPES
-        assert oracle.build_rep_a(3, AArc(0, 4)).shape == oracle.linear_quiver(3)
+            assert rep.shape == oracle.cyclic_quiver.__wrapped__(n) and sum(rep.dims) == n + 1
+            assert oracle.cyclic_quiver.cache_info().currsize <= oracle.MAX_SHAPES
 
     def test_infinite_objects_have_no_matrices(self):
         t2 = Tube(2)
         with pytest.raises(ValueError):
             oracle.build_rep(t2, t2.prufer(0))
+
+    @pytest.mark.parametrize("start, end", [(2, -3), (0, 1), (4, 5), (-1, 0), (3, 3)])
+    def test_a_finite_pair_that_is_no_arc_is_refused(self, start, end):
+        # (2, -3) would otherwise make the zero representation
+        with pytest.raises(ValueError, match=rf"finite arc needs end >= start\+2, got \[{start},{end}\]"):
+            oracle.build_rep(Tube(3), IndObj(start, end))
 
 
 class TestHomOracle:
@@ -140,8 +147,8 @@ class TestEulerAndExt:
         assert oracle.euler_form(oracle.cyclic_quiver(2), (1, 0), (0, 1)) == -1
         assert oracle.euler_form(oracle.cyclic_quiver(1), (1,), (1,)) == 0
         # linear A_2: one arrow from vertex 1 to vertex 0
-        assert oracle.euler_form(oracle.linear_quiver(2), (1, 0), (0, 1)) == 0
-        assert oracle.euler_form(oracle.linear_quiver(2), (0, 1), (1, 0)) == -1
+        assert oracle.euler_form(linear_quiver(2), (1, 0), (0, 1)) == 0
+        assert oracle.euler_form(linear_quiver(2), (0, 1), (1, 0)) == -1
 
     def test_euler_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -162,7 +169,7 @@ class TestEulerAndExt:
                 for j in range(n):
                     want = 1 if (i - j) % n == 1 else 0
                     assert oracle.ext_dim_oracle(reps[i], reps[j]) == want
-            assert tube.tau(tube.finite(1, 3)) == tube.finite(0, 2)
+            assert tau(tube, tube.finite(1, 3)) == tube.finite(0, 2)
 
     def test_ext_zero_without_negative_crossing(self):
         t3 = Tube(3)
@@ -204,15 +211,15 @@ class TestBruteForceMaxRigid:
 
 class TestLinearQuiverReps:
     def test_arc_rep_dims(self):
-        rep = oracle.build_rep_a(3, AArc(0, 3))
+        rep = build_rep_a(3, AArc(0, 3))
         assert rep.dims == (1, 1, 0)
-        assert sum(oracle.build_rep_a(4, AArc(1, 5)).dims) == 3
+        assert sum(build_rep_a(4, AArc(1, 5)).dims) == 3
 
     def test_hom_ext_euler_identity(self):
         for m in (2, 3, 4):
             arcs = [AArc(i, j) for i in range(m) for j in range(i + 2, m + 2)]
-            reps = {a: oracle.build_rep_a(m, a) for a in arcs}
-            shape = oracle.linear_quiver(m)
+            reps = {a: build_rep_a(m, a) for a in arcs}
+            shape = linear_quiver(m)
             for x, y in itertools.product(arcs, arcs):
                 h = oracle.hom_dim_oracle(reps[x], reps[y])
                 e = oracle.ext_dim_oracle(reps[x], reps[y])

@@ -12,7 +12,8 @@ of three densities (so not necessarily nilpotent).  Most entries lie in
 mod p but not over the integers are drawn too.  Each map is drawn once,
 handed to the reference as a dense array and to ``oracle`` as its nonzero
 entries.  It also compares the rank of random integer matrices, and the
-uniserials ``build_rep`` and ``build_rep_a`` make with the old dense ones.
+uniserials ``build_rep`` makes, and those of ``build_rep_a`` on the linear
+quiver (``tests/segment_defs.py``), with the old dense ones.
 """
 
 from collections import namedtuple
@@ -20,6 +21,7 @@ from collections import namedtuple
 import pytest
 
 from limits import needs_alarm, time_limit
+from segment_defs import build_rep_a, linear_quiver
 from tubecalc import oracle
 from tubecalc.arcs import Tube
 from tubecalc.oracle import QuiverShape, QuivRep
@@ -134,7 +136,7 @@ def integer_matrix(rng, rows: int, cols: int, density: float) -> np.ndarray:
 
 @st.composite
 def representation_pairs(draw):
-    quiver = draw(st.sampled_from([oracle.cyclic_quiver, oracle.linear_quiver]))
+    quiver = draw(st.sampled_from([oracle.cyclic_quiver, linear_quiver]))
     shape = quiver(draw(st.integers(1, 5)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     density = draw(st.sampled_from([0.3, 0.6, 1.0]))
@@ -219,5 +221,5 @@ class TestUniserialsMatchReference:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_segment_arcs(self, m):
         for arc in all_arcs(m):
-            dense = _uniserial(oracle.linear_quiver(m), arc.i, arc.j - arc.i - 1, cyclic=False)
-            self.assert_same(oracle.build_rep_a(m, arc), dense)
+            dense = _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1, cyclic=False)
+            self.assert_same(build_rep_a(m, arc), dense)

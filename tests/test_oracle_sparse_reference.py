@@ -10,7 +10,8 @@ entries (b_w a_v = 0), emits only the rows some unknown touches, reduces
 each entry once and keeps a pivot row that is already 1 as it is.
 
 Two halves.  The first compares on every ordered pair of tube arcs of
-length at most 2n at n <= 4, and of segment arcs at m <= 6: the
+length at most 2n at n <= 4, and of segment arcs at m <= 6 (as
+``segment_defs.build_rep_a`` builds them on the linear quiver): the
 representations, the nonzero rows of the system, and the Hom and Ext
 dimensions.  It imports neither numpy nor hypothesis, so it runs with
 pytest alone.  The second draws arbitrary integer maps under hypothesis,
@@ -24,6 +25,7 @@ from typing import Dict, List
 import pytest
 
 from limits import needs_alarm, time_limit
+from segment_defs import build_rep_a, linear_quiver
 from tubecalc import oracle
 from tubecalc.arcs import Tube
 from tubecalc.oracle import PRIME, QuiverShape, QuivRep, _check_rep
@@ -143,8 +145,8 @@ class TestEveryArcPair:
     def test_segment_arcs(self, m):
         reps = []
         for arc in all_arcs(m):
-            rep = oracle.build_rep_a(m, arc)
-            assert rep == _uniserial(oracle.linear_quiver(m), arc.i, arc.j - arc.i - 1)
+            rep = build_rep_a(m, arc)
+            assert rep == _uniserial(linear_quiver(m), arc.i, arc.j - arc.i - 1)
             reps.append(rep)
         with time_limit(60):
             for a in reps:
@@ -179,7 +181,7 @@ def representation_pairs():
 
     @st.composite
     def pairs(draw):
-        quiver = draw(st.sampled_from([oracle.cyclic_quiver, oracle.linear_quiver]))
+        quiver = draw(st.sampled_from([oracle.cyclic_quiver, linear_quiver]))
         shape = quiver(draw(st.integers(1, 5)))
         nv = shape.num_vertices
         reps = []

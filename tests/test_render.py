@@ -3,6 +3,7 @@ import os
 import pytest
 
 from golden_specs import golden_specs
+from tube_defs import tau
 from tubecalc import render
 from tubecalc.arcs import Tube
 from tubecalc.render import (
@@ -77,7 +78,7 @@ class TestArQuiver:
         grid = ar_quiver_grid(tube, 4)
         for (l, s), label in grid.items():
             x = tube.normalize(s, s + l + 1)
-            assert grid[(l, (s - 1) % 3)] == str(tube.tau(x))
+            assert grid[(l, (s - 1) % 3)] == str(tau(tube, x))
 
     def test_mesh_arrow_targets_exist(self):
         # arrows go to [i, j+1] and [i+1, j]; both live one row up or down

@@ -9,7 +9,7 @@ from wings import prufer_type_rigids, wing_members
 from tubecalc import oracle
 from tubecalc.arcs import IndObj, Tube, sort_key
 from tubecalc.homs import hom_dim, is_rigid, neg_crossing_shifts
-from tube_defs import left_closure, reflect_pair, reflect_rigid, right_closure
+from tube_defs import left_closure, reflect_pair, reflect_rigid, right_closure, tau, tau_inv
 from tubecalc.torsion import (
     ADIC,
     CORAY,
@@ -556,10 +556,10 @@ def pair_by_definition(tube, rigid):
     quotients, subobjects = shortenings(tube, [x for x in rigid.summands if x.is_finite])
     if rigid.kind == PRUFER:
         rays = [x.start for x in rigid.summands if x.is_prufer]
-        t_part = make_desc(tube, [tube.tau_inv(x) for x in quotients])
+        t_part = make_desc(tube, [tau_inv(tube, x) for x in quotients])
         return TorsionPair(t_part, make_desc(tube, subobjects, rays=rays), RAY)
     corays = [x.end for x in rigid.summands if x.is_adic]
-    f_part = make_desc(tube, [tube.tau(x) for x in subobjects])
+    f_part = make_desc(tube, [tau(tube, x) for x in subobjects])
     return TorsionPair(make_desc(tube, quotients, corays=corays), f_part, CORAY)
 
 

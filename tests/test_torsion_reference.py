@@ -23,7 +23,9 @@ The Ptolemy check has a third reference, also copied unchanged: the
 ``is_ext_closed`` that walked every ordered pair of listed arcs, took the
 crossing lifts from ``homs.neg_crossing_shifts`` and resolved each with
 the segment's middle terms, ``ses_middle`` (once in ``type_a``, now in
-``tests/segment_defs.py``).  The new one indexes the listed spans by end
+``tests/segment_defs.py``).  The crossing lifts are copied too, as
+``homs.neg_crossing_shifts`` read them before it refused a finite pair that
+is no arc, since the raw descriptors list such pairs.  The new one indexes the listed spans by end
 residue and visits each crossing once, by its end.  They are compared on
 canonical descriptors, on every side of every pair at n <= 5, and on raw
 ones; a listed one-sided arc is left out of the comparison, since the old
@@ -48,7 +50,6 @@ import pytest
 from tubecalc import torsion as tor
 from tubecalc import type_a
 from tubecalc.arcs import IndObj, Tube
-from tubecalc.homs import neg_crossing_shifts
 import tube_defs
 from cover import lift
 from segment_defs import ses_middle
@@ -683,6 +684,16 @@ class TestInverseByLongestArcs:
 
 
 # -- the Ptolemy check before it read integers ----------------------------------------
+
+
+def neg_crossing_shifts(tube: Tube, a: IndObj, b: IndObj) -> range:
+    """The shifts k for which the k-th lift of b crosses a negatively (finite
+    arcs), lazily: the k with a.start - b.end < k*n < min(a.start - b.start,
+    a.end - b.end)."""
+    if not (a.is_finite and b.is_finite):
+        raise ValueError("crossing shifts are only enumerated for finite arcs")
+    lo, hi = a.start - b.end + 1, min(a.start - b.start, a.end - b.end) - 1
+    return range(-(-lo // tube.n), hi // tube.n + 1)
 
 
 def is_ext_closed(tube: Tube, desc: SubcatDesc) -> bool:

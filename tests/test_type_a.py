@@ -270,7 +270,7 @@ class TestHomRule:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_hom_rule_matches_linear_quiver_oracle(self, m):
         arcs = ta.all_arcs(m)
-        reps = {a: oracle.build_rep_a(m, a) for a in arcs}
+        reps = {a: segment_defs.build_rep_a(m, a) for a in arcs}
         for x in arcs:
             for y in arcs:
                 dim = oracle.hom_dim_oracle(reps[x], reps[y])
@@ -280,7 +280,7 @@ class TestHomRule:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_ext_rule_matches_linear_quiver_oracle(self, m):
         arcs = ta.all_arcs(m)
-        reps = {a: oracle.build_rep_a(m, a) for a in arcs}
+        reps = {a: segment_defs.build_rep_a(m, a) for a in arcs}
         for x in arcs:
             for y in arcs:
                 assert oracle.ext_dim_oracle(reps[x], reps[y]) == segment_defs.ext_dim(x, y)

@@ -1,6 +1,7 @@
-"""Tube-level definitions that only the tests read: the quotient and
-subobject closures of any set of finite arcs, the reflections of a torsion
-pair and of a maximal rigid object, and the reader of rigid documents.
+"""Tube-level definitions that only the tests read: the Auslander-Reiten
+translate and its inverse, the quotient and subobject closures of any set
+of finite arcs, the reflections of a torsion pair and of a maximal rigid
+object, and the reader of rigid documents.
 
 The closures read the library's ``torsion._bound`` and ``_closure_side``,
 which ``torsion_pair_of`` feeds only the finite parts of rigid objects; the
@@ -24,6 +25,19 @@ from tubecalc.torsion import (
     ValidationError,
     reflect_desc,
 )
+
+
+def tau(tube, obj):
+    """Auslander-Reiten translate: both endpoints move one step left."""
+    s = None if obj.start is None else obj.start - 1
+    e = None if obj.end is None else obj.end - 1
+    return tube.normalize(s, e)
+
+
+def tau_inv(tube, obj):
+    s = None if obj.start is None else obj.start + 1
+    e = None if obj.end is None else obj.end + 1
+    return tube.normalize(s, e)
 
 
 def left_closure(tube, objs) -> frozenset:

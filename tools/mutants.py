@@ -100,7 +100,7 @@ MUTANTS = (
     ),
     Mutant(
         "ptolemy-skips-start-resolution",
-        ((TORSION, "(d - a < 2 or contains(tube, desc, _canonical(n, a, d)))", "(True)"),),
+        ((TORSION, "(d - a < 2 or _member(n, desc, _canonical(n, a, d)))", "(True)"),),
         ("tests/test_torsion.py::TestClosurePredicates::test_ptolemy_rule_on_low_is_not_exact",),
     ),
     Mutant(
@@ -112,6 +112,11 @@ MUTANTS = (
         "least-spans-skips-first-lift",
         ((TORSION, "if stack and k >= 0:", "if stack and k > 0:"),),
         ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
+    ),
+    Mutant(
+        "homs-takes-a-non-arc",
+        (("src/tubecalc/homs.py", "    for start, end in objs:\n", "    for start, end in ():\n"),),
+        ("tests/test_homs.py::TestNonArcs::test_either_argument",),
     ),
     Mutant(
         "hom-through-tau",
@@ -171,6 +176,16 @@ MUTANTS = (
         "rep-made-unchecked",
         ((ORACLE, "        _check_rep(rep)\n        return rep", "        return rep"),),
         ("tests/test_oracle.py::TestHomOracle::test_one_map_per_arrow",),
+    ),
+    Mutant(
+        "rep-entry-on-wrong-arrow",
+        ((ORACLE, "entries[v].append(", "entries[v - 1].append("),),
+        (f"{SPARSE_TESTS}::test_tube_arcs",),
+    ),
+    Mutant(
+        "rep-made-of-a-non-arc",
+        ((ORACLE, "start, end = _canonical(n, *obj)", "start, end = obj[0] % n, obj[1] - obj[0] + obj[0] % n"),),
+        ("tests/test_oracle.py::TestBuildRep::test_a_finite_pair_that_is_no_arc_is_refused",),
     ),
     Mutant(
         "pivot-left-unnormalized",
