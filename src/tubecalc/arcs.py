@@ -179,11 +179,13 @@ class Tube:
         decomposes into the wings spanning consecutive indices; the last one
         wraps around by +n.  A gap of 1 produces a zero wing.
         """
-        idx = sorted(set(indices))
+        idx = list(indices)
+        for i in idx:
+            if type(i) is not int or not 0 <= i < self.n:  # a bool is no index, as it is no rank
+                raise ValueError(f"indices must be integers in 0..{self.n - 1}, got {i!r}")
+        idx = sorted(set(idx))
         if not idx:
             raise ValueError("need at least one index")
-        if any(i < 0 or i >= self.n for i in idx):
-            raise ValueError(f"indices must lie in 0..{self.n - 1}")
         wings = []
         for r, i in enumerate(idx):
             nxt = idx[r + 1] if r + 1 < len(idx) else idx[0] + self.n

@@ -7,7 +7,9 @@ from typing import Tuple
 
 from .arcs import Tube, _parse_finite, format_finite, format_obj, sort_key
 from .torsion import (
+    ADIC,
     CORAY,
+    PRUFER,
     RAY,
     MaxRigid,
     SubcatDesc,
@@ -23,6 +25,8 @@ def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:
     """The torsion side lists its corays, the free side its rays; the
     whole-tube descriptor is recovered on parse from either full family."""
     t, f = pair.t_part, pair.f_part
+    if pair.kind not in (RAY, CORAY):
+        raise ValidationError(f"unknown pair kind {pair.kind!r}")
     if t.rays and len(t.rays) != tube.n:
         raise ValidationError("torsion part of a pair cannot contain a proper ray family")
     if f.corays and len(f.corays) != tube.n:
@@ -105,6 +109,8 @@ def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
 
 
 def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
+    if rigid.kind not in (PRUFER, ADIC):
+        raise ValidationError(f"unknown rigid kind {rigid.kind!r}")
     return {
         "schema": SCHEMA,
         "rank": tube.n,

@@ -25,11 +25,11 @@ quotient of x and a subobject of y: Hom(x, y) != 0 iff some quotient of x
 is a subobject of y.  So the right perp of a subcategory holds, per start
 s, every span below its cyclic ``minend[s]`` (the least span of a member's
 quotient starting at s), and the left perp, per end e, every span below
-its cyclic ``maxstart[e]`` (the least gap from a member's start to e);
-``_least_spans`` reads both off ``low`` and ``reach`` in one O(n) sweep.
-``is_torsion_pair`` is the segment's rule read with period n: Hom(T, F) = 0
-off T's ``minend``, then two count identities, F numbering what T^perp
-does and T what perp-F does.  It builds no perp descriptor.
+its cyclic ``maxstart[e]`` (the least gap from a member's start to e),
+each read in one pass off a side that lists its closure (``_least_spans``).
+``is_torsion_pair`` is the segment's rule read with period n: it refuses a
+T that does not number its quotient closure, then checks Hom(T, F) = 0 off
+T's ``minend`` and two count identities, with no perp descriptor built.
 
 The bijection: a Prufer-type maximal rigid object U yields the pair
 (tau^{-1} of the left-shortening closure of its finite part, right
@@ -62,10 +62,9 @@ The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So some mirror
 -side constructions are derived rather than written out: ``is_sub_closed``
 is ``is_quotient_closed`` of the reflection, and ``left_perp`` is the
-reflected ``right_perp``.  ``_least_spans`` reads the mirrored arrays
-itself (quotients as mirrored subobjects), since ``is_torsion_pair`` and
-``max_rigid_of`` read T's ``minend`` off ``low`` and F's ``maxstart`` off
-``reach``, with no reflected descriptor.
+reflected ``right_perp``.  ``_least_spans`` keys a quotient by its start
+and a subobject by its end, since ``is_torsion_pair`` and ``max_rigid_of``
+read T's ``minend`` and F's ``maxstart`` with no reflected descriptor.
 
 The value types are namedtuples, as ``IndObj`` is: ``SubcatDesc`` (its
 finite arcs, rays and corays, each a frozenset), ``TorsionPair`` (two
@@ -127,9 +126,11 @@ def make_desc(tube: Tube, finite_objs=(), rays=(), corays=()) -> SubcatDesc:
     """Canonical descriptor: finite arcs implied by a ray or coray are
     dropped, and a full set of rays (or corays) collapses to the whole-tube
     descriptor, which lists both families in full."""
-    n = tube.n
-    rayset = frozenset(int(i) % n for i in rays)
-    corayset = frozenset(int(j) % n for j in corays)
+    n, rays, corays = tube.n, tuple(rays), tuple(corays)
+    for i in rays + corays:
+        if type(i) is not int:  # a bool is none, as Tube refuses such a rank
+            raise ValidationError(f"ray and coray indices must be integers, got {i!r}")
+    rayset, corayset = frozenset(i % n for i in rays), frozenset(j % n for j in corays)
     fins = []
     for x in finite_objs:  # checked before a full family makes the list moot
         if not x.is_finite:
@@ -191,40 +192,29 @@ def _bound(n: int, objs, quotients: bool) -> Dict[int, int]:
         raise ValueError("one-sided arcs have no finite length") from None
 
 
-def _least_spans(n: int, bound, family, quotients: bool) -> Dict[int, int]:
-    """Per residue k, the least span d of an arc of the closure that
-    ``bound`` fixes (see ``_closure_side``) whose free end lies at k: the
-    end of a subobject [a, a + d] (bound = reach), or the start of a
-    quotient [a - d, a] (bound = low, ``quotients``), read with period n.
-    An anchor of the family (a ray, or a coray) has every span.  These are
-    the cyclic ``k - maxstart[k]`` and ``minend[k] - k`` of ``type_a``.
-
-    Quotients are read mirrored, a -> -a, as subobjects.  One sweep over the
-    lifted anchors a = k - 2, k increasing, keeps a stack of those that may
-    still reach a later k: the anchor on top is the latest, and one that a
-    later anchor outreaches is dropped.  A span above n + 1 is never the
-    least (the lift one period nearer is n shorter), so 2n steps cover
-    every residue.
-    """
-    sign = -1 if quotients else 1
-    longest = [0] * n  # per residue of an anchor
-    for a, b in bound.items():
-        longest[sign * a % n] = sign * (b - a)
-    for a in family:
-        longest[sign * a % n] = n + 1
+def _least_spans(n: int, arcs, family, quotients: bool) -> Dict[int, int]:
+    """Per residue k, the least span of a listed arc, or of one that the
+    family implies, starting at k (``quotients``, corays) or ending at k
+    (rays): on a side that lists its closure, the cyclic ``minend[k] - k``
+    or ``k - maxstart[k]`` of ``type_a``.  A family adds a walk down
+    x = 2n, ..., 2 that keeps the nearest anchor at or above x, mirrored for
+    rays: the least quotient at k of the coray at j ends at the first lift
+    of j from x = k + 2 on, which lies among the n positions from x."""
     least: Dict[int, int] = {}
-    stack: List[Tuple[int, int]] = []  # (anchor, its reach), reach decreasing upward
-    # the anchors a = k - 2 for k = 1 - n, ..., n - 1 have residues n - 1, 0, 1, ...
-    for k, m in zip(range(1 - n, n), longest[-1:] + longest + longest[:n - 2]):
-        if m >= 2:
-            a = k - 2
-            while stack and stack[-1][1] <= a + m:
-                stack.pop()
-            stack.append((a, a + m))
-        while stack and stack[-1][1] < k:
-            stack.pop()
-        if stack and k >= 0:
-            least[sign * k % n] = k - stack[-1][0]
+    for s, e in arcs:
+        k = (s if quotients else e) % n
+        if least.get(k, e - s + 1) > e - s:
+            least[k] = e - s
+    if family:
+        sign = 1 if quotients else -1
+        anchors = {sign * a % n for a in family}
+        near = 0
+        for x in range(2 * n, 1, -1):
+            if x % n in anchors:
+                near = x
+            if x <= n + 1:
+                k = sign * (x - 2) % n
+                least[k] = min(least.get(k, n + 2), near - x + 2)
     return least
 
 
@@ -263,9 +253,10 @@ def reflect_desc(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
 def is_quotient_closed(tube: Tube, desc: SubcatDesc) -> bool:
     if desc.rays:
         return desc == everything(tube)
-    n = tube.n
-    arcs = [x for x in desc.finite_objs if x.end % n not in desc.corays]
-    return len(arcs) == type_a._quotient_count(_bound(n, arcs, quotients=True))
+    n, corays = tube.n, desc.corays
+    low = _bound(n, desc.finite_objs, quotients=True)  # a ValueError for a one-sided arc
+    listed = sum(e % n not in corays for _, e in desc.finite_objs)
+    return listed == type_a._closure_count({r: a for r, a in low.items() if r not in corays})
 
 
 def is_sub_closed(tube: Tube, desc: SubcatDesc) -> bool:
@@ -318,13 +309,14 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     every span below ``minend[s]``, the least span of such a quotient.  The
     quotients of the members ending at residue j are [i, j] for
     low[j] <= i <= j-2, every arc ending at j for a coray j, and every
-    simple for a ray, so a ray leaves nothing.
+    simple for a ray, so a ray leaves nothing.  It costs O(n) and the size
+    of the quotient closure, which it builds first.
     """
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    low = _bound(n, desc.finite_objs, quotients=True)
-    minend = _least_spans(n, low, desc.corays, quotients=True)
+    closure = _closure_side(tube, _bound(n, desc.finite_objs, quotients=True), quotients=True)
+    minend = _least_spans(n, closure.finite_objs, desc.corays, quotients=True)
     reach = {s: s + d - 1 for s, d in minend.items()}
     return _closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
 
@@ -354,17 +346,17 @@ def _is_canonical(n: int, objs) -> bool:
 
 def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
     """Whether F is the right perp of T and T the left perp of F, as
-    canonical descriptors, read off the arrays with no perp built.
+    canonical descriptors, with no perp built.
 
-    The segment's rule read with period n.  Hom(T, F) = 0 iff each arc of
-    F spans less than T's cyclic ``minend`` at its start, and each ray of
-    F starts where T has no ``minend`` (see ``right_perp``).  Given that,
-    F lies in T^perp and T in perp-F, so with both sides listing canonical
-    arcs only, none at their own family, F = T^perp iff F has a ray at
-    every start without ``minend`` and numbers as many arcs as T^perp, and
-    then T = perp-F iff T has a coray at every end without F's
-    ``maxstart`` and numbers as many arcs as perp-F (the mirror of
-    ``right_perp``).
+    The segment's rule read with period n.  T = perp-F is quotient-closed,
+    so a T that does not number its quotient closure is refused first.
+    Hom(T, F) = 0 iff each arc of F spans less than T's ``minend`` at its
+    start and each ray of F starts where T has none (see ``right_perp``).
+    Then, with both sides listing canonical arcs only, none at their own
+    family, F = T^perp iff F has a ray at every start without ``minend``
+    and numbers as many arcs as T^perp; so F needs no closure check, and
+    T = perp-F iff T has a coray at every end without F's ``maxstart`` and
+    numbers as many arcs as perp-F (the mirror of ``right_perp``).
     The pair of an object with k Prufers (or adics) lists k rays (or
     corays) and an arc per finite summand, so it lists n items at least.
     """
@@ -380,11 +372,13 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
     if t.rays:  # T^perp is 0, whose left perp is everything
         return f == empty_desc(tube) and t == everything(tube)
     low = _bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
-    minend = _least_spans(n, low, t.corays, quotients=True)
-    if not minend:  # T^perp is everything, whose left perp is 0
-        return f == everything(tube) and t == empty_desc(tube)
+    if len(t.finite_objs) != type_a._closure_count(low) or not _is_canonical(n, t.finite_objs):
+        return False
+    minend = _least_spans(n, t.finite_objs, t.corays, quotients=True)
+    if not minend:  # T is 0, whose right perp is everything
+        return f == everything(tube)
     full = frozenset(range(n))
-    if not _is_canonical(n, t.finite_objs) or f.corays or f.rays != full.difference(minend):
+    if f.corays or f.rays != full.difference(minend):
         return False
     try:
         reach = _bound(n, f.finite_objs, quotients=False)
@@ -396,7 +390,7 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
         or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
     ):
         return False
-    maxstart = _least_spans(n, reach, f.rays, quotients=False)
+    maxstart = _least_spans(n, f.finite_objs, f.rays, quotients=False)
     return (
         bool(maxstart)  # else perp-F is everything, which has rays
         and t.corays == full.difference(maxstart)
@@ -583,15 +577,13 @@ def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
     n = tube.n
     t, f = pair.t_part, pair.f_part
     if pair.kind == RAY:
-        reach = _bound(n, f.finite_objs, quotients=False)
-        maxstart = _least_spans(n, reach, f.rays, quotients=False)
-        arcs = list(reach.items())
+        maxstart = _least_spans(n, f.finite_objs, f.rays, quotients=False)
+        arcs = list(_bound(n, f.finite_objs, quotients=False).items())
         arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
         family, kind = [tube.prufer(i) for i in f.rays], PRUFER
     else:
-        low = _bound(n, t.finite_objs, quotients=True)
-        minend = _least_spans(n, low, t.corays, quotients=True)
-        arcs = [(a, e) for e, a in low.items()]
+        minend = _least_spans(n, t.finite_objs, t.corays, quotients=True)
+        arcs = [(a, e) for e, a in _bound(n, t.finite_objs, quotients=True).items()]
         arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
         family, kind = [tube.adic(j) for j in t.corays], ADIC
     fins = [_arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift

@@ -26,9 +26,9 @@ one starting at residue s for ``reach[s]``, ending at r for ``low[r]``).
   closure (starts low[j]..j-2 at end j); ``reach[i]``, the largest end of
   an arc starting at i, fixes the subobject closure (ends i+2..reach[i]);
 - ``minend[s] = min{t.j : t.i <= s <= t.j-2}`` and ``maxstart[e] =
-  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; the tube reads both
-  as cyclic spans, ``minend[s] - s`` and ``e - maxstart[e]``, off ``low``
-  and ``reach`` with ``torsion._least_spans``.
+  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; the tube reads both as
+  cyclic spans, ``minend[s] - s`` and ``e - maxstart[e]``, off the arcs of
+  a side that numbers its closure, with ``torsion._least_spans``.
 
 Three rules follow, each exact:
 
@@ -239,16 +239,16 @@ def _segment_pairs(m: int, arcs) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _quotient_count(low: Dict[int, int]) -> int:
-    """The size of the quotient closure that ``low`` fixes."""
-    return sum(j - 1 - a for j, a in low.items())
+def _closure_count(bound: Dict[int, int]) -> int:
+    """The size of the closure that ``low`` or ``reach`` fixes."""
+    return sum(abs(b - a) for a, b in bound.items()) - len(bound)
 
 
 def _is_torsion_low(low: Dict[int, int], size: int) -> bool:
     """Whether ``size`` distinct arcs with this ``low`` form a torsion class:
     quotient-closed iff they number sum(j - 1 - low[j]), every start from
     low[j] to j-2 at each end j; then extension-closed by the Ptolemy rule."""
-    if size != _quotient_count(low):
+    if size != _closure_count(low):
         return False
     for b, a in low.items():
         for d in range(a + 1, b):
@@ -311,9 +311,7 @@ def is_torsion_pair(m: int, t_part, f_part) -> bool:
     arc of F at end e, one pass each."""
     t_pairs = _segment_pairs(m, frozenset(t_part))
     f_pairs = _segment_pairs(m, frozenset(f_part))
-    if len(t_pairs) != _quotient_count(_low(t_pairs)) or len(f_pairs) != sum(
-        b - i - 1 for i, b in _reach(f_pairs).items()
-    ):
+    if len(t_pairs) != _closure_count(_low(t_pairs)) or len(f_pairs) != _closure_count(_reach(f_pairs)):
         return False
     minend = _minend(m, t_pairs)
     maxstart = [-1] * (m + 2)

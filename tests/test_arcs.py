@@ -173,6 +173,11 @@ class TestWings:
         assert [(w.start, w.end) for w in wings] == [(0, 4), (4, 7), (7, 8), (8, 10)]
         assert [w.end - w.start <= 1 for w in wings] == [False, False, True, False]
 
+    @pytest.mark.parametrize("index", ["1", 1.5, True, None, -1, 5])
+    def test_intersection_refuses_an_index_that_is_no_int_in_range(self, index):
+        with pytest.raises(ValueError, match=rf"^indices must be integers in 0\.\.4, got {re.escape(repr(index))}$"):
+            Tube(5).wing_intersection([0, index])
+
     def test_intersection_degenerate_ranks(self):
         w1 = Tube(1).wing_intersection([0])
         assert [(w.start, w.end, w.end - w.start <= 1) for w in w1] == [(0, 1, True)]

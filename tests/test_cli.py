@@ -252,6 +252,15 @@ class TestRigid:
         path.write_text(json.dumps(doc))
         assert run(["rigid", "of-pair", "--pair", str(path)])[0] == 2
 
+    def test_torsion_side_with_a_swapped_arc_exits_2(self, tmp_path):
+        # the pair of M[0,2] M[0,3] M[0,inf] with T's M[1,4] swapped for
+        # M[1,5], whose quotients M[2,5] and M[0,2] T does not list: it
+        # numbers 3 arcs of its 5-arc quotient closure
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(pair_doc(3, "ray", torsion_finite=["M[1,3]", "M[1,5]", "M[2,4]"], free_rays=[0])))
+        code, err = run_err(["rigid", "of-pair", "--pair", str(path)])
+        assert (code, err) == (2, "error: input does not validate as a torsion pair\n")
+
     @needs_alarm
     def test_all_rays_document_at_rank_200(self, tmp_path):
         # F = everything: the inverse is the 200 Prufers; the time limit

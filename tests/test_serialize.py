@@ -60,10 +60,17 @@ def test_schema_checked():
 
 def test_kind_checked():
     t2 = Tube(2)
-    doc = pair_to_doc(t2, torsion_pair_of(t2, enumerate_max_rigid(t2)[0]))
+    u = enumerate_max_rigid(t2)[0]
+    pair = torsion_pair_of(t2, u)
+    doc = pair_to_doc(t2, pair)
     doc["kind"] = "sideways"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^unknown pair kind 'sideways'$"):
         pair_from_doc(doc)
+    # refused on write too, with the reader's message
+    with pytest.raises(ValidationError, match="^unknown pair kind 'sideways'$"):
+        pair_to_doc(t2, pair._replace(kind="sideways"))
+    with pytest.raises(ValidationError, match="^unknown rigid kind 'sideways'$"):
+        rigid_to_doc(t2, u._replace(kind="sideways"))
 
 
 def test_format_desc():

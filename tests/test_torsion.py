@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from tubecalc.torsion import (
     PRUFER,
     RAY,
     MaxRigid,
+    SubcatDesc,
     TorsionPair,
     ValidationError,
     classify_kind,
@@ -108,6 +110,13 @@ class TestDescriptors:
         with pytest.raises(ValidationError):
             make_desc(t2, [t2.adic(1)], corays=[0, 1])
 
+    @pytest.mark.parametrize("index", ["1", 1.5, True, None])
+    def test_an_index_that_is_no_int_is_refused(self, index):
+        t3 = Tube(3)
+        for family in ("rays", "corays"):
+            with pytest.raises(ValidationError, match=f"must be integers, got {re.escape(repr(index))}$"):
+                make_desc(t3, **{family: [0, index]})
+
     def test_full_family_collapses_to_everything(self):
         t3 = Tube(3)
         assert make_desc(t3, rays=range(3)) == everything(t3)
@@ -185,6 +194,21 @@ class TestClosurePredicates:
         assert len(t_part.finite_objs) == 2278
         with time_limit(5):
             assert is_ext_closed(tube, t_part)
+
+    @pytest.mark.parametrize("one_sided", [IndObj(0, None), IndObj(None, 2)], ids=["prufer", "adic"])
+    @pytest.mark.parametrize(
+        "check", [is_quotient_closed, is_sub_closed, is_ext_closed, right_perp, left_perp],
+        ids=lambda f: f.__name__,
+    )
+    def test_a_listed_one_sided_arc_raises_value_error(self, check, one_sided):
+        # the descriptors list finite arcs only; the reflection refuses a
+        # one-sided arc as make_desc does, the rest as _bound does
+        t3 = Tube(3)
+        desc = SubcatDesc(frozenset([t3.finite(0, 3), one_sided]), frozenset(), frozenset())
+        reflected = check in (is_sub_closed, left_perp)
+        message = "descriptors list finite arcs only" if reflected else "one-sided arcs have no finite length"
+        with pytest.raises(ValueError, match=message):
+            check(t3, desc)
 
     def test_empty_closed_under_everything(self):
         t3 = Tube(3)

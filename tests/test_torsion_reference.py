@@ -39,6 +39,17 @@ back.  The new one reads each summand as the longest arc at its start or
 at its end, off one side of the pair.  They are compared on every pair at
 n <= 6 and its reflection, on ``raw_pairs`` and on perturbed pairs, where
 an invalid pair must raise the same error.
+
+The validator, the inverse and ``right_perp`` have one more reference,
+also copied unchanged: the ``_least_spans`` that swept a stack over the
+2n - 1 lifted anchors of ``low`` or ``reach``, and the ``is_torsion_pair``,
+``max_rigid_of`` and ``right_perp`` that read ``minend`` and ``maxstart``
+with it.  The new ``is_torsion_pair`` refuses a torsion side that does not
+number its quotient closure, then reads both sides' spans off their listed
+arcs, and ``right_perp`` off the quotient closure it builds.  They are
+compared on raw descriptors and pairs, and on every swap of one listed arc
+of either side of every pair at n <= 4 for another arc spanning at most 2n.
+Random pairs almost never hit a swap that the new quotient check refuses.
 """
 
 import math
@@ -591,6 +602,182 @@ class TestValidatorsOnArrays:
         assert outcome(tor.left_perp, tube, bad_f)[0] == "ValidationError"
 
 
+# -- the validator before it read the listed arcs ---------------------------------------
+
+
+def _least_spans_by_stack(n: int, bound, family, quotients: bool) -> Dict[int, int]:
+    """Per residue k, the least span d of an arc of the closure that
+    ``bound`` fixes (see ``_closure_side``) whose free end lies at k: the
+    end of a subobject [a, a + d] (bound = reach), or the start of a
+    quotient [a - d, a] (bound = low, ``quotients``), read with period n.
+    An anchor of the family (a ray, or a coray) has every span.  These are
+    the cyclic ``k - maxstart[k]`` and ``minend[k] - k`` of ``type_a``.
+
+    Quotients are read mirrored, a -> -a, as subobjects.  One sweep over the
+    lifted anchors a = k - 2, k increasing, keeps a stack of those that may
+    still reach a later k: the anchor on top is the latest, and one that a
+    later anchor outreaches is dropped.  A span above n + 1 is never the
+    least (the lift one period nearer is n shorter), so 2n steps cover
+    every residue.
+    """
+    sign = -1 if quotients else 1
+    longest = [0] * n  # per residue of an anchor
+    for a, b in bound.items():
+        longest[sign * a % n] = sign * (b - a)
+    for a in family:
+        longest[sign * a % n] = n + 1
+    least: Dict[int, int] = {}
+    stack: List[Tuple[int, int]] = []  # (anchor, its reach), reach decreasing upward
+    # the anchors a = k - 2 for k = 1 - n, ..., n - 1 have residues n - 1, 0, 1, ...
+    for k, m in zip(range(1 - n, n), longest[-1:] + longest + longest[:n - 2]):
+        if m >= 2:
+            a = k - 2
+            while stack and stack[-1][1] <= a + m:
+                stack.pop()
+            stack.append((a, a + m))
+        while stack and stack[-1][1] < k:
+            stack.pop()
+        if stack and k >= 0:
+            least[sign * k % n] = k - stack[-1][0]
+    return least
+
+
+def right_perp_by_stack(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
+    if desc.rays:
+        return empty_desc(tube)
+    n = tube.n
+    low = tor._bound(n, desc.finite_objs, quotients=True)
+    minend = _least_spans_by_stack(n, low, desc.corays, quotients=True)
+    reach = {s: s + d - 1 for s, d in minend.items()}
+    return tor._closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
+
+
+def left_perp_by_stack(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
+    return reflect_desc(tube, right_perp_by_stack(tube, reflect_desc(tube, desc)))
+
+
+def is_torsion_pair_by_stack(tube: Tube, pair: TorsionPair) -> bool:
+    t, f = pair.t_part, pair.f_part
+    n = tube.n
+    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < n:
+        return False
+    try:
+        if classify_kind(tube, pair) != pair.kind:
+            return False
+    except ValidationError:
+        return False
+    if t.rays:  # T^perp is 0, whose left perp is everything
+        return f == empty_desc(tube) and t == everything(tube)
+    low = tor._bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    minend = _least_spans_by_stack(n, low, t.corays, quotients=True)
+    if not minend:  # T^perp is everything, whose left perp is 0
+        return f == everything(tube) and t == empty_desc(tube)
+    full = frozenset(range(n))
+    if not tor._is_canonical(n, t.finite_objs) or f.corays or f.rays != full.difference(minend):
+        return False
+    try:
+        reach = tor._bound(n, f.finite_objs, quotients=False)
+    except ValueError:  # a one-sided arc lies in no perp
+        return False
+    if (
+        not tor._is_canonical(n, f.finite_objs)
+        or any(b - s >= minend.get(s, 0) for s, b in reach.items())
+        or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
+    ):
+        return False
+    maxstart = _least_spans_by_stack(n, reach, f.rays, quotients=False)
+    return (
+        bool(maxstart)  # else perp-F is everything, which has rays
+        and t.corays == full.difference(maxstart)
+        and low.keys() <= maxstart.keys()  # no arc ends at a coray
+        and len(t.finite_objs) == sum(maxstart.values()) - 2 * len(maxstart)
+    )
+
+
+def max_rigid_of_by_stack(tube: Tube, pair: TorsionPair) -> MaxRigid:
+    if not is_torsion_pair_by_stack(tube, pair):
+        raise ValidationError("input does not validate as a torsion pair")
+    n = tube.n
+    t, f = pair.t_part, pair.f_part
+    if pair.kind == RAY:
+        reach = tor._bound(n, f.finite_objs, quotients=False)
+        maxstart = _least_spans_by_stack(n, reach, f.rays, quotients=False)
+        arcs = list(reach.items())
+        arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
+        family, kind = [tube.prufer(i) for i in f.rays], PRUFER
+    else:
+        low = tor._bound(n, t.finite_objs, quotients=True)
+        minend = _least_spans_by_stack(n, low, t.corays, quotients=True)
+        arcs = [(a, e) for e, a in low.items()]
+        arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
+        family, kind = [tube.adic(j) for j in t.corays], ADIC
+    fins = [tor._arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift
+    return MaxRigid(frozenset(fins + family), kind)
+
+
+def assert_perps_match_the_stack(tube: Tube, desc: SubcatDesc) -> None:
+    assert outcome(tor.right_perp, tube, desc) == outcome(right_perp_by_stack, tube, desc)
+    assert outcome(tor.left_perp, tube, desc) == outcome(left_perp_by_stack, tube, desc)
+
+
+def assert_pair_matches_the_stack(tube: Tube, pair: TorsionPair):
+    """The validators and the inverse agree; the old verdict is returned."""
+    got = outcome(is_torsion_pair_by_stack, tube, pair)
+    assert outcome(tor.is_torsion_pair, tube, pair) == got, pair
+    assert outcome(tor.max_rigid_of, tube, pair) == outcome(max_rigid_of_by_stack, tube, pair), pair
+    return got
+
+
+class TestValidatorByListedArcs:
+    @settings(max_examples=500, deadline=None)
+    @given(raw_pairs())
+    def test_real_pairs_with_raw_items(self, case):
+        tube, pair = case
+        assert_pair_matches_the_stack(tube, pair)
+        for desc in pair[:2]:
+            assert_perps_match_the_stack(tube, desc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(on_one_rank(raw_family_subcats, raw_family_subcats))
+    def test_raw_descriptors_of_both_kinds(self, case):
+        n, t_part, f_part = case
+        tube = Tube(n)
+        for kind in (RAY, CORAY):
+            assert_pair_matches_the_stack(tube, TorsionPair(t_part, f_part, kind))
+        for desc in (t_part, f_part):
+            assert_perps_match_the_stack(tube, desc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, N_MAX).flatmap(lambda n: st.tuples(descriptors(n), descriptors(n))))
+    def test_canonical_descriptors(self, case):
+        (tube, t_part), (_, f_part) = case
+        for kind in (RAY, CORAY):
+            assert_pair_matches_the_stack(tube, TorsionPair(t_part, f_part, kind))
+        assert_perps_match_the_stack(tube, t_part)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_one_arc_swap(self, n):
+        """Each listed arc of either side of every pair swapped for another
+        arc spanning at most 2n, kept raw: no swap is a torsion pair."""
+        tube = Tube(n)
+        arcs = [IndObj(s, s + d) for s in range(n) for d in range(2, 2 * n + 1)]
+        swaps = 0
+        for u in rigid_objects(n):
+            pair = tor.torsion_pair_of(tube, u)
+            for k, side in enumerate(pair[:2]):
+                for x in side.finite_objs:
+                    for y in arcs:
+                        if y in side.finite_objs:
+                            continue
+                        swapped = side._replace(finite_objs=side.finite_objs - {x} | {y})
+                        sides = [pair.t_part, pair.f_part]
+                        sides[k] = swapped
+                        assert assert_pair_matches_the_stack(tube, TorsionPair(*sides, pair.kind)) is False
+                        assert_perps_match_the_stack(tube, swapped)
+                        swaps += 1
+        assert swaps == {1: 0, 2: 20, 3: 540, 4: 7216}[n]
+
+
 # -- the inverse before it read the longest arcs --------------------------------------
 
 
@@ -636,11 +823,11 @@ def max_rigid_of_by_ext_projectives(tube: Tube, pair: TorsionPair) -> MaxRigid:
     n = tube.n
     t, f = pair.t_part, pair.f_part
     if pair.kind == RAY:  # T ends at e with the spans below maxstart[e]; tau T at e - 1
-        maxstart = tor._least_spans(n, tor._bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
+        maxstart = _least_spans_by_stack(n, tor._bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
         spans = {(e - 1) % n: d for e, d in maxstart.items()}
         rays = f.rays
     else:  # F starts at s with the spans below minend[s]; reflected it ends at -s, tau T at -s - 1
-        minend = tor._least_spans(n, tor._bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
+        minend = _least_spans_by_stack(n, tor._bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
         spans = {(-s - 1) % n: d for s, d in minend.items()}
         rays = [-j % n for j in t.corays]
     u = _ext_projectives_of_low(tube, {e: e - d + 1 for e, d in spans.items()}, rays)

@@ -109,8 +109,14 @@ MUTANTS = (
         ("tests/test_torsion_reference.py::TestExtClosedByEnds::test_raw_descriptors",),
     ),
     Mutant(
-        "least-spans-skips-first-lift",
-        ((TORSION, "if stack and k >= 0:", "if stack and k > 0:"),),
+        "torsion-side-count-dropped",
+        ((TORSION, "if len(t.finite_objs) != type_a._closure_count(low) or not _is_canonical(",
+          "if not _is_canonical("),),
+        ("tests/test_cli.py::TestRigid::test_torsion_side_with_a_swapped_arc_exits_2",),
+    ),
+    Mutant(
+        "family-walk-starts-a-step-low",
+        ((TORSION, "for x in range(2 * n, 1, -1):", "for x in range(2 * n - 1, 1, -1):"),),
         ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
     ),
     Mutant(
