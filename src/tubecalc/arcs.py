@@ -207,7 +207,7 @@ class Tube:
 
 _OBJ_RE = re.compile(r"^M\[(-inf|-?[0-9]+),(inf|-?[0-9]+)\]$")
 FINITE_ARC = "M[%d,%d]"  # a finite arc is its own argument tuple
-_FINITE_RE = re.compile(r"M\[(-?[0-9]+),(-?[0-9]+)\]")  # what FINITE_ARC prints
+_FINITE_RE = re.compile(r"M\[(0|-?[1-9][0-9]*),(0|-?[1-9][0-9]*)\]")  # what FINITE_ARC prints
 
 
 def format_obj(obj: IndObj) -> str:
@@ -254,8 +254,10 @@ class _Memo(dict):
             self.held = 0
 
 
-# The names of the finite arcs format_finite has printed; the rank-8 census
-# names 56 distinct arcs 238,288 times in all.
+# The names of finite arcs, both ways: format_finite keys each printed arc
+# by the arc, and _parse_finite each name it read by the name.  The rank-8
+# census names 56 distinct arcs 238,288 times in all; the 448 seed-1
+# invert_reject documents name 370 distinct arcs 7,717 times.
 MAX_NAMES = 1 << 12
 _NAMES = _Memo(MAX_NAMES)
 
@@ -285,24 +287,43 @@ def parse_obj(tube: Tube, text: str) -> IndObj:
     return tube.normalize(*parse_endpoints(text))
 
 
-def _parse_finite(tube: Tube, strings: Iterable[str]) -> Tuple[List[IndObj], Optional[IndObj]]:
+def _parse_finite(tube: Tube, strings: List[str]) -> Tuple[List[IndObj], Optional[IndObj]]:
     """The finite arcs that :func:`parse_obj` reads off the strings, in
     their order, and the first one-sided arc among them (None if there is
-    none).  Each string is fullmatched once against the grammar that
-    ``FINITE_ARC`` prints, and a match becomes its canonical arc at once;
-    only a string that does not match goes through ``parse_obj``, so the
-    first string that fails raises the ValueError ``parse_obj`` raises."""
-    n, match = tube.n, _FINITE_RE.fullmatch
+    none).  A name read before, at any rank, is one ``_NAMES`` lookup: the
+    memo holds it as the arc with its printed ends, lifted here when its
+    start lies off 0..n-1.  Any other string is fullmatched once against
+    the grammar that ``FINITE_ARC`` prints, and a match becomes its
+    canonical arc at once and is kept, once ``_canonical`` has accepted
+    it, unless the list is longer than the memo's bound; so each key of
+    the memo is the printed name of its arc.  Only a string that does not
+    match goes through ``parse_obj``, so the first string that fails raises
+    the ValueError ``parse_obj`` raises, and names read before it are kept."""
+    n, names = tube.n, _NAMES
+    get, match = names.get, _FINITE_RE.fullmatch
     arcs: List[IndObj] = []
     one_sided = None
-    for text in strings:
-        m = match(text)
-        if m is not None:
-            arcs.append(_canonical(n, int(m[1]), int(m[2])))
-            continue
-        x = parse_obj(tube, text)
-        if x.is_finite:
+    fresh: Dict[str, IndObj] = {}
+    store = len(strings) <= names.bound  # the names of a longer list are not kept
+    try:
+        for text in strings:
+            x = get(text)
+            if x is None:
+                m = match(text)
+                if m is None:
+                    x = parse_obj(tube, text)
+                    if x.is_finite:
+                        arcs.append(x)
+                    elif one_sided is None:
+                        one_sided = x
+                    continue
+                s, e = int(m[1]), int(m[2])
+                x = _canonical(n, s, e)
+                if store:
+                    fresh[text] = x if x[0] == s else tuple.__new__(IndObj, (s, e))
+            elif not 0 <= x[0] < n:
+                x = _canonical(n, *x)
             arcs.append(x)
-        elif one_sided is None:
-            one_sided = x
+    finally:
+        names.keep(fresh)
     return arcs, one_sided

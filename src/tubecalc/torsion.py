@@ -309,13 +309,16 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     every span below ``minend[s]``, the least span of such a quotient.  The
     quotients of the members ending at residue j are [i, j] for
     low[j] <= i <= j-2, every arc ending at j for a coray j, and every
-    simple for a ray, so a ray leaves nothing.  It costs O(n) and the size
-    of the quotient closure, which it builds first.
+    simple for a ray, so a ray leaves nothing.  A quotient spanning more
+    than n + 1 is never the least at its start, since the one n shorter
+    is a quotient too, so the closure built first stops at span n + 1:
+    it costs O(n^2) beyond reading the listed arcs, whatever their length.
     """
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    closure = _closure_side(tube, _bound(n, desc.finite_objs, quotients=True), quotients=True)
+    low = {r: max(a, r - n - 1) for r, a in _bound(n, desc.finite_objs, quotients=True).items()}
+    closure = _closure_side(tube, low, quotients=True)
     minend = _least_spans(n, closure.finite_objs, desc.corays, quotients=True)
     reach = {s: s + d - 1 for s, d in minend.items()}
     return _closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))

@@ -401,3 +401,28 @@ class TestNames:
         too_many = [IndObj(s, s + 3) for s in range(bound + 1)]
         assert format_finite(too_many) == old_format_finite(too_many)
         assert len(arcs_mod._NAMES) <= bound
+
+    def test_printing_and_reading_share_the_bound(self):
+        """Names printed and names read are kept in one memo, which never
+        passes ``MAX_NAMES``; a name read at one rank is read again at
+        another, lifted."""
+        bound, ranks = arcs_mod.MAX_NAMES, [Tube(5), Tube(7)]
+        for start in range(-bound, 2 * bound, 500):
+            batch = [IndObj(s, s + 2 + s % 4) for s in range(start, start + 500)]
+            names = format_finite(batch)
+            for tube in ranks:
+                want = [arcs_mod.parse_obj(tube, name) for name in names]
+                assert arcs_mod._parse_finite(tube, names) == (want, None)
+                assert len(arcs_mod._NAMES) <= bound
+        for key, value in arcs_mod._NAMES.items():
+            assert value == (FINITE_ARC % key if isinstance(key, tuple) else IndObj(*arcs_mod.parse_endpoints(key)))
+
+    def test_a_document_past_the_bound_reads_as_before(self):
+        bound, tube = arcs_mod.MAX_NAMES, Tube(5)
+        names = [FINITE_ARC % (s, s + d) for s in range(-5, 5) for d in range(2, 2 + (bound + 9) // 10)]
+        assert len(set(names)) > bound
+        want = [arcs_mod.parse_obj(tube, name) for name in names]
+        assert arcs_mod._parse_finite(tube, names[:100]) == (want[:100], None)
+        for _ in range(2):  # the first 100 names held, then none of the rest
+            assert arcs_mod._parse_finite(tube, names) == (want, None)
+            assert len(arcs_mod._NAMES) <= bound

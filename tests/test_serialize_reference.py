@@ -3,9 +3,13 @@
 The reference below is the old code, copied unchanged: every string of a
 ``finite`` list goes through ``parse_obj`` (strip, one regex, ``normalize``),
 and ``make_desc`` then checks and normalizes each arc a second time.  The
-new reader fullmatches each string against the finite-arc grammar once and
-builds its canonical arc from the integer pair, and only a string that does
-not match goes through ``parse_obj``.  Hypothesis draws arbitrary strings
+new reader looks each string up in the names memo first, which holds every
+valid name read before as the arc with its printed ends, lifted on a hit
+to the rank at hand.  A miss is fullmatched against the finite-arc grammar
+once and its canonical arc built from the integer pair, and only a string
+that does not match goes through ``parse_obj``.  Each document is read
+twice, with the memo cold and then warm, and lists of names are read at
+two or three ranks in turn with one memo.  Hypothesis draws arbitrary strings
 around the grammar: surrounding whitespace, non-ASCII digits, ``+`` signs,
 leading zeros, ``inf``/``-inf`` ends, e < s+2, huge integers, duplicates and
 lifts off 0..n-1.  Each document must give the same pair or the same
@@ -19,6 +23,8 @@ which ``pair_from_doc`` now makes inline for pair kinds.
 """
 
 import re
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -191,6 +197,21 @@ def doc_of(n, t_finite=(), corays=(), f_finite=(), rays=(), kind=RAY):
     }
 
 
+def cold_names():
+    """The names memo replaced by an empty one of the same bound."""
+    return mock.patch.object(arcs, "_NAMES", arcs._Memo(arcs.MAX_NAMES))
+
+
+def assert_names_sound():
+    """Each name the memo holds is the printed name of its arc, and each
+    arc it holds maps to its printed name."""
+    for key, value in arcs._NAMES.items():
+        if isinstance(key, str):
+            assert type(value) is arcs.IndObj and arcs.FINITE_ARC % value == key
+        else:
+            assert value == arcs.FINITE_ARC % key
+
+
 HUGE = "1" * 5000  # past int()'s default digit limit: a ValueError of its own
 
 
@@ -211,7 +232,41 @@ class TestPairDocuments:
     @example(doc_of(3, [f"M[-{HUGE},0]"]))
     @example(doc_of(4, ["M[-9,-2]", "M[7,10]", "M[3,6]"], [0], kind=CORAY))
     def test_same_pair_or_same_message(self, doc):
-        assert outcome(pair_from_doc, doc) == expected(doc)
+        want = expected(doc)
+        with cold_names():
+            assert outcome(pair_from_doc, doc) == want  # the memo cold
+            assert outcome(pair_from_doc, doc) == want  # warm, with the names just read
+            assert_names_sound()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=2, max_size=3), finite_lists(), finite_lists())
+    @example([10, 8], ["M[9,12]", "M[-3,0]"], ["M[10,13]"])
+    def test_names_read_at_one_rank_then_another(self, ranks, t_finite, f_finite):
+        """One memo serves every rank: a name stored at one rank is lifted
+        at the next."""
+        with cold_names():
+            for n in ranks:
+                doc = doc_of(n, t_finite, [], f_finite)
+                assert outcome(pair_from_doc, doc) == expected(doc)
+            assert_names_sound()
+
+    def test_a_name_stored_at_one_rank_is_lifted_at_another(self):
+        with cold_names() as names:
+            assert arcs._parse_finite(Tube(10), ["M[9,12]"]) == ([(9, 12)], None)
+            assert names["M[9,12]"] == (9, 12)
+            assert arcs._parse_finite(Tube(8), ["M[9,12]"]) == ([(1, 4)], None)
+            tube, pair = pair_from_doc(doc_of(8, ["M[9,12]"], [], ["M[3,5]", "M[9,12]"]))
+            assert pair.t_part.finite_objs == {(1, 4)} and pair.f_part.finite_objs == {(3, 5), (1, 4)}
+
+    @pytest.mark.parametrize("name", ["M[2,1]", f"M[0,{HUGE}]"], ids=["short", "huge"])
+    def test_a_refused_name_is_refused_again(self, name):
+        doc = doc_of(3, ["M[0,3]", name])
+        with cold_names() as names:
+            first = outcome(pair_from_doc, doc)
+            assert first == expected(doc) and first.startswith("key 'torsion.finite': ")
+            assert outcome(pair_from_doc, doc) == first
+            assert name not in names
+            assert_names_sound()
 
     def test_the_one_sided_message_names_the_key(self):
         for side, doc in (
@@ -222,17 +277,25 @@ class TestPairDocuments:
             assert outcome(pair_from_doc, doc) == f"key '{side}.finite': " + ONE_SIDED + doc[side]["finite"][-1]
 
     def test_each_string_is_read_once(self, monkeypatch):
-        """A string in the grammar that ``format_obj`` prints goes through
-        neither ``parse_obj`` nor ``Tube.normalize``; any other string goes
-        through ``parse_obj``, and so ``normalize``, once."""
-        parsed, normalized = [], []
-        real_parse, real_normalize = arcs.parse_obj, Tube.normalize
+        """A string that misses the names memo is fullmatched once against
+        the grammar that ``format_obj`` prints, and only one that does not
+        match goes through ``parse_obj``, and so ``normalize``, once; a
+        name the memo holds runs neither."""
+        parsed, normalized, matched = [], [], []
+        real_parse, real_normalize, real_match = arcs.parse_obj, Tube.normalize, arcs._FINITE_RE.fullmatch
         monkeypatch.setattr(arcs, "parse_obj", lambda tube, text: parsed.append(text) or real_parse(tube, text))
         monkeypatch.setattr(Tube, "normalize", lambda *a: normalized.append(a[1:]) or real_normalize(*a))
+        monkeypatch.setattr(arcs, "_FINITE_RE", SimpleNamespace(
+            fullmatch=lambda text: matched.append(text) or real_match(text)))
         doc = doc_of(3, ["M[1,4]", " M[4,8]", "M[-2,1]", "M[1,4]"], [], ["M[2,4]"], [0, 2])
-        tube, pair = pair_from_doc(doc)
-        assert parsed == [" M[4,8]"] and normalized == [(4, 8)]
-        assert pair.t_part.finite_objs == {(1, 4), (1, 5)} and not pair.f_part.finite_objs
+        with cold_names():
+            tube, pair = pair_from_doc(doc)
+            assert matched == doc["torsion"]["finite"] + ["M[2,4]"]
+            assert parsed == [" M[4,8]"] and normalized == [(4, 8)]
+            assert pair.t_part.finite_objs == {(1, 4), (1, 5)} and not pair.f_part.finite_objs
+            del matched[:], parsed[:], normalized[:]
+            assert pair_from_doc(doc)[1] == pair
+            assert matched == parsed == [" M[4,8]"] and normalized == [(4, 8)]
 
 
 @st.composite

@@ -234,6 +234,17 @@ class TestPerps:
         assert right_perp(t2, t_part) == f_part
         assert left_perp(t2, f_part) == t_part
 
+    @needs_alarm
+    def test_a_long_arc_answers_in_bounded_time(self):
+        # the perps read quotients and subobjects up to span n + 1 only, so
+        # [0, 200000] has the perps of [0, 5], which ends at the same residue
+        t3 = Tube(3)
+        long_arc, short_arc = make_desc(t3, [IndObj(0, 200000)]), make_desc(t3, [IndObj(0, 5)])
+        with time_limit(2):
+            assert right_perp(t3, long_arc) == right_perp(t3, short_arc)
+            assert left_perp(t3, long_arc) == left_perp(t3, short_arc)
+        assert all(len(row) <= t3.n for rows in t3._fans for row in rows.values())
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_mutual_perp_on_enumerated_pairs(self, n):
         tube = Tube(n)

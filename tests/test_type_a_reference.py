@@ -650,14 +650,21 @@ def arc_table_case():
 
 
 def names_case():
-    """Batches of 5 arcs that no batch before named, each thread its own."""
+    """Batches of 5 arcs that no batch before named, each thread its own,
+    printed and then read back at rank 7."""
+    tube = Tube(7)
 
     def work(k):
         for r in range(3000):
             batch = [IndObj(s, s + 2) for s in range(20 * r + 5 * k, 20 * r + 5 * k + 5)]
-            yield arcs_mod.format_finite(batch) == [FINITE_ARC % x for x in batch]
+            names = arcs_mod.format_finite(batch)
+            yield names == [FINITE_ARC % x for x in batch]
+            yield arcs_mod._parse_finite(tube, names) == ([tube.normalize(*x) for x in batch], None)
 
-    return arcs_mod, "_NAMES", 24, len, work, FINITE_ARC.__mod__
+    def fresh(key):
+        return FINITE_ARC % key if isinstance(key, tuple) else IndObj(*arcs_mod.parse_endpoints(key))
+
+    return arcs_mod, "_NAMES", 24, len, work, fresh
 
 
 def annulus_case():

@@ -55,6 +55,7 @@ ARC_TESTS = "tests/test_type_a_reference.py::"
 ORACLE = "src/tubecalc/oracle.py"
 SPARSE_TESTS = "tests/test_oracle_sparse_reference.py::TestEveryArcPair"
 BOUND_TESTS = "tests/test_cli.py::TestEnumerationBounds::test_above_the_bound_exits_1_before_writing"
+NAMES_TESTS = "tests/test_serialize_reference.py::TestPairDocuments"
 
 MUTANTS = (
     Mutant(
@@ -157,6 +158,22 @@ MUTANTS = (
         ((TYPE_A, "            return self.i == other.i and self.j == other.j\n        return NotImplemented",
           "            return self.i == other.i and self.j == other.j\n        return (self.i, self.j) == other"),),
         (f"{ARC_TESTS}TestArcValue::test_unequal_to_tuples_and_tube_arcs",),
+    ),
+    Mutant(
+        "names-memo-skips-lift",
+        ((ARCS, "            elif not 0 <= x[0] < n:\n                x = _canonical(n, *x)\n", ""),),
+        (f"{NAMES_TESTS}::test_a_name_stored_at_one_rank_is_lifted_at_another",),
+    ),
+    Mutant(
+        "names-memo-stores-refused-name",
+        ((ARCS,
+          "                x = _canonical(n, s, e)\n"
+          "                if store:\n"
+          "                    fresh[text] = x if x[0] == s else tuple.__new__(IndObj, (s, e))\n",
+          "                if store:\n"
+          "                    fresh[text] = tuple.__new__(IndObj, (s, e))\n"
+          "                x = _canonical(n, s, e)\n"),),
+        (f"{NAMES_TESTS}::test_a_refused_name_is_refused_again",),
     ),
     Mutant(
         "arc-table-keeps-entries-past-its-bound",
