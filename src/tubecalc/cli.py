@@ -14,10 +14,11 @@ import re
 import sys
 from typing import Iterable, List, Optional
 
-from .arcs import Tube, format_obj, parse_endpoints, parse_obj, sort_key
+from .arcs import Tube, parse_endpoints, parse_obj
 from .homs import InfinitePairError, ext_dim, hom_dim
 from .serialize import (
     SCHEMA,
+    _summand_names,
     format_desc,
     pair_from_doc,
     pair_to_doc,
@@ -124,8 +125,7 @@ def cmd_pairs_enumerate(args) -> int:
 
 
 def _rigid_line(rigid: MaxRigid) -> str:
-    names = " ".join(format_obj(x) for x in sorted(rigid.summands, key=sort_key))
-    return f"{rigid.kind}: {names}"
+    return f"{rigid.kind}: {' '.join(_summand_names(rigid.summands))}"
 
 
 def cmd_rigid_enumerate(args) -> int:

@@ -26,6 +26,13 @@ and after the points.  The memo is an ``arcs._Memo`` of at most
 drawn but not kept.  Cover and segment paths depend on the drawing's ends
 as well, and are printed and checked each time.
 
+Every mode assembles its drawing the same way (``_svg``): one flat list of
+the head, the frame, and per arc the style's strings around its points,
+joined once, so no piece is copied before the join and the drawing is not
+copied after it.  Each style string starts its element on a new line.  The
+head of an annulus drawing, which is always 480 by 480, is printed once,
+at import; a line drawing's head holds its width and is printed each time.
+
 Bounds, checked before any work (``ValueError``): ``MAX_POINTS`` marked and
 sampled points per drawing; ``MAX_CELLS`` nodes and ``MAX_CHARS`` characters
 per AR quiver.
@@ -111,36 +118,48 @@ def _arrowhead(xs, ys) -> str:
     return _coords((x1, bx - 4 * uy, bx + 4 * uy), (y1, by + 4 * ux, by - 4 * ux), " ")
 
 
-# per style: what goes before and after the printed points of a path, then of an arrowhead
+# per style: what goes before and after the printed points of a path, then
+# of an arrowhead; each element starts on a line of its own
 _STYLE_ENDS = {
     style: (
-        f'<path class="arc {style}" d="M ',
+        f'\n<path class="arc {style}" d="M ',
         f'" fill="none" stroke="{color}" stroke-width="1.5"'
         + (' stroke-dasharray="6 3"' if style in DASHED_STYLES else "") + "/>",
-        f'<polygon class="arrow {style}" points="',
+        f'\n<polygon class="arrow {style}" points="',
         f'" fill="{color}"/>',
     )
     for style, color in STYLE_COLOR.items()
 }
 
 
-def _draw(body: List[str], style: str, d: str, arrow: str) -> None:
-    """Append the path through the printed points d and, if arrow is not
-    empty, the arrowhead through its printed points."""
-    path_open, path_close, arrow_open, arrow_close = _STYLE_ENDS[style]
-    body.append(path_open + d + path_close)
-    if arrow:
-        body.append(arrow_open + arrow + arrow_close)
-
-
-def _svg(width: float, height: float, body: List[str]) -> str:
-    head = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+def _head(width: float, height: float) -> str:
+    """The XML declaration and the opening svg tag, each on a line."""
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-    ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+    )
+
+
+_ANNULUS_HEAD = _head(480, 480)  # every annulus drawing has this size
+
+
+def _svg(head: str, frame: str, arcs, pieces) -> str:
+    """The drawing: the head, the frame, then per (arc, style) of arcs and
+    piece (count, d, arrow) of pieces, the path through the printed points d
+    and, if arrow is not empty, the arrowhead through its printed points;
+    every part is joined once."""
+    parts = [head, frame]
+    add = parts.extend
+    for (_, style), (_, d, arrow) in zip(arcs, pieces):
+        path_open, path_close, arrow_open, arrow_close = _STYLE_ENDS[style]
+        if arrow:
+            add((path_open, d, path_close, arrow_open, arrow, arrow_close))
+        else:
+            add((path_open, d, path_close))
+    parts.append("\n</svg>\n")
+    return "".join(parts)
 
 
 # -- annulus mode ---------------------------------------------------------------
@@ -175,11 +194,10 @@ def _annulus_svg(n: int, arcs) -> str:
         _samples(True, obj) + 1 if piece is None else piece[0]
         for (obj, _), piece in zip(arcs, pieces)
     ))
-    body = [(frame or _frame(n))[1]]
-    for (obj, style), piece in zip(arcs, pieces):
-        _, d, arrow = piece or _annulus_path(n, obj)
-        _draw(body, style, d, arrow)
-    return _svg(480, 480, body)
+    frame = frame or _frame(n)
+    if missed:
+        pieces = [piece or _annulus_path(n, obj) for (obj, _), piece in zip(arcs, pieces)]
+    return _svg(_ANNULUS_HEAD, frame[1], arcs, pieces)
 
 
 def _frame(n: int) -> Tuple[int, str, str]:
@@ -236,21 +254,23 @@ _BASE = 200.0
 _MARGIN = 30.0
 
 
-def _line_body(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
+def _line_svg(lo: int, hi: int, arcs) -> str:
+    """The drawing of the sorted arcs over the marked points lo..hi of a line."""
     def xpos(i: float) -> float:
         return _MARGIN + (i - lo) * _UNIT
 
     width = _MARGIN * 2 + (hi - lo) * _UNIT
-    body = [
+    lines = [
         f'<line x1="{_fmt(xpos(lo))}" y1="{_fmt(_BASE)}" '
         f'x2="{_fmt(xpos(hi))}" y2="{_fmt(_BASE)}" stroke="#888888" stroke-width="1"/>'
     ]
     for k in range(lo, hi + 1):
         x = _fmt(xpos(k))
-        body += [
+        lines += [
             f'<circle cx="{x}" cy="{_fmt(_BASE)}" r="3" fill="#000000"/>',
             f'<text x="{x}" y="{_fmt(_BASE + 18)}" font-size="12" text-anchor="middle">{k}</text>',
         ]
+    pieces = []
     for obj, style in arcs:
         i, j = _ends(obj)
         if i is None:  # adic
@@ -263,8 +283,8 @@ def _line_body(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
         xs = [x0 + (x1 - x0) * u for u in us]
         ys = [_BASE - height * v for v in bulge]
         arrow = _arrowhead(xs, ys) if i is None or j is None else ""
-        _draw(body, style, _coords(xs, ys, " L "), arrow)
-    return body, width
+        pieces.append((len(us), _coords(xs, ys, " L "), arrow))
+    return _svg(_head(width, 280), "\n".join(lines), arcs, pieces)
 
 
 def render_svg(spec: RenderSpec) -> str:
@@ -291,8 +311,7 @@ def render_svg(spec: RenderSpec) -> str:
     else:
         raise ValueError(f"unknown render mode {spec.mode!r}")
     _check_points(hi - lo + 1 + sum(_samples(False, obj) + 1 for obj, _ in arcs))
-    body, width = _line_body(lo, hi, arcs)
-    return _svg(width, 280, body)
+    return _line_svg(lo, hi, arcs)
 
 
 def _check_points(points: int) -> None:

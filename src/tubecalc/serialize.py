@@ -3,9 +3,10 @@ documents only written."""
 
 from __future__ import annotations
 
-from typing import Tuple
+from operator import itemgetter
+from typing import List, Tuple
 
-from .arcs import Tube, _parse_finite, format_finite, format_obj, sort_key
+from .arcs import Tube, _parse_finite, format_finite, format_obj
 from .torsion import (
     ADIC,
     CORAY,
@@ -108,6 +109,24 @@ def pair_from_doc(doc: dict) -> Tuple[Tube, TorsionPair]:
     return tube, TorsionPair(t_part, f_part, kind)
 
 
+def _summand_names(summands) -> List[str]:
+    """The summands as ``format_obj`` prints them, in ``sort_key`` order:
+    the finite arcs as ``format_finite`` prints and sorts them, then the
+    Prufers by start, then the adics by end."""
+    fins, prufers, adics = [], [], []
+    for x in summands:
+        if x[1] is None:
+            prufers.append(x)
+        elif x[0] is None:
+            adics.append(x)
+        else:
+            fins.append(x)
+    names = format_finite(fins)
+    names += map(format_obj, sorted(prufers))
+    names += map(format_obj, sorted(adics, key=itemgetter(1)))
+    return names
+
+
 def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
     if rigid.kind not in (PRUFER, ADIC):
         raise ValidationError(f"unknown rigid kind {rigid.kind!r}")
@@ -115,9 +134,7 @@ def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
         "schema": SCHEMA,
         "rank": tube.n,
         "kind": rigid.kind,
-        "summands": [
-            format_obj(x) for x in sorted(rigid.summands, key=sort_key)
-        ],
+        "summands": _summand_names(rigid.summands),
     }
 
 

@@ -26,10 +26,13 @@ is a subobject of y.  So the right perp of a subcategory holds, per start
 s, every span below its cyclic ``minend[s]`` (the least span of a member's
 quotient starting at s), and the left perp, per end e, every span below
 its cyclic ``maxstart[e]`` (the least gap from a member's start to e),
-each read in one pass off a side that lists its closure (``_least_spans``).
+each read off a side that lists its closure.  ``_read_side`` reads a side's
+listed arcs once, for its ``low`` or ``reach``, its least spans and whether
+it is canonical; ``_family_walk`` then adds what its rays or corays imply.
 ``is_torsion_pair`` is the segment's rule read with period n: it refuses a
 T that does not number its quotient closure, then checks Hom(T, F) = 0 off
-T's ``minend`` and two count identities, with no perp descriptor built.
+T's ``minend`` and two count identities, with no perp descriptor built; it
+reads each side once.
 
 The bijection: a Prufer-type maximal rigid object U yields the pair
 (tau^{-1} of the left-shortening closure of its finite part, right
@@ -62,7 +65,7 @@ The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So some mirror
 -side constructions are derived rather than written out: ``is_sub_closed``
 is ``is_quotient_closed`` of the reflection, and ``left_perp`` is the
-reflected ``right_perp``.  ``_least_spans`` keys a quotient by its start
+reflected ``right_perp``.  ``_read_side`` keys a quotient by its start
 and a subobject by its end, since ``is_torsion_pair`` and ``max_rigid_of``
 read T's ``minend`` and F's ``maxstart`` with no reflected descriptor.
 
@@ -180,31 +183,51 @@ def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:
     return sorted(desc.finite_objs.union(short), key=sort_key)
 
 
-def _bound(n: int, objs, quotients: bool) -> Dict[int, int]:
-    """``type_a``'s ``low`` (``quotients``) or ``reach`` of finite arcs,
-    each arc read on its anchored lift: the one that ends at residue r for
-    ``low[r]``, the one that starts at residue s for ``reach[s]``."""
+def _read_side(n: int, arcs, quotients: bool) -> Tuple[Dict[int, int], Dict[int, int], bool]:
+    """One pass over a side's listed finite arcs, for three facts.
+
+    - The bound: ``type_a``'s ``low`` (``quotients``) or ``reach`` of the
+      arcs, each read on its anchored lift: the one that ends at residue r
+      for ``low[r]``, the one that starts at residue s for ``reach[s]``.
+    - Per residue k, the least span of a listed arc starting at k
+      (``quotients``) or ending at k: on a side that lists its closure, the
+      cyclic ``minend[k] - k`` or ``k - maxstart[k]`` of ``type_a``, once
+      ``_family_walk`` has added what a family implies.
+    - Whether every arc is canonical: it starts in 0..n-1 and spans 2 or more.
+
+    A one-sided arc raises ValueError, wherever it is listed."""
+    pairs: List[Tuple[int, int]] = []
+    least: Dict[int, int] = {}
+    canonical = True
     try:
         if quotients:
-            return type_a._low([(e % n - e + s, e % n) for s, e in objs])
-        return type_a._reach([(s % n, e - s + s % n) for s, e in objs])
+            for s, e in arcs:
+                d, k, r = e - s, s % n, e % n
+                pairs.append((r - d, r))
+                if least.get(k, d + 1) > d:
+                    least[k] = d
+                if s != k or d < 2:
+                    canonical = False
+        else:
+            for s, e in arcs:
+                d, k, a = e - s, e % n, s % n
+                pairs.append((a, a + d))
+                if least.get(k, d + 1) > d:
+                    least[k] = d
+                if s != a or d < 2:
+                    canonical = False
     except TypeError:  # a None endpoint
         raise ValueError("one-sided arcs have no finite length") from None
+    return (type_a._low if quotients else type_a._reach)(pairs), least, canonical
 
 
-def _least_spans(n: int, arcs, family, quotients: bool) -> Dict[int, int]:
-    """Per residue k, the least span of a listed arc, or of one that the
-    family implies, starting at k (``quotients``, corays) or ending at k
-    (rays): on a side that lists its closure, the cyclic ``minend[k] - k``
-    or ``k - maxstart[k]`` of ``type_a``.  A family adds a walk down
-    x = 2n, ..., 2 that keeps the nearest anchor at or above x, mirrored for
-    rays: the least quotient at k of the coray at j ends at the first lift
-    of j from x = k + 2 on, which lies among the n positions from x."""
-    least: Dict[int, int] = {}
-    for s, e in arcs:
-        k = (s if quotients else e) % n
-        if least.get(k, e - s + 1) > e - s:
-            least[k] = e - s
+def _family_walk(n: int, least: Dict[int, int], family, quotients: bool) -> Dict[int, int]:
+    """``least`` of ``_read_side``, lowered where a family implies a shorter
+    arc: the coray j (``quotients``) has a quotient at every start, and the
+    ray i a subobject at every end.  A walk down x = 2n, ..., 2 keeps the
+    nearest anchor at or above x, mirrored for rays: the least quotient at
+    k of the coray at j ends at the first lift of j from x = k + 2 on,
+    which lies among the n positions from x."""
     if family:
         sign = 1 if quotients else -1
         anchors = {sign * a % n for a in family}
@@ -213,8 +236,9 @@ def _least_spans(n: int, arcs, family, quotients: bool) -> Dict[int, int]:
             if x % n in anchors:
                 near = x
             if x <= n + 1:
-                k = sign * (x - 2) % n
-                least[k] = min(least.get(k, n + 2), near - x + 2)
+                k, d = sign * (x - 2) % n, near - x + 2
+                if least.get(k, d + 1) > d:
+                    least[k] = d
     return least
 
 
@@ -254,7 +278,7 @@ def is_quotient_closed(tube: Tube, desc: SubcatDesc) -> bool:
     if desc.rays:
         return desc == everything(tube)
     n, corays = tube.n, desc.corays
-    low = _bound(n, desc.finite_objs, quotients=True)  # a ValueError for a one-sided arc
+    low = _read_side(n, desc.finite_objs, quotients=True)[0]  # a ValueError for a one-sided arc
     listed = sum(e % n not in corays for _, e in desc.finite_objs)
     return listed == type_a._closure_count({r: a for r, a in low.items() if r not in corays})
 
@@ -317,9 +341,10 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    low = {r: max(a, r - n - 1) for r, a in _bound(n, desc.finite_objs, quotients=True).items()}
+    low = {r: max(a, r - n - 1) for r, a in _read_side(n, desc.finite_objs, quotients=True)[0].items()}
     closure = _closure_side(tube, low, quotients=True)
-    minend = _least_spans(n, closure.finite_objs, desc.corays, quotients=True)
+    _, minend, _ = _read_side(n, closure.finite_objs, quotients=True)
+    minend = _family_walk(n, minend, desc.corays, quotients=True)
     reach = {s: s + d - 1 for s, d in minend.items()}
     return _closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
 
@@ -340,11 +365,6 @@ def classify_kind(tube: Tube, pair: TorsionPair) -> str:
     if t_inf == f_inf:
         raise ValidationError("exactly one side of a torsion pair is of infinite type")
     return CORAY if t_inf else RAY
-
-
-def _is_canonical(n: int, objs) -> bool:
-    """Whether each finite arc starts in 0..n-1 and spans 2 or more."""
-    return all(0 <= s < n and s + 2 <= e for s, e in objs)
 
 
 def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
@@ -374,26 +394,26 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
         return False
     if t.rays:  # T^perp is 0, whose left perp is everything
         return f == empty_desc(tube) and t == everything(tube)
-    low = _bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
-    if len(t.finite_objs) != type_a._closure_count(low) or not _is_canonical(n, t.finite_objs):
+    low, minend, canonical = _read_side(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    if len(t.finite_objs) != type_a._closure_count(low) or not canonical:
         return False
-    minend = _least_spans(n, t.finite_objs, t.corays, quotients=True)
+    minend = _family_walk(n, minend, t.corays, quotients=True)
     if not minend:  # T is 0, whose right perp is everything
         return f == everything(tube)
     full = frozenset(range(n))
     if f.corays or f.rays != full.difference(minend):
         return False
     try:
-        reach = _bound(n, f.finite_objs, quotients=False)
+        reach, maxstart, canonical = _read_side(n, f.finite_objs, quotients=False)
     except ValueError:  # a one-sided arc lies in no perp
         return False
     if (
-        not _is_canonical(n, f.finite_objs)
+        not canonical
         or any(b - s >= minend.get(s, 0) for s, b in reach.items())
         or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
     ):
         return False
-    maxstart = _least_spans(n, f.finite_objs, f.rays, quotients=False)
+    maxstart = _family_walk(n, maxstart, f.rays, quotients=False)
     return (
         bool(maxstart)  # else perp-F is everything, which has rays
         and t.corays == full.difference(maxstart)
@@ -518,7 +538,7 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     """
     n = tube.n
     prufers, adics, subs, quots = [], [], [], []
-    for x in rigid.summands:  # one pass: the anchored lifts of _bound
+    for x in rigid.summands:  # one pass: the anchored lifts of _read_side
         s, e = x
         if e is None:
             prufers.append(x)
@@ -573,21 +593,25 @@ def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
     is the mirror, off T: the adics at T's corays, the longest arc
     [low[e], e] of T at each end, and tau^{-1} of F's longest arc at each
     start s, [s + 1, s + d] for T's cyclic ``minend`` span d at s, since
-    F = T^perp.
+    F = T^perp.  Once the pair is validated, that side is read once
+    (``_read_side``), and each summand is built on its canonical lift, the
+    one-sided ones at the validated residues.
     """
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
     n = tube.n
     t, f = pair.t_part, pair.f_part
     if pair.kind == RAY:
-        maxstart = _least_spans(n, f.finite_objs, f.rays, quotients=False)
-        arcs = list(_bound(n, f.finite_objs, quotients=False).items())
+        reach, maxstart, _ = _read_side(n, f.finite_objs, quotients=False)
+        maxstart = _family_walk(n, maxstart, f.rays, quotients=False)
+        arcs = list(reach.items())
         arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
-        family, kind = [tube.prufer(i) for i in f.rays], PRUFER
+        family, kind = [_arc(IndObj, (i % n, None)) for i in f.rays], PRUFER
     else:
-        minend = _least_spans(n, t.finite_objs, t.corays, quotients=True)
-        arcs = [(a, e) for e, a in _bound(n, t.finite_objs, quotients=True).items()]
+        low, minend, _ = _read_side(n, t.finite_objs, quotients=True)
+        minend = _family_walk(n, minend, t.corays, quotients=True)
+        arcs = [(a, e) for e, a in low.items()]
         arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
-        family, kind = [tube.adic(j) for j in t.corays], ADIC
+        family, kind = [_arc(IndObj, (None, j % n)) for j in t.corays], ADIC
     fins = [_arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift
     return MaxRigid(frozenset(fins + family), kind)

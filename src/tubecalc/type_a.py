@@ -28,7 +28,7 @@ one starting at residue s for ``reach[s]``, ending at r for ``low[r]``).
 - ``minend[s] = min{t.j : t.i <= s <= t.j-2}`` and ``maxstart[e] =
   max{f.i : f.i+2 <= e <= f.j}`` bound the perps; the tube reads both as
   cyclic spans, ``minend[s] - s`` and ``e - maxstart[e]``, off the arcs of
-  a side that numbers its closure, with ``torsion._least_spans``.
+  a side that numbers its closure, with ``torsion._read_side``.
 
 Three rules follow, each exact:
 

@@ -1,9 +1,11 @@
 """Every statement of the bijection's functions runs at least K times on
 the inputs the property tests draw.
 
-``torsion.max_rigid_of``, ``torsion.is_torsion_pair``,
-``torsion.torsion_pair_of``, ``torsion.is_ext_closed`` and
-``type_a.tilting_of_torsion_pair`` run under ``sys.settrace`` on:
+``torsion.max_rigid_of``, ``torsion.is_torsion_pair``, the reader of a
+side and the family walk they share (``torsion._read_side`` and
+``torsion._family_walk``), ``torsion.torsion_pair_of``,
+``torsion.is_ext_closed`` and ``type_a.tilting_of_torsion_pair`` run under
+``sys.settrace`` on:
 
 - every maximal rigid object at n <= 5, of both kinds, and its pair,
   each side of which is also checked by ``is_ext_closed``;
@@ -26,6 +28,9 @@ seeds): ``is_torsion_pair`` refusing a one-sided arc in F, and
 ``torsion_pair_of`` refusing a summand of the other family.  Each is now
 an edit kind of its own in ``raw_pairs`` and ``rigid_values``, drawn one
 time in six, and runs 41-93 times in 500 draws under each of 8 seeds.
+The reader's one-sided refusal runs 136 times, and its non-canonical flag
+76 times on quotients and 44 on subobjects, on the draws of hypothesis
+6.155.2, with no edit kind of their own.
 
 The tracer is the standard library's.  The draws come from the property
 tests' own strategies, so this module is skipped where hypothesis is not
@@ -53,6 +58,8 @@ DRAWS = 500  # derandomized draws per strategy
 FUNCTIONS = (
     torsion.max_rigid_of,
     torsion.is_torsion_pair,
+    torsion._read_side,
+    torsion._family_walk,
     torsion.torsion_pair_of,
     torsion.is_ext_closed,
     type_a.tilting_of_torsion_pair,

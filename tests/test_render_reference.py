@@ -10,6 +10,14 @@ warm and right after it starts again, against the reference and against a
 pinned SHA-256, and its refusals are checked with the rank's arcs already
 held; those tests need only the standard library, so they run where
 hypothesis is not installed, and the property tests skip.
+
+The assembly has a reference of its own, also copied unchanged: each
+element was concatenated from its style strings and points (``_draw``),
+the elements were joined with newlines under a head printed per drawing,
+and a newline was added to the whole (``_svg``).  Now every mode gathers
+one flat list and joins it once, under an annulus head printed at import.
+Both assemble the library's pieces here, so they are compared in all three
+modes, with the memo cold and warm.
 """
 
 import contextlib
@@ -542,11 +550,13 @@ def _full_coords(xs, ys, sep: str) -> str:
 @contextlib.contextmanager
 def full_precision():
     """Both renderers print every number as repr(float); the path memo is
-    emptied on entry and on exit, so that no path printed at one precision
-    is drawn at the other."""
+    emptied on entry and on exit, and the annulus head, printed once at
+    import, is printed again, so that no piece printed at one precision is
+    drawn at the other."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(render, "_fmt", _full)
         mp.setattr(render, "_coords", _full_coords)
+        mp.setattr(render, "_ANNULUS_HEAD", render._head(480, 480))
         mp.setattr(sys.modules[__name__], "_fmt", _full)
         render._PATHS.clear()
         try:
@@ -620,3 +630,170 @@ class TestMatchesReferenceAtFullPrecision:
             for n in range(1, 41):
                 for spec in spiral_specs(n):
                     assert_same_at_full_precision(spec)
+
+
+# -- the assembly before one join ---------------------------------------------------
+
+_STYLE_ENDS = {
+    style: (
+        f'<path class="arc {style}" d="M ',
+        f'" fill="none" stroke="{color}" stroke-width="1.5"'
+        + (' stroke-dasharray="6 3"' if style in DASHED_STYLES else "") + "/>",
+        f'<polygon class="arrow {style}" points="',
+        f'" fill="{color}"/>',
+    )
+    for style, color in STYLE_COLOR.items()
+}
+
+
+def _draw(body: List[str], style: str, d: str, arrow: str) -> None:
+    path_open, path_close, arrow_open, arrow_close = _STYLE_ENDS[style]
+    body.append(path_open + d + path_close)
+    if arrow:
+        body.append(arrow_open + arrow + arrow_close)
+
+
+def _svg_by_lines(width: float, height: float, body: List[str]) -> str:
+    head = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{render._fmt(width)}" height="{render._fmt(height)}" '
+        f'viewBox="0 0 {render._fmt(width)} {render._fmt(height)}">',
+    ]
+    return "\n".join(head + body + ["</svg>"]) + "\n"
+
+
+def _annulus_svg_by_lines(n: int, arcs) -> str:
+    frame = render._PATHS.get((n, None)) if type(n) is int else None
+    pieces = [render._PATHS.get((n, obj)) for obj, _ in arcs]
+    missed = [arc for arc, piece in zip(arcs, pieces) if piece is None]
+    if frame is None or missed:
+        render._check_tube_arcs(n, missed)
+    render._check_points(n + sum(
+        render._samples(True, obj) + 1 if piece is None else piece[0]
+        for (obj, _), piece in zip(arcs, pieces)
+    ))
+    body = [(frame or render._frame(n))[1]]
+    for (obj, style), piece in zip(arcs, pieces):
+        _, d, arrow = piece or render._annulus_path(n, obj)
+        _draw(body, style, d, arrow)
+    return _svg_by_lines(480, 480, body)
+
+
+def _line_body_by_lines(lo: int, hi: int, arcs) -> Tuple[List[str], float]:
+    def xpos(i: float) -> float:
+        return _MARGIN + (i - lo) * _UNIT
+
+    _fmt = render._fmt
+    width = _MARGIN * 2 + (hi - lo) * _UNIT
+    body = [
+        f'<line x1="{_fmt(xpos(lo))}" y1="{_fmt(_BASE)}" '
+        f'x2="{_fmt(xpos(hi))}" y2="{_fmt(_BASE)}" stroke="#888888" stroke-width="1"/>'
+    ]
+    for k in range(lo, hi + 1):
+        x = _fmt(xpos(k))
+        body += [
+            f'<circle cx="{x}" cy="{_fmt(_BASE)}" r="3" fill="#000000"/>',
+            f'<text x="{x}" y="{_fmt(_BASE + 18)}" font-size="12" text-anchor="middle">{k}</text>',
+        ]
+    for obj, style in arcs:
+        i, j = render._ends(obj)
+        if i is None:  # adic
+            x0, x1, height = xpos(lo), xpos(j), 24.0
+        elif j is None:  # Prufer
+            x0, x1, height = xpos(i), xpos(hi), 24.0
+        else:
+            x0, x1, height = xpos(i), xpos(j), 16.0 + 9.0 * (j - i)
+        us, bulge = render._steps(render._samples(False, obj))
+        xs = [x0 + (x1 - x0) * u for u in us]
+        ys = [_BASE - height * v for v in bulge]
+        arrow = render._arrowhead(xs, ys) if i is None or j is None else ""
+        _draw(body, style, render._coords(xs, ys, " L "), arrow)
+    return body, width
+
+
+def assembled_by_lines(spec: RenderSpec) -> str:
+    """The old render_svg on a valid spec (its validation left out), from
+    the library's pieces."""
+    arcs = sorted(spec.arcs, key=render._arc_key)
+    n = spec.rank
+    if spec.mode == "annulus":
+        return _annulus_svg_by_lines(n, arcs)
+    if spec.mode == "segment":
+        lo, hi = 0, n + 1
+    else:
+        ends = [0, n]
+        for i, j in (render._ends(obj) for obj, _ in arcs):
+            ends += [j - 2 * n if i is None else i, i + 2 * n if j is None else j]
+        lo, hi = min(ends) - 1, max(ends) + 1
+    body, width = _line_body_by_lines(lo, hi, arcs)
+    return _svg_by_lines(width, 280, body)
+
+
+def assert_assembled_as_before(spec: RenderSpec) -> None:
+    """Cold then warm, each assembly drawing first in turn."""
+    for new_first in (True, False):
+        render._PATHS.clear()
+        for _ in ("cold", "warm"):
+            if new_first:
+                ours = render_svg(spec)
+                theirs = assembled_by_lines(spec)
+            else:
+                theirs = assembled_by_lines(spec)
+                ours = render_svg(spec)
+            assert ours == theirs
+
+
+class TestAssembly:
+    @needs_alarm
+    @needs_hypothesis
+    def test_annulus(self, cold):
+        @settings(max_examples=150, deadline=None)
+        @given(annulus_specs())
+        def check(spec):
+            with time_limit(20):
+                assert_assembled_as_before(spec)
+
+        check()
+
+    @needs_alarm
+    @needs_hypothesis
+    def test_cover(self, cold):
+        @settings(max_examples=100, deadline=None)
+        @given(tall_cover_specs())
+        def check(spec):
+            with time_limit(20):
+                assert_assembled_as_before(spec)
+
+        check()
+
+    @needs_alarm
+    @needs_hypothesis
+    def test_segment(self, cold):
+        @settings(max_examples=100, deadline=None)
+        @given(segment_specs())
+        def check(spec):
+            with time_limit(20):
+                assert_assembled_as_before(spec)
+
+        check()
+
+    def test_every_mode_cold_and_warm(self, cold):
+        specs = [dense_annulus(n) for n in range(1, 9)] + spiral_specs(5) + [
+            RenderSpec("annulus", 4, ()),
+            RenderSpec("cover", 3, ((Tube(3).finite(2, 9), "torsion"), (Tube(3).adic(1), "adic"))),
+            RenderSpec("cover", 2, ()),
+            RenderSpec("segment", 5, ((AArc(0, 6), "free"), (AArc(1, 3), "summand"))),
+            RenderSpec("segment", 1, ()),
+        ]
+        for spec in specs:
+            assert_assembled_as_before(spec)
+
+    def test_at_full_precision(self):
+        for spec in (dense_annulus(4), RenderSpec("cover", 3, ((Tube(3).prufer(1), "prufer"),))):
+            with full_precision():
+                ours, theirs = render_svg(spec), assembled_by_lines(spec)
+            assert ours == theirs
+        with full_precision():
+            assert 'width="480.0" height="480.0"' in render._ANNULUS_HEAD
+        assert 'width="480.000" height="480.000"' in render._ANNULUS_HEAD

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from tubecalc.arcs import Tube
+from tubecalc.arcs import IndObj, Tube, format_obj, sort_key
 from tubecalc.serialize import (
     format_desc,
     pair_from_doc,
@@ -12,6 +12,9 @@ from tubecalc.serialize import (
 )
 from tube_defs import rigid_from_doc
 from tubecalc.torsion import (
+    ADIC,
+    PRUFER,
+    MaxRigid,
     ValidationError,
     empty_desc,
     enumerate_max_rigid,
@@ -136,3 +139,19 @@ def test_malformed_pair_doc(doc, key):
 def test_malformed_rigid_doc(doc):
     with pytest.raises(ValidationError):
         rigid_from_doc(doc)
+
+
+class TestRigidDocuments:
+    def test_summands_in_sort_key_order(self):
+        # no maximal rigid object mixes the families, but the writer takes
+        # any summands: finite arcs, then Prufers by start, then adics by end
+        summands = frozenset([
+            IndObj(None, 0), IndObj(2, None), IndObj(1, 4), IndObj(None, 2),
+            IndObj(0, 5), IndObj(0, None), IndObj(-1, 2), IndObj(0, 3),
+        ])
+        want = [format_obj(x) for x in sorted(summands, key=sort_key)]
+        assert want == [
+            "M[-1,2]", "M[0,3]", "M[0,5]", "M[1,4]", "M[0,inf]", "M[2,inf]", "M[-inf,0]", "M[-inf,2]",
+        ]
+        for kind in (PRUFER, ADIC):
+            assert rigid_to_doc(Tube(3), MaxRigid(summands, kind))["summands"] == want

@@ -20,6 +20,14 @@ so it lives in ``tests/tube_defs.py``, and is compared here with the old
 reader, whose ``parse_obj`` is the copy above.  Both old readers check the
 header with ``tube_defs.doc_header``, the library's old shared header check,
 which ``pair_from_doc`` now makes inline for pair kinds.
+
+The writer of rigid documents and the CLI's one-line listing have their
+own reference, also copied unchanged: each sorted the summands by
+``sort_key`` and printed them one by one with ``format_obj``.  Both now
+print the finite summands with ``format_finite`` (through the names memo)
+and then the Prufers by start and the adics by end.  They are compared on
+arbitrary ``MaxRigid`` values, with the memo cold and warm: any kind, the
+two families mixed, arcs in any lift and spans below 2.
 """
 
 import re
@@ -28,14 +36,25 @@ from unittest import mock
 
 import pytest
 
-from tubecalc import arcs, serialize
-from tubecalc.arcs import Tube
+from tubecalc import arcs, cli, serialize
+from tubecalc.arcs import IndObj, Tube, format_obj, sort_key
 from tubecalc.serialize import pair_from_doc
 from tube_defs import doc_header, rigid_from_doc
-from tubecalc.torsion import CORAY, RAY, SubcatDesc, TorsionPair, ValidationError
+from tubecalc.torsion import (
+    ADIC,
+    CORAY,
+    PRUFER,
+    RAY,
+    MaxRigid,
+    SubcatDesc,
+    TorsionPair,
+    ValidationError,
+    enumerate_max_rigid,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from test_census_reference import rigid_values  # noqa: E402
 
 # -- reference ---------------------------------------------------------------------
 
@@ -315,3 +334,73 @@ class TestRigidDocuments:
     @example({"schema": 1, "rank": 3, "kind": "adic", "summands": ["M[0,inf]", "M[2,1]"]})
     def test_same_object_or_same_message(self, doc):
         assert outcome(rigid_from_doc, doc) == outcome(old_rigid_from_doc, doc)
+
+
+# -- the rigid writer before it printed in bulk ---------------------------------------
+
+
+def old_rigid_to_doc(tube, rigid):
+    if rigid.kind not in (PRUFER, ADIC):
+        raise ValidationError(f"unknown rigid kind {rigid.kind!r}")
+    return {
+        "schema": serialize.SCHEMA,
+        "rank": tube.n,
+        "kind": rigid.kind,
+        "summands": [
+            format_obj(x) for x in sorted(rigid.summands, key=sort_key)
+        ],
+    }
+
+
+def old_rigid_line(rigid):
+    names = " ".join(format_obj(x) for x in sorted(rigid.summands, key=sort_key))
+    return f"{rigid.kind}: {names}"
+
+
+def written(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def mixed_rigids(draw):
+    """Summands of both families and finite arcs in any lift, spans below 2
+    included, under any kind."""
+    n = draw(st.integers(1, 8))
+    ends = st.integers(-2 * n, 3 * n)
+    arc = st.one_of(
+        st.builds(lambda s, d: IndObj(s, s + d), ends, st.integers(0, 2 * n + 2)),
+        st.builds(lambda s: IndObj(s, None), ends),
+        st.builds(lambda e: IndObj(None, e), ends),
+    )
+    kind = draw(st.sampled_from([PRUFER, ADIC, "ray"]))
+    return Tube(n), MaxRigid(frozenset(draw(st.sets(arc, max_size=2 * n + 2))), kind)
+
+
+def assert_written_as_before(tube, rigid):
+    for _ in ("cold", "warm"):
+        assert written(serialize.rigid_to_doc, tube, rigid) == written(old_rigid_to_doc, tube, rigid)
+        assert cli._rigid_line(rigid) == old_rigid_line(rigid)
+
+
+class TestRigidWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_rigids())
+    @example((Tube(3), MaxRigid(frozenset([IndObj(None, 0), IndObj(4, None), IndObj(-1, 2), IndObj(2, 3)]), PRUFER)))
+    def test_mixed_families_and_lifts(self, case):
+        with cold_names():
+            assert_written_as_before(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rigid_values())
+    def test_rigid_values(self, case):
+        with cold_names():
+            assert_written_as_before(*case)
+
+    def test_every_object_at_small_ranks(self):
+        for n in range(1, 6):
+            tube = Tube(n)
+            for u in enumerate_max_rigid(tube):
+                assert_written_as_before(tube, u)

@@ -688,6 +688,24 @@ class TestIsTorsionPair:
         pair = TorsionPair(empty_desc(t2), everything(t2), CORAY)
         assert not is_torsion_pair(t2, pair)
 
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_an_arc_on_another_lift_is_refused(self, n):
+        # the same arc one period up or down has the same anchored lift,
+        # span and count, so only the canonical check refuses it
+        tube = Tube(n)
+        swaps = 0
+        for u in enumerate_max_rigid(tube):
+            pair = torsion_pair_of(tube, u)
+            for k, side in enumerate(pair[:2]):
+                for x in side.finite_objs:
+                    for shift in (-n, n):
+                        moved = IndObj(x.start + shift, x.end + shift)
+                        sides = [pair.t_part, pair.f_part]
+                        sides[k] = side._replace(finite_objs=side.finite_objs - {x} | {moved})
+                        assert not is_torsion_pair(tube, TorsionPair(*sides, pair.kind))
+                        swaps += 1
+        assert swaps > 0
+
 
 class TestKindAndReflection:
     def test_classify_examples(self):

@@ -50,6 +50,17 @@ arcs, and ``right_perp`` off the quotient closure it builds.  They are
 compared on raw descriptors and pairs, and on every swap of one listed arc
 of either side of every pair at n <= 4 for another arc spanning at most 2n.
 Random pairs almost never hit a swap that the new quotient check refuses.
+
+The validator, the inverse and ``right_perp`` have a last reference, also
+copied unchanged: the code that read each side in four passes (``_bound``,
+the closure count, ``_is_canonical`` and ``_least_spans``, whose family walk
+ran inside it) and then read the inverse's side three more times.  The new
+code reads a side once with ``_read_side`` and walks a family with
+``_family_walk``; the inverse builds its one-sided summands directly.  The
+earlier references above read ``_bound`` and ``_is_canonical`` from these
+copies.  They are compared on raw pairs, raw descriptors of both kinds,
+perturbed pairs and every one-arc swap at n <= 4, on three lifts: the same
+value, or the same exception and message.
 """
 
 import math
@@ -646,7 +657,7 @@ def right_perp_by_stack(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    low = tor._bound(n, desc.finite_objs, quotients=True)
+    low = _bound(n, desc.finite_objs, quotients=True)
     minend = _least_spans_by_stack(n, low, desc.corays, quotients=True)
     reach = {s: s + d - 1 for s, d in minend.items()}
     return tor._closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
@@ -668,19 +679,19 @@ def is_torsion_pair_by_stack(tube: Tube, pair: TorsionPair) -> bool:
         return False
     if t.rays:  # T^perp is 0, whose left perp is everything
         return f == empty_desc(tube) and t == everything(tube)
-    low = tor._bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    low = _bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
     minend = _least_spans_by_stack(n, low, t.corays, quotients=True)
     if not minend:  # T^perp is everything, whose left perp is 0
         return f == everything(tube) and t == empty_desc(tube)
     full = frozenset(range(n))
-    if not tor._is_canonical(n, t.finite_objs) or f.corays or f.rays != full.difference(minend):
+    if not _is_canonical(n, t.finite_objs) or f.corays or f.rays != full.difference(minend):
         return False
     try:
-        reach = tor._bound(n, f.finite_objs, quotients=False)
+        reach = _bound(n, f.finite_objs, quotients=False)
     except ValueError:  # a one-sided arc lies in no perp
         return False
     if (
-        not tor._is_canonical(n, f.finite_objs)
+        not _is_canonical(n, f.finite_objs)
         or any(b - s >= minend.get(s, 0) for s, b in reach.items())
         or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
     ):
@@ -700,13 +711,13 @@ def max_rigid_of_by_stack(tube: Tube, pair: TorsionPair) -> MaxRigid:
     n = tube.n
     t, f = pair.t_part, pair.f_part
     if pair.kind == RAY:
-        reach = tor._bound(n, f.finite_objs, quotients=False)
+        reach = _bound(n, f.finite_objs, quotients=False)
         maxstart = _least_spans_by_stack(n, reach, f.rays, quotients=False)
         arcs = list(reach.items())
         arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
         family, kind = [tube.prufer(i) for i in f.rays], PRUFER
     else:
-        low = tor._bound(n, t.finite_objs, quotients=True)
+        low = _bound(n, t.finite_objs, quotients=True)
         minend = _least_spans_by_stack(n, low, t.corays, quotients=True)
         arcs = [(a, e) for e, a in low.items()]
         arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
@@ -823,11 +834,11 @@ def max_rigid_of_by_ext_projectives(tube: Tube, pair: TorsionPair) -> MaxRigid:
     n = tube.n
     t, f = pair.t_part, pair.f_part
     if pair.kind == RAY:  # T ends at e with the spans below maxstart[e]; tau T at e - 1
-        maxstart = _least_spans_by_stack(n, tor._bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
+        maxstart = _least_spans_by_stack(n, _bound(n, f.finite_objs, quotients=False), f.rays, quotients=False)
         spans = {(e - 1) % n: d for e, d in maxstart.items()}
         rays = f.rays
     else:  # F starts at s with the spans below minend[s]; reflected it ends at -s, tau T at -s - 1
-        minend = _least_spans_by_stack(n, tor._bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
+        minend = _least_spans_by_stack(n, _bound(n, t.finite_objs, quotients=True), t.corays, quotients=True)
         spans = {(-s - 1) % n: d for s, d in minend.items()}
         rays = [-j % n for j in t.corays]
     u = _ext_projectives_of_low(tube, {e: e - d + 1 for e, d in spans.items()}, rays)
@@ -973,3 +984,211 @@ class TestExtClosedByEnds:
             for rays in (frozenset(), frozenset([1]), frozenset([0, 2])):
                 desc = SubcatDesc(frozenset(fins), rays, frozenset())
                 assert outcome(tor.is_ext_closed, tube, desc) == ONE_SIDED, desc
+
+
+# -- the validator and the inverse before one reader per side ----------------------------
+
+
+def _bound(n: int, objs, quotients: bool) -> Dict[int, int]:
+    try:
+        if quotients:
+            return type_a._low([(e % n - e + s, e % n) for s, e in objs])
+        return type_a._reach([(s % n, e - s + s % n) for s, e in objs])
+    except TypeError:  # a None endpoint
+        raise ValueError("one-sided arcs have no finite length") from None
+
+
+def _least_spans(n: int, arcs, family, quotients: bool) -> Dict[int, int]:
+    least: Dict[int, int] = {}
+    for s, e in arcs:
+        k = (s if quotients else e) % n
+        if least.get(k, e - s + 1) > e - s:
+            least[k] = e - s
+    if family:
+        sign = 1 if quotients else -1
+        anchors = {sign * a % n for a in family}
+        near = 0
+        for x in range(2 * n, 1, -1):
+            if x % n in anchors:
+                near = x
+            if x <= n + 1:
+                k = sign * (x - 2) % n
+                least[k] = min(least.get(k, n + 2), near - x + 2)
+    return least
+
+
+def _is_canonical(n: int, objs) -> bool:
+    return all(0 <= s < n and s + 2 <= e for s, e in objs)
+
+
+def right_perp_by_passes(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
+    if desc.rays:
+        return empty_desc(tube)
+    n = tube.n
+    low = {r: max(a, r - n - 1) for r, a in _bound(n, desc.finite_objs, quotients=True).items()}
+    closure = tor._closure_side(tube, low, quotients=True)
+    minend = _least_spans(n, closure.finite_objs, desc.corays, quotients=True)
+    reach = {s: s + d - 1 for s, d in minend.items()}
+    return tor._closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
+
+
+def is_torsion_pair_by_passes(tube: Tube, pair: TorsionPair) -> bool:
+    t, f = pair.t_part, pair.f_part
+    n = tube.n
+    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < n:
+        return False
+    try:
+        if classify_kind(tube, pair) != pair.kind:
+            return False
+    except ValidationError:
+        return False
+    if t.rays:  # T^perp is 0, whose left perp is everything
+        return f == empty_desc(tube) and t == everything(tube)
+    low = _bound(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    if len(t.finite_objs) != type_a._closure_count(low) or not _is_canonical(n, t.finite_objs):
+        return False
+    minend = _least_spans(n, t.finite_objs, t.corays, quotients=True)
+    if not minend:  # T is 0, whose right perp is everything
+        return f == everything(tube)
+    full = frozenset(range(n))
+    if f.corays or f.rays != full.difference(minend):
+        return False
+    try:
+        reach = _bound(n, f.finite_objs, quotients=False)
+    except ValueError:  # a one-sided arc lies in no perp
+        return False
+    if (
+        not _is_canonical(n, f.finite_objs)
+        or any(b - s >= minend.get(s, 0) for s, b in reach.items())
+        or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
+    ):
+        return False
+    maxstart = _least_spans(n, f.finite_objs, f.rays, quotients=False)
+    return (
+        bool(maxstart)  # else perp-F is everything, which has rays
+        and t.corays == full.difference(maxstart)
+        and low.keys() <= maxstart.keys()  # no arc ends at a coray
+        and len(t.finite_objs) == sum(maxstart.values()) - 2 * len(maxstart)
+    )
+
+
+def max_rigid_of_by_passes(tube: Tube, pair: TorsionPair) -> MaxRigid:
+    if not is_torsion_pair_by_passes(tube, pair):
+        raise ValidationError("input does not validate as a torsion pair")
+    n = tube.n
+    t, f = pair.t_part, pair.f_part
+    if pair.kind == RAY:
+        maxstart = _least_spans(n, f.finite_objs, f.rays, quotients=False)
+        arcs = list(_bound(n, f.finite_objs, quotients=False).items())
+        arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
+        family, kind = [tube.prufer(i) for i in f.rays], PRUFER
+    else:
+        minend = _least_spans(n, t.finite_objs, t.corays, quotients=True)
+        arcs = [(a, e) for e, a in _bound(n, t.finite_objs, quotients=True).items()]
+        arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
+        family, kind = [tube.adic(j) for j in t.corays], ADIC
+    fins = [tor._arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift
+    return MaxRigid(frozenset(fins + family), kind)
+
+
+def result(fn, *args):
+    """The value with the type of each of its items, or the exception's
+    type and message, whatever the exception."""
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, MaxRigid):  # a residue printed as True would not equal one printed as 1
+        return got, sorted(map(repr, got.summands))
+    return got
+
+
+def assert_same_as_by_passes(tube: Tube, pair: TorsionPair):
+    """The validator, the inverse and both perps of each side agree with
+    the passes they replaced; the validator's verdict is returned."""
+    got = result(tor.is_torsion_pair, tube, pair)
+    assert got == result(is_torsion_pair_by_passes, tube, pair), pair
+    assert result(tor.max_rigid_of, tube, pair) == result(max_rigid_of_by_passes, tube, pair), pair
+    for desc in pair[:2]:
+        assert result(tor.right_perp, tube, desc) == result(right_perp_by_passes, tube, desc), desc
+    return got
+
+
+class TestOneReaderPerSide:
+    """``_read_side`` reads a side's listed arcs once, for its bound, its
+    least spans and whether it is canonical; ``_family_walk`` adds what a
+    family implies.  The validator, the inverse and ``right_perp`` built on
+    them answer as the passes they replaced: the same value, or the same
+    exception and message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw_pairs())
+    def test_real_pairs_with_raw_items(self, case):
+        assert_same_as_by_passes(*case)
+
+    @settings(max_examples=400, deadline=None)
+    @given(on_one_rank(raw_family_subcats, raw_family_subcats))
+    def test_raw_descriptors_of_both_kinds(self, case):
+        n, t_part, f_part = case
+        for kind in (RAY, CORAY):
+            assert_same_as_by_passes(Tube(n), TorsionPair(t_part, f_part, kind))
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_pairs())
+    def test_perturbed_pairs(self, case):
+        assert_same_as_by_passes(*case)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_one_arc_swap(self, n):
+        """Each listed arc of either side of every pair swapped for another
+        arc spanning at most 2n, on any of three lifts, kept raw."""
+        tube = Tube(n)
+        arcs = [IndObj(s, s + d) for s in range(-n, 2 * n) for d in range(2, 2 * n + 1)]
+        verdicts = set()
+        for u in rigid_objects(n):
+            pair = tor.torsion_pair_of(tube, u)
+            verdicts.add(assert_same_as_by_passes(tube, pair))
+            for k, side in enumerate(pair[:2]):
+                for x in side.finite_objs:
+                    for y in arcs:
+                        sides = [pair.t_part, pair.f_part]
+                        sides[k] = side._replace(finite_objs=side.finite_objs - {x} | {y})
+                        verdicts.add(assert_same_as_by_passes(tube, TorsionPair(*sides, pair.kind)))
+        assert verdicts == ({True} if n == 1 else {True, False})
+
+    def test_the_reader_on_lists(self):
+        # anchored bound, least span per start (quotients) or end, canonical flag
+        arcs = [IndObj(0, 3), IndObj(2, 5), IndObj(4, 6)]
+        assert tor._read_side(3, arcs, quotients=True) == ({0: -3, 2: -1}, {0: 3, 2: 3, 1: 2}, False)
+        assert tor._read_side(3, arcs, quotients=False) == ({0: 3, 2: 5, 1: 3}, {0: 2, 2: 3}, False)
+        assert tor._read_side(3, arcs[:1], quotients=True)[2] is True
+        assert tor._read_side(3, [IndObj(1, 2)], quotients=False)[2] is False  # spans 1
+        for quotients in (True, False):
+            assert tor._read_side(3, (), quotients) == ({}, {}, True)
+            assert tor._read_side(3, arcs, quotients)[0] == _bound(3, arcs, quotients)
+
+    @pytest.mark.parametrize("one_sided", [IndObj(0, None), IndObj(None, 2)])
+    @pytest.mark.parametrize("quotients", [True, False])
+    def test_a_one_sided_arc_raises_after_a_non_canonical_one(self, one_sided, quotients):
+        arcs = [IndObj(7, 9), IndObj(0, 1), one_sided]
+        with pytest.raises(ValueError, match="^one-sided arcs have no finite length$"):
+            tor._read_side(3, arcs, quotients)
+        tube = Tube(3)
+        u = next(v for v in rigid_objects(3) if v.kind == PRUFER)
+        pair = tor.torsion_pair_of(tube, u)
+        t = SubcatDesc(pair.t_part.finite_objs | set(arcs), pair.t_part.rays, pair.t_part.corays)
+        assert assert_same_as_by_passes(tube, TorsionPair(t, pair.f_part, RAY)) == ONE_SIDED
+
+    def test_a_residue_that_only_equals_an_int_is_printed_as_one(self):
+        tube = Tube(3)
+        for u in rigid_objects(3):
+            pair = tor.torsion_pair_of(tube, u)
+            t, f = pair.t_part, pair.f_part
+            if u.kind == PRUFER and 1 in f.rays:
+                f = f._replace(rays=f.rays - {1} | {True})
+            elif u.kind == ADIC and 1 in t.corays:
+                t = t._replace(corays=t.corays - {1} | {True})
+            else:
+                continue
+            got = tor.max_rigid_of(tube, TorsionPair(t, f, pair.kind))
+            assert got == u and "True" not in repr(sorted(map(repr, got.summands)))

@@ -3,7 +3,7 @@ translate and its inverse, the quotient and subobject closures of any set
 of finite arcs, the reflections of a torsion pair and of a maximal rigid
 object, and the reader of rigid documents.
 
-The closures read the library's ``torsion._bound`` and ``_closure_side``,
+The closures read the library's ``torsion._read_side`` and ``_closure_side``,
 which ``torsion_pair_of`` feeds only the finite parts of rigid objects; the
 tests feed them arbitrary arc sets, in any lift.  The reflection
 [i,j] -> [-j,-i] swaps the two sides of a pair, and with them ray type and
@@ -43,14 +43,14 @@ def tau_inv(tube, obj):
 def left_closure(tube, objs) -> frozenset:
     """The quotients of finite arcs: same end, start moved weakly right
     (from ``low`` on)."""
-    low = torsion._bound(tube.n, objs, quotients=True)
+    low = torsion._read_side(tube.n, objs, quotients=True)[0]
     return torsion._closure_side(tube, low, quotients=True).finite_objs
 
 
 def right_closure(tube, objs) -> frozenset:
     """The subobjects of finite arcs: same start, end moved weakly left
     (down from ``reach``)."""
-    reach = torsion._bound(tube.n, objs, quotients=False)
+    reach = torsion._read_side(tube.n, objs, quotients=False)[0]
     return torsion._closure_side(tube, reach, quotients=False).finite_objs
 
 

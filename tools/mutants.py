@@ -49,6 +49,7 @@ RENDER = "src/tubecalc/render.py"
 MEMO_TESTS = "tests/test_render_reference.py::TestPathMemo"
 TORSION = "src/tubecalc/torsion.py"
 CLI = "src/tubecalc/cli.py"
+SERIALIZE = "src/tubecalc/serialize.py"
 CLI_FLAGS = "tests/test_cli.py::TestFlagsEachCommandTakes::test_a_flag_the_command_does_not_take_exits_1"
 TYPE_A = "src/tubecalc/type_a.py"
 ARC_TESTS = "tests/test_type_a_reference.py::"
@@ -74,11 +75,11 @@ MUTANTS = (
     ),
     Mutant(
         "hit-drops-dash",
-        ((RENDER, "        _draw(body, style, d, arrow)\n",
-          "        _draw(body, style, d, arrow)\n"
-          "        if piece:\n"
-          "            k = len(body) - 1 - bool(arrow)\n"
-          "            body[k] = body[k].replace(' stroke-dasharray=\"6 3\"', '')\n"),),
+        ((RENDER, "    return _svg(_ANNULUS_HEAD, frame[1], arcs, pieces)\n",
+          "    svg = _svg(_ANNULUS_HEAD, frame[1], arcs, pieces)\n"
+          "    if not missed:\n"
+          "        svg = svg.replace(' stroke-dasharray=\"6 3\"', '')\n"
+          "    return svg\n"),),
         ("tests/test_render.py::TestSvg::test_repeated_renders_identical",),
     ),
     Mutant(
@@ -111,14 +112,31 @@ MUTANTS = (
     ),
     Mutant(
         "torsion-side-count-dropped",
-        ((TORSION, "if len(t.finite_objs) != type_a._closure_count(low) or not _is_canonical(",
-          "if not _is_canonical("),),
+        ((TORSION, "if len(t.finite_objs) != type_a._closure_count(low) or not canonical:",
+          "if not canonical:"),),
         ("tests/test_cli.py::TestRigid::test_torsion_side_with_a_swapped_arc_exits_2",),
+    ),
+    Mutant(
+        "reader-ignores-non-canonical",
+        (
+            (TORSION, "if s != k or d < 2:\n                    canonical = False\n",
+             "if s != k or d < 2:\n                    pass\n"),
+            (TORSION, "if s != a or d < 2:\n                    canonical = False\n",
+             "if s != a or d < 2:\n                    pass\n"),
+        ),
+        ("tests/test_torsion.py::TestIsTorsionPair::test_an_arc_on_another_lift_is_refused",),
     ),
     Mutant(
         "family-walk-starts-a-step-low",
         ((TORSION, "for x in range(2 * n, 1, -1):", "for x in range(2 * n - 1, 1, -1):"),),
         ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
+    ),
+    Mutant(
+        "rigid-doc-adics-first",
+        ((SERIALIZE,
+          "    names += map(format_obj, sorted(prufers))\n    names += map(format_obj, sorted(adics, key=itemgetter(1)))\n",
+          "    names += map(format_obj, sorted(adics, key=itemgetter(1)))\n    names += map(format_obj, sorted(prufers))\n"),),
+        ("tests/test_serialize.py::TestRigidDocuments::test_summands_in_sort_key_order",),
     ),
     Mutant(
         "homs-takes-a-non-arc",
