@@ -34,10 +34,11 @@ T that does not number its quotient closure, then checks Hom(T, F) = 0 off
 T's ``minend`` and two count identities, with no perp descriptor built; it
 reads each side once.
 
-The bijection: a Prufer-type maximal rigid object U yields the pair
-(tau^{-1} of the left-shortening closure of its finite part, right
--shortening closure of the finite part together with the rays at its
-Prufer indices); adic-type is the reflected dual.
+The bijection: the two kinds of maximal rigid object differ by one power
+of tau.  Write k = 1 for Prufer type (a ray-type pair) and k = 0 for adic
+type (a coray-type pair).  An object U with finite part U_fin goes to
+(tau^{-k} Gen U_fin, tau^{1-k} Cogen U_fin), with the rays at its Prufer
+indices on F or the corays at its adic indices on T: the infinite side.
 
 The closures, the perps and the quotient check read the ``reach`` and
 ``low`` arrays that ``type_a`` builds (see there), with each arc on its
@@ -47,16 +48,14 @@ its arcs from the tube's fan table: ``_closure_side`` turns its array into
 one ``{anchor: span}`` map and reads all its rows in one ``Tube.fans``
 call, so a closure neither normalizes nor builds an arc per member.
 
-The inverse reads U off one side of its pair, since each finite summand
-is the longest summand at its start or at its end (see
-``torsion_pair_of``).  For a Prufer-type U these are the longest arc of F
-at each start off the rays, F being the subobject closure there, and tau
-of the longest arc of T = perp-F at each end, whose span F's ``maxstart``
-fixes; so the inverse reads no arc of T.  The coray type is the mirror,
-read off T alone: its longest arc at each end, and tau^{-1} of the longest
-arc of F = T^perp at each start, off T's ``minend``.  The Prufers sit at
-the rays of F, and by lemma A, which ``is_ext_closed`` uses too, the wings
-lie between them:
+The inverse reads U off T alone, for both kinds, since each finite
+summand is the longest summand at its start or at its end (see
+``torsion_pair_of``): tau^k U_fin is the longest arc of T at each end,
+off T's ``low``, and tau^{-1} of the longest arc of F = T^perp at each
+start, off T's ``minend``, which is the segment's longest-arc rule
+(``type_a._longest_arcs``) moved by tau^k.  So the inverse reads no arc of
+F.  The Prufers sit at the rays of F, and by lemma A, which
+``is_ext_closed`` uses too, the wings lie between them:
 
 A. Ext(Prufer at i, a) != 0 iff i lies strictly inside the arc a, so a
    finite summand lies in a wing between cyclically consecutive rays of F.
@@ -66,8 +65,8 @@ and it swaps rays with corays, quotients with subobjects.  So some mirror
 -side constructions are derived rather than written out: ``is_sub_closed``
 is ``is_quotient_closed`` of the reflection, and ``left_perp`` is the
 reflected ``right_perp``.  ``_read_side`` keys a quotient by its start
-and a subobject by its end, since ``is_torsion_pair`` and ``max_rigid_of``
-read T's ``minend`` and F's ``maxstart`` with no reflected descriptor.
+and a subobject by its end, since ``is_torsion_pair`` reads T's
+``minend`` and F's ``maxstart`` with no reflected descriptor.
 
 The value types are namedtuples, as ``IndObj`` is: ``SubcatDesc`` (its
 finite arcs, rays and corays, each a frozenset), ``TorsionPair`` (two
@@ -508,10 +507,10 @@ def count_max_rigid(tube: Tube) -> int:
 
 def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     """The torsion pair of a maximal rigid object, read off the reach and low
-    arrays of its finite part.  Prufer type: T is tau^{-1} of the quotient
-    closure, F the subobject closure with the rays.  Adic type is the
-    mirror: T is the quotient closure with the corays, F tau of the
-    subobject closure.
+    arrays of its finite part U_fin.  For kind k (1 for Prufer, 0 for adic),
+    T is tau^{-k} of the quotient closure Gen U_fin and F is tau^{1-k} of
+    the subobject closure Cogen U_fin; the rays at the Prufers join F, or
+    the corays at the adics join T.
 
     ``ValidationError`` refuses an object with a summand that spans more
     than n, without a Prufer (adic) summand, of an unknown kind, with other
@@ -554,9 +553,9 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
         s = min(too_long)
         raise ValidationError(f"summand {IndObj(s, reach[s])} spans more than {n}, so it is not rigid")
     if rigid.kind == PRUFER:
-        family, stray, name, other = prufers, adics, "Prufer", "adic"
+        family, stray, name, other, k = prufers, adics, "Prufer", "adic", 1
     elif rigid.kind == ADIC:
-        family, stray, name, other = adics, prufers, "adic", "Prufer"
+        family, stray, name, other, k = adics, prufers, "adic", "Prufer", 0
     else:
         raise ValidationError(f"unknown kind {rigid.kind!r}")
     if not family:
@@ -567,51 +566,37 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
         )
     if stray:
         raise ValidationError(f"{name}-type object holds the {other} summand {min(stray, key=sort_key)}")
-    if rigid.kind == PRUFER:
-        return TorsionPair(
-            _closure_side(tube, low, quotients=True, shift=1),
-            _closure_side(tube, reach, quotients=False, rays=frozenset(s % n for s, _ in family)),
-            RAY,
-        )
+    at = frozenset(x[1 - k] % n for x in family)  # a Prufer's start, an adic's end
     return TorsionPair(
-        _closure_side(tube, low, quotients=True, corays=frozenset(e % n for _, e in family)),
-        _closure_side(tube, reach, quotients=False, shift=-1),
-        CORAY,
+        _closure_side(tube, low, quotients=True, shift=k, corays=frozenset() if k else at),
+        _closure_side(tube, reach, quotients=False, shift=k - 1, rays=at if k else frozenset()),
+        RAY if k else CORAY,
     )
 
 
 def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
-    """Inverse of the bijection, read off one side of the pair: each finite
-    summand is the longest summand at its start or at its end (see
+    """Inverse of the bijection, read off T alone: each finite summand is
+    the longest summand at its start or at its end (see
     ``torsion_pair_of``).
 
-    Ray type, off F: the Prufers at F's rays, the longest arc
-    [s, reach[s]] of F at each start (F is the subobject closure off the
-    rays), and tau of T's longest arc at each end e.  Since T = perp-F,
-    that arc is [e - d + 1, e] for F's cyclic ``maxstart`` span d at e,
-    and tau moves it to [e - d, e - 1]; d = 2 leaves no arc.  Coray type
-    is the mirror, off T: the adics at T's corays, the longest arc
-    [low[e], e] of T at each end, and tau^{-1} of F's longest arc at each
-    start s, [s + 1, s + d] for T's cyclic ``minend`` span d at s, since
-    F = T^perp.  Once the pair is validated, that side is read once
+    For kind k (1 for ray type, 0 for coray type), T = tau^{-k} Gen U_fin
+    and F = T^perp, so F's longest arc at a start s is [s, s + d - 1] for
+    T's cyclic ``minend`` span d there (no arc for d = 2, a ray where T
+    has no arc).  U_fin is ``type_a._longest_arcs`` of T's ``low`` and
+    those spans, moved by tau^k; the Prufers sit at F's rays, the adics at
+    T's corays.  Once the pair is validated, T is read once
     (``_read_side``), and each summand is built on its canonical lift, the
     one-sided ones at the validated residues.
     """
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
-    n = tube.n
-    t, f = pair.t_part, pair.f_part
+    n, t = tube.n, pair.t_part
+    low, minend, _ = _read_side(n, t.finite_objs, quotients=True)
+    minend = _family_walk(n, minend, t.corays, quotients=True)  # T has none for ray type
     if pair.kind == RAY:
-        reach, maxstart, _ = _read_side(n, f.finite_objs, quotients=False)
-        maxstart = _family_walk(n, maxstart, f.rays, quotients=False)
-        arcs = list(reach.items())
-        arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
-        family, kind = [_arc(IndObj, (i % n, None)) for i in f.rays], PRUFER
+        k, kind, family = 1, PRUFER, [_arc(IndObj, (i % n, None)) for i in pair.f_part.rays]
     else:
-        low, minend, _ = _read_side(n, t.finite_objs, quotients=True)
-        minend = _family_walk(n, minend, t.corays, quotients=True)
-        arcs = [(a, e) for e, a in low.items()]
-        arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
-        family, kind = [_arc(IndObj, (None, j % n)) for j in t.corays], ADIC
+        k, kind, family = 0, ADIC, [_arc(IndObj, (None, j % n)) for j in t.corays]
+    arcs = type_a._longest_arcs(low, minend.items(), k)
     fins = [_arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift
     return MaxRigid(frozenset(fins + family), kind)

@@ -26,9 +26,10 @@ one starting at residue s for ``reach[s]``, ending at r for ``low[r]``).
   closure (starts low[j]..j-2 at end j); ``reach[i]``, the largest end of
   an arc starting at i, fixes the subobject closure (ends i+2..reach[i]);
 - ``minend[s] = min{t.j : t.i <= s <= t.j-2}`` and ``maxstart[e] =
-  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; the tube reads both as
-  cyclic spans, ``minend[s] - s`` and ``e - maxstart[e]``, off the arcs of
-  a side that numbers its closure, with ``torsion._read_side``.
+  max{f.i : f.i+2 <= e <= f.j}`` bound the perps; both models read them
+  as spans, ``minend[s] - s`` and ``e - maxstart[e]``, off the arcs of a
+  side that numbers its closure: the segment with ``_minspan``, the tube
+  cyclically with ``torsion._read_side``.
 
 Three rules follow, each exact:
 
@@ -39,18 +40,19 @@ Three rules follow, each exact:
 - Ptolemy rule on ``low``: in a quotient-closed T, [a, d] crossing [c, b]
   (a < c < d < b) resolves into [c, d], a quotient of [a, d], and [a, b],
   so T is extension-closed iff no ends d < b have low[d] < low[b] < d.
-- Longest-arc rule: each arc of a tilting set U is the longest arc of U
-  at its start or at its end, since the triangle beyond it has its third
-  vertex on one side of it.  So with T = Gen U and T^perp = Cogen tau U,
-  U is [low[e], e] at each end e of T together with [s + 1, minend[s]],
-  tau^{-1} of the longest arc of T^perp at start s, wherever that spans 2
-  or more.  Both models use it: the tube's inverse bijection reads the
-  same two arcs per residue, off one side of the pair.
+- Longest-arc rule (``_longest_arcs``): each arc of a tilting set U is
+  the longest arc of U at its start or at its end, since the triangle
+  beyond it has its third vertex on one side of it.  So with T = Gen U and
+  T^perp = Cogen tau U, U is [low[e], e] at each end e of T together with
+  [s + 1, minend[s]], tau^{-1} of the longest arc of T^perp at start s,
+  wherever that spans 2 or more.  Both models call it: the segment's
+  ``tilting_of_torsion_pair``, and the tube's ``max_rigid_of``, whose
+  torsion side is tau^{-k} Gen U for an object of kind k.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Tuple
+from typing import Collection, Dict, Iterable, List, Tuple
 
 from .arcs import _Memo
 
@@ -257,31 +259,38 @@ def _is_torsion_low(low: Dict[int, int], size: int) -> bool:
     return True
 
 
-def _minend(m: int, pairs) -> List[int]:
-    """``minend[s]`` for s in 0..m-1: the least end of an arc at start s,
-    or m + 2 where none starts."""
-    minend = [m + 2] * m
+def _minspan(m: int, pairs) -> List[int]:
+    """``minend[s] - s`` for s in 0..m-1: the least span of an arc at
+    start s, or the span to the wall m + 2 where none starts."""
+    minspan = list(range(m + 2, 2, -1))
     for i, j in pairs:
-        if j < minend[i]:
-            minend[i] = j
-    return minend
+        if j - i < minspan[i]:
+            minspan[i] = j - i
+    return minspan
+
+
+def _longest_arcs(low: Dict[int, int], spans: Iterable[Tuple[int, int]], k: int) -> List[Tuple[int, int]]:
+    """The longest-arc rule: [low[e], e] at each end e, and [s + 1, s + d]
+    for each (start s, least span d) of ``spans`` with d > 2, tau^{-1} of
+    the perp's longest arc [s, s + d - 1] there; all moved by tau^k, as
+    (start, end) pairs.  An arc that is longest at both its ends comes
+    twice."""
+    arcs = [(a - k, e - k) for e, a in low.items()]
+    arcs += [(s + 1 - k, s + d - k) for s, d in spans if d > 2]
+    return arcs
 
 
 def tilting_of_torsion_pair(m: int, t_part) -> frozenset:
     """The tilting set U with T = Gen U, for a torsion class T containing
-    every injective arc.  Each arc of U is its longest at its start or at
-    its end: [low[e], e] at each end, or tau^{-1} of the longest arc
-    [s, minend[s] - 1] of T^perp = Cogen tau U at a start s, where that
-    spans 2 or more."""
+    every injective arc: ``_longest_arcs`` of T's ``low`` and least spans,
+    unmoved."""
     pairs = _segment_pairs(m, frozenset(t_part))
     low = _low(pairs)
     if not _is_torsion_low(low, len(pairs)):
         raise ValueError("input is not a torsion class")
     if m and low.get(m + 1) != 0:
         raise ValueError("torsion class must contain every injective arc")
-    tilting = {(a, e) for e, a in low.items()}
-    tilting.update((s + 1, e) for s, e in enumerate(_minend(m, pairs)) if e - s >= 3)
-    return frozenset(_shared(tilting))
+    return frozenset(_shared(_longest_arcs(low, enumerate(_minspan(m, pairs)), 0)))
 
 
 def is_torsion_class(arcs) -> bool:
@@ -306,20 +315,21 @@ def is_torsion_pair(m: int, t_part, f_part) -> bool:
     T = perp-F iff each side numbers as many arcs as the other's perp, which
     lie below ``minend`` and above ``maxstart``.  T = perp-F is
     quotient-closed and F = T^perp sub-closed, so a side that does not
-    number its closure is refused first; then ``minend[s]`` is the least end
-    of an arc of T at start s, and ``maxstart[e]`` the greatest start of an
-    arc of F at end e, one pass each."""
+    number its closure is refused first; then both are read as spans, one
+    pass each: the least span of an arc of T at each start (``_minspan``),
+    and the least span of an arc of F at each end, e + 1 where none ends
+    at e."""
     t_pairs = _segment_pairs(m, frozenset(t_part))
     f_pairs = _segment_pairs(m, frozenset(f_part))
     if len(t_pairs) != _closure_count(_low(t_pairs)) or len(f_pairs) != _closure_count(_reach(f_pairs)):
         return False
-    minend = _minend(m, t_pairs)
-    maxstart = [-1] * (m + 2)
+    minspan = _minspan(m, t_pairs)
+    maxspan = list(range(1, m + 3))
     for i, j in f_pairs:
-        if i > maxstart[j]:
-            maxstart[j] = i
+        if j - i < maxspan[j]:
+            maxspan[j] = j - i
     return (
-        all(j < minend[i] for i, j in f_pairs)
-        and len(f_pairs) == sum(e - s - 2 for s, e in enumerate(minend))
-        and len(t_pairs) == sum(e - 2 - maxstart[e] for e in range(2, m + 2))
+        all(j - i < minspan[i] for i, j in f_pairs)
+        and len(f_pairs) == sum(minspan) - 2 * m
+        and len(t_pairs) == sum(maxspan[2:]) - 2 * m
     )

@@ -4,8 +4,10 @@ the inputs the property tests draw.
 ``torsion.max_rigid_of``, ``torsion.is_torsion_pair``, the reader of a
 side and the family walk they share (``torsion._read_side`` and
 ``torsion._family_walk``), ``torsion.torsion_pair_of``,
-``torsion.is_ext_closed`` and ``type_a.tilting_of_torsion_pair`` run under
-``sys.settrace`` on:
+``torsion.is_ext_closed``, ``type_a.tilting_of_torsion_pair``,
+``type_a.is_torsion_pair``, the segment's least spans
+(``type_a._minspan``) and the longest-arc rule that both models' inverses
+share (``type_a._longest_arcs``) run under ``sys.settrace`` on:
 
 - every maximal rigid object at n <= 5, of both kinds, and its pair,
   each side of which is also checked by ``is_ext_closed``;
@@ -16,7 +18,9 @@ side and the family walk they share (``torsion._read_side`` and
 - the derandomized draws of ``raw_family_subcats`` (raw descriptors with
   no family, rays, corays or both, see ``test_torsion_reference``),
   checked by ``is_ext_closed``;
-- every tilting set at m <= 6, with both sides of its torsion pair.
+- every tilting set at m <= 6, with both sides of its torsion pair, each
+  side inverted and the pair validated as it is and swapped, so that the
+  segment validator's refusal runs.
 
 A statement of those functions that runs fewer than K times fails the
 test: a refusal that few inputs reach is a branch the property tests
@@ -63,6 +67,9 @@ FUNCTIONS = (
     torsion.torsion_pair_of,
     torsion.is_ext_closed,
     type_a.tilting_of_torsion_pair,
+    type_a.is_torsion_pair,
+    type_a._longest_arcs,
+    type_a._minspan,
 )
 
 
@@ -112,8 +119,11 @@ def run_inputs(pairs, objects, sides) -> None:
         attempt(torsion.is_ext_closed, tube, side)
     for m in range(7):
         for u in type_a.enumerate_tilting(m):
-            for side in type_a.torsion_pair_of_tilting(m, u):
+            t_part, f_part = type_a.torsion_pair_of_tilting(m, u)
+            for side in (t_part, f_part):
                 attempt(type_a.tilting_of_torsion_pair, m, side)
+            attempt(type_a.is_torsion_pair, m, t_part, f_part)
+            attempt(type_a.is_torsion_pair, m, f_part, t_part)
 
 
 def traced_counts(functions, run) -> Counter:

@@ -61,6 +61,17 @@ earlier references above read ``_bound`` and ``_is_canonical`` from these
 copies.  They are compared on raw pairs, raw descriptors of both kinds,
 perturbed pairs and every one-arc swap at n <= 4, on three lifts: the same
 value, or the same exception and message.
+
+Both directions of the bijection have one more reference, copied unchanged
+but for their names: the ``torsion_pair_of`` with one ``return`` per kind,
+and the ``max_rigid_of`` that read a ray-type object off F (its ``reach``
+and ``maxstart``) and a coray-type one off T.  The new code writes the kind
+as a power of tau, k = 1 for Prufer (ray) type and k = 0 for adic (coray)
+type, and inverts both kinds off T with ``type_a._longest_arcs``.  They are
+compared on arbitrary ``MaxRigid`` values (``rigid_values``: crossing
+summands, mixed families, wrong counts, any lift) and the pairs they give,
+on ``raw_pairs`` (non-pairs included), and on every object at n <= 6 and
+its pair: the same value, or the same exception type and message.
 """
 
 import math
@@ -71,7 +82,7 @@ import pytest
 
 from tubecalc import torsion as tor
 from tubecalc import type_a
-from tubecalc.arcs import IndObj, Tube
+from tubecalc.arcs import IndObj, Tube, sort_key
 import tube_defs
 from cover import lift
 from segment_defs import ses_middle
@@ -96,6 +107,7 @@ from tube_defs import reflect_rigid
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from test_census_reference import rigid_values  # noqa: E402
 
 # -- reference ---------------------------------------------------------------------
 
@@ -1192,3 +1204,128 @@ class TestOneReaderPerSide:
                 continue
             got = tor.max_rigid_of(tube, TorsionPair(t, f, pair.kind))
             assert got == u and "True" not in repr(sorted(map(repr, got.summands)))
+
+
+# -- the bijection with one branch per kind ------------------------------------------
+
+
+def torsion_pair_of_per_kind(tube: Tube, rigid: MaxRigid) -> TorsionPair:
+    n = tube.n
+    prufers, adics, subs, quots = [], [], [], []
+    for x in rigid.summands:  # one pass: the anchored lifts of _read_side
+        s, e = x
+        if e is None:
+            prufers.append(x)
+        elif s is None:
+            adics.append(x)
+        else:
+            a, r = s % n, e % n
+            subs.append((a, a + e - s))
+            quots.append((r - e + s, r))
+    reach, low = type_a._reach(subs), type_a._low(quots)
+    too_long = [s for s, e in reach.items() if e - s > n]  # each crosses its own lift
+    if too_long:  # named by the least start: set order varies between processes
+        s = min(too_long)
+        raise ValidationError(f"summand {IndObj(s, reach[s])} spans more than {n}, so it is not rigid")
+    if rigid.kind == PRUFER:
+        family, stray, name, other = prufers, adics, "Prufer", "adic"
+    elif rigid.kind == ADIC:
+        family, stray, name, other = adics, prufers, "adic", "Prufer"
+    else:
+        raise ValidationError(f"unknown kind {rigid.kind!r}")
+    if not family:
+        raise ValidationError(f"{name}-type object has no {name} summand")
+    if len(rigid.summands) != n:
+        raise ValidationError(
+            f"a maximal rigid object in rank {n} has {n} summands, got {len(rigid.summands)}"
+        )
+    if stray:
+        raise ValidationError(f"{name}-type object holds the {other} summand {min(stray, key=sort_key)}")
+    if rigid.kind == PRUFER:
+        return TorsionPair(
+            tor._closure_side(tube, low, quotients=True, shift=1),
+            tor._closure_side(tube, reach, quotients=False, rays=frozenset(s % n for s, _ in family)),
+            RAY,
+        )
+    return TorsionPair(
+        tor._closure_side(tube, low, quotients=True, corays=frozenset(e % n for _, e in family)),
+        tor._closure_side(tube, reach, quotients=False, shift=-1),
+        CORAY,
+    )
+
+
+def max_rigid_of_per_kind(tube: Tube, pair: TorsionPair) -> MaxRigid:
+    if not tor.is_torsion_pair(tube, pair):
+        raise ValidationError("input does not validate as a torsion pair")
+    n = tube.n
+    t, f = pair.t_part, pair.f_part
+    if pair.kind == RAY:
+        reach, maxstart, _ = tor._read_side(n, f.finite_objs, quotients=False)
+        maxstart = tor._family_walk(n, maxstart, f.rays, quotients=False)
+        arcs = list(reach.items())
+        arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
+        family, kind = [tor._arc(IndObj, (i % n, None)) for i in f.rays], PRUFER
+    else:
+        low, minend, _ = tor._read_side(n, t.finite_objs, quotients=True)
+        minend = tor._family_walk(n, minend, t.corays, quotients=True)
+        arcs = [(a, e) for e, a in low.items()]
+        arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
+        family, kind = [tor._arc(IndObj, (None, j % n)) for j in t.corays], ADIC
+    fins = [tor._arc(IndObj, (a % n, b - a + a % n)) for a, b in arcs]  # each on its canonical lift
+    return MaxRigid(frozenset(fins + family), kind)
+
+
+def assert_inverse_per_kind(tube: Tube, pair: TorsionPair):
+    """The inverse answers as the one with a branch per kind: the same
+    value, or the same exception type and message; its answer is returned."""
+    got = result(tor.max_rigid_of, tube, pair)
+    assert got == result(max_rigid_of_per_kind, tube, pair), pair
+    return got
+
+
+def assert_bijection_per_kind(tube: Tube, rigid: MaxRigid):
+    """Both directions answer as the code with a branch per kind, the
+    inverse on the pair the object gives; the pair is returned, or None."""
+    got = result(tor.torsion_pair_of, tube, rigid)
+    assert got == result(torsion_pair_of_per_kind, tube, rigid), rigid
+    if isinstance(got, TorsionPair):
+        assert_inverse_per_kind(tube, got)
+        return got
+    return None
+
+
+class TestOneRulePerKind:
+    @settings(max_examples=500, deadline=None)
+    @given(rigid_values())
+    def test_arbitrary_objects(self, case):
+        assert_bijection_per_kind(*case)
+
+    @settings(max_examples=500, deadline=None)
+    @given(raw_pairs())
+    def test_real_pairs_with_raw_items(self, case):
+        assert_inverse_per_kind(*case)
+
+    @pytest.mark.parametrize("n", range(1, N_MAX + 1))
+    def test_every_object_and_its_pair(self, n):
+        tube = Tube(n)
+        for u in rigid_objects(n):
+            pair = assert_bijection_per_kind(tube, u)
+            assert tor.max_rigid_of(tube, pair) == u
+
+    def test_strategies_reach_both_kinds_and_refusals(self):
+        """Valid and refused objects of both kinds, and pairs that invert
+        and pairs that do not, are among the draws compared above."""
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(rigid_values(), raw_pairs())
+        def collect(obj, raw):
+            pair = result(tor.torsion_pair_of, *obj)
+            seen.add(("forward", obj[1].kind, isinstance(pair, TorsionPair)))
+            back = result(tor.max_rigid_of, *raw)
+            seen.add(("inverse", raw[1].kind, isinstance(back, tuple) and isinstance(back[0], MaxRigid)))
+
+        collect()
+        kinds = {"forward": (PRUFER, ADIC), "inverse": (RAY, CORAY)}
+        wanted = {(way, kind, ok) for way, both in kinds.items() for kind in both for ok in (True, False)}
+        assert wanted <= seen

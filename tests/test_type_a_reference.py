@@ -21,6 +21,15 @@ set as the longest at its start or at its end, off ``low`` and
 ``minend``.  They are compared on arbitrary arc sets, arcs off the segment
 included, and on every quotient closure at m <= 7.
 
+The validator has a second reference, copied with only its name, its
+line breaks and the module of its helpers changed: the ``is_torsion_pair``
+that read ``minend`` as least ends (with the old ``_minend``, copied as
+``old_minend``) and ``maxstart`` as greatest starts, where the new one
+reads both as least spans, as the tube does.  They are compared on arbitrary arc sets at
+m <= 8, closures, arcs off the segment and swapped sides included, and on
+every tilting pair at m <= 8 and its swap: the same value, or the same
+ValueError and message.
+
 The last part keeps the frozen dataclass ``AArc`` and the functions that
 built an arc per member, copied unchanged but for their names.  The
 slotted ``AArc`` hashes, compares and prints as the dataclass did, and
@@ -369,12 +378,89 @@ class TestTiltingByLongestArcs:
         assert "tilting" in answers and (m < 2 or len(answers) == 3)
 
 
+# -- the validator before least spans ------------------------------------------------
+
+M_SPANS = 8
+
+
+def old_is_torsion_pair(m: int, t_part, f_part) -> bool:
+    t_pairs = ta._segment_pairs(m, frozenset(t_part))
+    f_pairs = ta._segment_pairs(m, frozenset(f_part))
+    if (len(t_pairs) != ta._closure_count(ta._low(t_pairs))
+            or len(f_pairs) != ta._closure_count(ta._reach(f_pairs))):
+        return False
+    minend = old_minend(m, t_pairs)
+    maxstart = [-1] * (m + 2)
+    for i, j in f_pairs:
+        if i > maxstart[j]:
+            maxstart[j] = i
+    return (
+        all(j < minend[i] for i, j in f_pairs)
+        and len(f_pairs) == sum(e - s - 2 for s, e in enumerate(minend))
+        and len(t_pairs) == sum(e - 2 - maxstart[e] for e in range(2, m + 2))
+    )
+
+
+@st.composite
+def arc_sets_up_to_8(draw):
+    """Two arbitrary sets of segment arcs at m <= 8, each sometimes its
+    quotient or subobject closure, and now and then with an arc of the
+    integer line added; or a tilting pair at m <= 8 with up to three arcs
+    toggled, sometimes swapped."""
+    m = draw(st.integers(0, M_SPANS))
+    arcs = all_arcs(m)
+    if m and draw(st.booleans()):
+        tiltings = ta.enumerate_tilting(m)
+        u = tiltings[draw(st.integers(0, len(tiltings) - 1))]
+        sides = list(map(set, ta.torsion_pair_of_tilting(m, u)))
+        for _ in range(draw(st.integers(0, 3))):
+            sides[draw(st.integers(0, 1))] ^= {draw(st.sampled_from(arcs))}
+    else:
+        sides = []
+        for _ in range(2):
+            side = draw(st.sets(st.sampled_from(arcs))) if arcs else set()
+            closure = draw(st.sampled_from([None, ta.left_closure, ta.right_closure]))
+            sides.append(side if closure is None else set(closure(side)))
+    for side in sides:
+        if draw(st.integers(0, 7)) == 0:
+            side.add(draw(line_arcs))
+    if draw(st.booleans()):
+        sides.reverse()
+    return m, sides[0], sides[1]
+
+
+class TestValidatorBySpans:
+    @settings(max_examples=600, deadline=None)
+    @given(arc_sets_up_to_8())
+    def test_arbitrary_arc_sets(self, case):
+        assert outcome(ta.is_torsion_pair, *case) == outcome(old_is_torsion_pair, *case)
+
+    @pytest.mark.parametrize("m", range(0, M_SPANS + 1))
+    def test_every_tilting_pair_and_its_swap(self, m):
+        for u in ta.enumerate_tilting(m):
+            t_part, f_part = ta.torsion_pair_of_tilting(m, u)
+            assert ta.is_torsion_pair(m, t_part, f_part) is old_is_torsion_pair(m, t_part, f_part) is True
+            assert ta.is_torsion_pair(m, f_part, t_part) == old_is_torsion_pair(m, f_part, t_part)
+
+    def test_strategy_reaches_every_outcome(self):
+        @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+        @given(arc_sets_up_to_8())
+        def collect(case):
+            got = outcome(old_is_torsion_pair, *case)
+            seen.add(got if isinstance(got, bool) else got[0])
+
+        seen = set()
+        collect()
+        assert seen == {True, False, "ValueError"}
+
+
 # -- the dataclass AArc and the closures that built it ------------------------------
 #
 # Copied unchanged, but for the names: the frozen dataclass AArc, and the
 # functions that built an arc per member before the shared table.  They
-# share the array helpers (_low, _reach, _is_torsion_low, _minend,
-# _segment_pairs), which the table did not change.
+# share the array helpers (_low, _reach, _is_torsion_low, _segment_pairs),
+# which the table did not change; ``old_minend`` is their copy of the
+# library's ``_minend``, which gave way to the least spans of ``_minspan``.
 
 
 @dataclass(frozen=True)
@@ -441,6 +527,14 @@ def old_torsion_pair_of_tilting(m: int, tilting) -> Tuple[frozenset, frozenset]:
     return t_part, f_part
 
 
+def old_minend(m: int, pairs) -> List[int]:
+    minend = [m + 2] * m
+    for i, j in pairs:
+        if j < minend[i]:
+            minend[i] = j
+    return minend
+
+
 def old_tilting_of_torsion_pair(m: int, t_part) -> frozenset:
     pairs = ta._segment_pairs(m, frozenset(t_part))
     low = ta._low(pairs)
@@ -449,7 +543,7 @@ def old_tilting_of_torsion_pair(m: int, t_part) -> frozenset:
     if m and low.get(m + 1) != 0:
         raise ValueError("torsion class must contain every injective arc")
     tilting = {OldAArc(a, e) for e, a in low.items()}
-    tilting.update(OldAArc(s + 1, e) for s, e in enumerate(ta._minend(m, pairs)) if e - s >= 3)
+    tilting.update(OldAArc(s + 1, e) for s, e in enumerate(old_minend(m, pairs)) if e - s >= 3)
     return frozenset(tilting)
 
 

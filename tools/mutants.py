@@ -97,8 +97,23 @@ MUTANTS = (
     ),
     Mutant(
         "inverse-drops-span-3-arcs",
-        ((TORSION, "for e, d in maxstart.items() if d > 2]", "for e, d in maxstart.items() if d > 3]"),),
+        ((TYPE_A, "for s, d in spans if d > 2]", "for s, d in spans if d > 3]"),),
         ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
+    ),
+    Mutant(
+        "inverse-moves-neither-half",
+        ((TORSION, "_longest_arcs(low, minend.items(), k)", "_longest_arcs(low, minend.items(), 0)"),),
+        ("tests/test_acceptance.py::test_criterion_4_bijection_round_trips",),
+    ),
+    Mutant(
+        "forward-free-side-unshifted",
+        ((TORSION, "shift=k - 1,", "shift=-k,"),),
+        ("tests/test_torsion_reference.py::TestOneRulePerKind::test_every_object_and_its_pair",),
+    ),
+    Mutant(
+        "segment-wall-a-step-short",
+        ((TYPE_A, "list(range(m + 2, 2, -1))", "list(range(m + 1, 1, -1))"),),
+        (f"{ARC_TESTS}TestValidatorBySpans::test_every_tilting_pair_and_its_swap",),
     ),
     Mutant(
         "ptolemy-skips-start-resolution",
