@@ -26,13 +26,13 @@ is a subobject of y.  So the right perp of a subcategory holds, per start
 s, every span below its cyclic ``minend[s]`` (the least span of a member's
 quotient starting at s), and the left perp, per end e, every span below
 its cyclic ``maxstart[e]`` (the least gap from a member's start to e),
-each read off a side that lists its closure.  ``_read_side`` reads a side's
-listed arcs once, for its ``low`` or ``reach``, its least spans and whether
-it is canonical; ``_family_walk`` then adds what its rays or corays imply.
+each read off a side that lists its closure.  ``_read_side`` reads a
+torsion side's listed arcs once, for its ``low``, its least spans and
+whether it is canonical; ``_family_walk`` then adds what a family implies.
 ``is_torsion_pair`` is the segment's rule read with period n: it refuses a
-T that does not number its quotient closure, then checks Hom(T, F) = 0 off
-T's ``minend`` and two count identities, with no perp descriptor built; it
-reads each side once.
+T that does not number its quotient closure, then checks two count
+identities and Hom(T, F) = 0 off T's ``minend``, with no perp descriptor
+built; it reads each side once, F arc by arc as a part of T^perp.
 
 The bijection: the two kinds of maximal rigid object differ by one power
 of tau.  Write k = 1 for Prufer type (a ray-type pair) and k = 0 for adic
@@ -64,8 +64,8 @@ The reflection [i,j] -> [-j,-i] is a duality: Hom(y, x) = Hom(x^v, y^v),
 and it swaps rays with corays, quotients with subobjects.  So some mirror
 -side constructions are derived rather than written out: ``is_sub_closed``
 is ``is_quotient_closed`` of the reflection, and ``left_perp`` is the
-reflected ``right_perp``.  ``_read_side`` keys a quotient by its start
-and a subobject by its end, since ``is_torsion_pair`` reads T's
+reflected ``right_perp``.  ``_read_side`` keys a quotient by its start,
+and ``is_torsion_pair`` keys an arc of F by its end, so that it reads T's
 ``minend`` and F's ``maxstart`` with no reflected descriptor.
 
 The value types are namedtuples, as ``IndObj`` is: ``SubcatDesc`` (its
@@ -182,16 +182,14 @@ def members(tube: Tube, desc: SubcatDesc, max_len: int) -> List[IndObj]:
     return sorted(desc.finite_objs.union(short), key=sort_key)
 
 
-def _read_side(n: int, arcs, quotients: bool) -> Tuple[Dict[int, int], Dict[int, int], bool]:
+def _read_side(n: int, arcs) -> Tuple[Dict[int, int], Dict[int, int], bool]:
     """One pass over a side's listed finite arcs, for three facts.
 
-    - The bound: ``type_a``'s ``low`` (``quotients``) or ``reach`` of the
-      arcs, each read on its anchored lift: the one that ends at residue r
-      for ``low[r]``, the one that starts at residue s for ``reach[s]``.
-    - Per residue k, the least span of a listed arc starting at k
-      (``quotients``) or ending at k: on a side that lists its closure, the
-      cyclic ``minend[k] - k`` or ``k - maxstart[k]`` of ``type_a``, once
-      ``_family_walk`` has added what a family implies.
+    - The bound: ``type_a``'s ``low`` of the arcs, each read on its
+      anchored lift, the one that ends at residue r for ``low[r]``.
+    - Per residue k, the least span of a listed arc starting at k: on a
+      side that lists its quotient closure, the cyclic ``minend[k] - k`` of
+      ``type_a``, once ``_family_walk`` has added what its corays imply.
     - Whether every arc is canonical: it starts in 0..n-1 and spans 2 or more.
 
     A one-sided arc raises ValueError, wherever it is listed."""
@@ -199,25 +197,16 @@ def _read_side(n: int, arcs, quotients: bool) -> Tuple[Dict[int, int], Dict[int,
     least: Dict[int, int] = {}
     canonical = True
     try:
-        if quotients:
-            for s, e in arcs:
-                d, k, r = e - s, s % n, e % n
-                pairs.append((r - d, r))
-                if least.get(k, d + 1) > d:
-                    least[k] = d
-                if s != k or d < 2:
-                    canonical = False
-        else:
-            for s, e in arcs:
-                d, k, a = e - s, e % n, s % n
-                pairs.append((a, a + d))
-                if least.get(k, d + 1) > d:
-                    least[k] = d
-                if s != a or d < 2:
-                    canonical = False
+        for s, e in arcs:
+            d, k, r = e - s, s % n, e % n
+            pairs.append((r - d, r))
+            if least.get(k, d + 1) > d:
+                least[k] = d
+            if s != k or d < 2:
+                canonical = False
     except TypeError:  # a None endpoint
         raise ValueError("one-sided arcs have no finite length") from None
-    return (type_a._low if quotients else type_a._reach)(pairs), least, canonical
+    return type_a._low(pairs), least, canonical
 
 
 def _family_walk(n: int, least: Dict[int, int], family, quotients: bool) -> Dict[int, int]:
@@ -277,7 +266,7 @@ def is_quotient_closed(tube: Tube, desc: SubcatDesc) -> bool:
     if desc.rays:
         return desc == everything(tube)
     n, corays = tube.n, desc.corays
-    low = _read_side(n, desc.finite_objs, quotients=True)[0]  # a ValueError for a one-sided arc
+    low = _read_side(n, desc.finite_objs)[0]  # a ValueError for a one-sided arc
     listed = sum(e % n not in corays for _, e in desc.finite_objs)
     return listed == type_a._closure_count({r: a for r, a in low.items() if r not in corays})
 
@@ -340,9 +329,9 @@ def right_perp(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     if desc.rays:
         return empty_desc(tube)
     n = tube.n
-    low = {r: max(a, r - n - 1) for r, a in _read_side(n, desc.finite_objs, quotients=True)[0].items()}
+    low = {r: max(a, r - n - 1) for r, a in _read_side(n, desc.finite_objs)[0].items()}
     closure = _closure_side(tube, low, quotients=True)
-    _, minend, _ = _read_side(n, closure.finite_objs, quotients=True)
+    _, minend, _ = _read_side(n, closure.finite_objs)
     minend = _family_walk(n, minend, desc.corays, quotients=True)
     reach = {s: s + d - 1 for s, d in minend.items()}
     return _closure_side(tube, reach, quotients=False, rays=frozenset(range(n)).difference(reach))
@@ -378,9 +367,10 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
     family, F = T^perp iff F has a ray at every start without ``minend``
     and numbers as many arcs as T^perp; so F needs no closure check, and
     T = perp-F iff T has a coray at every end without F's ``maxstart`` and
-    numbers as many arcs as perp-F (the mirror of ``right_perp``).
-    The pair of an object with k Prufers (or adics) lists k rays (or
-    corays) and an arc per finite summand, so it lists n items at least.
+    numbers as many arcs as perp-F (the mirror of ``right_perp``).  F is
+    read in one pass, arc by arc, after its count.  The pair of an object
+    with k Prufers (or adics) lists k rays (or corays) and an arc per
+    finite summand, so it lists n items at least.
     """
     t, f = pair.t_part, pair.f_part
     n = tube.n
@@ -393,24 +383,28 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
         return False
     if t.rays:  # T^perp is 0, whose left perp is everything
         return f == empty_desc(tube) and t == everything(tube)
-    low, minend, canonical = _read_side(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    low, minend, canonical = _read_side(n, t.finite_objs)  # raises as right_perp does
     if len(t.finite_objs) != type_a._closure_count(low) or not canonical:
         return False
     minend = _family_walk(n, minend, t.corays, quotients=True)
     if not minend:  # T is 0, whose right perp is everything
         return f == everything(tube)
     full = frozenset(range(n))
-    if f.corays or f.rays != full.difference(minend):
-        return False
-    try:
-        reach, maxstart, canonical = _read_side(n, f.finite_objs, quotients=False)
-    except ValueError:  # a one-sided arc lies in no perp
-        return False
     if (
-        not canonical
-        or any(b - s >= minend.get(s, 0) for s, b in reach.items())
+        f.corays
+        or f.rays != full.difference(minend)
         or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
     ):
+        return False
+    maxstart: Dict[int, int] = {}
+    try:
+        for s, e in f.finite_objs:
+            d, a, k = e - s, s % n, e % n
+            if s != a or d < 2 or d >= minend.get(a, 0):  # not canonical, or Hom(T, F) != 0
+                return False
+            if maxstart.get(k, d + 1) > d:
+                maxstart[k] = d
+    except (TypeError, ValueError):  # a one-sided arc or a malformed item lies in no perp
         return False
     maxstart = _family_walk(n, maxstart, f.rays, quotients=False)
     return (
@@ -537,7 +531,7 @@ def torsion_pair_of(tube: Tube, rigid: MaxRigid) -> TorsionPair:
     """
     n = tube.n
     prufers, adics, subs, quots = [], [], [], []
-    for x in rigid.summands:  # one pass: the anchored lifts of _read_side
+    for x in rigid.summands:  # one pass: each arc on its anchored lifts
         s, e = x
         if e is None:
             prufers.append(x)
@@ -591,7 +585,7 @@ def max_rigid_of(tube: Tube, pair: TorsionPair) -> MaxRigid:
     if not is_torsion_pair(tube, pair):
         raise ValidationError("input does not validate as a torsion pair")
     n, t = tube.n, pair.t_part
-    low, minend, _ = _read_side(n, t.finite_objs, quotients=True)
+    low, minend, _ = _read_side(n, t.finite_objs)
     minend = _family_walk(n, minend, t.corays, quotients=True)  # T has none for ray type
     if pair.kind == RAY:
         k, kind, family = 1, PRUFER, [_arc(IndObj, (i % n, None)) for i in pair.f_part.rays]

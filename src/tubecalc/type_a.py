@@ -27,9 +27,10 @@ one starting at residue s for ``reach[s]``, ending at r for ``low[r]``).
   an arc starting at i, fixes the subobject closure (ends i+2..reach[i]);
 - ``minend[s] = min{t.j : t.i <= s <= t.j-2}`` and ``maxstart[e] =
   max{f.i : f.i+2 <= e <= f.j}`` bound the perps; both models read them
-  as spans, ``minend[s] - s`` and ``e - maxstart[e]``, off the arcs of a
-  side that numbers its closure: the segment with ``_minspan``, the tube
-  cyclically with ``torsion._read_side``.
+  as spans, ``minend[s] - s`` and ``e - maxstart[e]``: ``minend`` off a
+  T that numbers its closure (the segment with ``_minspan``, the tube
+  cyclically with ``torsion._read_side``), ``maxstart`` in the
+  validator's one pass over F.
 
 Three rules follow, each exact:
 
@@ -314,22 +315,23 @@ def is_torsion_pair(m: int, t_part, f_part) -> bool:
     """Hom(T, F) = 0, read off ``minend``; given that, F = T^perp and
     T = perp-F iff each side numbers as many arcs as the other's perp, which
     lie below ``minend`` and above ``maxstart``.  T = perp-F is
-    quotient-closed and F = T^perp sub-closed, so a side that does not
-    number its closure is refused first; then both are read as spans, one
-    pass each: the least span of an arc of T at each start (``_minspan``),
-    and the least span of an arc of F at each end, e + 1 where none ends
-    at e."""
+    quotient-closed, so a T that does not number its quotient closure is
+    refused first; F within T^perp with as many arcs is T^perp, so F needs
+    no closure check.  One pass over F checks Hom(T, F) = 0 arc by arc and
+    keeps F's least span at each end, e + 1 where none ends at e.  Each
+    simple [i, i+2] lies in T or in F, so fewer than m arcs in all are
+    refused before a list of m + 2 entries is built: linear in the input."""
     t_pairs = _segment_pairs(m, frozenset(t_part))
     f_pairs = _segment_pairs(m, frozenset(f_part))
-    if len(t_pairs) != _closure_count(_low(t_pairs)) or len(f_pairs) != _closure_count(_reach(f_pairs)):
+    if len(t_pairs) + len(f_pairs) < m or len(t_pairs) != _closure_count(_low(t_pairs)):
         return False
     minspan = _minspan(m, t_pairs)
+    if len(f_pairs) != sum(minspan) - 2 * m:
+        return False
     maxspan = list(range(1, m + 3))
     for i, j in f_pairs:
+        if j - i >= minspan[i]:
+            return False
         if j - i < maxspan[j]:
             maxspan[j] = j - i
-    return (
-        all(j - i < minspan[i] for i, j in f_pairs)
-        and len(f_pairs) == sum(minspan) - 2 * m
-        and len(t_pairs) == sum(maxspan[2:]) - 2 * m
-    )
+    return len(t_pairs) == sum(maxspan[2:]) - 2 * m

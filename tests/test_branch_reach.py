@@ -12,9 +12,10 @@ share (``type_a._longest_arcs``) run under ``sys.settrace`` on:
 - every maximal rigid object at n <= 5, of both kinds, and its pair,
   each side of which is also checked by ``is_ext_closed``;
 - the derandomized draws of ``raw_pairs`` (real pairs with raw items, see
-  ``test_torsion_reference``) and of ``rigid_values`` (arbitrary objects,
-  invalid ones included, see ``test_census_reference``); the pair of a
-  drawn object is validated and inverted too;
+  ``test_torsion_reference``), of ``free_items`` (pairs with an item on F
+  that lies in no perp, see there) and of ``rigid_values`` (arbitrary
+  objects, invalid ones included, see ``test_census_reference``); the
+  pair of a drawn object is validated and inverted too;
 - the derandomized draws of ``raw_family_subcats`` (raw descriptors with
   no family, rays, corays or both, see ``test_torsion_reference``),
   checked by ``is_ext_closed``;
@@ -31,10 +32,14 @@ thin (6 and 7 runs with hypothesis 6.155.2, and as few as 2 under other
 seeds): ``is_torsion_pair`` refusing a one-sided arc in F, and
 ``torsion_pair_of`` refusing a summand of the other family.  Each is now
 an edit kind of its own in ``raw_pairs`` and ``rigid_values``, drawn one
-time in six, and runs 41-93 times in 500 draws under each of 8 seeds.
-The reader's one-sided refusal runs 136 times, and its non-canonical flag
-76 times on quotients and 44 on subobjects, on the draws of hypothesis
-6.155.2, with no edit kind of their own.
+time in six.  Since ``is_torsion_pair`` checks F's count before its pass
+over F, an arc added to F is mostly refused by the count: the pass's
+refusal of a one-sided arc or a malformed item ran 8 times on the draws
+of ``raw_pairs``, and runs 32 times with those of ``free_items``, which
+put such an item in place of an arc of F; its Hom refusal runs 22 times.
+The reader's one-sided refusal runs 48 times and its non-canonical flag
+114 times, on the draws of hypothesis 6.155.2, with no edit kind of
+their own.
 
 The tracer is the standard library's.  The draws come from the property
 tests' own strategies, so this module is skipped where hypothesis is not
@@ -55,7 +60,7 @@ from tubecalc.arcs import Tube
 pytest.importorskip("hypothesis")
 from hypothesis import Phase, given, settings  # noqa: E402
 from test_census_reference import rigid_values  # noqa: E402
-from test_torsion_reference import on_one_rank, raw_family_subcats, raw_pairs  # noqa: E402
+from test_torsion_reference import free_items, on_one_rank, raw_family_subcats, raw_pairs  # noqa: E402
 
 K = 3  # the least number of runs of each statement
 DRAWS = 500  # derandomized draws per strategy
@@ -164,7 +169,7 @@ def test_every_statement_runs_k_times():
     sides = [(tube, side) for tube, pair in pairs for side in (pair.t_part, pair.f_part)]
     sides += [(Tube(n), desc) for n, desc in draws(on_one_rank(raw_family_subcats))]
     objects += draws(rigid_values())
-    pairs = draws(raw_pairs())
+    pairs = draws(raw_pairs()) + [case[:2] for case in draws(free_items())]
     counts = traced_counts(FUNCTIONS, lambda: run_inputs(pairs, objects, sides))
     thin = thin_statements(FUNCTIONS, counts)
     assert not thin, "\n".join(thin)

@@ -72,6 +72,19 @@ compared on arbitrary ``MaxRigid`` values (``rigid_values``: crossing
 summands, mixed families, wrong counts, any lift) and the pairs they give,
 on ``raw_pairs`` (non-pairs included), and on every object at n <= 6 and
 its pair: the same value, or the same exception type and message.
+
+The validator has a last reference, copied unchanged but for its name
+and the module of its helpers: the ``is_torsion_pair`` that read F with
+the subobject mode of a two-mode ``_read_side``, for F's ``reach``, and
+compared that with T's ``minend``.  The new one checks F's count first and
+then reads F in one pass, arc by arc, as a part of T^perp; the library's
+``_read_side`` reads quotients only.  The two-mode reader is copied too
+(``read_side_two_modes``), and the earlier references that called the
+library's reader with ``quotients=`` call the copy.  They are compared on
+``free_items`` (``raw_pairs`` and real pairs with an item on F that lies in
+no perp: a one-sided arc, an arc at one of F's rays, a 3-tuple), on raw
+descriptors of both kinds and on every one-arc swap at n <= 4, on three
+lifts: the same value, or the same exception type and message.
 """
 
 import math
@@ -1033,6 +1046,32 @@ def _is_canonical(n: int, objs) -> bool:
     return all(0 <= s < n and s + 2 <= e for s, e in objs)
 
 
+def read_side_two_modes(n: int, arcs, quotients: bool) -> Tuple[Dict[int, int], Dict[int, int], bool]:
+    pairs: List[Tuple[int, int]] = []
+    least: Dict[int, int] = {}
+    canonical = True
+    try:
+        if quotients:
+            for s, e in arcs:
+                d, k, r = e - s, s % n, e % n
+                pairs.append((r - d, r))
+                if least.get(k, d + 1) > d:
+                    least[k] = d
+                if s != k or d < 2:
+                    canonical = False
+        else:
+            for s, e in arcs:
+                d, k, a = e - s, e % n, s % n
+                pairs.append((a, a + d))
+                if least.get(k, d + 1) > d:
+                    least[k] = d
+                if s != a or d < 2:
+                    canonical = False
+    except TypeError:  # a None endpoint
+        raise ValueError("one-sided arcs have no finite length") from None
+    return (type_a._low if quotients else type_a._reach)(pairs), least, canonical
+
+
 def right_perp_by_passes(tube: Tube, desc: SubcatDesc) -> SubcatDesc:
     if desc.rays:
         return empty_desc(tube)
@@ -1169,27 +1208,38 @@ class TestOneReaderPerSide:
         assert verdicts == ({True} if n == 1 else {True, False})
 
     def test_the_reader_on_lists(self):
-        # anchored bound, least span per start (quotients) or end, canonical flag
+        # anchored bound, least span per start (quotients) or end, canonical
+        # flag: the library's reader reads quotients only, as the copied
+        # two-mode reader does with quotients=True
         arcs = [IndObj(0, 3), IndObj(2, 5), IndObj(4, 6)]
-        assert tor._read_side(3, arcs, quotients=True) == ({0: -3, 2: -1}, {0: 3, 2: 3, 1: 2}, False)
-        assert tor._read_side(3, arcs, quotients=False) == ({0: 3, 2: 5, 1: 3}, {0: 2, 2: 3}, False)
-        assert tor._read_side(3, arcs[:1], quotients=True)[2] is True
-        assert tor._read_side(3, [IndObj(1, 2)], quotients=False)[2] is False  # spans 1
+        assert tor._read_side(3, arcs) == ({0: -3, 2: -1}, {0: 3, 2: 3, 1: 2}, False)
+        assert read_side_two_modes(3, arcs, quotients=False) == ({0: 3, 2: 5, 1: 3}, {0: 2, 2: 3}, False)
+        assert tor._read_side(3, arcs[:1])[2] is True
+        assert read_side_two_modes(3, [IndObj(1, 2)], quotients=False)[2] is False  # spans 1
+        assert tor._read_side(3, ()) == ({}, {}, True)
         for quotients in (True, False):
-            assert tor._read_side(3, (), quotients) == ({}, {}, True)
-            assert tor._read_side(3, arcs, quotients)[0] == _bound(3, arcs, quotients)
+            assert read_side_two_modes(3, (), quotients) == ({}, {}, True)
+            assert read_side_two_modes(3, arcs, quotients)[0] == _bound(3, arcs, quotients)
+        for some in (arcs, arcs[:1], [IndObj(1, 2)], ()):
+            assert tor._read_side(3, some) == read_side_two_modes(3, some, quotients=True)
 
     @pytest.mark.parametrize("one_sided", [IndObj(0, None), IndObj(None, 2)])
     @pytest.mark.parametrize("quotients", [True, False])
     def test_a_one_sided_arc_raises_after_a_non_canonical_one(self, one_sided, quotients):
+        """The library's reader of quotients raises, and so does the test
+        helpers' reader of subobjects (``tube_defs.right_closure``); the
+        validator raises for such arcs on T, as before, and answers False
+        for them on F, as before."""
         arcs = [IndObj(7, 9), IndObj(0, 1), one_sided]
-        with pytest.raises(ValueError, match="^one-sided arcs have no finite length$"):
-            tor._read_side(3, arcs, quotients)
         tube = Tube(3)
+        with pytest.raises(ValueError, match="^one-sided arcs have no finite length$"):
+            tor._read_side(3, arcs) if quotients else tube_defs.right_closure(tube, arcs)
         u = next(v for v in rigid_objects(3) if v.kind == PRUFER)
         pair = tor.torsion_pair_of(tube, u)
         t = SubcatDesc(pair.t_part.finite_objs | set(arcs), pair.t_part.rays, pair.t_part.corays)
         assert assert_same_as_by_passes(tube, TorsionPair(t, pair.f_part, RAY)) == ONE_SIDED
+        f = SubcatDesc(pair.f_part.finite_objs | set(arcs), pair.f_part.rays, pair.f_part.corays)
+        assert assert_same_as_by_passes(tube, TorsionPair(pair.t_part, f, RAY)) is False
 
     def test_a_residue_that_only_equals_an_int_is_printed_as_one(self):
         tube = Tube(3)
@@ -1260,13 +1310,13 @@ def max_rigid_of_per_kind(tube: Tube, pair: TorsionPair) -> MaxRigid:
     n = tube.n
     t, f = pair.t_part, pair.f_part
     if pair.kind == RAY:
-        reach, maxstart, _ = tor._read_side(n, f.finite_objs, quotients=False)
+        reach, maxstart, _ = read_side_two_modes(n, f.finite_objs, quotients=False)
         maxstart = tor._family_walk(n, maxstart, f.rays, quotients=False)
         arcs = list(reach.items())
         arcs += [(e - d, e - 1) for e, d in maxstart.items() if d > 2]
         family, kind = [tor._arc(IndObj, (i % n, None)) for i in f.rays], PRUFER
     else:
-        low, minend, _ = tor._read_side(n, t.finite_objs, quotients=True)
+        low, minend, _ = read_side_two_modes(n, t.finite_objs, quotients=True)
         minend = tor._family_walk(n, minend, t.corays, quotients=True)
         arcs = [(a, e) for e, a in low.items()]
         arcs += [(s + 1, s + d) for s, d in minend.items() if d > 2]
@@ -1329,3 +1379,153 @@ class TestOneRulePerKind:
         kinds = {"forward": (PRUFER, ADIC), "inverse": (RAY, CORAY)}
         wanted = {(way, kind, ok) for way, both in kinds.items() for kind in both for ok in (True, False)}
         assert wanted <= seen
+
+
+# -- the validator that read F as a side of its own ------------------------------------
+
+
+def is_torsion_pair_by_reach(tube: Tube, pair: TorsionPair) -> bool:
+    t, f = pair.t_part, pair.f_part
+    n = tube.n
+    if sum(len(d.finite_objs) + len(d.rays) + len(d.corays) for d in (t, f)) < n:
+        return False
+    try:
+        if classify_kind(tube, pair) != pair.kind:
+            return False
+    except ValidationError:
+        return False
+    if t.rays:  # T^perp is 0, whose left perp is everything
+        return f == empty_desc(tube) and t == everything(tube)
+    low, minend, canonical = read_side_two_modes(n, t.finite_objs, quotients=True)  # raises as right_perp does
+    if len(t.finite_objs) != type_a._closure_count(low) or not canonical:
+        return False
+    minend = tor._family_walk(n, minend, t.corays, quotients=True)
+    if not minend:  # T is 0, whose right perp is everything
+        return f == everything(tube)
+    full = frozenset(range(n))
+    if f.corays or f.rays != full.difference(minend):
+        return False
+    try:
+        reach, maxstart, canonical = read_side_two_modes(n, f.finite_objs, quotients=False)
+    except ValueError:  # a one-sided arc lies in no perp
+        return False
+    if (
+        not canonical
+        or any(b - s >= minend.get(s, 0) for s, b in reach.items())
+        or len(f.finite_objs) != sum(minend.values()) - 2 * len(minend)
+    ):
+        return False
+    maxstart = tor._family_walk(n, maxstart, f.rays, quotients=False)
+    return (
+        bool(maxstart)  # else perp-F is everything, which has rays
+        and t.corays == full.difference(maxstart)
+        and low.keys() <= maxstart.keys()  # no arc ends at a coray
+        and len(t.finite_objs) == sum(maxstart.values()) - 2 * len(maxstart)
+    )
+
+
+FREE_ITEMS = ("none", "one_sided", "at_ray", "triple")
+
+
+@st.composite
+def free_items(draw):
+    """A draw of ``raw_pairs`` or, as often, the pair of a maximal rigid
+    object, in most draws with one more item on F of a kind the
+    validator refuses there: a one-sided arc, an arc at one of F's own
+    rays, or a 3-tuple; sometimes in place of a listed arc, so that F still
+    numbers what its count identity expects and the pass over F refuses
+    it.  The kind of item is returned last."""
+    if draw(st.booleans()):
+        tube, pair = draw(raw_pairs())
+    else:
+        tube = Tube(draw(st.integers(1, N_MAX - 1)))
+        objects = rigid_objects(tube.n)
+        pair = tor.torsion_pair_of(tube, objects[draw(st.integers(0, len(objects) - 1))])
+    n, f = tube.n, pair.f_part
+    what = draw(st.sampled_from(FREE_ITEMS))
+    s = draw(st.integers(0, n - 1))
+    if what == "one_sided":
+        item = IndObj(s, None) if draw(st.booleans()) else IndObj(None, s)
+    elif what == "at_ray" and f.rays:
+        ray = draw(st.sampled_from(sorted(f.rays, key=repr)))
+        item = IndObj(ray, ray + draw(st.integers(2, 2 * n + 1)))
+    elif what == "triple":
+        item = (s, s + draw(st.integers(2, 2 * n)), draw(st.integers(0, 1)))
+    else:
+        return tube, pair, "none"
+    fins = set(f.finite_objs)
+    if fins and draw(st.booleans()):
+        fins.discard(draw(st.sampled_from(sorted(fins, key=repr))))
+    fins.add(item)
+    return tube, pair._replace(f_part=f._replace(finite_objs=frozenset(fins))), what
+
+
+def assert_same_as_by_reach(tube: Tube, pair: TorsionPair):
+    """The validator answers as the one that read F's ``reach``: the same
+    value, or the same exception type and message; its answer is returned."""
+    got = result(tor.is_torsion_pair, tube, pair)
+    assert got == result(is_torsion_pair_by_reach, tube, pair), pair
+    return got
+
+
+class TestFreeSideAsPerp:
+    """``is_torsion_pair`` reads F in one pass, arc by arc, as a part of
+    T^perp, where the copy above read F's ``reach`` with the subobject mode
+    of the two-mode reader and compared it with T's ``minend``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(free_items())
+    def test_real_pairs_with_free_items(self, case):
+        assert_same_as_by_reach(*case[:2])
+
+    @settings(max_examples=300, deadline=None)
+    @given(on_one_rank(raw_family_subcats, raw_family_subcats))
+    def test_raw_descriptors_of_both_kinds(self, case):
+        n, t_part, f_part = case
+        for kind in (RAY, CORAY):
+            assert_same_as_by_reach(Tube(n), TorsionPair(t_part, f_part, kind))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_one_arc_swap(self, n):
+        """Each listed arc of either side of every pair swapped for another
+        arc spanning at most 2n, on any of three lifts, kept raw."""
+        tube = Tube(n)
+        arcs = [IndObj(s, s + d) for s in range(-n, 2 * n) for d in range(2, 2 * n + 1)]
+        verdicts = set()
+        for u in rigid_objects(n):
+            pair = tor.torsion_pair_of(tube, u)
+            verdicts.add(assert_same_as_by_reach(tube, pair))
+            for k, side in enumerate(pair[:2]):
+                for x in side.finite_objs:
+                    for y in arcs:
+                        sides = [pair.t_part, pair.f_part]
+                        sides[k] = side._replace(finite_objs=side.finite_objs - {x} | {y})
+                        verdicts.add(assert_same_as_by_reach(tube, TorsionPair(*sides, pair.kind)))
+        assert verdicts == ({True} if n == 1 else {True, False})
+
+    def test_items_on_f_that_lie_in_no_perp(self):
+        """Each item in place of an arc of F, so that F's count holds: a
+        one-sided arc, an arc at F's own ray, a 3-tuple, an item that is no
+        pair, and a pair of strings; both validators answer False."""
+        tube = Tube(3)
+        pairs = (tor.torsion_pair_of(tube, v) for v in rigid_objects(3) if v.kind == PRUFER)
+        pair = next(p for p in pairs if p.f_part.finite_objs)
+        f = pair.f_part
+        ray, x = min(f.rays), min(f.finite_objs)
+        assert assert_same_as_by_reach(tube, pair) is True
+        for item in (IndObj(0, None), IndObj(None, 0), IndObj(ray, ray + 2), (0, 2, 0), 5, ("a", "b")):
+            bad = pair._replace(f_part=f._replace(finite_objs=f.finite_objs - {x} | {item}))
+            assert assert_same_as_by_reach(tube, bad) is False, item
+
+    def test_strategy_reaches_each_item_and_both_answers(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(free_items())
+        def collect(case):
+            tube, pair, what = case
+            seen.add(what)
+            seen.add(result(is_torsion_pair_by_reach, tube, pair))
+
+        collect()
+        assert set(FREE_ITEMS) | {True, False} <= seen

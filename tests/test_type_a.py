@@ -206,6 +206,15 @@ class TestTorsionPairsA:
             assert not ta.is_torsion_pair(m, t, f)
             assert not ta.is_torsion_pair(m, f, t)
 
+    @needs_alarm
+    def test_validator_refuses_fewer_than_m_arcs_in_time_linear_in_its_input(self):
+        # each simple [i, i+2] lies in T or in F, so every torsion pair of
+        # A_m lists m arcs at least; fewer are refused before the validator
+        # builds its lists of m + 2 entries
+        with time_limit(5):
+            assert not ta.is_torsion_pair(10**9, [], [])
+            assert not ta.is_torsion_pair(10**9, [AArc(0, 2)], [])
+
     def test_recovery_example(self):
         t = {AArc(0, 2), AArc(0, 3), AArc(1, 3)}
         assert ta.tilting_of_torsion_pair(2, t) == {AArc(0, 2), AArc(0, 3)}

@@ -30,6 +30,15 @@ m <= 8, closures, arcs off the segment and swapped sides included, and on
 every tilting pair at m <= 8 and its swap: the same value, or the same
 ValueError and message.
 
+The validator has a third reference, copied with only its name and the
+module of its helpers changed: the ``is_torsion_pair`` that counted F's
+subobject closure and checked Hom(T, F) = 0 after reading all of F, where
+the new one refuses a pair that lists fewer than m arcs in all, counts
+T's closure only and reads F in one pass that stops at its first arc in
+no perp.  They are compared on the same arc sets, on every tilting pair at
+m <= 8 and its swap, and on every swap or drop of one arc of either side
+of every tilting pair at m <= 5.
+
 The last part keeps the frozen dataclass ``AArc`` and the functions that
 built an arc per member, copied unchanged but for their names.  The
 slotted ``AArc`` hashes, compares and prints as the dataclass did, and
@@ -452,6 +461,70 @@ class TestValidatorBySpans:
         seen = set()
         collect()
         assert seen == {True, False, "ValueError"}
+
+
+# -- the validator that counted F's closure --------------------------------------------
+
+
+def is_torsion_pair_counting_f(m: int, t_part, f_part) -> bool:
+    t_pairs = ta._segment_pairs(m, frozenset(t_part))
+    f_pairs = ta._segment_pairs(m, frozenset(f_part))
+    if len(t_pairs) != ta._closure_count(ta._low(t_pairs)) or len(f_pairs) != ta._closure_count(ta._reach(f_pairs)):
+        return False
+    minspan = ta._minspan(m, t_pairs)
+    maxspan = list(range(1, m + 3))
+    for i, j in f_pairs:
+        if j - i < maxspan[j]:
+            maxspan[j] = j - i
+    return (
+        all(j - i < minspan[i] for i, j in f_pairs)
+        and len(f_pairs) == sum(minspan) - 2 * m
+        and len(t_pairs) == sum(maxspan[2:]) - 2 * m
+    )
+
+
+def assert_same_as_counting_f(m: int, t_part, f_part):
+    got = outcome(ta.is_torsion_pair, m, t_part, f_part)
+    assert got == outcome(is_torsion_pair_counting_f, m, t_part, f_part), (m, t_part, f_part)
+    return got
+
+
+class TestValidatorReadsFAsPerp:
+    """One pass over F checks Hom(T, F) = 0 arc by arc, with no closure
+    count of F, and a pair that lists fewer than m arcs is refused first."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(arc_sets_up_to_8())
+    def test_arbitrary_arc_sets(self, case):
+        assert_same_as_counting_f(*case)
+
+    @pytest.mark.parametrize("m", range(0, M_SPANS + 1))
+    def test_every_tilting_pair_and_its_swap(self, m):
+        for u in ta.enumerate_tilting(m):
+            t_part, f_part = ta.torsion_pair_of_tilting(m, u)
+            assert assert_same_as_counting_f(m, t_part, f_part) is True
+            assert_same_as_counting_f(m, f_part, t_part)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_every_one_arc_swap(self, m):
+        """Each arc of either side of every tilting pair swapped for another
+        arc of the segment, or dropped: no such pair is a torsion pair."""
+        arcs = all_arcs(m)
+        for u in ta.enumerate_tilting(m):
+            sides = ta.torsion_pair_of_tilting(m, u)
+            for k, side in enumerate(sides):
+                for x in side:
+                    for y in [None] + arcs:
+                        swapped = list(sides)
+                        swapped[k] = side - {x} | ({y} if y else set())
+                        if swapped[k] != side:
+                            assert assert_same_as_counting_f(m, *swapped) is False
+
+    def test_fewer_than_m_arcs(self):
+        for m in range(2, 7):
+            for t_part, f_part in (([], []), ([AArc(0, 2)], []), ([], all_arcs(m)[: m - 1])):
+                assert assert_same_as_counting_f(m, t_part, f_part) is False
+        assert assert_same_as_counting_f(1, [], []) is False
 
 
 # -- the dataclass AArc and the closures that built it ------------------------------

@@ -3,7 +3,8 @@ translate and its inverse, the quotient and subobject closures of any set
 of finite arcs, the reflections of a torsion pair and of a maximal rigid
 object, and the reader of rigid documents.
 
-The closures read the library's ``torsion._read_side`` and ``_closure_side``,
+The closures read the library's ``low`` (``torsion._read_side``) or
+``reach`` (``type_a._reach`` of the anchored lifts) and ``_closure_side``,
 which ``torsion_pair_of`` feeds only the finite parts of rigid objects; the
 tests feed them arbitrary arc sets, in any lift.  The reflection
 [i,j] -> [-j,-i] swaps the two sides of a pair, and with them ray type and
@@ -13,7 +14,7 @@ header checks that ``serialize.pair_from_doc`` makes (with the pair kinds
 replaced by the given ones), and the library's field checks, so that round
 trips and malformed summand lists can be tested."""
 
-from tubecalc import serialize, torsion
+from tubecalc import serialize, torsion, type_a
 from tubecalc.arcs import Tube, parse_obj
 from tubecalc.torsion import (
     ADIC,
@@ -43,14 +44,18 @@ def tau_inv(tube, obj):
 def left_closure(tube, objs) -> frozenset:
     """The quotients of finite arcs: same end, start moved weakly right
     (from ``low`` on)."""
-    low = torsion._read_side(tube.n, objs, quotients=True)[0]
+    low = torsion._read_side(tube.n, objs)[0]
     return torsion._closure_side(tube, low, quotients=True).finite_objs
 
 
 def right_closure(tube, objs) -> frozenset:
     """The subobjects of finite arcs: same start, end moved weakly left
-    (down from ``reach``)."""
-    reach = torsion._read_side(tube.n, objs, quotients=False)[0]
+    (down from ``reach``, read on the lift that starts at its residue)."""
+    n = tube.n
+    try:
+        reach = type_a._reach([(s % n, e - s + s % n) for s, e in objs])
+    except TypeError:  # a None endpoint
+        raise ValueError("one-sided arcs have no finite length") from None
     return torsion._closure_side(tube, reach, quotients=False).finite_objs
 
 

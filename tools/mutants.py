@@ -57,6 +57,7 @@ ORACLE = "src/tubecalc/oracle.py"
 SPARSE_TESTS = "tests/test_oracle_sparse_reference.py::TestEveryArcPair"
 BOUND_TESTS = "tests/test_cli.py::TestEnumerationBounds::test_above_the_bound_exits_1_before_writing"
 NAMES_TESTS = "tests/test_serialize_reference.py::TestPairDocuments"
+LISTED_TESTS = "tests/test_torsion_reference.py::TestValidatorByListedArcs"
 
 MUTANTS = (
     Mutant(
@@ -134,12 +135,31 @@ MUTANTS = (
     Mutant(
         "reader-ignores-non-canonical",
         (
-            (TORSION, "if s != k or d < 2:\n                    canonical = False\n",
-             "if s != k or d < 2:\n                    pass\n"),
-            (TORSION, "if s != a or d < 2:\n                    canonical = False\n",
-             "if s != a or d < 2:\n                    pass\n"),
+            (TORSION, "if s != k or d < 2:\n                canonical = False\n",
+             "if s != k or d < 2:\n                pass\n"),
+            (TORSION, "if s != a or d < 2 or d >= ", "if d >= "),
         ),
         ("tests/test_torsion.py::TestIsTorsionPair::test_an_arc_on_another_lift_is_refused",),
+    ),
+    Mutant(
+        "free-side-hom-off-by-one",
+        ((TORSION, "d >= minend.get(a, 0)", "d > minend.get(a, 0)"),),
+        (f"{LISTED_TESTS}::test_every_one_arc_swap",),
+    ),
+    Mutant(
+        "free-side-arc-at-a-ray",
+        ((TORSION, "minend.get(a, 0)", "minend.get(a, 2 * n + 1)"),),
+        (f"{LISTED_TESTS}::test_every_one_arc_swap",),
+    ),
+    Mutant(
+        "segment-hom-off-by-one",
+        ((TYPE_A, "j - i >= minspan[i]", "j - i > minspan[i]"),),
+        (f"{ARC_TESTS}TestValidatorReadsFAsPerp::test_every_one_arc_swap",),
+    ),
+    Mutant(
+        "segment-guard-one-too-many",
+        ((TYPE_A, "len(f_pairs) < m or", "len(f_pairs) <= m or"),),
+        (f"{ARC_TESTS}TestValidatorBySpans::test_every_tilting_pair_and_its_swap",),
     ),
     Mutant(
         "family-walk-starts-a-step-low",
