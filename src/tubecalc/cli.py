@@ -8,7 +8,6 @@ shell over the library; all output is deterministic for a fixed invocation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -21,7 +20,9 @@ from .serialize import (
     _summand_names,
     format_desc,
     pair_from_doc,
+    pair_json,
     pair_to_doc,
+    rigid_json,
     rigid_to_doc,
 )
 from .torsion import (
@@ -51,13 +52,6 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep exit-code policy in our hands
         raise UsageError(message)
-
-
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _print_json(doc) -> None:
-    print(_encode(doc))
 
 
 def _pair_line(pair) -> str:
@@ -94,20 +88,21 @@ def _enumerable(rank: int) -> Tube:
     return tube
 
 
-def _write_each(tube: Tube, key: str, items: Iterable, as_json: bool, to_doc, to_line) -> int:
+def _write_each(tube: Tube, key: str, items: Iterable, as_json: bool, to_doc, to_json, to_line) -> int:
     """Write the items one at a time, each as it arrives: a line each, or the
-    document ``{key: [to_doc(item), ...], "rank": n, "schema": SCHEMA}``."""
+    document ``{key: [to_doc(item), ...], "rank": n, "schema": SCHEMA}``,
+    each item printed by ``to_json``."""
     write = sys.stdout.write
     if not as_json:
         for item in items:
             write(to_line(item) + "\n")
         return 0
-    # The same bytes as _print_json of the whole document only because key
+    # Keys in sorted order, as the printers write them, only because key
     # ("objects" or "pairs") sorts before "rank" and "schema".
     write('{"%s":[' % key)
     sep = ""
     for item in items:
-        write(sep + _encode(to_doc(tube, item)))
+        write(sep + to_json(to_doc(tube, item)))
         sep = ","
     write('],"rank":%d,"schema":%d}\n' % (tube.n, SCHEMA))
     return 0
@@ -121,7 +116,7 @@ def cmd_pairs_count(args) -> int:
 def cmd_pairs_enumerate(args) -> int:
     tube = _enumerable(args.rank)
     pairs = (torsion_pair_of(tube, u) for u in iter_max_rigid(tube))
-    return _write_each(tube, "pairs", pairs, args.json, pair_to_doc, _pair_line)
+    return _write_each(tube, "pairs", pairs, args.json, pair_to_doc, pair_json, _pair_line)
 
 
 def _rigid_line(rigid: MaxRigid) -> str:
@@ -130,10 +125,14 @@ def _rigid_line(rigid: MaxRigid) -> str:
 
 def cmd_rigid_enumerate(args) -> int:
     tube = _enumerable(args.rank)
-    return _write_each(tube, "objects", iter_max_rigid(tube), args.json, rigid_to_doc, _rigid_line)
+    return _write_each(
+        tube, "objects", iter_max_rigid(tube), args.json, rigid_to_doc, rigid_json, _rigid_line
+    )
 
 
 def cmd_rigid_of_pair(args) -> int:
+    import json  # the one command that reads JSON
+
     try:
         with open(args.pair, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -142,7 +141,7 @@ def cmd_rigid_of_pair(args) -> int:
     tube, pair = pair_from_doc(doc)
     rigid = max_rigid_of(tube, pair)
     if args.json:
-        _print_json(rigid_to_doc(tube, rigid))
+        print(rigid_json(rigid_to_doc(tube, rigid)))
     else:
         print(_rigid_line(rigid))
     return 0
@@ -171,7 +170,7 @@ def cmd_pair_of_rigid(args) -> int:
     if not is_torsion_pair(tube, pair):
         raise ValidationError("summand set is not rigid")
     if args.json:
-        _print_json(pair_to_doc(tube, pair))
+        print(pair_json(pair_to_doc(tube, pair)))
     else:
         print(_pair_line(pair))
     return 0

@@ -1,5 +1,12 @@
 """JSON documents (schema 1): pair documents are read and written, rigid
-documents only written."""
+documents only written.
+
+A document is printed by filling a fixed template (``pair_json``,
+``rigid_json``): keys in sorted order, no spaces, the bytes of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``.  The template
+is exact because every string in a document is an arc name that
+``format_obj`` prints, a kind the builder has checked, or a fixed key, and
+none of them holds a character that JSON escapes; every number is an int."""
 
 from __future__ import annotations
 
@@ -39,6 +46,31 @@ def pair_to_doc(tube: Tube, pair: TorsionPair) -> dict:
         "torsion": {"finite": format_finite(t.finite_objs), "corays": sorted(t.corays)},
         "free": {"finite": format_finite(f.finite_objs), "rays": sorted(f.rays)},
     }
+
+
+_PAIR_JSON = (
+    '{"free":{"finite":[%s],"rays":[%s]},"kind":"%s","rank":%d,"schema":%d,'
+    '"torsion":{"corays":[%s],"finite":[%s]}}'
+)
+
+
+def _names(names: List[str]) -> str:
+    """The items of a JSON list of arc names."""
+    return '"%s"' % '","'.join(names) if names else ""
+
+
+def pair_json(doc: dict) -> str:
+    """The document that ``pair_to_doc`` returns, as JSON text."""
+    t, f = doc["torsion"], doc["free"]
+    return _PAIR_JSON % (
+        _names(f["finite"]),
+        ",".join(map(str, f["rays"])),
+        doc["kind"],
+        doc["rank"],
+        doc["schema"],
+        ",".join(map(str, t["corays"])),
+        _names(t["finite"]),
+    )
 
 
 _PAIR_KEYS = frozenset(("schema", "rank", "kind", "torsion", "free"))
@@ -136,6 +168,14 @@ def rigid_to_doc(tube: Tube, rigid: MaxRigid) -> dict:
         "kind": rigid.kind,
         "summands": _summand_names(rigid.summands),
     }
+
+
+_RIGID_JSON = '{"kind":"%s","rank":%d,"schema":%d,"summands":[%s]}'
+
+
+def rigid_json(doc: dict) -> str:
+    """The document that ``rigid_to_doc`` returns, as JSON text."""
+    return _RIGID_JSON % (doc["kind"], doc["rank"], doc["schema"], _names(doc["summands"]))
 
 
 def format_desc(desc: SubcatDesc) -> str:

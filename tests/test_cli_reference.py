@@ -1,8 +1,9 @@
 """``pair-of-rigid`` against the command it replaced.
 
-The reference below is the old ``cmd_pair_of_rigid``, copied unchanged: it
-refused a wrong summand count and a family mix itself, checked rigidity
-with ``homs.is_rigid`` (Ext on all n^2 ordered pairs), and only then took
+The reference below is the old ``cmd_pair_of_rigid``, copied unchanged
+with the JSON encoder the CLI then printed through: it refused a wrong
+summand count and a family mix itself, checked rigidity with
+``homs.is_rigid`` (Ext on all n^2 ordered pairs), and only then took
 ``torsion_pair_of``.  The new command takes the kind from the family
 present, lets ``torsion_pair_of`` refuse the count and the family, and
 checks rigidity by whether the pair is a torsion pair.  Hypothesis draws
@@ -15,6 +16,7 @@ no Prufer or adic summand, the command's own.
 
 import contextlib
 import io
+import json
 import re
 from functools import lru_cache
 from unittest import mock
@@ -29,6 +31,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 # -- reference ---------------------------------------------------------------------
+
+# the CLI's JSON writer when this reference was copied; the CLI now prints
+# through serialize.pair_json, which tests/test_serialize_reference.py
+# compares with this encoder
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def cmd_pair_of_rigid(args) -> int:
@@ -47,7 +54,7 @@ def cmd_pair_of_rigid(args) -> int:
     rigid = MaxRigid(summands, PRUFER if has_prufer else ADIC)
     pair = torsion_pair_of(tube, rigid)
     if args.json:
-        cli._print_json(cli.pair_to_doc(tube, pair))
+        print(_encode(cli.pair_to_doc(tube, pair)))
     else:
         print(cli._pair_line(pair))
     return 0

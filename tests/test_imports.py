@@ -9,8 +9,10 @@ quiver alone, so it imports nothing from ``type_a``, in any form.
 
 A fresh interpreter, without ``site`` so that only the import itself is
 seen, imports ``tubecalc.cli``: it must not load ``dataclasses`` (nor the
-``inspect`` that it pulls in), and not ``tubecalc.render``, which only the
-drawing commands import.
+``inspect`` that it pulls in), not ``tubecalc.render``, which only the
+drawing commands import, and not ``json``, which only ``rigid of-pair``
+imports to read its file (documents are printed through ``serialize``'s
+templates).
 """
 
 import ast
@@ -115,4 +117,4 @@ def test_the_cli_loads_no_dataclasses_and_no_render():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
     loaded = set(done.stdout.split())
     assert "tubecalc.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "tubecalc.render"}
+    assert not loaded & {"dataclasses", "inspect", "tubecalc.render", "json"}

@@ -28,8 +28,21 @@ print the finite summands with ``format_finite`` (through the names memo)
 and then the Prufers by start and the adics by end.  They are compared on
 arbitrary ``MaxRigid`` values, with the memo cold and warm: any kind, the
 two families mixed, arcs in any lift and spans below 2.
+
+The CLI printed every document through one JSON encoder, copied below:
+``JSONEncoder(sort_keys=True, separators=(",", ":"))``.  Now
+``serialize.pair_json`` and ``serialize.rigid_json`` fill a fixed template.
+Both must print what the encoder printed, and ``json.loads`` of their text
+must give the document back: on every pair and rigid document at ranks
+1-7, and under hypothesis on random maximal rigid objects up to rank 60,
+the all-Prufer and all-adic ones among them (their free or torsion side is
+the whole tube, so the other side's lists are empty).
+
+Without hypothesis the property tests skip and the others run: the
+strategies below are then inert stand-ins that are never drawn from.
 """
 
+import json
 import re
 from types import SimpleNamespace
 from unittest import mock
@@ -38,7 +51,7 @@ import pytest
 
 from tubecalc import arcs, cli, serialize
 from tubecalc.arcs import IndObj, Tube, format_obj, sort_key
-from tubecalc.serialize import pair_from_doc
+from tubecalc.serialize import pair_from_doc, pair_json, pair_to_doc, rigid_json, rigid_to_doc
 from tube_defs import doc_header, rigid_from_doc
 from tubecalc.torsion import (
     ADIC,
@@ -50,11 +63,36 @@ from tubecalc.torsion import (
     TorsionPair,
     ValidationError,
     enumerate_max_rigid,
+    iter_max_rigid,
+    torsion_pair_of,
 )
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from test_census_reference import rigid_values  # noqa: E402
+try:
+    from hypothesis import example, given, settings, strategies as st
+    from test_census_reference import rigid_values
+except ImportError:  # the property tests skip without hypothesis; the rest run
+
+    class _Inert:
+        """A stand-in strategy, and the strategies module: each attribute
+        and each call is this object again."""
+
+        def __getattr__(self, name):
+            if name.startswith("__"):
+                raise AttributeError(name)
+            return self
+
+        def __call__(self, *args, **kwargs):
+            return self
+
+    st = rigid_values = _Inert()
+
+    def settings(*args, **kwargs):
+        return lambda test: test
+
+    example = settings
+
+    def given(*strategies):
+        return pytest.mark.skip(reason="needs hypothesis")
 
 # -- reference ---------------------------------------------------------------------
 
@@ -404,3 +442,65 @@ class TestRigidWriter:
             tube = Tube(n)
             for u in enumerate_max_rigid(tube):
                 assert_written_as_before(tube, u)
+
+
+# -- the printers against the CLI's old encoder -------------------------------------
+
+old_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def assert_printed_as_before(tube, rigid):
+    for doc, printer in (
+        (rigid_to_doc(tube, rigid), rigid_json),
+        (pair_to_doc(tube, torsion_pair_of(tube, rigid)), pair_json),
+    ):
+        text = printer(doc)
+        assert text == old_encode(doc)
+        assert json.loads(text) == doc
+
+
+def every_prufer(tube):
+    return MaxRigid(frozenset(map(tube.prufer, range(tube.n))), PRUFER)
+
+
+def every_adic(tube):
+    return MaxRigid(frozenset(map(tube.adic, range(tube.n))), ADIC)
+
+
+@st.composite
+def rigid_objects(draw):
+    """A maximal rigid object up to rank 60: Prufers at a drawn set of
+    starts (often every start), a drawn triangulation of each wing between
+    cyclically consecutive ones, and for the adic kind its reflection."""
+    tube = Tube(draw(st.integers(1, 60)))
+    n = tube.n
+    every = draw(st.booleans())
+    starts = range(n) if every else draw(st.sets(st.integers(0, n - 1), min_size=1))
+    anchors = sorted(starts)
+    summands = set(map(tube.prufer, anchors))
+    todo = list(zip(anchors, anchors[1:] + [anchors[0] + n]))
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo >= 2:
+            summands.add(tube.normalize(lo, hi))
+            apex = draw(st.integers(lo + 1, hi - 1))
+            todo += [(lo, apex), (apex, hi)]
+    if draw(st.booleans()):
+        return tube, MaxRigid(frozenset(map(tube.reflect, summands)), ADIC)
+    return tube, MaxRigid(frozenset(summands), PRUFER)
+
+
+class TestPrinters:
+    def test_every_document_at_ranks_1_to_7(self):
+        for n in range(1, 8):
+            tube = Tube(n)
+            for u in iter_max_rigid(tube):
+                assert_printed_as_before(tube, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rigid_objects())
+    @example((Tube(60), every_prufer(Tube(60))))
+    @example((Tube(60), every_adic(Tube(60))))
+    def test_random_objects_up_to_rank_60(self, case):
+        tube, u = case
+        assert_printed_as_before(tube, u)

@@ -58,6 +58,7 @@ SPARSE_TESTS = "tests/test_oracle_sparse_reference.py::TestEveryArcPair"
 BOUND_TESTS = "tests/test_cli.py::TestEnumerationBounds::test_above_the_bound_exits_1_before_writing"
 NAMES_TESTS = "tests/test_serialize_reference.py::TestPairDocuments"
 LISTED_TESTS = "tests/test_torsion_reference.py::TestValidatorByListedArcs"
+PRINTER_TESTS = "tests/test_serialize_reference.py::TestPrinters::test_every_document_at_ranks_1_to_7"
 
 MUTANTS = (
     Mutant(
@@ -172,6 +173,27 @@ MUTANTS = (
           "    names += map(format_obj, sorted(prufers))\n    names += map(format_obj, sorted(adics, key=itemgetter(1)))\n",
           "    names += map(format_obj, sorted(adics, key=itemgetter(1)))\n    names += map(format_obj, sorted(prufers))\n"),),
         ("tests/test_serialize.py::TestRigidDocuments::test_summands_in_sort_key_order",),
+    ),
+    Mutant(
+        "pair-template-keys-swapped",
+        (
+            (SERIALIZE, '},"kind":"%s","rank":%d,', '},"rank":%d,"kind":"%s",'),
+            (SERIALIZE, '        doc["kind"],\n        doc["rank"],\n', '        doc["rank"],\n        doc["kind"],\n'),
+        ),
+        (PRINTER_TESTS,),
+    ),
+    Mutant(
+        "empty-name-list-printed-as-one-empty-name",
+        ((SERIALIZE, 'if names else ""', 'if names is not None else ""'),),
+        (PRINTER_TESTS,),
+    ),
+    Mutant(
+        "rigid-template-without-schema",
+        (
+            (SERIALIZE, ',"schema":%d,"summands":', ',"summands":'),
+            (SERIALIZE, 'doc["rank"], doc["schema"], _names(', 'doc["rank"], _names('),
+        ),
+        (PRINTER_TESTS,),
     ),
     Mutant(
         "homs-takes-a-non-arc",
