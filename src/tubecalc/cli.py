@@ -34,6 +34,7 @@ from .torsion import (
     count_max_rigid,
     is_torsion_pair,
     iter_max_rigid,
+    iter_torsion_pairs,
     max_rigid_of,
     torsion_pair_of,
 )
@@ -115,8 +116,9 @@ def cmd_pairs_count(args) -> int:
 
 def cmd_pairs_enumerate(args) -> int:
     tube = _enumerable(args.rank)
-    pairs = (torsion_pair_of(tube, u) for u in iter_max_rigid(tube))
-    return _write_each(tube, "pairs", pairs, args.json, pair_to_doc, pair_json, _pair_line)
+    return _write_each(
+        tube, "pairs", iter_torsion_pairs(tube), args.json, pair_to_doc, pair_json, _pair_line
+    )
 
 
 def _rigid_line(rigid: MaxRigid) -> str:

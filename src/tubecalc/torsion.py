@@ -39,6 +39,13 @@ of tau.  Write k = 1 for Prufer type (a ray-type pair) and k = 0 for adic
 type (a coray-type pair).  An object U with finite part U_fin goes to
 (tau^{-k} Gen U_fin, tau^{1-k} Cogen U_fin), with the rays at its Prufer
 indices on F or the corays at its adic indices on T: the infinite side.
+The finite summands lie wing by wing, each wing a linear A_m segment, and
+so do their closures: the finite sides are, wing by wing, the segment's
+pair of that wing's tilting set, moved by tau^{-1} (mirrored for adic
+type).  ``iter_torsion_pairs`` builds every pair that way, from a table
+cached per wing size, in the order of ``iter_max_rigid``, with which it
+shares its placement loop (``_iter_prufer_type``); ``torsion_pair_of``
+answers one object, given in any form, and is the reference it equals.
 
 The closures, the perps and the quotient check read the ``reach`` and
 ``low`` arrays that ``type_a`` builds (see there), with each arc on its
@@ -419,18 +426,40 @@ def is_torsion_pair(tube: Tube, pair: TorsionPair) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _tilting_offsets(m: int, mirror: bool) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """The tilting sets of A_m, each arc [i, j] as (offset, span): placed in
-    a wing at base c it starts at c + i, or mirrored at -c - j (see
-    :func:`_iter_prufer_type`), and spans j - i; the sets share these
-    pairs, one per arc of the segment."""
-    pair = {a: (-a.j if mirror else a.i, a.j - a.i) for a in type_a.all_arcs(m)}
-    return tuple(tuple(map(pair.__getitem__, t)) for t in type_a.enumerate_tilting(m))
+def _tilting_offsets(m: int, mirror: bool, closures: bool = False) -> tuple:
+    """The tilting sets U of A_m, in ``type_a.enumerate_tilting``'s order,
+    and the distinct (offset, span) pairs they hold.  A segment arc [i, j]
+    is the pair (i, j - i): placed in a wing at base c it starts at c + i,
+    or mirrored at -c - j (see :func:`_iter_prufer_type`), and spans j - i.
+
+    Each set is its summands, or with ``closures`` the two pieces of its
+    torsion pair in the wing, (T's, F's): ``type_a.torsion_pair_of_tilting``'s
+    Gen U and Cogen tau U, each moved by tau^{-1}, one step right.  The
+    reflection exchanges Gen with Cogen and tau with tau^{-1}, so mirrored
+    the pieces swap sides.  Every pair is one instance that all the sets
+    share, so a table of Catalan(m) sets holds O(m^2) pairs."""
+    shared: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+    def piece(arcs, step: int = 0) -> Tuple[Tuple[int, int], ...]:
+        pairs = ((-a.j - step if mirror else a.i + step, a.j - a.i) for a in arcs)
+        return tuple(shared.setdefault(p, p) for p in pairs)
+
+    rows = []
+    for u in type_a.enumerate_tilting(m):
+        if closures:
+            t, f = (piece(side, 1) for side in type_a.torsion_pair_of_tilting(m, u))
+            rows.append((f, t) if mirror else (t, f))
+        else:
+            rows.append(piece(u))
+    return tuple(rows), tuple(shared)
 
 
-def _iter_prufer_type(tube: Tube, indices: Iterable[int], mirror: bool = False) -> Iterator[MaxRigid]:
+def _iter_prufer_type(
+    tube: Tube, indices: Iterable[int], mirror: bool = False, closures: bool = False
+) -> Iterator:
     """The Prufer-type maximal rigid objects with exactly the given starts,
-    one at a time, or with ``mirror`` their reflections, in the same order.
+    one at a time, or with ``mirror`` their reflections, in the same order;
+    with ``closures`` the torsion pair of each instead, in the same order.
 
     The finite summands form a tilting set inside each wing between
     cyclically consecutive Prufer indices, embedded by shifting segment
@@ -438,26 +467,64 @@ def _iter_prufer_type(tube: Tube, indices: Iterable[int], mirror: bool = False) 
     reflection [i, j] -> [-j, -i] maps a wing to a wing, so a mirrored wing
     is placed the same way: the arc [base + i, base + j] lands at start
     -(base + j) mod n with its span j - i, and the Prufer at the base
-    becomes the adic at -base.
+    becomes the adic at -base.  Every placed arc is one of the tube's fan
+    rows (``Tube.fans``), so a placement builds no arc.
+
+    The pair is built wing by wing too.  A quotient or a subobject of a
+    summand lies in its wing, so Gen U_fin and Cogen U_fin are the unions
+    of the segment's closures, wing by wing, and ``torsion_pair_of``'s T and
+    F are the placed pieces of ``_tilting_offsets``: T = tau^{-1} Gen U_fin
+    and F = Cogen U_fin, whose arcs at a Prufer the ray there implies
+    (Cogen tau U, moved by tau^{-1}, holds none).  The rays at the Prufers
+    join F, or mirrored the corays at the adics join T; a full family makes
+    its side everything (``_desc``'s rule), with every wing empty.
     """
     try:
         wings = tube.wing_intersection(indices)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
     n = tube.n
-    if mirror:
-        family, kind, sign = [IndObj(None, -w.start % n) for w in wings], ADIC, -1
-    else:
-        family, kind, sign = [IndObj(w.start, None) for w in wings], PRUFER, 1
+    sign = -1 if mirror else 1
+    at = frozenset(sign * w.start % n for w in wings)  # the family's residues
+    fans = tube.fans(dict.fromkeys(range(n), n))  # span d at start s: fans[s * (n - 1) + d - 2]
     placed = []
     for w in wings:
+        rows, pairs = _tilting_offsets(w.end - w.start - 1, mirror, closures)
         c = sign * w.start
-        placed.append([
-            [_arc(IndObj, ((c + i) % n, (c + i) % n + d)) for i, d in tilting]
-            for tilting in _tilting_offsets(w.end - w.start - 1, mirror)
-        ])
-    for combo in itertools.product(*placed):
-        yield MaxRigid(frozenset(itertools.chain(family, *combo)), kind)
+        arc = dict(zip(pairs, [fans[(c + i) % n * (n - 1) + d - 2] for i, d in pairs])).__getitem__
+        if closures:
+            placed.append([(list(map(arc, t)), list(map(arc, f))) for t, f in rows])
+        else:
+            placed.append([list(map(arc, u)) for u in rows])
+    combos = itertools.product(*placed)
+    if not closures:
+        family = [_arc(IndObj, (None, a) if mirror else (a, None)) for a in at]
+        kind = ADIC if mirror else PRUFER
+        for combo in combos:
+            yield MaxRigid(frozenset(itertools.chain(family, *combo)), kind)
+        return
+    none = frozenset()
+    if len(at) == n:  # every wing is empty
+        whole, zero = everything(tube), SubcatDesc(none, none, none)
+        yield TorsionPair(whole, zero, CORAY) if mirror else TorsionPair(zero, whole, RAY)
+        return
+    chain = itertools.chain.from_iterable
+    for combo in combos:
+        t, f = zip(*combo)
+        t, f = frozenset(chain(t)), frozenset(chain(f))
+        if mirror:
+            yield TorsionPair(SubcatDesc(t, none, at), SubcatDesc(f, none, none), CORAY)
+        else:
+            yield TorsionPair(SubcatDesc(t, none, none), SubcatDesc(f, at, none), RAY)
+
+
+def _iter_objects(tube: Tube, closures: bool) -> Iterator:
+    """``_iter_prufer_type`` over every family: the Prufer-type side, then
+    its mirror."""
+    for mirror in (False, True):
+        for size in range(1, tube.n + 1):
+            for idx in itertools.combinations(range(tube.n), size):
+                yield from _iter_prufer_type(tube, idx, mirror, closures)
 
 
 def iter_max_rigid(tube: Tube) -> Iterator[MaxRigid]:
@@ -466,10 +533,18 @@ def iter_max_rigid(tube: Tube) -> Iterator[MaxRigid]:
     the same order.  Lazy, and the adic side costs what the Prufer side
     does: it is placed wing by wing already mirrored (see
     :func:`_iter_prufer_type`), not reflected object by object."""
-    for mirror in (False, True):
-        for size in range(1, tube.n + 1):
-            for idx in itertools.combinations(range(tube.n), size):
-                yield from _iter_prufer_type(tube, idx, mirror)
+    return _iter_objects(tube, closures=False)
+
+
+def iter_torsion_pairs(tube: Tube) -> Iterator[TorsionPair]:
+    """The torsion pair of each object of :func:`iter_max_rigid`, in its
+    order, equal to ``torsion_pair_of``'s: built wing by wing from the
+    segment's pair of each wing's tilting set (see
+    :func:`_iter_prufer_type`), with no ``torsion_pair_of`` call.  The
+    table behind it is cached per wing size, so a census of all pairs costs
+    a placement per wing and two sets per pair; ``torsion_pair_of`` stays
+    the path that answers one object."""
+    return _iter_objects(tube, closures=True)
 
 
 def enumerate_max_rigid(tube: Tube) -> List[MaxRigid]:

@@ -13,6 +13,12 @@ included: the new refusals (a summand count other than n, a summand of the
 other family) are asserted on their own, and so is the summand a refusal
 names, the least one where the old code named the first in the set's
 order; every other outcome must be the old one.
+
+``torsion.iter_torsion_pairs`` builds the census pairs wing by wing, with
+no ``torsion_pair_of`` call: ``TestPairsWingByWing`` holds it to
+``torsion_pair_of`` of each enumerated object, pair by pair, in order.
+Without hypothesis the property tests skip (``optional_hypothesis``), and
+the others run.
 """
 
 import contextlib
@@ -40,10 +46,8 @@ from tubecalc.torsion import (
     ValidationError,
     everything,
 )
+from optional_hypothesis import given, settings, st
 from tube_defs import reflect_rigid
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 # -- reference ---------------------------------------------------------------------
 
@@ -250,6 +254,26 @@ class TestEnumeration:
         # the counter sees calls when there are some
         reflect_rigid(Tube(2), MaxRigid(frozenset({IndObj(0, None)}), PRUFER))
         assert calls == {"Tube.reflect": 1}
+
+
+class TestPairsWingByWing:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_pair_is_torsion_pair_of_its_object(self, n):
+        # n = 1 has only the full families, whose pairs hold the whole tube
+        tube = Tube(n)
+        expected = [tor.torsion_pair_of(tube, u) for u in tor.iter_max_rigid(tube)]
+        assert list(tor.iter_torsion_pairs(tube)) == expected
+
+    def test_census_takes_no_pair_of_an_object(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the census called torsion_pair_of")
+
+        monkeypatch.setattr(cli, "torsion_pair_of", refused)
+        monkeypatch.setattr(tor, "torsion_pair_of", refused)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["pairs", "enumerate", "--rank", "5", "--json"]) == 0
+        assert out.getvalue().count('"kind"') == tor.count_max_rigid(Tube(5))
 
 
 class TestTorsionPairOf:

@@ -11,7 +11,8 @@ arbitrary summand lists, not only maximal rigid objects: both commands run
 through ``cli.main`` on the same argv, and the exit code and the standard
 output must be equal.  Only the wording of a refusal may change, from one
 of the old messages to one of ``torsion_pair_of``'s or, for a list with
-no Prufer or adic summand, the command's own.
+no Prufer or adic summand, the command's own.  Without hypothesis the
+property test skips (``optional_hypothesis``), and the others run.
 """
 
 import contextlib
@@ -27,8 +28,7 @@ from tubecalc import cli, homs
 from tubecalc.arcs import Tube, format_obj, parse_obj, sort_key
 from tubecalc.torsion import ADIC, PRUFER, MaxRigid, ValidationError, enumerate_max_rigid, torsion_pair_of
 
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from optional_hypothesis import given, settings, st
 
 # -- reference ---------------------------------------------------------------------
 

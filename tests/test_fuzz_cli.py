@@ -5,7 +5,8 @@ Hypothesis builds argv from the real commands and flags, with ranks near
 and far from the drawable range, arc strings in and out of the grammar and
 arbitrary text.  Each example runs in one temporary directory, and ``--out``
 and ``--pair`` name files there only, so no example reads or writes
-anywhere else."""
+anywhere else.  Without hypothesis the property test skips
+(``optional_hypothesis``), and the fixed-file test runs."""
 
 import contextlib
 import io
@@ -15,10 +16,8 @@ import os
 import pytest
 
 from limits import needs_alarm, time_limit
+from optional_hypothesis import given, settings, st
 from tubecalc.cli import main
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 MODES = ["annulus", "cover", "segment", "sphere"]
 STYLES = ["summand", "torsion", "free", "", "x"]

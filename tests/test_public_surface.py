@@ -48,7 +48,6 @@ ALLOWED = {
     "it moves to the tests once that counter reads a path the library uses",
     "torsion.left_perp": "perfbench/run.py counts its calls (torsion.perp_calls)",
     "type_a.is_tilting": "perfbench/inputs.py checks each sampled wing with it",
-    "type_a.torsion_pair_of_tilting": "the crosscheck_segment workload runs it",
     "type_a.tilting_of_torsion_pair": "the crosscheck_segment workload runs it",
     "oracle.brute_force_max_rigid": "the crosscheck_oracle workload runs it",
 }

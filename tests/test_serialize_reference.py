@@ -39,7 +39,8 @@ the all-Prufer and all-adic ones among them (their free or torsion side is
 the whole tube, so the other side's lists are empty).
 
 Without hypothesis the property tests skip and the others run: the
-strategies below are then inert stand-ins that are never drawn from.
+strategies below are then inert stand-ins (``optional_hypothesis``) that
+are never drawn from.
 """
 
 import json
@@ -67,32 +68,8 @@ from tubecalc.torsion import (
     torsion_pair_of,
 )
 
-try:
-    from hypothesis import example, given, settings, strategies as st
-    from test_census_reference import rigid_values
-except ImportError:  # the property tests skip without hypothesis; the rest run
-
-    class _Inert:
-        """A stand-in strategy, and the strategies module: each attribute
-        and each call is this object again."""
-
-        def __getattr__(self, name):
-            if name.startswith("__"):
-                raise AttributeError(name)
-            return self
-
-        def __call__(self, *args, **kwargs):
-            return self
-
-    st = rigid_values = _Inert()
-
-    def settings(*args, **kwargs):
-        return lambda test: test
-
-    example = settings
-
-    def given(*strategies):
-        return pytest.mark.skip(reason="needs hypothesis")
+from optional_hypothesis import example, given, settings, st
+from test_census_reference import rigid_values
 
 # -- reference ---------------------------------------------------------------------
 

@@ -85,6 +85,9 @@ library's reader with ``quotients=`` call the copy.  They are compared on
 no perp: a one-sided arc, an arc at one of F's rays, a 3-tuple), on raw
 descriptors of both kinds and on every one-arc swap at n <= 4, on three
 lifts: the same value, or the same exception type and message.
+
+Without hypothesis the property tests skip (``optional_hypothesis``), and
+the others run.
 """
 
 import math
@@ -116,11 +119,9 @@ from tubecalc.torsion import (
     make_desc,
     reflect_desc,
 )
+from optional_hypothesis import example, given, needs_hypothesis, settings, st
+from test_census_reference import rigid_values
 from tube_defs import reflect_rigid
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from test_census_reference import rigid_values  # noqa: E402
 
 # -- reference ---------------------------------------------------------------------
 
@@ -1362,6 +1363,7 @@ class TestOneRulePerKind:
             pair = assert_bijection_per_kind(tube, u)
             assert tor.max_rigid_of(tube, pair) == u
 
+    @needs_hypothesis
     def test_strategies_reach_both_kinds_and_refusals(self):
         """Valid and refused objects of both kinds, and pairs that invert
         and pairs that do not, are among the draws compared above."""
@@ -1517,6 +1519,7 @@ class TestFreeSideAsPerp:
             bad = pair._replace(f_part=f._replace(finite_objs=f.finite_objs - {x} | {item}))
             assert assert_same_as_by_reach(tube, bad) is False, item
 
+    @needs_hypothesis
     def test_strategy_reaches_each_item_and_both_answers(self):
         seen = set()
 

@@ -102,7 +102,10 @@ class TestTilting:
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_enumeration_is_in_lexicographic_order(self, m):
-        # by construction: the census pins read this order through _tilting_offsets
+        # by construction: the census pins read this order through
+        # torsion._tilting_offsets, whose rows give both the rigid objects and,
+        # wing by wing, their pairs (torsion.iter_torsion_pairs); a single
+        # object's pair comes from torsion_pair_of
         keys = [sorted((x.i, x.j) for x in u) for u in ta.enumerate_tilting(m)]
         assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
 

@@ -59,6 +59,7 @@ BOUND_TESTS = "tests/test_cli.py::TestEnumerationBounds::test_above_the_bound_ex
 NAMES_TESTS = "tests/test_serialize_reference.py::TestPairDocuments"
 LISTED_TESTS = "tests/test_torsion_reference.py::TestValidatorByListedArcs"
 PRINTER_TESTS = "tests/test_serialize_reference.py::TestPrinters::test_every_document_at_ranks_1_to_7"
+WING_PAIR_TESTS = "tests/test_census_reference.py::TestPairsWingByWing::test_each_pair_is_torsion_pair_of_its_object"
 
 MUTANTS = (
     Mutant(
@@ -111,6 +112,16 @@ MUTANTS = (
         "forward-free-side-unshifted",
         ((TORSION, "shift=k - 1,", "shift=-k,"),),
         ("tests/test_torsion_reference.py::TestOneRulePerKind::test_every_object_and_its_pair",),
+    ),
+    Mutant(
+        "wing-pieces-unmoved",
+        ((TORSION, "piece(side, 1) for side in", "piece(side, 0) for side in"),),
+        (WING_PAIR_TESTS,),
+    ),
+    Mutant(
+        "mirrored-wing-pieces-unswapped",
+        ((TORSION, "rows.append((f, t) if mirror else (t, f))", "rows.append((t, f))"),),
+        (WING_PAIR_TESTS,),
     ),
     Mutant(
         "segment-wall-a-step-short",
