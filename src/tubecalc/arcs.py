@@ -220,15 +220,16 @@ def format_obj(obj: IndObj) -> str:
 
 class _Memo(dict):
     """A dict that callers share as a bounded memo: the arc names here,
-    ``type_a``'s arc table and ``render``'s annulus pieces.  Lookups are
-    plain dict calls.  ``keep`` stores a dict of entries with a weight, by
-    default how many they are; ``held`` adds up the weights kept since the
-    memo last started again, and never passes ``bound``: a store that would
-    pass it empties the memo first, and a store heavier than the bound on
-    its own is dropped.  A value depends on its key alone, so callers (and
-    threads) can share a memo: a race costs a miss, or a second instance of
-    an equal value, never a wrong one.  Stores take a lock, so the bound
-    holds with threads too; lookups take none."""
+    ``type_a``'s arc table, ``render``'s annulus pieces and ``oracle``'s
+    representations.  Lookups are plain dict calls.  ``keep`` stores a
+    dict of entries with a weight, by default how many they are; ``held``
+    adds up the weights kept since the memo last started again, and never
+    passes ``bound``: a store that would pass it empties the memo first,
+    and a store heavier than the bound on its own is dropped.  A value
+    depends on its key alone, so callers (and threads) can share a memo: a
+    race costs a miss, or a second instance of an equal value, never a
+    wrong one.  Stores take a lock, so the bound holds with threads too;
+    lookups take none."""
 
     __slots__ = ("bound", "held", "_lock")
 

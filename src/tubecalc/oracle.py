@@ -12,6 +12,11 @@ hereditary category.
 A ``QuivRep`` is checked when it is made (through ``_make`` and
 ``_replace`` too): its dimension vector and maps fit its quiver, or it
 raises ValueError.  So ``hom_dim_oracle`` only compares the two quivers.
+``build_rep`` returns the shared rep of a bounded memo (``arcs._Memo``),
+keyed by the rank and the canonical arc, so each rep it makes is checked
+once, when it is made; every lift of an arc shares that rep.  The memo
+weighs a rep in the tuples it holds, the rank plus the length, and holds
+at most ``MAX_REP_CELLS`` of them; a heavier rep is made, not kept.
 
 The map of arrow k: v -> w is held as a plain tuple ``(rows, cols, entries)``
 with ``(rows, cols) == (dims[w], dims[v])`` and ``entries`` a tuple of its
@@ -27,7 +32,7 @@ from operator import mul
 from typing import Dict, List, Tuple
 
 from . import homs
-from .arcs import IndObj, Tube, _canonical, sort_key
+from .arcs import IndObj, Tube, _Memo, _canonical, sort_key
 
 PRIME = 32003
 
@@ -76,19 +81,34 @@ def _check_rep(rep: QuivRep) -> None:
     for k, ((v, w), (rows, cols, entries)) in enumerate(zip(shape.arrows, maps)):
         if rows != dims[w] or cols != dims[v]:
             raise ValueError(f"the maps of arrow {k} do not match the dimension vectors")
-        for i, j, _ in entries:
+        for i, j, x in entries:
+            if not type(i) is type(j) is type(x) is int:  # bool is no entry
+                raise ValueError(f"an entry of the map of arrow {k} is not three integers: {(i, j, x)!r}")
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"an entry of the map of arrow {k} lies outside its {rows} x {cols} shape")
+
+
+# (rank, start, end) of a canonical arc -> its rep, as build_rep makes it;
+# weighed in the tuples a rep holds, rank plus length.  A rank-5 crosscheck
+# asks for each of its 45 reps 90 times a round, and they weigh 450 in all;
+# a full memo holds 1.1-2.2 MB (tracemalloc), the most as one rank-1 rep.
+MAX_REP_CELLS = 1 << 14
+_REPS = _Memo(MAX_REP_CELLS)
 
 
 def build_rep(tube: Tube, obj: IndObj) -> QuivRep:
     """Nilpotent cyclic-quiver representation of a finite arc: basis
     b_0..b_{length-1}, b_t at vertex start+t mod n, and arrow v (v -> v-1)
-    sends b_t at v to b_{t-1}, the last basis vector at v-1 so far."""
+    sends b_t at v to b_{t-1}, the last basis vector at v-1 so far.  The
+    memo's rep when it holds one, else one made, checked and kept."""
     if not obj.is_finite:
         raise ValueError("only finite arcs have matrix representations")
     n = tube.n
     start, end = _canonical(n, *obj)  # ValueError unless end >= start + 2
+    key = (n, start, end)
+    rep = _REPS.get(key)
+    if rep is not None:
+        return rep
     dims = [0] * n
     entries = [[] for _ in range(n)]  # nonzero cells, arrow by arrow
     for t in range(start, end - 1):
@@ -97,7 +117,9 @@ def build_rep(tube: Tube, obj: IndObj) -> QuivRep:
             entries[v].append((dims[v - 1] - 1, dims[v], 1))
         dims[v] += 1
     maps = tuple((dims[v - 1], dims[v], tuple(e)) for v, e in enumerate(entries))
-    return QuivRep(cyclic_quiver(n), tuple(dims), maps)
+    rep = QuivRep(cyclic_quiver(n), tuple(dims), maps)
+    _REPS.keep({key: rep}, n + end - start - 1)
+    return rep
 
 
 def euler_form(shape: QuiverShape, d, e) -> int:

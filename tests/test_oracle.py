@@ -135,6 +135,14 @@ class TestHomOracle:
         assert_refused(shape, (1, 2), ((2, 1, ()), (1, 2, (cell + (1,),))),
                        "an entry of the map of arrow 1 lies outside its 1 x 2 shape")
 
+    @pytest.mark.parametrize("entry", [(1.0, 0, 1), (True, 0, 1), (0, 0, 0.5), (0, 0, 1.5), (0, 0, "x")])
+    def test_entries_must_be_integers(self, entry):
+        # dims (1, 2): the map of arrow 0 (vertex 0 -> vertex 1) is 2 x 1; an
+        # entry that is no int would be read as one, or fail in the elimination
+        shape = oracle.cyclic_quiver(2)
+        assert_refused(shape, (1, 2), ((2, 1, (entry,)), (1, 2, ())),
+                       r"an entry of the map of arrow 0 is not three integers: \(")
+
     def test_mismatched_quivers_rejected(self):
         a = oracle.build_rep(Tube(2), Tube(2).finite(0, 3))
         b = oracle.build_rep(Tube(3), Tube(3).finite(0, 3))

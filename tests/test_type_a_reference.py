@@ -45,9 +45,10 @@ slotted ``AArc`` hashes, compares and prints as the dataclass did, and
 the closures, both directions of the bijection and
 ``enumerate_tilting`` give the same arcs, now the shared table's
 instances.  The table is checked on its own too, under a small bound.
-The package's three shared memos (this table, ``arcs``' names and
-``render``'s annulus pieces) follow one store rule, ``arcs._Memo``; each is
-run with four threads clearing it under each other.
+The package's shared memos follow one store rule, ``arcs._Memo``; three
+of them (this table, ``arcs``' names and ``render``'s annulus pieces) are
+each run here with four threads clearing it under each other, and
+``oracle``'s reps in ``tests/test_oracle_memo_reference.py``.
 """
 
 import contextlib

@@ -55,6 +55,7 @@ TYPE_A = "src/tubecalc/type_a.py"
 ARC_TESTS = "tests/test_type_a_reference.py::"
 ORACLE = "src/tubecalc/oracle.py"
 SPARSE_TESTS = "tests/test_oracle_sparse_reference.py::TestEveryArcPair"
+REPS_TESTS = "tests/test_oracle_memo_reference.py::"
 BOUND_TESTS = "tests/test_cli.py::TestEnumerationBounds::test_above_the_bound_exits_1_before_writing"
 NAMES_TESTS = "tests/test_serialize_reference.py::TestPairDocuments"
 LISTED_TESTS = "tests/test_torsion_reference.py::TestValidatorByListedArcs"
@@ -295,6 +296,22 @@ MUTANTS = (
         "rep-made-of-a-non-arc",
         ((ORACLE, "start, end = _canonical(n, *obj)", "start, end = obj[0] % n, obj[1] - obj[0] + obj[0] % n"),),
         ("tests/test_oracle.py::TestBuildRep::test_a_finite_pair_that_is_no_arc_is_refused",),
+    ),
+    Mutant(
+        "reps-memo-key-drops-rank",
+        ((ORACLE, "key = (n, start, end)", "key = (start, end)"),),
+        (f"{REPS_TESTS}TestEveryArc::test_each_rank_keeps_its_own_rep",),
+    ),
+    Mutant(
+        "reps-memo-weightless",
+        ((ORACLE, "_REPS.keep({key: rep}, n + end - start - 1)", "_REPS.keep({key: rep}, 0)"),),
+        (f"{REPS_TESTS}TestBound::test_a_rep_heavier_than_the_bound_is_made_not_kept",),
+    ),
+    Mutant(
+        "rep-check-accepts-float-entry",
+        ((ORACLE, "            if not type(i) is type(j) is type(x) is int:  # bool is no entry\n"
+                  "                raise ValueError(", "            if False:\n                raise ValueError("),),
+        ("tests/test_oracle.py::TestHomOracle::test_entries_must_be_integers",),
     ),
     Mutant(
         "pivot-left-unnormalized",
