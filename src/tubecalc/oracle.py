@@ -79,6 +79,8 @@ def _check_rep(rep: QuivRep) -> None:
     if len(maps) != len(shape.arrows):
         raise ValueError(f"{len(maps)} maps for {len(shape.arrows)} arrows")
     for k, ((v, w), (rows, cols, entries)) in enumerate(zip(shape.arrows, maps)):
+        if not type(rows) is type(cols) is int:  # bool is no size, 2.0 none either
+            raise ValueError(f"the shape of the map of arrow {k} is not two integers: {(rows, cols)!r}")
         if rows != dims[w] or cols != dims[v]:
             raise ValueError(f"the maps of arrow {k} do not match the dimension vectors")
         for i, j, x in entries:

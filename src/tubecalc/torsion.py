@@ -565,6 +565,8 @@ def count_max_rigid(tube: Tube) -> int:
     gap that holds the point 0 has g positions, so each kind numbers [x^n]
     of x D' C.  Since D' = 1/(1 - 2D), this is D/(1 - 2D) =
     (1/sqrt(1 - 4x) - 1)/2, whose coefficient of x^n is C(2n, n)/2.
+    ``type_a.enumerate_tilting`` is D = x + D^2 in code: a polygon is the
+    triangle over its base plus two smaller polygons.
     """
     if tube.n > MAX_COUNT_RANK:
         raise ValueError(f"rank {tube.n} is above the bound MAX_COUNT_RANK = {MAX_COUNT_RANK}")

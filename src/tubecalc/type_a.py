@@ -3,17 +3,18 @@
 Modules over the linearly oriented A_m quiver correspond to arcs [i,j]
 (j >= i+2) over a segment with marked points 0..m+1.  Ext^1 is 0 or 1 and
 detected by a single negative crossing; tilting sets are triangulations of
-the (m+2)-gon; torsion pairs come from shortening closures.  These
-functions also power wing-level computations inside a tube, since every
-wing of width at most n+1 is equivalent to such a module category.
-Every function that takes m refuses m < 0 (``_check_segment``).
+the (m+2)-gon, by the Catalan recursion; torsion pairs come from shortening
+closures.  These functions also power wing-level computations inside a tube,
+since every wing of width at most n+1 is equivalent to such a module category.
+Every function that takes m refuses an m that is no int or is negative
+(``_check_segment``).
 
 An arc is an ``AArc``: an immutable object with slots ``i`` and ``j``,
 hashed as the pair (i, j), and equal only to an ``AArc`` with the same
 ends, never to a tuple or to a tube arc (``arcs.IndObj``, which is one).
 The segment model takes its arcs from one shared table (``_shared``): the
-arcs that ``all_arcs``, the closures and both directions of the bijection
-return are the table's instances, so a closure
+arcs that ``enumerate_tilting``, the closures and both directions of the
+bijection return are the table's instances, so a closure
 builds no arc and two sets of them compare by identity.  An arc built
 directly equals the table's.
 
@@ -112,6 +113,8 @@ def _shared(pairs: Collection[Tuple[int, int]]) -> List[AArc]:
 
 def _check_segment(m: int) -> None:
     """The one check of m that every segment function makes."""
+    if type(m) is not int:  # a bool is none, as Tube refuses such a rank
+        raise ValueError(f"a segment needs an integer m, got {m!r}")
     if m < 0:
         raise ValueError(f"a segment needs m >= 0, got {m}")
 
@@ -120,16 +123,6 @@ def check_arc(m: int, x: AArc) -> None:
     _check_segment(m)
     if not (0 <= x.i and x.j <= m + 1 and x.j >= x.i + 2):
         raise ValueError(f"arc {x} does not fit on a segment with points 0..{m + 1}")
-
-
-def all_arcs(m: int) -> List[AArc]:
-    """Every arc on the segment, in lexicographic order."""
-    _check_segment(m)
-    return _shared([(i, j) for i in range(0, m) for j in range(i + 2, m + 2)])
-
-
-def crossing(x: AArc, y: AArc) -> bool:
-    return x.i < y.i < x.j < y.j or y.i < x.i < y.j < x.j
 
 
 def _low(pairs) -> Dict[int, int]:
@@ -172,36 +165,34 @@ def right_closure(arcs) -> frozenset:
     return _subobjects(_reach((x.i, x.j) for x in arcs))
 
 
-def enumerate_tilting(m: int) -> List[frozenset]:
-    """All tilting sets: maximal noncrossing m-subsets containing [0, m+1].
+def _triangulations(a: int, b: int, memo: Dict) -> List[Tuple[Tuple[int, int], ...]]:
+    """The triangulations of the polygon a..b as tuples of (i, j) pairs,
+    kept in ``memo`` by (a, b): the triangle over [a, b] with apex k, its
+    sides [a, k] and [k, b] that span 2 or more, and one of a..k and k..b."""
+    if b - a < 2:
+        return [()]
+    if (a, b) not in memo:
+        memo[a, b] = [
+            outer + left + right
+            for k in range(a + 1, b)
+            for outer in [((a, k),) * (k - a >= 2) + ((k, b),) * (b - k >= 2)]
+            for left in _triangulations(a, k, memo)
+            for right in _triangulations(k, b, memo)
+        ]
+    return memo[a, b]
 
-    Backtracking over the lexicographically ordered arc list with a bitmask
-    per arc of the later arcs it does not cross.  Each state pushes its
-    candidates largest first, so the sets come out in lexicographic order.
-    """
-    arcs = all_arcs(m)
+
+def enumerate_tilting(m: int) -> List[frozenset]:
+    """All tilting sets, in lexicographic order of their sorted arcs: each
+    triangulation of the (m+2)-gon 0..m+1 with [0, m+1], by the Catalan
+    recursion D = x + D^2 (``_triangulations``).  It recurses O(m) frames
+    deep, so past the interpreter's limit it raises RecursionError, at an m
+    that no command reaches."""
+    _check_segment(m)
     if m == 0:
         return [frozenset()]
-    masks = [
-        sum(1 << b for b in range(a + 1, len(arcs)) if not crossing(x, arcs[b]))
-        for a, x in enumerate(arcs)
-    ]
-    base = arcs.index(AArc(0, m + 1))  # it crosses no arc
-    results: List[frozenset] = []
-    stack = [([base], ((1 << len(arcs)) - 1) ^ (1 << base))]
-    while stack:
-        chosen, cand = stack.pop()
-        if len(chosen) == m:
-            results.append(frozenset(map(arcs.__getitem__, chosen)))
-            continue
-        if len(chosen) + cand.bit_count() < m:
-            continue
-        c = cand
-        while c:
-            t = c.bit_length() - 1
-            c ^= 1 << t
-            stack.append((chosen + [t], cand & masks[t]))
-    return results
+    rows = sorted((row + ((0, m + 1),) for row in _triangulations(0, m + 1, {})), key=sorted)
+    return [frozenset(_shared(row)) for row in rows]
 
 
 def is_tilting(m: int, arcs) -> bool:

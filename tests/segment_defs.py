@@ -1,6 +1,8 @@
 """Segment-level definitions that only the tests read, which the tests
 compare the library's segment model with.
 
+- Every arc of the segment, in lexicographic order, and whether two arcs
+  cross: the brute-force search for tilting sets reads them.
 - The Ext rule: Ext^1(x, y) is 1 iff the crossing of x and y is negative
   from x's side, y.i < x.i < y.j < x.j, and 0 otherwise.
 - The middle terms of the non-split extension 0 -> y -> E -> x -> 0: the
@@ -19,6 +21,16 @@ from typing import Optional
 
 from tubecalc.oracle import QuiverShape, QuivRep
 from tubecalc.type_a import AArc, check_arc, left_closure, right_closure
+
+
+def all_arcs(m: int) -> list:
+    """Every arc [i, j] on the segment with points 0..m+1, in lexicographic order."""
+    return [AArc(i, j) for i in range(0, m) for j in range(i + 2, m + 2)]
+
+
+def crossing(x: AArc, y: AArc) -> bool:
+    """Whether the arcs cross: each has one end strictly inside the other."""
+    return x.i < y.i < x.j < y.j or y.i < x.i < y.j < x.j
 
 
 def ext_dim(x: AArc, y: AArc) -> int:

@@ -143,6 +143,17 @@ class TestHomOracle:
         assert_refused(shape, (1, 2), ((2, 1, (entry,)), (1, 2, ())),
                        r"an entry of the map of arrow 0 is not three integers: \(")
 
+    @pytest.mark.parametrize(
+        "maps",
+        [((2.0, 1, ((1, 0, 1),)), (1, 2.0, ())), ((2, True, ()), (1, 2, ()))],
+        ids=["float", "bool"],
+    )
+    def test_shapes_must_be_integers(self, maps):
+        # dims (1, 2): 2.0 and True equal the sizes 2 and 1 but are no ints;
+        # the float shape was once accepted, and its Hom to itself read 3
+        shape = oracle.cyclic_quiver(2)
+        assert_refused(shape, (1, 2), maps, r"the shape of the map of arrow 0 is not two integers: \(")
+
     def test_mismatched_quivers_rejected(self):
         a = oracle.build_rep(Tube(2), Tube(2).finite(0, 3))
         b = oracle.build_rep(Tube(3), Tube(3).finite(0, 3))

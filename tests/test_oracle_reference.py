@@ -21,11 +21,10 @@ from collections import namedtuple
 import pytest
 
 from limits import needs_alarm, time_limit
-from segment_defs import build_rep_a, linear_quiver
+from segment_defs import all_arcs, build_rep_a, linear_quiver
 from tubecalc import oracle
 from tubecalc.arcs import Tube
 from tubecalc.oracle import QuiverShape, QuivRep
-from tubecalc.type_a import all_arcs
 
 np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")

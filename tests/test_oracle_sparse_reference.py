@@ -25,11 +25,10 @@ from typing import Dict, List
 import pytest
 
 from limits import needs_alarm, time_limit
-from segment_defs import build_rep_a, linear_quiver
+from segment_defs import all_arcs, build_rep_a, linear_quiver
 from tubecalc import oracle
 from tubecalc.arcs import Tube
 from tubecalc.oracle import PRIME, QuiverShape, QuivRep, _check_rep
-from tubecalc.type_a import all_arcs
 
 try:
     from hypothesis import given, settings, strategies as st

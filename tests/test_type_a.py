@@ -1,6 +1,7 @@
 import gc
 import inspect
 import itertools
+import re
 from functools import lru_cache
 
 import pytest
@@ -27,7 +28,7 @@ class TestExtAndSes:
         assert segment_defs.ext_dim(AArc(0, 2), AArc(1, 3)) == 0
 
     def test_no_self_crossing(self):
-        for x in ta.all_arcs(4):
+        for x in segment_defs.all_arcs(4):
             assert segment_defs.ext_dim(x, x) == 0
 
     def test_ses_two_middle_terms(self):
@@ -38,8 +39,8 @@ class TestExtAndSes:
 
     def test_ses_preserves_total_length(self):
         for m in range(2, 6):
-            for x in ta.all_arcs(m):
-                for y in ta.all_arcs(m):
+            for x in segment_defs.all_arcs(m):
+                for y in segment_defs.all_arcs(m):
                     if segment_defs.ext_dim(x, y) == 1:
                         mids = segment_defs.ses_middle(x, y)
                         total = sum(a.j - a.i - 1 for a in mids)
@@ -70,12 +71,12 @@ class TestTilting:
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_matches_brute_force_maximal_rigid_search(self, m):
-        arcs = ta.all_arcs(m)
+        arcs = segment_defs.all_arcs(m)
         full = AArc(0, m + 1)
         brute = set()
         for sub in itertools.combinations(arcs, m):
             if full in sub and all(
-                not ta.crossing(a, b) for a, b in itertools.combinations(sub, 2)
+                not segment_defs.crossing(a, b) for a, b in itertools.combinations(sub, 2)
             ):
                 brute.add(frozenset(sub))
         assert brute == set(ta.enumerate_tilting(m))
@@ -125,7 +126,6 @@ class TestTilting:
 # fine but for m = -1
 CALLS_WITH_NEGATIVE_M = {
     "check_arc": (-1, AArc(0, 2)),
-    "all_arcs": (-1,),
     "enumerate_tilting": (-1,),
     "is_tilting": (-1, []),
     "torsion_pair_of_tilting": (-1, []),
@@ -140,6 +140,14 @@ class TestNegativeM:
         with pytest.raises(ValueError, match=r"^a segment needs m >= 0, got -1$"):
             getattr(ta, name)(*CALLS_WITH_NEGATIVE_M[name])
 
+    @pytest.mark.parametrize("m", [True, 2.0, "3"], ids=repr)
+    @pytest.mark.parametrize("name", CALLS_WITH_NEGATIVE_M)
+    def test_an_m_that_is_no_int_is_refused(self, name, m):
+        # True would be read as m = 1, and 2.0 or '3' fail deep inside
+        args = (m,) + CALLS_WITH_NEGATIVE_M[name][1:]
+        with pytest.raises(ValueError, match=f"^a segment needs an integer m, got {re.escape(repr(m))}$"):
+            getattr(ta, name)(*args)
+
     def test_every_function_that_takes_m_is_listed(self):
         takes_m = {
             name for name, fn in vars(ta).items()
@@ -149,7 +157,7 @@ class TestNegativeM:
         assert takes_m == set(CALLS_WITH_NEGATIVE_M)
 
     def test_m_zero_is_a_segment(self):
-        assert ta.all_arcs(0) == [] and ta.enumerate_tilting(0) == [frozenset()]
+        assert ta.enumerate_tilting(0) == [frozenset()]
         assert ta.is_tilting(0, []) and ta.is_torsion_pair(0, [], [])
         assert ta.torsion_pair_of_tilting(0, []) == (frozenset(), frozenset())
         assert ta.tilting_of_torsion_pair(0, []) == frozenset()
@@ -226,11 +234,11 @@ class TestTorsionPairsA:
         # brute force: [i,j] with i >= 1 always crosses [i-1,i+1] negatively,
         # so the Ext-projectives of the full category are the arcs [0,j]
         for m in (2, 3, 4):
-            t = frozenset(ta.all_arcs(m))
+            t = frozenset(segment_defs.all_arcs(m))
             got = ta.tilting_of_torsion_pair(m, t)
             brute = frozenset(
-                x for x in ta.all_arcs(m)
-                if all(segment_defs.ext_dim(x, y) == 0 for y in ta.all_arcs(m))
+                x for x in segment_defs.all_arcs(m)
+                if all(segment_defs.ext_dim(x, y) == 0 for y in segment_defs.all_arcs(m))
             )
             assert got == brute == frozenset(segment_defs.projective_arcs(m))
             full_t, _ = ta.torsion_pair_of_tilting(m, got)
@@ -247,7 +255,7 @@ class TestTorsionPairsA:
 class TestClosurePredicates:
     def test_empty_and_full(self):
         for m in (1, 3):
-            full = frozenset(ta.all_arcs(m))
+            full = frozenset(segment_defs.all_arcs(m))
             for s in (frozenset(), full):
                 assert segment_defs.is_oriented_ptolemy(s)
                 assert ta.is_torsion_class(s)
@@ -258,7 +266,7 @@ class TestClosurePredicates:
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_ptolemy_iff_closed_under_ses_middles(self, m):
-        arcs = ta.all_arcs(m)
+        arcs = segment_defs.all_arcs(m)
         for r in range(len(arcs) + 1):
             for sub in itertools.combinations(arcs, r):
                 s = frozenset(sub)
@@ -281,7 +289,7 @@ class TestClosurePredicates:
 class TestHomRule:
     @pytest.mark.parametrize("m", range(1, 8))
     def test_hom_rule_matches_linear_quiver_oracle(self, m):
-        arcs = ta.all_arcs(m)
+        arcs = segment_defs.all_arcs(m)
         reps = {a: segment_defs.build_rep_a(m, a) for a in arcs}
         for x in arcs:
             for y in arcs:
@@ -291,7 +299,7 @@ class TestHomRule:
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_ext_rule_matches_linear_quiver_oracle(self, m):
-        arcs = ta.all_arcs(m)
+        arcs = segment_defs.all_arcs(m)
         reps = {a: segment_defs.build_rep_a(m, a) for a in arcs}
         for x in arcs:
             for y in arcs:

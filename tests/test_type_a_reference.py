@@ -44,7 +44,9 @@ built an arc per member, copied unchanged but for their names.  The
 slotted ``AArc`` hashes, compares and prints as the dataclass did, and
 the closures, both directions of the bijection and
 ``enumerate_tilting`` give the same arcs, now the shared table's
-instances.  The table is checked on its own too, under a small bound.
+instances.  ``old_enumerate_tilting`` is also the bitmask backtracking
+that the Catalan recursion replaced: the two lists are equal, order
+included, at m <= 10.  The table is checked on its own too, under a small bound.
 The package's shared memos follow one store rule, ``arcs._Memo``; three
 of them (this table, ``arcs``' names and ``render``'s annulus pieces) are
 each run here with four threads clearing it under each other, and
@@ -67,8 +69,10 @@ import pytest
 
 from tubecalc import arcs as arcs_mod, render, type_a as ta
 from tubecalc.arcs import FINITE_ARC, IndObj, Tube, _Memo
-from tubecalc.type_a import AArc, all_arcs
-from segment_defs import ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting
+from tubecalc.type_a import AArc
+from segment_defs import (
+    all_arcs, ext_dim, hom_nonzero, injective_arcs, is_oriented_ptolemy, second_torsion_pair_of_tilting,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -682,11 +686,13 @@ class TestMatchesDataclassCode:
         if not isinstance(got, tuple):
             assert shared(ta.tilting_of_torsion_pair(m, arcs))
 
-    @pytest.mark.parametrize("m", range(0, 9))
+    @pytest.mark.parametrize("m", range(0, 11))
     def test_enumerate_tilting(self, m):
         got = ta.enumerate_tilting(m)
         assert [ends(u) for u in got] == [ends(u) for u in old_enumerate_tilting(m)]
-        assert ta.all_arcs(m) == [AArc(x.i, x.j) for x in old_all_arcs(m)] and shared(ta.all_arcs(m))
+        # every arc of the segment lies in some tilting set, as the table's instance
+        held = frozenset().union(*got)
+        assert ends(held) == ends(old_all_arcs(m)) and shared(held)
         for u in got:
             t_part, f_part = ta.torsion_pair_of_tilting(m, u)
             old_t, old_f = old_torsion_pair_of_tilting(m, as_old(u))
@@ -759,7 +765,8 @@ class TestArcTable:
             assert ta._shared(many) == [AArc(*p) for p in many]
             assert set(ta._ARCS) == {(2, 4), (2, 5)}
             for m in range(6):
-                assert ta.all_arcs(m) == [AArc(x.i, x.j) for x in old_all_arcs(m)]
+                assert ta._shared([(x.i, x.j) for x in old_all_arcs(m)]) == [AArc(x.i, x.j) for x in old_all_arcs(m)]
+                assert [ends(u) for u in ta.enumerate_tilting(m)] == [ends(u) for u in old_enumerate_tilting(m)]
                 assert len(ta._ARCS) <= 4
 
     @settings(max_examples=100, deadline=None)

@@ -61,6 +61,7 @@ NAMES_TESTS = "tests/test_serialize_reference.py::TestPairDocuments"
 LISTED_TESTS = "tests/test_torsion_reference.py::TestValidatorByListedArcs"
 PRINTER_TESTS = "tests/test_serialize_reference.py::TestPrinters::test_every_document_at_ranks_1_to_7"
 WING_PAIR_TESTS = "tests/test_census_reference.py::TestPairsWingByWing::test_each_pair_is_torsion_pair_of_its_object"
+TILTING_TESTS = "tests/test_type_a.py::TestTilting"
 
 MUTANTS = (
     Mutant(
@@ -123,6 +124,33 @@ MUTANTS = (
         "mirrored-wing-pieces-unswapped",
         ((TORSION, "rows.append((f, t) if mirror else (t, f))", "rows.append((t, f))"),),
         (WING_PAIR_TESTS,),
+    ),
+    Mutant(
+        "apex-range-drops-last-point",
+        ((TYPE_A, "            for k in range(a + 1, b)\n", "            for k in range(a + 1, b - 1)\n"),),
+        (f"{TILTING_TESTS}::test_count_is_catalan_via_triangulations",),
+    ),
+    Mutant(
+        "boundary-edges-listed-as-arcs",
+        ((TYPE_A, "((a, k),) * (k - a >= 2) + ((k, b),) * (b - k >= 2)",
+          "((a, k),) * (k - a >= 1) + ((k, b),) * (b - k >= 1)"),),
+        (f"{TILTING_TESTS}::test_matches_brute_force_maximal_rigid_search",),
+    ),
+    Mutant(
+        "tilting-sets-unsorted",
+        ((TYPE_A, "rows = sorted((row + ((0, m + 1),) for row in _triangulations(0, m + 1, {})), key=sorted)",
+          "rows = [row + ((0, m + 1),) for row in _triangulations(0, m + 1, {})]"),),
+        (f"{TILTING_TESTS}::test_enumeration_is_in_lexicographic_order",),
+    ),
+    Mutant(
+        "segment-takes-an-m-that-is-no-int",
+        ((TYPE_A, "    if type(m) is not int:", "    if False:"),),
+        ("tests/test_type_a.py::TestNegativeM::test_an_m_that_is_no_int_is_refused",),
+    ),
+    Mutant(
+        "ext-closed-drops-coray-branch",
+        ((TORSION, "    if desc.corays:\n        return is_ext_closed(tube, reflect_desc(tube, desc))\n", ""),),
+        ("tests/test_classification.py::test_torsion_classes_are_the_torsion_sides",),
     ),
     Mutant(
         "segment-wall-a-step-short",
@@ -312,6 +340,11 @@ MUTANTS = (
         ((ORACLE, "            if not type(i) is type(j) is type(x) is int:  # bool is no entry\n"
                   "                raise ValueError(", "            if False:\n                raise ValueError("),),
         ("tests/test_oracle.py::TestHomOracle::test_entries_must_be_integers",),
+    ),
+    Mutant(
+        "rep-check-accepts-float-shape",
+        ((ORACLE, "        if not type(rows) is type(cols) is int:", "        if False:"),),
+        ("tests/test_oracle.py::TestHomOracle::test_shapes_must_be_integers",),
     ),
     Mutant(
         "pivot-left-unnormalized",
